@@ -19,14 +19,12 @@ TIGHTNESS = (1.0, 0.5, 0.3, 0.2, 0.12, 0.07)
 
 
 def _acceptance(d_over_t_max: float):
-    return acceptance_curve(
-        (d_over_t_max,), N_PER_POINT, workers=1
-    )[d_over_t_max]
+    return acceptance_curve((d_over_t_max,), N_PER_POINT)[d_over_t_max]
 
 
 def test_e5_acceptance_ratio(benchmark):
     rows = []
-    raw = acceptance_curve(TIGHTNESS, N_PER_POINT, workers=1)
+    raw = acceptance_curve(TIGHTNESS, N_PER_POINT)
     for tight in TIGHTNESS:
         counts = raw[tight]
         rows.append((

@@ -327,7 +327,7 @@ def _analysis_payload(net: Network, policy: str,
 
 
 def _compute_analyse(request: AnalysisRequest, net: Network,
-                     fingerprint: str, workers: int) -> AnalysisResult:
+                     fingerprint: str) -> AnalysisResult:
     payload = _analysis_payload(net, request.policy, request.refined)
     return AnalysisResult(
         op="analyse",
@@ -338,15 +338,15 @@ def _compute_analyse(request: AnalysisRequest, net: Network,
 
 
 def _compute_sweep(request: AnalysisRequest, net: Network,
-                   fingerprint: str, workers: int) -> AnalysisResult:
+                   fingerprint: str) -> AnalysisResult:
     policies = request.policies
     try:
         if request.sweep_param == "ttr":
             rows = sweep_mod.ttr_sweep(net, request.sweep_values,
-                                       policies=policies, workers=workers)
+                                       policies=policies)
         elif request.sweep_param == "deadline-scale":
             rows = sweep_mod.deadline_scale_sweep(
-                net, request.sweep_values, policies=policies, workers=workers
+                net, request.sweep_values, policies=policies
             )
         else:
             values = ([int(v) for v in request.sweep_values]
@@ -354,7 +354,7 @@ def _compute_sweep(request: AnalysisRequest, net: Network,
             rows = sweep_mod.baud_sweep(
                 net, values if values is not None
                 else sweep_mod.STANDARD_BAUD_RATES,
-                policies=policies, workers=workers,
+                policies=policies,
             )
     except ValueError as exc:
         raise ApiError(str(exc)) from exc
@@ -434,7 +434,7 @@ def _deadline_tightening_limit(net: Network, policy: str,
 
 
 def _compute_admission(request: AnalysisRequest, net: Network,
-                       fingerprint: str, workers: int) -> AnalysisResult:
+                       fingerprint: str) -> AnalysisResult:
     before = _analysis_payload(net, request.policy, request.refined)
     after_net = _admit_stream(net, request.admission_master,
                               request.admission_stream)
@@ -482,7 +482,7 @@ def _compute_admission(request: AnalysisRequest, net: Network,
 
 
 def _compute_monitor(request: AnalysisRequest, net: Network,
-                     fingerprint: str, workers: int) -> AnalysisResult:
+                     fingerprint: str) -> AnalysisResult:
     from .monitor import TraceFormatError
     from .monitor import engine as monitor_engine
     from .monitor.trace_io import trace_from_doc
@@ -529,27 +529,23 @@ _COMPUTE = {
 def execute_cached(
     request: AnalysisRequest,
     cache: Optional[ResultCache] = None,
-    workers: int = 1,
 ) -> Tuple[AnalysisResult, bool]:
     """``(result, cache_hit)`` for one request.
 
     With a cache, the value key (canonical network fingerprint +
     analysis coordinates) is consulted first; a hit returns the stored
-    result without touching the analysis layer.  ``workers`` spreads a
-    large sweep grid over the batch process pool; it is an execution
-    detail, never part of the value key.
+    result without touching the analysis layer.
     """
     net = _parse_network(request)
     fingerprint = net.fingerprint()
 
     def compute() -> AnalysisResult:
         # A mode override scopes the whole computation: every analysis
-        # kernel under this op (including pooled workers, which inherit
-        # the mode through the chunk payload) runs in the requested mode.
+        # kernel under this op runs in the requested mode.
         if request.mode is None:
-            return _COMPUTE[request.op](request, net, fingerprint, workers)
+            return _COMPUTE[request.op](request, net, fingerprint)
         with analysis_mode_set(request.mode):
-            return _COMPUTE[request.op](request, net, fingerprint, workers)
+            return _COMPUTE[request.op](request, net, fingerprint)
 
     if cache is None:
         return compute(), False
@@ -561,19 +557,18 @@ def execute_cached(
 def execute(
     request: AnalysisRequest,
     cache: Optional[ResultCache] = None,
-    workers: int = 1,
 ) -> AnalysisResult:
     """The one typed entrypoint: every transport routes through here."""
-    result, _ = execute_cached(request, cache=cache, workers=workers)
+    result, _ = execute_cached(request, cache=cache)
     return result
 
 
-def execute_request_doc(doc: Dict[str, Any], workers: int = 1) -> Dict[str, Any]:
+def execute_request_doc(doc: Dict[str, Any]) -> Dict[str, Any]:
     """Dict-in/dict-out :func:`execute` — module-level and picklable, so
     the service's process-pool workers can run it directly.  Caching
     stays in the caller's process (the pool must compute, not consult a
     worker-local cache that would miss forever)."""
-    return execute(AnalysisRequest.from_dict(doc), workers=workers).to_dict()
+    return execute(AnalysisRequest.from_dict(doc)).to_dict()
 
 
 # ------------------------------------------------- convenience front doors
@@ -608,7 +603,6 @@ def sweep_network(
     policies: Tuple[str, ...] = POLICIES,
     ttr: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    workers: int = 1,
     mode: Optional[str] = None,
 ) -> AnalysisResult:
     """Typed form of the sweep drivers (grid in, rows + CSV out)."""
@@ -618,7 +612,6 @@ def sweep_network(
                         sweep_param=sweep_param,
                         sweep_values=tuple(sweep_values), mode=mode),
         cache=cache,
-        workers=workers,
     )
 
 

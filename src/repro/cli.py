@@ -180,8 +180,7 @@ def _cmd_sweep(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"unknown sweep parameter {args.param!r}")
     try:
-        result = api.sweep_network(net, args.param, values,
-                                   workers=args.workers, mode=args.mode)
+        result = api.sweep_network(net, args.param, values, mode=args.mode)
     except api.ApiError as exc:
         raise SystemExit(str(exc))
     print(result.payload["csv"], end="")
@@ -328,7 +327,6 @@ def _cmd_bench(args) -> int:
         raise SystemExit("bench: --networks must be >= 1")
     report = run_benchmark(
         n_networks=args.networks,
-        workers=args.workers,
         seed=args.seed,
         rounds=args.rounds,
         check=not args.no_check,
@@ -684,9 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "deadline-scale)")
     p.add_argument("--stop", type=int, default=8000)
     p.add_argument("--step", type=int, default=500)
-    p.add_argument("--workers", type=int, default=1,
-                   help="process-pool size for the sweep grid "
-                        "(default: serial)")
     add_mode(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -696,8 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--networks", type=int, default=500,
                    help="number of random networks in the workload")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process-pool size (default: cpu count)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rounds", type=int, default=3,
                    help="timed repetitions per mode (best is reported)")
@@ -708,8 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", nargs="*", default=None,
                    choices=("generic", "fast", "vectorized"),
                    help="restrict the benchmark to these analysis modes "
-                        "(default: all; parallel rows always use the "
-                        "process default)")
+                        "(default: all)")
     p.set_defaults(func=_cmd_bench)
 
     from .fuzz.families import FAMILIES
@@ -730,9 +722,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="campaign seed (instances are a pure function of "
                         "seed, family, index)")
     p.add_argument("--workers", type=int, default=1,
-                   help="process-pool size for the kernel-equivalence grid "
-                        "and the per-instance oracles, including the "
-                        "soundness simulations (default: serial)")
+                   help="process-pool size for the per-instance oracles, "
+                        "including the soundness simulations "
+                        "(default: serial)")
     p.add_argument("--families", nargs="*", default=None, metavar="FAMILY",
                    choices=sorted(FAMILIES),
                    help="restrict to these network families "

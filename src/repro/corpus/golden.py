@@ -123,8 +123,7 @@ def _batch_rows(network: Network, policies: Sequence[str],
     return [
         [r.index, r.policy, r.schedulable, r.worst_response, r.worst_slack,
          r.tcycle]
-        for r in batch_mod.analyse_many([network], policies, workers=1,
-                                        mode=mode)
+        for r in batch_mod.analyse_many([network], policies, mode=mode)
     ]
 
 

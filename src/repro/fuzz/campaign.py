@@ -7,15 +7,16 @@ A campaign is a pure function of ``(seed, budget, families, policies)``:
 2. run the **kernel-equivalence oracle at scale**: the whole
    (network × policy) grid goes through :func:`repro.perf.batch.analyse_many`
    once per analysis mode — generic exact, fast scalar kernels, and the
-   structure-of-arrays vector kernels — over the process pool
-   (``workers=N``), and the three row lists must be bit-identical;
+   structure-of-arrays vector kernels — in this process, and the three
+   row lists must be bit-identical;
 3. run the **per-instance oracles** — **round-trip**, **sweep-scaling**
    (with a seeded scale factor) and **token-bus soundness** (soundness
    rotates through the policies so a budget-``n`` campaign simulates
-   ``n`` networks, not ``3n``) — over the same process pool via
-   :func:`repro.perf.batch.pooled_imap`.  The soundness simulations are
-   the dominant cost of a campaign, so this is what makes
-   ``--budget 100000 --workers N`` an overnight-feasible run;
+   ``n`` networks, not ``3n``) — over the process pool
+   (``workers=N``) via :func:`repro.perf.batch.pooled_imap`.  The
+   soundness simulations are the dominant cost of a campaign, so this
+   is what makes ``--budget 100000 --workers N`` an overnight-feasible
+   run;
 4. shrink each failure to a locally-minimal network that still fails
    the same oracle, and package everything as a
    :class:`CampaignResult` for ``FUZZ_report.json`` (schema
@@ -86,8 +87,8 @@ class CampaignConfig:
     seed: int = 0
     families: Tuple[str, ...] = tuple(FAMILIES)
     policies: Tuple[str, ...] = DEFAULT_POLICIES
-    #: process-pool size for the kernel-equivalence grid *and* the
-    #: per-instance oracles (``None`` = cpu count, ``1`` = serial)
+    #: process-pool size for the per-instance oracles (``None`` = cpu
+    #: count, ``1`` = serial)
     workers: Optional[int] = 1
     #: initial soundness-simulation horizon budget (bit times); runs
     #: whose required horizon exceeds it start capped here and rely on
@@ -202,8 +203,8 @@ def _sweep_factor(seed: int, family: str, index: int) -> float:
 
 
 def _batch_rows(networks: Sequence[Network], policies: Sequence[str],
-                workers: Optional[int], mode: str):
-    return analyse_many(networks, policies, workers=workers, mode=mode)
+                mode: str):
+    return analyse_many(networks, policies, mode=mode)
 
 
 def _outcome_doc(oracle: str, outcome: OracleOutcome,
@@ -393,16 +394,13 @@ def run_campaign(config: CampaignConfig = CampaignConfig()) -> CampaignResult:
         ]
         timings["generate_seconds"] = time.perf_counter() - t0
 
-        # -- oracle (b) at scale: one pooled grid per mode --------------
+        # -- oracle (b) at scale: one grid per mode ---------------------
         # Deterministic and cheap next to the simulations, so a resumed
         # campaign simply recomputes it.
         t0 = time.perf_counter()
-        generic_rows = _batch_rows(networks, config.policies, config.workers,
-                                   "generic")
-        fast_rows = _batch_rows(networks, config.policies, config.workers,
-                                "fast")
-        vector_rows = _batch_rows(networks, config.policies, config.workers,
-                                  "vectorized")
+        generic_rows = _batch_rows(networks, config.policies, "generic")
+        fast_rows = _batch_rows(networks, config.policies, "fast")
+        vector_rows = _batch_rows(networks, config.policies, "vectorized")
         mismatched = {
             g.index
             for g, f, v in zip(generic_rows, fast_rows, vector_rows)
@@ -410,7 +408,7 @@ def run_campaign(config: CampaignConfig = CampaignConfig()) -> CampaignResult:
         }
         for (family, index), net in zip(pairs, networks):
             if index in mismatched:
-                # the pooled sweep found it; the per-instance check
+                # the grid sweep found it; the per-instance check
                 # supplies the detailed divergence
                 outcome = check_kernel_equivalence(net, config.policies)
                 detail = outcome.detail or "batch mode rows diverge"

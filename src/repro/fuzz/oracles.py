@@ -249,19 +249,18 @@ def check_kernel_equivalence(
             )
     previous = set_fast_path(True)
     try:
-        fast_batch = analyse_many([network], policies, workers=1)
+        fast_batch = analyse_many([network], policies)
     finally:
         set_fast_path(previous)
     with fast_path_disabled():
-        generic_batch = analyse_many([network], policies, workers=1)
+        generic_batch = analyse_many([network], policies)
     if fast_batch != generic_batch:
         diff = next(
             (a, b) for a, b in zip(generic_batch, fast_batch) if a != b
         )
         return OracleOutcome(STATUS_FAIL, f"batch summaries diverge: {diff}")
     try:
-        vec_batch = analyse_many([network], policies, workers=1,
-                                 mode="vectorized")
+        vec_batch = analyse_many([network], policies, mode="vectorized")
     except Exception as exc:  # noqa: BLE001 - any engine defect counts
         return OracleOutcome(
             STATUS_FAIL,

@@ -12,11 +12,11 @@ without changing a single reported number:
   (all-``int`` tasksets take these automatically; results are
   bit-identical to the generic :func:`repro.core.timeops.fixed_point`
   path, property-tested in ``tests/test_perf_kernels.py``);
-* :mod:`repro.perf.batch` — embarrassingly-parallel batch drivers: a
-  reusable chunked process-pool map (``pooled_map``/``pooled_imap``,
-  also the engine under the fuzzing campaigns' per-instance oracles)
-  plus the analysis grid drivers (``analyse_many``,
-  ``acceptance_curve``) built on it;
+* :mod:`repro.perf.batch` — batch drivers: the in-process analysis
+  grid drivers (``analyse_many``, ``acceptance_curve``) plus a reusable
+  chunked process-pool map (``pooled_map``/``pooled_imap``, the engine
+  under the fuzzing campaigns' per-instance oracles and the corpus
+  check);
 * :mod:`repro.perf.bench` — the ``bench`` CLI backend emitting
   machine-readable ``BENCH_*.json`` throughput artefacts.
 

@@ -1,19 +1,20 @@
-"""Embarrassingly-parallel batch analysis drivers.
+"""Batch analysis drivers.
 
 The design-space exploration layers — sweeps, acceptance curves, the E5
 benchmark, the fuzzing campaigns — all evaluate pure per-item work over
 large grids with no cross-item dependencies.  This module gives that
 layer one engine:
 
+* :func:`analyse_many` — the (network × policy) analysis grid, in one
+  in-process pass.  Under the default ``fast`` mode a grid of at least
+  :data:`VECTOR_MIN_STREAMS` streams goes through the numpy SoA engine
+  of :mod:`repro.perf.vector` and a smaller one through the scalar
+  kernels; an explicit ``mode`` forces its engine at every size;
 * :func:`pooled_map` / :func:`pooled_imap` — chunked process-pool map
-  over any picklable function (a chunk amortises pickling and lets the
-  per-master / per-set memo caches warm up inside each worker); workers
-  inherit the caller's analysis mode and report their fixed-point
-  iteration counts back into the parent's tallies, fast / generic /
-  vectorized separately;
-* :func:`analyse_many` — the (network × policy) analysis grid on top of
-  it, with per-call ``mode`` selection (``vectorized`` cuts the grid
-  into SoA slabs for :mod:`repro.perf.vector`);
+  for heavy per-item work (the fuzz soundness simulations, the corpus
+  check): workers inherit the caller's analysis mode and report their
+  fixed-point iteration counts back into the parent's tallies, fast /
+  generic / vectorized separately;
 * :func:`generate_networks` — reproducible workload generation threading
   one :class:`random.Random` end-to-end (no global ``random`` state);
 * :func:`acceptance_curve` — the E5 experiment (fraction of random
@@ -26,7 +27,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from random import Random
 from typing import (
     Any,
@@ -45,7 +45,7 @@ from ..gen.network_gen import random_network
 from ..profibus.network import Network, stream_specs
 from ..profibus.timing import tcycle as compute_tcycle
 from ..profibus.timing import tdel
-from ..profibus.ttr import analyse
+from ..profibus.ttr import analyse, check_policy
 from . import kernels
 from .config import (
     analysis_mode,
@@ -56,6 +56,20 @@ from .config import (
 from .stats import counters
 
 DEFAULT_POLICIES: Tuple[str, ...] = ("fcfs", "dm", "edf")
+
+#: Smallest grid (streams summed over every master of every network)
+#: that :func:`analyse_many` sends through the SoA engine when the
+#: caller names no mode.  The engine needs ``import numpy`` once per
+#: process, 125–170 ms cold on a 2-CPU x86 container; the scalar
+#: kernels cost about 25 µs per stream for the three policies on the
+#: E5 3×3 shape and about 31 µs on a mix with 4–8-master rings.  A grid
+#: whose scalar run costs as much as the import, 150 ms / (25–31 µs),
+#: has 4800–6000 streams: below that a cold process (a one-shot CLI
+#: sweep, a service warm-up) would pay more for the import than the
+#: lanes save.  Without numpy the dispatch stays scalar at every size:
+#: the pure-python lanes run that mix about 1.5× slower than the scalar
+#: kernels.
+VECTOR_MIN_STREAMS = 5000
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,108 +241,78 @@ def _analyse_pair(job: Tuple[int, Network],
     return [_analyse_one(index, network, policy) for policy in policies]
 
 
-def _vector_slab(job: Tuple[int, List[Network]],
+def _vector_rows(networks: List[Network],
                  policies: Sequence[str]) -> List[BatchResult]:
-    """One SoA pack per slab of networks: every policy's lanes advance
-    over the whole slab at once; unpackable networks take the scalar
+    """One SoA pack for the whole grid: every policy's lanes advance
+    over all networks at once; unpackable networks take the scalar
     per-network path (fast kernels — ``vectorized`` implies them)."""
     from . import vector
 
-    start, networks = job
     rows: List[BatchResult] = []
     pack = vector.pack_networks(networks)
-    # One summary list per policy over the whole slab, then emit in
+    # One summary list per policy over the whole grid, then emit in
     # (index, policy) order: packed networks and fallback indices are
-    # both ascending, so slab outputs concatenate globally sorted and
-    # the driver never needs a comparison sort.
+    # both ascending, so the rows come out sorted without a comparison
+    # sort.
     summaries = [vector.batch_summaries(pack, policy) for policy in policies]
     fb = pack.fallback
     fi = 0
     n_fb = len(fb)
-    for p, per_policy in enumerate(zip(*summaries)):
+    for per_policy in zip(*summaries):
         net_idx = per_policy[0][0]
         while fi < n_fb and fb[fi] < net_idx:
             for policy in policies:
-                rows.append(_analyse_one(start + fb[fi], networks[fb[fi]],
-                                         policy))
+                rows.append(_analyse_one(fb[fi], networks[fb[fi]], policy))
             fi += 1
         for policy, (idx, tc, sched, wr, ws) in zip(policies, per_policy):
-            rows.append(BatchResult(start + idx, policy, sched, wr, ws, tc))
+            rows.append(BatchResult(idx, policy, sched, wr, ws, tc))
     while fi < n_fb:
         for policy in policies:
-            rows.append(_analyse_one(start + fb[fi], networks[fb[fi]], policy))
+            rows.append(_analyse_one(fb[fi], networks[fb[fi]], policy))
         fi += 1
     return rows
 
 
-def _analyse_many_vectorized(
-    networks: List[Network],
-    policies: Sequence[str],
-    workers: Optional[int],
-    chunksize: Optional[int],
-) -> List[BatchResult]:
-    """:func:`analyse_many` through the SoA batch kernels: the grid is
-    cut into slabs (one per pool chunk, or a single slab when serial)
-    and each slab's networks advance together."""
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers <= 1 or len(networks) < 2 * workers:
-        slabs = [(0, networks)]
-        workers = 1
-    else:
-        if chunksize is None:
-            chunksize = max(1, len(networks) // (workers * 4))
-        slabs = [
-            (i, networks[i:i + chunksize])
-            for i in range(0, len(networks), chunksize)
-        ]
-    fn = partial(_vector_slab, policies=tuple(policies))
-    rows: List[BatchResult] = []
-    # Slabs are contiguous ascending index ranges and each slab emits
-    # (index, policy)-ordered rows, so concatenation is already sorted.
-    for slab_rows in pooled_imap(fn, slabs, workers=workers, chunksize=1):
-        rows.extend(slab_rows)
-    return rows
+def _grid_streams(networks: Sequence[Network]) -> int:
+    return sum(len(master.streams)
+               for network in networks for master in network.masters)
 
 
 def analyse_many(
     networks: Sequence[Network],
     policies: Sequence[str] = DEFAULT_POLICIES,
-    workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
     mode: Optional[str] = None,
 ) -> List[BatchResult]:
-    """Analyse every (network, policy) pair.
+    """Analyse every (network, policy) pair in this process.
 
-    ``workers=None`` uses ``os.cpu_count()``; ``workers<=1`` (or a grid
-    too small to amortise a pool) runs serial in-process.  ``mode``
-    overrides the process-wide analysis mode for this call
-    (``generic``/``fast``/``vectorized``); under ``vectorized`` the grid
-    runs through the SoA batch kernels of :mod:`repro.perf.vector` —
-    same results bit for bit, whole slabs per instruction stream.
-    Results come back ordered by (network index, policy position)
-    regardless of the execution mode.  Every network must carry a TTR at
-    or above its ring latency — pre-filter rows that do not (as the
+    ``mode`` forces an engine for this call (``generic``/``fast``/
+    ``vectorized``); under ``vectorized`` the whole grid runs through
+    the SoA batch kernels of :mod:`repro.perf.vector` — same results
+    bit for bit, every network's lanes advancing together.  With no
+    ``mode`` the process-wide mode applies, except that under ``fast`` a
+    grid of at least :data:`VECTOR_MIN_STREAMS` streams takes the SoA
+    engine too when numpy carries its lanes (the pure-python lanes are
+    slower than the scalar kernels).  Results come back ordered by (network index, policy
+    position) regardless of the engine.  Every network must carry a TTR
+    at or above its ring latency — pre-filter rows that do not (as the
     sweep drivers do).
     """
+    policies = tuple(policies)
+    for policy in policies:
+        check_policy(policy)
+    networks = list(networks)
     if mode is None:
         mode = analysis_mode()
+        if mode == "fast" and _grid_streams(networks) >= VECTOR_MIN_STREAMS:
+            from . import vector
+
+            if vector.numpy_available():
+                mode = "vectorized"
     with analysis_mode_set(mode):
-        networks = list(networks)
         if mode == "vectorized":
-            return _analyse_many_vectorized(networks, policies, workers,
-                                            chunksize)
-        if workers is None:
-            workers = os.cpu_count() or 1
-        jobs = list(enumerate(networks))
-        if len(jobs) < 2 * workers:
-            workers = 1  # too small to amortise a pool
-        rows: List[BatchResult] = []
-        fn = partial(_analyse_pair, policies=tuple(policies))
-        for pair_rows in pooled_imap(fn, jobs, workers=workers,
-                                     chunksize=chunksize):
-            rows.extend(pair_rows)
-        return rows
+            return _vector_rows(networks, policies)
+        return [row for job in enumerate(networks)
+                for row in _analyse_pair(job, policies)]
 
 
 def generate_networks(
@@ -379,7 +363,6 @@ def acceptance_curve(
     tightness: Sequence[float],
     n_per_point: int,
     policies: Sequence[str] = DEFAULT_POLICIES,
-    workers: Optional[int] = None,
     seed: int = 0,
     n_masters: int = 3,
     streams_per_master: int = 3,
@@ -392,9 +375,9 @@ def acceptance_curve(
     Deadlines are drawn in ``[0.6·x·T, x·T]`` at tightness ``x``; the
     per-point seed mixes ``seed`` so points are independent but
     reproducible.  All (level × network × policy) rows go through one
-    :func:`analyse_many` call, so the pool is filled once; ``mode``
-    selects its analysis mode (the acceptance workload is the benchmark
-    the vectorized kernels are measured on).
+    :func:`analyse_many` call; ``mode`` selects its analysis mode (the
+    acceptance workload is the benchmark the vectorized kernels are
+    measured on).
     """
     nets: List[Network] = []
     spans: List[Tuple[float, int]] = []
@@ -411,7 +394,7 @@ def acceptance_curve(
         spans.append((x, len(nets)))
         nets.extend(batch)
 
-    rows = analyse_many(nets, policies, workers=workers, mode=mode)
+    rows = analyse_many(nets, policies, mode=mode)
     by_index: Dict[int, Dict[str, bool]] = {}
     for row in rows:
         by_index.setdefault(row.index, {})[row.policy] = row.schedulable

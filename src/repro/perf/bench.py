@@ -9,11 +9,11 @@ Measures the same workload once per analysis mode on one machine:
   (:mod:`repro.perf.vector`): the whole workload packed once and every
   fixed-point recurrence advanced across all networks per instruction
   stream.  The ``vector_backend`` field records whether numpy carried
-  the arrays or the pure-python fallback did;
-* ``fast_parallel`` / ``vectorized_parallel`` — the same through
-  :func:`repro.perf.batch.analyse_many` with a process pool (skipped
-  when only one worker is requested — that would measure pool overhead,
-  not parallelism).
+  the arrays or the pure-python fallback did.
+
+Every mode runs through :func:`repro.perf.batch.analyse_many` with an
+explicit ``mode``, so each row measures its engine at every workload
+size.
 
 Workloads are regenerated (same seed → value-equal, fresh instances)
 for every timed run, so the instance-keyed analysis memos never carry
@@ -80,11 +80,11 @@ class _ModeRun:
 
 
 def _run_once(n_networks: int, seed: int, policies: Sequence[str],
-              workers: int, mode: str, into: _ModeRun) -> None:
+              mode: str, into: _ModeRun) -> None:
     nets = _workload(n_networks, seed)  # fresh instances, cold memos
     counters.reset()
     w0, c0 = time.perf_counter(), time.process_time()
-    rows = analyse_many(nets, policies, workers=workers, mode=mode)
+    rows = analyse_many(nets, policies, mode=mode)
     wall, cpu = time.perf_counter() - w0, time.process_time() - c0
     into.observe(wall, cpu,
                  counters.fast + counters.generic + counters.vectorized,
@@ -93,7 +93,6 @@ def _run_once(n_networks: int, seed: int, policies: Sequence[str],
 
 def run_benchmark(
     n_networks: int = 500,
-    workers: Optional[int] = None,
     seed: int = 0,
     rounds: int = 3,
     policies: Sequence[str] = DEFAULT_POLICIES,
@@ -108,8 +107,6 @@ def run_benchmark(
     every mode equally; the per-mode best is reported.  ``cpu_seconds``
     (process CPU time) drives the speedup ratios — on a multi-tenant
     machine wall clock charges one mode for another tenant's burst.
-    For the parallel modes CPU time is meaningless in the parent (the
-    work happens in children), so their ratios use wall time.
     """
     if n_networks < 1:
         raise ValueError("bench needs at least one network")
@@ -119,33 +116,20 @@ def run_benchmark(
         raise ValueError(
             f"unknown bench mode(s) {bad}; pick from {list(ANALYSIS_MODES)}"
         )
-    if workers is None:
-        workers = os.cpu_count() or 1
     n_analyses = n_networks * len(policies)
 
     serial: Dict[str, _ModeRun] = {m: _ModeRun() for m in selected}
-    # Pool rows only for the modes with a batch driver worth scaling out
-    # (generic-parallel would just burn `rounds` pool runs to restate
-    # the serial ratio).
-    pooled: Dict[str, Optional[_ModeRun]] = {
-        m: (_ModeRun() if workers > 1 else None)
-        for m in selected if m in ("fast", "vectorized")
-    }
     for _ in range(max(1, rounds)):
         for m in selected:
-            _run_once(n_networks, seed, policies, 1, m, serial[m])
-        for m, run in pooled.items():
-            if run is not None:
-                _run_once(n_networks, seed, policies, workers, m, run)
+            _run_once(n_networks, seed, policies, m, serial[m])
 
     consistent: Optional[bool] = None  # None = equality check skipped
     if check:
         row_sets = [run.rows for run in serial.values()]
-        row_sets += [run.rows for run in pooled.values() if run is not None]
         if len(row_sets) > 1:
             consistent = all(rows == row_sets[0] for rows in row_sets[1:])
 
-    def _mode(run: _ModeRun, wall_ratio: bool):
+    def _mode(run: _ModeRun):
         out = {
             "seconds": run.wall,
             "cpu_seconds": run.cpu,
@@ -153,28 +137,14 @@ def run_benchmark(
             "analyses_per_cpu_sec": n_analyses / run.cpu,
             "iterations": run.iterations,
         }
-
-        def ratio(base: _ModeRun) -> float:
-            return base.wall / run.wall if wall_ratio else base.cpu / run.cpu
-
         if "generic" in serial and run is not serial["generic"]:
-            out["speedup_vs_generic"] = ratio(serial["generic"])
+            out["speedup_vs_generic"] = serial["generic"].cpu / run.cpu
         if "fast" in serial and run not in (serial["fast"], serial.get("generic")):
-            out["speedup_vs_fast"] = ratio(serial["fast"])
+            out["speedup_vs_fast"] = serial["fast"].cpu / run.cpu
         return out
 
-    mode_rows: Dict[str, dict] = {}
-    for m in ("generic", "fast", "vectorized"):
-        if m in serial:
-            mode_rows[f"{m}_serial"] = _mode(serial[m], False)
-    for m, run in pooled.items():
-        if run is not None:
-            mode_rows[f"{m}_parallel"] = dict(_mode(run, True),
-                                              workers=workers)
-        else:
-            # One worker: the parallel driver degenerates to the serial one.
-            mode_rows[f"{m}_parallel"] = dict(mode_rows[f"{m}_serial"],
-                                              workers=1)
+    mode_rows = {f"{m}_serial": _mode(serial[m])
+                 for m in ANALYSIS_MODES if m in serial}
 
     sample = next(iter(serial.values()))
     schedulable = sum(1 for r in sample.rows if r.schedulable)
@@ -229,8 +199,6 @@ def format_report(report: dict) -> List[str]:
             if "speedup_vs_fast" in mode:
                 extra += f", {mode['speedup_vs_fast']:.2f}x vs fast"
             extra += ")"
-        if "workers" in mode:
-            extra += f"  [workers={mode['workers']}]"
         lines.append(
             f"  {name:<19} {speed:>10.0f} analyses/s  "
             f"{mode['iterations']:>9} iterations{extra}"

@@ -8,14 +8,19 @@ Three modes drive the same analyses to bit-identical values:
 ``fast``
     The monomorphic all-int kernels of :mod:`repro.perf.kernels` plus
     the instance-keyed caches.  Bit-identical to ``generic``
-    (property-tested), so **on by default**.
+    (property-tested), so **on by default**.  Inside
+    :func:`repro.perf.batch.analyse_many` called without a ``mode``, a
+    grid of at least :data:`repro.perf.batch.VECTOR_MIN_STREAMS` streams
+    runs on the ``vectorized`` engine instead (same rows bit for bit);
+    smaller grids stay on the scalar kernels, so they never pay for
+    ``import numpy``.
 ``vectorized``
     The structure-of-arrays batch kernels of
     :mod:`repro.perf.vector`: whole batches of networks advance their
     fixed-point recurrences together, one instruction stream per sweep.
     Scalar (non-batch) entry points under this mode use the fast
-    kernels — the vector engine engages at the batch drivers
-    (:func:`repro.perf.batch.analyse_many`).
+    kernels — the vector engine engages at the batch driver
+    (:func:`repro.perf.batch.analyse_many`), at every grid size.
 
 The switch exists for three consumers: the benchmark driver (measures
 every mode on the same workload), the property tests / fuzz oracle /

@@ -14,10 +14,9 @@ each:
   not, so this shows the minimum line speed for a plant).
 
 All three build their (network, policy) grid up front and evaluate it
-through :func:`repro.perf.batch.analyse_many` — pass ``workers=N`` to
-spread a large sweep over a process pool; the default stays serial
-in-process.  Static per-network work (ring latency, the scaled-network
-construction) is hoisted out of the row loops.
+through one in-process :func:`repro.perf.batch.analyse_many` call.
+Static per-network work (ring latency, the scaled-network construction)
+is hoisted out of the row loops.
 
 Rows are plain dataclasses; :func:`rows_to_csv` renders any of them for
 spreadsheet handoff.  Used by the CLI ``sweep`` subcommand.
@@ -56,13 +55,12 @@ def _grid_rows(
     parameter: str,
     entries: Sequence[Tuple[float, Optional[Network]]],
     policies: Sequence[str],
-    workers: Optional[int],
 ) -> List[SweepRow]:
     """Evaluate ``(value, network)`` entries × policies through the batch
     driver; ``network=None`` marks a structurally infeasible value
     (below ring latency) reported unschedulable without analysis."""
     jobs = [net for _, net in entries if net is not None]
-    results = analyse_many(jobs, policies, workers=workers) if jobs else []
+    results = analyse_many(jobs, policies) if jobs else []
     by_key = {(r.index, r.policy): r for r in results}
     rows: List[SweepRow] = []
     job_index = 0
@@ -94,7 +92,6 @@ def ttr_sweep(
     network: Network,
     ttr_values: Iterable[int],
     policies: Sequence[str] = DEFAULT_POLICIES,
-    workers: Optional[int] = 1,
 ) -> List[SweepRow]:
     """Analyse the network at each TTR (values below the ring latency
     are reported unschedulable rather than raising)."""
@@ -105,7 +102,7 @@ def ttr_sweep(
         # feasibility on the rounded TTR actually analysed.
         t = int(round(ttr))
         entries.append((ttr, network.with_ttr(t) if t >= ring else None))
-    return _grid_rows("ttr", entries, policies, workers)
+    return _grid_rows("ttr", entries, policies)
 
 
 def _scale_deadlines(network: Network, factor: float) -> Network:
@@ -127,7 +124,6 @@ def deadline_scale_sweep(
     network: Network,
     factors: Iterable[float],
     policies: Sequence[str] = DEFAULT_POLICIES,
-    workers: Optional[int] = 1,
 ) -> List[SweepRow]:
     """Scale every deadline by each factor (clamped to ``[1, T]``)."""
     factors = list(factors)
@@ -137,7 +133,7 @@ def deadline_scale_sweep(
     entries = [
         (factor, _scale_deadlines(network, factor)) for factor in factors
     ]
-    return _grid_rows("deadline_scale", entries, policies, workers)
+    return _grid_rows("deadline_scale", entries, policies)
 
 
 def _rescale_network(network: Network, baud: int) -> Network:
@@ -174,7 +170,6 @@ def baud_sweep(
     network: Network,
     baud_rates: Iterable[int] = STANDARD_BAUD_RATES,
     policies: Sequence[str] = DEFAULT_POLICIES,
-    workers: Optional[int] = 1,
 ) -> List[SweepRow]:
     """Re-evaluate the network at each baud rate.
 
@@ -187,7 +182,7 @@ def baud_sweep(
     for baud in baud_rates:
         net = _rescale_network(network, baud)
         entries.append((baud, net if net.ttr >= net.ring_latency() else None))
-    return _grid_rows("baud", entries, policies, workers)
+    return _grid_rows("baud", entries, policies)
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:

@@ -31,6 +31,13 @@ _POLICIES: dict = {
 }
 
 
+def check_policy(policy: str) -> None:
+    """Raise the canonical ``ValueError`` for a policy name no analysis
+    knows."""
+    if policy not in _POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; pick from {sorted(_POLICIES)}")
+
+
 def analyse(
     network: Network,
     policy: str,
@@ -38,11 +45,8 @@ def analyse(
     refined: bool = False,
 ) -> NetworkAnalysis:
     """Dispatch to the FCFS / DM / EDF analysis by name."""
-    try:
-        fn = _POLICIES[policy]
-    except KeyError:
-        raise ValueError(f"unknown policy {policy!r}; pick from {sorted(_POLICIES)}")
-    return fn(network, ttr, refined=refined)
+    check_policy(policy)
+    return _POLICIES[policy](network, ttr, refined=refined)
 
 
 def schedulable_with_ttr(

@@ -46,7 +46,7 @@ FUZZ_SCHEMA = "profibus-rt/fuzz/v2"
 FUZZ_CHECKPOINT_SCHEMA = "profibus-rt/fuzz-checkpoint/v1"
 
 #: ``BENCH_batch.json`` throughput reports (:mod:`repro.perf.bench`).
-BENCH_SCHEMA = "profibus-rt/bench-batch/v2"
+BENCH_SCHEMA = "profibus-rt/bench-batch/v3"
 
 #: ``repro-cli lint`` JSON reports (:mod:`repro.lint`).  v2 replaces v1:
 #: the rule catalogue spans the interprocedural flow rules and a

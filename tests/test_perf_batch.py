@@ -1,7 +1,10 @@
-"""Batch drivers, benchmark driver and the parallel sweep plumbing."""
+"""Batch drivers, engine dispatch, the pooled map and the benchmark driver."""
 
 import json
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 
@@ -9,8 +12,10 @@ import pytest
 
 from repro.gen import random_network
 from repro.perf.batch import (
+    VECTOR_MIN_STREAMS,
     BatchResult,
     _analyse_pair,
+    _grid_streams,
     _point_seed,
     acceptance_curve,
     analyse_many,
@@ -20,7 +25,8 @@ from repro.perf.batch import (
 )
 from repro.perf.bench import SCHEMA, format_report, run_benchmark, write_benchmark
 from repro.perf.config import fast_path_disabled
-from repro.profibus import analyse, tdel
+from repro.perf.stats import counters
+from repro.profibus import analyse
 
 
 def small_workload(n=10, seed=3):
@@ -30,7 +36,7 @@ def small_workload(n=10, seed=3):
 class TestAnalyseMany:
     def test_matches_per_call_analysis(self):
         nets = small_workload()
-        rows = analyse_many(nets, workers=1)
+        rows = analyse_many(nets)
         assert len(rows) == len(nets) * 3
         for row in rows:
             res = analyse(nets[row.index], row.policy)
@@ -44,34 +50,87 @@ class TestAnalyseMany:
             assert row.worst_slack == expected
 
     def test_fast_and_generic_rows_identical(self):
-        fast_rows = analyse_many(small_workload(), workers=1)
+        fast_rows = analyse_many(small_workload())
         with fast_path_disabled():
-            generic_rows = analyse_many(small_workload(), workers=1)
+            generic_rows = analyse_many(small_workload())
         assert fast_rows == generic_rows
 
     def test_row_order_is_stable(self):
-        rows = analyse_many(small_workload(n=4), workers=1)
+        rows = analyse_many(small_workload(n=4))
         assert [(r.index, r.policy) for r in rows] == [
             (i, p) for i in range(4) for p in ("fcfs", "dm", "edf")
         ]
 
-    def test_parallel_matches_serial(self):
-        nets = small_workload(n=8)
-        serial = analyse_many(nets, workers=1)
-        parallel = analyse_many(small_workload(n=8), workers=2, chunksize=2)
-        assert serial == parallel
-
-    def test_parallel_generic_matches_serial(self):
-        with fast_path_disabled():
-            serial = analyse_many(small_workload(n=8), workers=1)
-            parallel = analyse_many(
-                small_workload(n=8), workers=2, chunksize=2
-            )
-        assert serial == parallel
-
     def test_custom_policies(self):
-        rows = analyse_many(small_workload(n=3), policies=("dm",), workers=1)
+        rows = analyse_many(small_workload(n=3), policies=("dm",))
         assert {r.policy for r in rows} == {"dm"}
+
+
+def large_workload():
+    """A grid just above the SoA break-even, built from distinct networks."""
+    nets = small_workload(n=450, seed=17)
+    assert _grid_streams(nets) >= VECTOR_MIN_STREAMS
+    return nets
+
+
+class TestEngineDispatch:
+    def test_default_large_grid_takes_soa_engine(self):
+        from repro.perf import vector
+
+        before = counters.vectorized
+        rows = analyse_many(large_workload())
+        assert (counters.vectorized > before) == vector.numpy_available()
+        assert rows == analyse_many(large_workload(), mode="generic")
+        assert rows == analyse_many(large_workload(), mode="fast")
+
+    def test_explicit_fast_stays_scalar_on_large_grid(self):
+        before = counters.vectorized
+        analyse_many(large_workload(), mode="fast")
+        assert counters.vectorized == before
+
+    def test_small_grid_stays_scalar(self, monkeypatch):
+        from repro.perf import vector
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("SoA engine ran below the break-even")
+
+        monkeypatch.setattr(vector, "pack_networks", refuse)
+        nets = small_workload()
+        assert _grid_streams(nets) < VECTOR_MIN_STREAMS
+        before = counters.vectorized
+        rows = analyse_many(nets)
+        assert counters.vectorized == before
+        with fast_path_disabled():
+            assert rows == analyse_many(small_workload())
+
+    def test_cold_process_small_grid_skips_numpy(self):
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys\n"
+            "from repro.perf.batch import analyse_many, generate_networks\n"
+            "analyse_many(generate_networks(8, seed='cold'))\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        )
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = src
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("mode", [None, "generic", "fast", "vectorized"])
+    @pytest.mark.parametrize("size", ["small", "large"])
+    def test_unknown_policy_one_error(self, mode, size):
+        net = small_workload(n=1)[0]
+        nets = [net] * (1 if size == "small"
+                        else -(-VECTOR_MIN_STREAMS // _grid_streams([net])))
+        with pytest.raises(ValueError) as info:
+            analyse_many(nets, ("dm", "lifo"), mode=mode)
+        assert str(info.value) == (
+            "unknown policy 'lifo'; pick from ['dm', 'edf', 'fcfs']"
+        )
 
 
 def _with_float_jitter(net):
@@ -105,17 +164,17 @@ class TestPooledMap:
         # Regression: workers used to report fast+generic as one number
         # and the parent folded it all into the fast bucket, crediting
         # generic-fallback iterations inside fast-mode workers as fast.
-        from repro.perf.stats import counters
-
         nets = small_workload(n=8)
         nets[0] = _with_float_jitter(nets[0])
+        jobs = list(enumerate(nets))
+        fn = partial(_analyse_pair, policies=("fcfs", "dm", "edf"))
         counters.reset()
-        pooled = analyse_many(nets, workers=2, chunksize=2)
+        pooled = list(pooled_imap(fn, jobs, workers=2, chunksize=2))
         pooled_split = (counters.fast, counters.generic)
         assert pooled_split[0] > 0
         assert pooled_split[1] > 0  # the float-jitter network's iterations
         counters.reset()
-        serial = analyse_many(nets, workers=1)
+        serial = [fn(job) for job in jobs]
         assert pooled == serial
         assert (counters.fast, counters.generic) == pooled_split
 
@@ -148,7 +207,7 @@ class TestGenerateNetworks:
 
 class TestAcceptanceCurve:
     def test_counts_and_dominance(self):
-        curve = acceptance_curve((1.0, 0.2), 6, workers=1, seed=4)
+        curve = acceptance_curve((1.0, 0.2), 6, seed=4)
         assert set(curve) == {1.0, 0.2}
         for counts in curve.values():
             for policy, count in counts.items():
@@ -179,12 +238,13 @@ class TestAcceptanceCurve:
 
 class TestBenchmark:
     def test_report_schema_and_consistency(self, tmp_path):
-        report = run_benchmark(n_networks=10, workers=1, rounds=1, seed=2)
+        report = run_benchmark(n_networks=10, rounds=1, seed=2)
         assert report["schema"] == SCHEMA
         assert report["consistent"] is True
         assert report["workload"]["analyses"] == 30
-        for mode in ("generic_serial", "fast_serial", "vectorized_serial",
-                     "fast_parallel", "vectorized_parallel"):
+        assert set(report["modes"]) == {"generic_serial", "fast_serial",
+                                        "vectorized_serial"}
+        for mode in report["modes"]:
             entry = report["modes"][mode]
             assert entry["analyses_per_sec"] > 0
             assert entry["iterations"] > 0
@@ -205,20 +265,19 @@ class TestBenchmark:
         assert any("vectorized_serial" in line for line in lines)
 
     def test_mode_restriction(self):
-        report = run_benchmark(n_networks=6, workers=1, rounds=1, seed=3,
+        report = run_benchmark(n_networks=6, rounds=1, seed=3,
                                modes=("generic", "vectorized"))
-        assert set(report["modes"]) == {"generic_serial", "vectorized_serial",
-                                        "vectorized_parallel"}
+        assert set(report["modes"]) == {"generic_serial", "vectorized_serial"}
+        assert report["consistent"] is True
         with pytest.raises(ValueError):
-            run_benchmark(n_networks=4, workers=1, rounds=1,
-                          modes=("warp",))
+            run_benchmark(n_networks=4, rounds=1, modes=("warp",))
 
     def test_cli_bench_writes_json(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "BENCH_batch.json"
         rc = main([
-            "bench", "--networks", "8", "--rounds", "1", "--workers", "1",
+            "bench", "--networks", "8", "--rounds", "1",
             "--out", str(out),
         ])
         assert rc == 0
@@ -234,32 +293,14 @@ class TestBenchmark:
 
         out = tmp_path / "BENCH_batch.json"
         rc = main([
-            "bench", "--networks", "6", "--rounds", "1", "--workers", "1",
+            "bench", "--networks", "6", "--rounds", "1",
             "--mode", "fast", "vectorized", "--out", str(out),
         ])
         assert rc == 0
         data = json.loads(out.read_text())
-        assert set(data["modes"]) == {"fast_serial", "fast_parallel",
-                                      "vectorized_serial",
-                                      "vectorized_parallel"}
+        assert set(data["modes"]) == {"fast_serial", "vectorized_serial"}
+        assert data["consistent"] is True
         capsys.readouterr()
-
-
-class TestSweepWorkers:
-    def test_ttr_sweep_parallel_matches_serial(self):
-        from repro.profibus.sweep import ttr_sweep
-
-        net = random_network(n_masters=2, streams_per_master=3, seed=21)
-        net = net.with_ttr(max(net.ring_latency(), tdel(net)))
-        values = [
-            net.ring_latency() // 2,  # below ring latency: marker row
-            net.ring_latency() + 500,
-            net.ring_latency() + 3000,
-        ]
-        serial = ttr_sweep(net, values, workers=1)
-        parallel = ttr_sweep(net, values, workers=2)
-        assert serial == parallel
-        assert [r.schedulable for r in serial[:3]] == [False] * 3
 
 
 class TestRngThreading:

@@ -222,12 +222,12 @@ class TestThreeModeEquality:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_batch_modes_bit_identical(self, backend):
         nets = _mixed_workload(30, seed="threeway")
-        generic = analyse_many(nets, POLICIES, workers=1, mode="generic")
-        fast = analyse_many(nets, POLICIES, workers=1, mode="fast")
+        generic = analyse_many(nets, POLICIES, mode="generic")
+        fast = analyse_many(nets, POLICIES, mode="fast")
         assert fast == generic
         with vector.backend_forced(backend):
             vec = analyse_many(_mixed_workload(30, seed="threeway"),
-                               POLICIES, workers=1, mode="vectorized")
+                               POLICIES, mode="vectorized")
         assert vec == generic
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -250,7 +250,7 @@ class TestThreeModeEquality:
     def test_vectorized_iterations_counted(self):
         counters.reset()
         analyse_many(_mixed_workload(6, seed="count"), POLICIES,
-                     workers=1, mode="vectorized")
+                     mode="vectorized")
         snap = counters.snapshot()
         assert snap["vectorized"] > 0
         assert snap["total"] >= snap["vectorized"]
@@ -261,7 +261,5 @@ class TestThreeModeEquality:
         streams = [replace(s, T=float(s.T)) for s in m0.streams]
         broken = replace(net, masters=(m0.with_streams(streams),)
                          + net.masters[1:])
-        rows = analyse_many([broken], POLICIES, workers=1,
-                            mode="vectorized")
-        assert rows == analyse_many([broken], POLICIES, workers=1,
-                                    mode="generic")
+        rows = analyse_many([broken], POLICIES, mode="vectorized")
+        assert rows == analyse_many([broken], POLICIES, mode="generic")

@@ -264,10 +264,10 @@ class TestShutdown:
         release = threading.Event()
         real_execute = api.execute_request_doc
 
-        def slow_execute(doc, workers=1):
+        def slow_execute(doc):
             compute_started.set()
             assert release.wait(timeout=20), "test never released compute"
-            return real_execute(doc, workers=workers)
+            return real_execute(doc)
 
         monkeypatch.setattr(api, "execute_request_doc", slow_execute)
 
