@@ -107,7 +107,8 @@ class AnalysisRequest:
     #: analysis mode override (``generic``/``fast``/``vectorized``);
     #: ``None`` = the serving process's default.  All modes answer
     #: bit-identically (the PERF.md contract) — the knob exists for
-    #: benchmarking and cross-checking through the same transport.
+    #: benchmarking and cross-checking through the same transport, and
+    #: is not part of :meth:`cache_key`.
     mode: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -159,7 +160,9 @@ class AnalysisRequest:
         """The shared-cache key: canonical network fingerprint + the
         analysis coordinates.  Two requests with value-equal networks
         and equal coordinates collide — by design — however their
-        documents were spelled."""
+        documents were spelled.  ``mode`` is not a coordinate: every
+        mode answers bit-identically, so it only picks the engine that
+        fills a missing slot."""
         return json.dumps({
             "schema": API_SCHEMA,
             "op": self.op,
@@ -176,7 +179,6 @@ class AnalysisRequest:
             # canonical JSON, so value-equal traces collide by design
             "trace_digest": self.trace_digest(),
             "stats_after": self.stats_after,
-            "mode": self.mode,
         }, sort_keys=True, separators=(",", ":"))
 
     def trace_digest(self) -> Optional[str]:

@@ -11,9 +11,9 @@ evaluate on one network:
   vs the ``repro.perf`` integer kernels vs the structure-of-arrays
   vector kernels (:mod:`repro.perf.vector`), three-way bit-equality on
   every per-stream response and on the batch-driver summaries.  The
-  vector leg runs on whichever backend is active — numpy when
-  importable, the pure-python fallback otherwise — so the oracle is
-  meaningful on numpy-free machines too.
+  vector leg runs the numpy lanes when numpy is importable and the
+  scalar kernels over the SoA pack otherwise, so on numpy-free
+  machines it still checks the packing.
 * :func:`check_roundtrip` — ``network_from_dict(network_to_dict(n))``
   must reproduce ``n`` exactly (and re-serialise to the same document).
 * :func:`check_sweep_scaling` — the sweep layer vs an independent

@@ -67,8 +67,7 @@ DEFAULT_POLICIES: Tuple[str, ...] = ("fcfs", "dm", "edf")
 #: has 4800–6000 streams: below that a cold process (a one-shot CLI
 #: sweep, a service warm-up) would pay more for the import than the
 #: lanes save.  Without numpy the dispatch stays scalar at every size:
-#: the pure-python lanes run that mix about 1.5× slower than the scalar
-#: kernels.
+#: there are no lanes to win back the packing cost.
 VECTOR_MIN_STREAMS = 5000
 
 
@@ -291,11 +290,12 @@ def analyse_many(
     bit for bit, every network's lanes advancing together.  With no
     ``mode`` the process-wide mode applies, except that under ``fast`` a
     grid of at least :data:`VECTOR_MIN_STREAMS` streams takes the SoA
-    engine too when numpy carries its lanes (the pure-python lanes are
-    slower than the scalar kernels).  Results come back ordered by (network index, policy
-    position) regardless of the engine.  Every network must carry a TTR
-    at or above its ring latency — pre-filter rows that do not (as the
-    sweep drivers do).
+    engine too when numpy is importable (without numpy, ``vectorized``
+    packs the grid and runs the scalar kernels over the pack, which
+    only adds the packing cost).  Results come back ordered by (network
+    index, policy position) regardless of the engine.  Every network
+    must carry a TTR at or above its ring latency — pre-filter rows
+    that do not (as the sweep drivers do).
     """
     policies = tuple(policies)
     for policy in policies:

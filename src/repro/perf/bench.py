@@ -8,8 +8,9 @@ Measures the same workload once per analysis mode on one machine:
 * ``vectorized_serial`` — the structure-of-arrays batch kernels
   (:mod:`repro.perf.vector`): the whole workload packed once and every
   fixed-point recurrence advanced across all networks per instruction
-  stream.  The ``vector_backend`` field records whether numpy carried
-  the arrays or the pure-python fallback did.
+  stream.  The ``vector_backend`` field records whether the numpy
+  lanes ran (``"numpy"``) or the scalar kernels over the pack
+  (``"scalar"``).
 
 Every mode runs through :func:`repro.perf.batch.analyse_many` with an
 explicit ``mode``, so each row measures its engine at every workload

@@ -31,8 +31,8 @@ Environment overrides: ``REPRO_DISABLE_FASTPATH`` (any non-empty value)
 forces ``generic`` process-wide — handy for bisecting a suspected
 fast-path discrepancy without touching code.  ``REPRO_ANALYSIS_MODE``
 picks any of the three modes by name (``REPRO_DISABLE_FASTPATH``
-wins).  ``REPRO_DISABLE_NUMPY`` is honoured by
-:mod:`repro.perf.vector` and forces its pure-python backend.
+wins).  Without numpy, ``vectorized`` runs the scalar kernels over the
+SoA pack of :mod:`repro.perf.vector`.
 """
 
 from __future__ import annotations

@@ -57,28 +57,27 @@ loops in ``tests/test_perf_vector.py``).
 Backends
 ========
 
-The numpy backend engages when numpy is importable and
-``REPRO_DISABLE_NUMPY`` is unset.  Under it the *whole* pipeline is
-array-shaped, not just the iteration: priority ranks come from one
-``lexsort`` over the flat arrays, blocking terms / seed sums / candidate
-EDF offsets are built by ``repeat``/``arange`` segment expansion, the
-float utilisation guards are evaluated as interval checks (masters whose
-guard lands within the float-reordering margin re-run through the scalar
-kernels, so the bit-exact declaration-order summation still decides
-them), and the per-network verdict fold is ``reduceat`` over the
-network CSR.  Otherwise a pure-python backend runs the same lanes over
-the same flat arrays with identical semantics (plain ints, so no
-overflow concerns).  The numpy engine guards against int64 overflow
-with exact python-int bound prechecks plus a per-sweep bound, and falls
-back to the scalar kernels for the whole policy pass if anything could
-wrap (``_VectorRangeError`` — freak magnitudes only; correctness never
-depends on the backend).
+With numpy importable the *whole* pipeline is array-shaped, not just
+the iteration: priority ranks come from one ``lexsort`` over the flat
+arrays, blocking terms / seed sums / candidate EDF offsets are built by
+``repeat``/``arange`` segment expansion, the float utilisation guards
+are evaluated as interval checks (masters whose guard lands within the
+float-reordering margin re-run through the scalar kernels, so the
+bit-exact declaration-order summation still decides them), and the
+per-network verdict fold is ``reduceat`` over the network CSR.  The
+engine guards against int64 overflow with exact python-int bound
+prechecks plus a per-sweep bound.
+
+Without numpy — and for any policy pass where an int64 lane could wrap
+(``_VectorRangeError``, freak magnitudes only) — the scalar kernels of
+:mod:`repro.perf.kernels` run over the pack instead, master by master
+on the specs read back out of the flat arrays, so every value still
+crosses :func:`_pack_value`.  Correctness never depends on which of the
+two ran.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.timeops import DivergedError
@@ -121,30 +120,27 @@ _PACK_IDENTITY = _pack_value
 
 _numpy: Any = None
 _numpy_checked = False
-_backend_override: Optional[str] = None
 
 
 def _load_numpy():
-    # The availability probe is impure in the letter (env read + global
-    # memo) but constant per process, and the cross-mode oracles prove
-    # backend choice never changes analysis values.
+    # The availability probe is impure in the letter (global memo) but
+    # constant per process, and the cross-mode oracles prove the engine
+    # choice never changes analysis values.
     global _numpy, _numpy_checked
     if not _numpy_checked:
         _numpy_checked = True  # lint: disable=REP011 — idempotent memo
-        # lint: disable=REP011 — availability switch, not analysis input
-        if not os.environ.get("REPRO_DISABLE_NUMPY"):
-            try:
-                import numpy  # noqa: F401
+        try:
+            import numpy  # noqa: F401
 
-                _numpy = numpy  # lint: disable=REP011 — idempotent memo
-            except ImportError:
-                _numpy = None  # lint: disable=REP011 — idempotent memo
+            _numpy = numpy  # lint: disable=REP011 — idempotent memo
+        except ImportError:
+            _numpy = None  # lint: disable=REP011 — idempotent memo
     return _numpy
 
 
 def numpy_available() -> bool:
-    """Is the numpy backend active (importable and not disabled)?"""
-    return backend_name() == "numpy"
+    """Is numpy importable, so the SoA lanes can run?"""
+    return _load_numpy() is not None
 
 
 def numpy_version() -> Optional[str]:
@@ -154,26 +150,9 @@ def numpy_version() -> Optional[str]:
 
 
 def backend_name() -> str:
-    """``"numpy"`` or ``"python"`` — the engine that would run now."""
-    if _backend_override is not None:
-        return _backend_override
-    return "python" if _load_numpy() is None else "numpy"
-
-
-@contextmanager
-def backend_forced(name: str):
-    """Force a backend for a block (tests compare both on one machine)."""
-    if name not in ("numpy", "python"):
-        raise ValueError(f"unknown vector backend {name!r}")
-    if name == "numpy" and _load_numpy() is None:
-        raise RuntimeError("numpy backend unavailable")
-    global _backend_override
-    previous = _backend_override
-    _backend_override = name
-    try:
-        yield
-    finally:
-        _backend_override = previous
+    """``"numpy"`` (the SoA lanes) or ``"scalar"`` (the scalar kernels
+    over the pack) — the engine that would run now."""
+    return "scalar" if _load_numpy() is None else "numpy"
 
 
 class _VectorRangeError(Exception):
@@ -367,84 +346,10 @@ def pack_networks(networks: Sequence, ttr: Optional[int] = None) -> NetworkPack:
 # per lane per sweep it was still active — the scalar `it` per lane.
 
 
-def _run_lanes(kind: str,
-               base: List[int], x0: List[int], limit: Optional[List[int]],
-               counts: List[int],
-               eC: List[int], eT: List[int], eJ: List[int],
-               eCap: Optional[List[int]]):
-    """List-interface engine dispatch (python backend + tests)."""
-    if not base:
-        return [], [], 0
-    if backend_name() == "numpy":
-        np = _load_numpy()
-        i64 = np.int64
-        vals, conv, iters = _lanes_np(
-            kind,
-            np.asarray(base, dtype=i64), np.asarray(x0, dtype=i64),
-            None if limit is None else np.asarray(limit, dtype=i64),
-            np.asarray(counts, dtype=i64),
-            np.asarray(eC, dtype=i64), np.asarray(eT, dtype=i64),
-            np.asarray(eJ, dtype=i64),
-            None if eCap is None else np.asarray(eCap, dtype=i64),
-        )
-        out = vals.tolist(), conv.tolist(), iters
-    else:
-        out = _run_lanes_python(kind, base, x0, limit, counts, eC, eT, eJ,
-                                eCap)
-    _counters.vectorized += out[2]
-    return out
-
-
-def _run_lanes_python(kind, base, x0, limit, counts, eC, eT, eJ, eCap):
-    strict = kind != "ceil"
-    capped = kind == "capped"
-    n = len(base)
-    values = [0] * n
-    converged = [False] * n
-    iters = 0
-    pos = 0
-    for lane in range(n):
-        cnt = counts[lane]
-        lo, hi = pos, pos + cnt
-        pos = hi
-        b = base[lane]
-        lim = None if limit is None else limit[lane]
-        x = x0[lane]
-        for it in range(1, MAX_ITER + 1):
-            total = b
-            if capped:
-                for e in range(lo, hi):
-                    k = (x + eJ[e]) // eT[e] + 1
-                    cap = eCap[e]
-                    total += (k if k < cap else cap) * eC[e]
-            elif strict:
-                for e in range(lo, hi):
-                    total += ((x + eJ[e]) // eT[e] + 1) * eC[e]
-            else:
-                for e in range(lo, hi):
-                    total += -((-x - eJ[e]) // eT[e]) * eC[e]
-            if total == x:
-                values[lane] = total
-                converged[lane] = True
-                break
-            if lim is not None and total > lim:
-                values[lane] = total
-                break
-            x = total
-        else:
-            raise DivergedError(
-                f"fixed-point iteration did not settle after {MAX_ITER}"
-                " iterations",
-                x,
-            )
-        iters += it
-    return values, converged, iters
-
-
 def _lanes_np(kind, base_a, x, limit_a, counts_a, eC_a, eT_a, eJ_a, eCap_a):
     """Array-interface numpy engine: int64 arrays in, int64/bool arrays
-    out.  Does NOT touch the iteration counters — callers add the
-    returned count (the list wrapper and the array pipelines both do)."""
+    out.  Does NOT touch the iteration counters — the array pipelines
+    add the returned count."""
     np = _load_numpy()
     strict = kind != "ceil"
     capped = kind == "capped"
@@ -525,7 +430,7 @@ def _cs0(np, a):
     return out
 
 
-# --------------------------------------------- python-backend policy stages
+# ------------------------------------------------- scalar policy stages
 
 
 def _fcfs_values(pack: NetworkPack) -> List[List[int]]:
@@ -544,243 +449,12 @@ def _dm_scalar_values(pack: NetworkPack) -> List[List[Optional[int]]]:
     ]
 
 
-def _dm_values(pack: NetworkPack,
-               max_instances: int = 100_000) -> List[List[Optional[int]]]:
-    """Eq. (16) for every master in the pack — the vector mirror of
-    :func:`repro.perf.kernels.dm_master_response_times` (python-backend
-    staging; the numpy backend stages the same lanes in
-    :func:`_dm_flat_np`).
-
-    Per-master ordering, priorities, blocking terms and the float
-    utilisation guards stay scalar (bit-exact summation order); the
-    busy periods and every ``(stream, instance)`` recursion become
-    lanes.  Instances are evaluated for *all* q and folded — a
-    monotone-map equivalence with the scalar early-break loop (the fold
-    uses a value only when every instance converged feasibly, exactly
-    when the scalar loop completes)."""
-    results: List[List[Optional[int]]] = [
-        [None] * (pack.master_stream_start[m + 1]
-                  - pack.master_stream_start[m])
-        for m in range(pack.n_masters)
-    ]
-    # Stage A: scalar prep; one busy-period lane per guard-passing rank.
-    b_base: List[int] = []
-    b_x0: List[int] = []
-    b_counts: List[int] = []
-    b_eC: List[int] = []
-    b_eT: List[int] = []
-    b_eJ: List[int] = []
-    survivors: List[Tuple] = []  # (m, i, T, D, J, B, step0_tail, arr_prefix)
-    for m in range(pack.n_masters):
-        specs = pack.master_specs(m)
-        n = len(specs)
-        if not n:
-            continue
-        tc = pack.master_tc[m]
-        order = sorted(range(n), key=lambda i: (specs[i][1], i))
-        prio = [0] * n
-        for p_, i in enumerate(order):
-            prio[i] = p_
-        # lint: disable=REP001 — utilisation guard seam: same float
-        # U-test as the scalar kernels; verdicts stay integer
-        utils = [tc / specs[i][0] for i in range(n)]
-        arr_full = [(tc, specs[i][0], specs[i][2]) for i in order]
-        step0_tail = 0
-        last_rank = n - 1
-        for rank, i in enumerate(order):
-            T, D, J = specs[i]
-            B = tc if rank < last_rank else 0
-            u = 0.0  # lint: disable=REP001 — utilisation guard seam
-            pi = prio[i]
-            for j in range(n):
-                if prio[j] < pi:
-                    u += utils[j]
-            u += utils[i]
-            # lint: disable=REP001 — utilisation guard seam
-            if not (u > 1.0 + 1e-12 or (B > 0 and u > 1.0 - 1e-12)):
-                arr = arr_full[:rank]
-                b_base.append(B)
-                b_x0.append(B + (rank + 1) * tc)
-                b_counts.append(rank + 1)
-                for C_, T_, J_ in arr:
-                    b_eC.append(C_)
-                    b_eT.append(T_)
-                    b_eJ.append(J_)
-                b_eC.append(tc)
-                b_eT.append(T)
-                b_eJ.append(J)
-                survivors.append((m, i, T, D, J, B, step0_tail, arr))
-            step0_tail += (J // T + 1) * tc
-    L_vals, _conv, _it = _run_lanes("ceil", b_base, b_x0, None, b_counts,
-                                    b_eC, b_eT, b_eJ, None)
-    # Stage B: one strict lane per (survivor, instance q).
-    q_base: List[int] = []
-    q_x0: List[int] = []
-    q_limit: List[int] = []
-    q_counts: List[int] = []
-    q_eC: List[int] = []
-    q_eT: List[int] = []
-    q_eJ: List[int] = []
-    q_meta: List[Tuple[int, int, int]] = []  # (survivor_id, q, r_shift)
-    for sid, (m, i, T, D, J, B, step0_tail, arr) in enumerate(survivors):
-        L = L_vals[sid]
-        n_inst = -((-(L + J)) // T)
-        if n_inst > max_instances:
-            continue
-        tc = pack.master_tc[m]
-        for q in range(n_inst if n_inst > 1 else 1):
-            Bq = B + q * tc
-            q_base.append(Bq)
-            q_x0.append(Bq + step0_tail)
-            q_limit.append(q * T + D + J - tc)
-            q_counts.append(len(arr))
-            for C_, T_, J_ in arr:
-                q_eC.append(C_)
-                q_eT.append(T_)
-                q_eJ.append(J_)
-            q_meta.append((sid, q, tc - q * T))
-    w_vals, w_conv, _it = _run_lanes("strict", q_base, q_x0, q_limit,
-                                     q_counts, q_eC, q_eT, q_eJ, None)
-    # Fold instances per survivor: feasible iff every q converged within
-    # its deadline; the worst response is the max over q (identical to
-    # the scalar early-break: a break implies infeasible, which voids
-    # the partial maximum anyway).
-    worst: Dict[int, int] = {}
-    feasible: Dict[int, bool] = {}
-    for lane, (sid, _q, r_shift) in enumerate(q_meta):
-        _m, _i, _T, D, J, _B, _s, _arr = survivors[sid]
-        if not w_conv[lane]:
-            feasible[sid] = False
-            continue
-        r = int(w_vals[lane]) + r_shift
-        if r > worst.get(sid, 0):
-            worst[sid] = r
-        if r + J > D:
-            feasible[sid] = False
-        elif sid not in feasible:
-            feasible[sid] = True
-    for sid, (m, i, _T, _D, J, _B, _s, _arr) in enumerate(survivors):
-        if feasible.get(sid, False):
-            results[m][i] = worst.get(sid, 0) + J
-    return results
-
-
 def _edf_scalar_values(pack: NetworkPack) -> List[List[Tuple]]:
     return [
         list(kernels.edf_master_response_times(pack.master_specs(m),
                                                pack.master_tc[m]))
         for m in range(pack.n_masters)
     ]
-
-
-def _edf_values(pack: NetworkPack,
-                limit_factor: int = 4) -> List[List[Tuple]]:
-    """Eqs. (17)–(18) for every master — the vector mirror of
-    :func:`repro.perf.kernels.edf_master_response_times` (python-backend
-    staging; the numpy backend stages the same lanes in
-    :func:`_edf_flat_np`).
-
-    Per-master utilisation guards and offset generation stay scalar;
-    the master busy periods and every ``(stream, offset)`` recursion
-    become lanes (capped strict map, exact scalar exit order including
-    the overshoot value).  The rare ``U ≈ 1`` hyperperiod branch runs
-    through the scalar kernel unchanged."""
-    results: List[List[Tuple]] = [[] for _ in range(pack.n_masters)]
-    # Stage A: guards + one busy lane per normally-utilised master.
-    b_base: List[int] = []
-    b_x0: List[int] = []
-    b_counts: List[int] = []
-    b_eC: List[int] = []
-    b_eT: List[int] = []
-    b_eJ: List[int] = []
-    normal: List[int] = []  # master ids with a busy lane, in lane order
-    for m in range(pack.n_masters):
-        specs = pack.master_specs(m)
-        n = len(specs)
-        if not n:
-            continue
-        tc = pack.master_tc[m]
-        utils = 0.0  # lint: disable=REP001 — utilisation guard seam
-        for T, _D, _J in specs:
-            utils += tc / T  # lint: disable=REP001 — guard seam
-        # lint: disable=REP001 — utilisation guard seam
-        if utils > 1.0 + 1e-12:
-            results[m] = [(None, None)] * n
-            continue
-        if utils > 1.0 - 1e-12:  # lint: disable=REP001 — guard seam
-            # U == 1 hyperperiod branch: scalar kernel, unchanged.
-            results[m] = list(
-                kernels.edf_master_response_times(specs, tc, limit_factor)
-            )
-            continue
-        b_base.append(tc)
-        b_x0.append(tc + n * tc)
-        b_counts.append(n)
-        for T, _D, J in specs:
-            b_eC.append(tc)
-            b_eT.append(T)
-            b_eJ.append(J)
-        normal.append(m)
-    L_vals, _conv, _it = _run_lanes("ceil", b_base, b_x0, None, b_counts,
-                                    b_eC, b_eT, b_eJ, None)
-    # Stage B: one capped lane per (stream, candidate offset).
-    l_base: List[int] = []
-    l_x0: List[int] = []
-    l_limit: List[int] = []
-    l_counts: List[int] = []
-    l_eC: List[int] = []
-    l_eT: List[int] = []
-    l_eJ: List[int] = []
-    l_eCap: List[int] = []
-    l_meta: List[Tuple[int, int, int, int]] = []  # (m, i, a, tc)
-    for pos, m in enumerate(normal):
-        specs = pack.master_specs(m)
-        tc = pack.master_tc[m]
-        L = L_vals[pos]
-        max_d = max(D for _T, D, _J in specs)
-        sorted_entries = sorted(
-            ((D, tc, T, J), i) for i, (T, D, J) in enumerate(specs)
-        )
-        results[m] = [(0, 0)] * len(specs)
-        for i, (T, D, J) in enumerate(specs):
-            limit = limit_factor * (L + D + J) + tc
-            others = [e for e, idx in sorted_entries if idx != i]
-            for a in kernels.candidate_offsets(specs, D, L):
-                dl = a + D
-                B = tc if max_d > dl else 0
-                own = ((a + J) // T) * tc
-                base = B + own
-                x0 = base
-                cnt = 0
-                for Dj, Cj, Tj, Jj in others:
-                    if Dj > dl:
-                        break
-                    cap = 1 + (dl - Dj + Jj) // Tj
-                    by_time = 1 + Jj // Tj
-                    x0 += (by_time if by_time < cap else cap) * Cj
-                    l_eC.append(Cj)
-                    l_eT.append(Tj)
-                    l_eJ.append(Jj)
-                    l_eCap.append(cap)
-                    cnt += 1
-                l_base.append(base)
-                l_x0.append(x0)
-                l_limit.append(limit)
-                l_counts.append(cnt)
-                l_meta.append((m, i, a, tc))
-    x_vals, _conv, _it = _run_lanes("capped", l_base, l_x0, l_limit,
-                                    l_counts, l_eC, l_eT, l_eJ, l_eCap)
-    # Fold offsets per stream: first strict maximum, offsets ascending —
-    # identical to the scalar `if r > best` scan.
-    for lane, (m, i, a, tc) in enumerate(l_meta):
-        x = int(x_vals[lane])
-        r = tc + x - a
-        if r < tc:
-            r = tc
-        best, _best_a = results[m][i]
-        if r > best:
-            results[m][i] = (r, a)
-    return results
 
 
 # ---------------------------------------------- numpy-backend policy stages
@@ -1098,23 +772,29 @@ def _edf_flat_np(pack: NetworkPack, limit_factor: int = 4):
 
 
 def _flat_values(pack: NetworkPack, policy: str):
-    """Numpy-backend flat results ``(resp, crit_or_None, valid)`` for a
-    policy, cached on the pack; ``None`` when the pass fell back to the
-    scalar kernels (the per-master cache holds the values instead)."""
+    """Numpy flat results ``(resp, crit_or_None, valid)`` for a policy,
+    cached on the pack; ``None`` when the scalar kernels run over the
+    pack instead — numpy absent, or an int64 pass that could wrap — and
+    the per-master cache holds their ``dm``/``edf`` values (``fcfs``
+    needs no kernel: :func:`master_values` computes it directly)."""
     if policy not in pack._flat:
-        try:
-            if policy == "fcfs":
-                pack._flat[policy] = _fcfs_flat_np(pack)
-            elif policy == "dm":
-                pack._flat[policy] = _dm_flat_np(pack)
-            elif policy == "edf":
-                pack._flat[policy] = _edf_flat_np(pack)
-            else:
-                raise ValueError(f"unknown policy {policy!r}")
-        except _VectorRangeError:
-            pack._flat[policy] = None
+        if policy not in ("fcfs", "dm", "edf"):
+            raise ValueError(f"unknown policy {policy!r}")
+        flat = None
+        if _load_numpy() is not None:
+            try:
+                if policy == "fcfs":
+                    flat = _fcfs_flat_np(pack)
+                elif policy == "dm":
+                    flat = _dm_flat_np(pack)
+                else:
+                    flat = _edf_flat_np(pack)
+            except _VectorRangeError:
+                pass
+        if flat is None and policy != "fcfs":
             pack._pm[policy] = (_dm_scalar_values(pack) if policy == "dm"
                                 else _edf_scalar_values(pack))
+        pack._flat[policy] = flat
     return pack._flat[policy]
 
 
@@ -1128,30 +808,22 @@ def master_values(pack: NetworkPack, policy: str) -> List[List]:
         raise ValueError(f"unknown policy {policy!r}")
     if policy in pack._pm:
         return pack._pm[policy]
-    if backend_name() == "numpy":
-        flat = _flat_values(pack, policy)
-        if flat is None:
-            return pack._pm[policy]
-        resp, crit, valid = flat
-        out: List[List] = []
-        for m in range(pack.n_masters):
-            lo = pack.master_stream_start[m]
-            hi = pack.master_stream_start[m + 1]
-            if policy == "dm":
-                out.append([int(resp[s]) if valid[s] else None
-                            for s in range(lo, hi)])
-            else:
-                out.append([(int(resp[s]), int(crit[s])) if valid[s]
-                            else (None, None) for s in range(lo, hi)])
-        pack._pm[policy] = out
-        return out
-    try:
-        vals = _dm_values(pack) if policy == "dm" else _edf_values(pack)
-    except _VectorRangeError:
-        vals = (_dm_scalar_values(pack) if policy == "dm"
-                else _edf_scalar_values(pack))
-    pack._pm[policy] = vals
-    return vals
+    flat = _flat_values(pack, policy)
+    if flat is None:
+        return pack._pm[policy]
+    resp, crit, valid = flat
+    out: List[List] = []
+    for m in range(pack.n_masters):
+        lo = pack.master_stream_start[m]
+        hi = pack.master_stream_start[m + 1]
+        if policy == "dm":
+            out.append([int(resp[s]) if valid[s] else None
+                        for s in range(lo, hi)])
+        else:
+            out.append([(int(resp[s]), int(crit[s])) if valid[s]
+                        else (None, None) for s in range(lo, hi)])
+    pack._pm[policy] = out
+    return out
 
 
 def batch_pairs(pack: NetworkPack, policy: str):
@@ -1196,12 +868,9 @@ def _fold_pairs(pairs):
 def batch_summaries(pack: NetworkPack, policy: str):
     """``(original_index, tcycle, schedulable, worst_response,
     worst_slack)`` per packed network — the fully-folded
-    :class:`repro.perf.batch.BatchResult` fields.  The numpy backend
-    folds over the network CSR with ``reduceat``; the python backend
-    folds the pairs exactly as ``batch._fold_responses`` does."""
-    if backend_name() != "numpy":
-        return [(idx, tc) + _fold_pairs(pairs)
-                for idx, tc, pairs in batch_pairs(pack, policy)]
+    :class:`repro.perf.batch.BatchResult` fields.  The numpy lanes fold
+    over the network CSR with ``reduceat``; after the scalar kernels the
+    pairs fold exactly as ``batch._fold_responses`` does."""
     flat = _flat_values(pack, policy)
     if flat is None:
         return [(idx, tc) + _fold_pairs(pairs)

@@ -190,6 +190,22 @@ class TestCaching:
                                         cache=cache)
         assert hit_policy is False and hit_ttr is False
 
+    def test_mode_override_shares_the_cache_slot(self):
+        # every mode answers bit-identically, so a mode override must
+        # not split the cache: the vectorized request hits the slot the
+        # generic one filled
+        cache = ResultCache()
+        generic, hit1 = api.execute_cached(_analyse_request(mode="generic"),
+                                           cache=cache)
+        vectorized, hit2 = api.execute_cached(
+            _analyse_request(mode="vectorized"), cache=cache)
+        assert (hit1, hit2) == (False, True)
+        assert json.dumps(vectorized.to_dict(), sort_keys=True) == \
+            json.dumps(generic.to_dict(), sort_keys=True)
+        fresh = api.execute(_analyse_request(mode="vectorized"))
+        assert json.dumps(fresh.to_dict(), sort_keys=True) == \
+            json.dumps(generic.to_dict(), sort_keys=True)
+
     def test_no_cache_recomputes(self):
         result1, hit1 = api.execute_cached(_analyse_request())
         result2, hit2 = api.execute_cached(_analyse_request())

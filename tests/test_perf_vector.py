@@ -13,42 +13,41 @@ Three properties carry the module:
   counts — across thousands of random lane sets in all three recurrence
   kinds;
 * ``vectorized`` mode must be bit-identical to ``generic`` and ``fast``
-  through the public batch driver, on both backends.
+  through the public batch driver, with the numpy lanes and without
+  numpy, where the scalar kernels run over the pack.
 
-Backend-sensitive tests run once per available backend; the numpy
-parameter skips cleanly on numpy-free machines (including the
-``REPRO_DISABLE_NUMPY=1`` CI leg), where the pure-python fallback is
-the engine under test.
+Numpy-only tests skip cleanly on numpy-free machines; the numpy-free
+path is also exercised on numpy machines by patching the probe.
 """
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.timeops import DivergedError
+from repro.corpus.mutants import run_mutation_harness
 from repro.perf import vector
 from repro.perf.batch import analyse_many, generate_networks
 from repro.perf.stats import counters
 from repro.perf.vector import (
     _PACK_LIMIT,
+    MAX_ITER,
+    _lanes_np,
     _pack_value,
-    _run_lanes,
-    _run_lanes_python,
     pack_networks,
 )
 from repro.profibus.network import stream_specs
 from repro.profibus.timing import tcycle as compute_tcycle
 
+REPO_CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
 requires_numpy = pytest.mark.skipif(
     vector.numpy_version() is None, reason="numpy unavailable"
 )
-
-BACKENDS = [
-    pytest.param("python"),
-    pytest.param("numpy", marks=requires_numpy),
-]
 
 POLICIES = ("fcfs", "dm", "edf")
 
@@ -179,6 +178,68 @@ def _random_lanes(rng, n_lanes, kind):
     return base, x0, lim, counts, eC, eT, eJ, cap
 
 
+def _reference_lanes(kind, base, x0, limit, counts, eC, eT, eJ, eCap):
+    """Full-width per-lane reference: every lane iterated on its own,
+    with the scalar kernels' exit order, and one iteration counted per
+    sweep the lane was active."""
+    strict = kind != "ceil"
+    capped = kind == "capped"
+    n = len(base)
+    values = [0] * n
+    converged = [False] * n
+    iters = 0
+    pos = 0
+    for lane in range(n):
+        cnt = counts[lane]
+        lo, hi = pos, pos + cnt
+        pos = hi
+        b = base[lane]
+        lim = None if limit is None else limit[lane]
+        x = x0[lane]
+        for it in range(1, MAX_ITER + 1):
+            total = b
+            if capped:
+                for e in range(lo, hi):
+                    k = (x + eJ[e]) // eT[e] + 1
+                    cap = eCap[e]
+                    total += (k if k < cap else cap) * eC[e]
+            elif strict:
+                for e in range(lo, hi):
+                    total += ((x + eJ[e]) // eT[e] + 1) * eC[e]
+            else:
+                for e in range(lo, hi):
+                    total += -((-x - eJ[e]) // eT[e]) * eC[e]
+            if total == x:
+                values[lane] = total
+                converged[lane] = True
+                break
+            if lim is not None and total > lim:
+                values[lane] = total
+                break
+            x = total
+        else:
+            raise DivergedError(
+                f"fixed-point iteration did not settle after {MAX_ITER}"
+                " iterations",
+                x,
+            )
+        iters += it
+    return values, converged, iters
+
+
+def _masked_lanes(kind, base, x0, limit, counts, eC, eT, eJ, eCap):
+    """:func:`_lanes_np` on int64 arrays, read back as lists."""
+    np = vector._load_numpy()
+
+    def arr(v):
+        return None if v is None else np.asarray(v, dtype=np.int64)
+
+    values, converged, iters = _lanes_np(
+        kind, arr(base), arr(x0), arr(limit), arr(counts),
+        arr(eC), arr(eT), arr(eJ), arr(eCap))
+    return values.tolist(), converged.tolist(), iters
+
+
 @requires_numpy
 class TestLaneEngineMasking:
     """The numpy engine retires converged/overshot lanes and compacts
@@ -191,9 +252,8 @@ class TestLaneEngineMasking:
         checked = 0
         for batch in range(6):
             args = _random_lanes(rng, 200, kind)
-            want = _run_lanes_python(kind, *args)
-            with vector.backend_forced("numpy"):
-                got = _run_lanes(kind, *args)
+            want = _reference_lanes(kind, *args)
+            got = _masked_lanes(kind, *args)
             assert got[0] == want[0], f"{kind} batch {batch}: values"
             assert got[1] == want[1], f"{kind} batch {batch}: converged"
             assert got[2] == want[2], f"{kind} batch {batch}: iterations"
@@ -201,52 +261,54 @@ class TestLaneEngineMasking:
         assert checked >= 1000
 
     def test_empty_batch(self):
-        with vector.backend_forced("numpy"):
-            assert _run_lanes("ceil", [], [], None, [], [], [], [], None) \
-                == ([], [], 0)
+        assert _masked_lanes("ceil", [], [], None, [], [], [], [], None) \
+            == ([], [], 0)
 
     def test_single_lane_overshoot(self):
         # limit below the fixed point: the lane exits by overshoot and
         # keeps the overshot total (observable in EDF deadline checks)
         args = (["strict", [10], [10], [12], [1], [5], [7], [0], None])
-        want = _run_lanes_python(*args)
-        with vector.backend_forced("numpy"):
-            got = _run_lanes(*args)
-        assert got == want
+        want = _reference_lanes(*args)
+        assert _masked_lanes(*args) == want
         assert want[1] == [False]
 
 
 # -------------------------------------------------------- mode equivalence
 
+def _assert_batch_modes_equal():
+    nets = _mixed_workload(30, seed="threeway")
+    generic = analyse_many(nets, POLICIES, mode="generic")
+    fast = analyse_many(nets, POLICIES, mode="fast")
+    assert fast == generic
+    vec = analyse_many(_mixed_workload(30, seed="threeway"), POLICIES,
+                       mode="vectorized")
+    assert vec == generic
+
+
+def _assert_rows_match_generic():
+    from repro.perf.config import fast_path_disabled
+    from repro.profibus.ttr import analyse
+
+    for net in _mixed_workload(10, seed="rows"):
+        for policy in POLICIES:
+            with fast_path_disabled():
+                res = analyse(net, policy)
+            want = {
+                "tcycle": res.tcycle,
+                "rows": [[sr.master, sr.stream.name, sr.R]
+                         for sr in res.per_stream],
+            }
+            assert vector.response_rows(net, policy) == want
+
+
 class TestThreeModeEquality:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_modes_bit_identical(self, backend):
-        nets = _mixed_workload(30, seed="threeway")
-        generic = analyse_many(nets, POLICIES, mode="generic")
-        fast = analyse_many(nets, POLICIES, mode="fast")
-        assert fast == generic
-        with vector.backend_forced(backend):
-            vec = analyse_many(_mixed_workload(30, seed="threeway"),
-                               POLICIES, mode="vectorized")
-        assert vec == generic
+    def test_batch_modes_bit_identical(self):
+        _assert_batch_modes_equal()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_response_rows_match_generic(self, backend):
-        from repro.perf.config import fast_path_disabled
-        from repro.profibus.ttr import analyse
+    def test_response_rows_match_generic(self):
+        _assert_rows_match_generic()
 
-        for net in _mixed_workload(10, seed="rows"):
-            for policy in POLICIES:
-                with fast_path_disabled():
-                    res = analyse(net, policy)
-                want = {
-                    "tcycle": res.tcycle,
-                    "rows": [[sr.master, sr.stream.name, sr.R]
-                             for sr in res.per_stream],
-                }
-                with vector.backend_forced(backend):
-                    assert vector.response_rows(net, policy) == want
-
+    @requires_numpy
     def test_vectorized_iterations_counted(self):
         counters.reset()
         analyse_many(_mixed_workload(6, seed="count"), POLICIES,
@@ -263,3 +325,35 @@ class TestThreeModeEquality:
                          + net.masters[1:])
         rows = analyse_many([broken], POLICIES, mode="vectorized")
         assert rows == analyse_many([broken], POLICIES, mode="generic")
+
+
+class TestWithoutNumpy:
+    """With the probe reporting no numpy, ``vectorized`` runs the scalar
+    kernels over the pack: the same rows, no lane iterations, and the
+    packing seam still in the path."""
+
+    @pytest.fixture(autouse=True)
+    def _no_numpy(self, monkeypatch):
+        monkeypatch.setattr(vector, "_load_numpy", lambda: None)
+
+    def test_backend_name_is_scalar(self):
+        assert vector.backend_name() == "scalar"
+        assert not vector.numpy_available()
+
+    def test_batch_modes_bit_identical_without_lanes(self):
+        counters.reset()
+        _assert_batch_modes_equal()
+        assert counters.snapshot()["vectorized"] == 0
+
+    def test_response_rows_match_generic(self):
+        counters.reset()
+        _assert_rows_match_generic()
+        assert counters.snapshot()["vectorized"] == 0
+
+    def test_int32_truncation_mutant_still_killed(self):
+        # the scalar path still reads its specs out of the pack, so the
+        # narrowed packing seam must still change a golden value
+        report = run_mutation_harness(REPO_CORPUS,
+                                      mutant_names=["vec-int32-truncation"])
+        assert report.baseline_ok
+        assert report.killed == 1, "\n".join(report.format_lines())
