@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..perf import kernels
-from ..perf.config import fast_path_enabled
 from .task import TaskSet
 from .timeops import Number, ceil_div, fixed_point
 
@@ -36,19 +34,7 @@ def synchronous_busy_period(
     blocking term (used for the non-preemptive analyses).  Raises
     ``ValueError`` when utilisation exceeds 1 (the busy period would be
     unbounded).
-
-    Memoised per (immutable) task set and argument combination: the EDF
-    scan derives the same busy period for every task of a set.
     """
-    # One flag read serves the memo and the kernel gate below, so the
-    # two can never disagree mid-call.
-    use_memo = fast_path_enabled()
-    memo_key = ("busy_period", include_jitter, blocking, max_iter)
-    if use_memo:
-        cached = taskset._cache.get(memo_key)
-        if cached is not None:
-            return cached
-
     if taskset.utilization > 1.0 + 1e-12:
         raise ValueError(
             f"busy period unbounded: utilisation {taskset.utilization:.6f} > 1"
@@ -58,14 +44,6 @@ def synchronous_busy_period(
             "busy period unbounded: utilisation is 1 and the blocking seed "
             "can never be absorbed"
         )
-
-    if use_memo and taskset.all_int and type(blocking) is int:
-        entries = tuple(
-            (t.C, t.T, t.J if include_jitter else 0) for t in taskset
-        )
-        value = kernels.busy_period(entries, blocking, max_iter=max_iter)
-        taskset._cache[memo_key] = value
-        return value
 
     def w(t: Number) -> Number:
         total: Number = blocking
@@ -78,8 +56,6 @@ def synchronous_busy_period(
     value, _its, converged = fixed_point(w, start, limit=None, max_iter=max_iter)
     if not converged:  # pragma: no cover - limit=None never reports False
         raise RuntimeError("busy period iteration failed to converge")
-    if use_memo:
-        taskset._cache[memo_key] = value
     return value
 
 

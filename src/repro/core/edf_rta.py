@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Set
 
-from ..perf import kernels
-from ..perf.config import fast_path_enabled
 from .blocking import blocking_from
 from .busy_period import synchronous_busy_period
 from .results import AnalysisResult, ResponseTime
@@ -167,27 +165,6 @@ def edf_response_time(
     best: Number = 0
     best_a: Number = 0
     offsets = _candidate_offsets(taskset, task, L)
-
-    if fast_path_enabled() and taskset.all_int and type(limit) is int:
-        # Offset-invariant data (interference set sorted by deadline,
-        # blocking suffix-maxima) is prepared once; each offset is then
-        # a prefix slice + bisect + one monomorphic iteration.
-        profile = kernels.EdfProfile(taskset, task, blocking_subtract_one)
-        C, T, D, J = task.C, task.T, task.D, task.J
-        for a in offsets:
-            dl = a + D
-            interferers = profile.in_scope(dl)
-            if preemptive:
-                own = (1 + (a + J) // T) * C
-                r = kernels.edf_p_response_at(C, own, interferers, a, limit)
-            else:
-                own = ((a + J) // T) * C
-                r = kernels.edf_np_response_at(
-                    C, own, profile.blocking_at(dl), interferers, a, limit
-                )
-            if r > best:
-                best, best_a = r, a
-        return ResponseTime(task=task, value=best, critical_a=best_a)
 
     for a in offsets:
         if preemptive:

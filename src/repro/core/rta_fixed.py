@@ -32,22 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..perf import kernels
-from ..perf.config import fast_path_enabled
 from .blocking import nonpreemptive_blocking
 from .results import AnalysisResult, ResponseTime
 from .task import Task, TaskSet
 from .timeops import Number, ceil_div, fixed_point, floor_div
-
-
-def _fast_ok(taskset: TaskSet, *extra) -> bool:
-    """Take the integer kernels?  All task attributes and every extra
-    operand must be plain ints (bit-identical results guaranteed)."""
-    return (
-        fast_path_enabled()
-        and taskset.all_int
-        and all(type(x) is int for x in extra)
-    )
 
 
 def preemptive_response_time(
@@ -63,14 +51,6 @@ def preemptive_response_time(
     """
     hp = taskset.hp(task)
     limit = limit_factor * (task.D + task.J)
-
-    if _fast_ok(taskset, limit):
-        value, its, converged = kernels.rta_preemptive(
-            task.C, kernels.ctj(hp), limit
-        )
-        if not converged:
-            return ResponseTime(task=task, value=None, iterations=its)
-        return ResponseTime(task=task, value=value + task.J, iterations=its)
 
     def step(r: Number) -> Number:
         total = task.C
@@ -131,22 +111,16 @@ def preemptive_response_time_arbitrary(
     # responses are unbounded only past the busy period; inside it the
     # iteration is capped generously and misses are detected afterwards
     limit = L + task.D + task.J
-    fast = _fast_ok(taskset, limit)
-    arr = kernels.ctj(hp) if fast else ()
     for q in range(max(1, n_instances)):
         own = (q + 1) * task.C
 
-        if fast:
-            value, its, converged = kernels.rta_preemptive(own, arr, limit)
-        else:
+        def step(w: Number) -> Number:
+            total: Number = own
+            for j in hp:
+                total = total + ceil_div(w + j.J, j.T) * j.C
+            return total
 
-            def step(w: Number) -> Number:
-                total: Number = own
-                for j in hp:
-                    total = total + ceil_div(w + j.J, j.T) * j.C
-                return total
-
-            value, its, converged = fixed_point(step, own, limit=limit)
+        value, its, converged = fixed_point(step, own, limit=limit)
         its_total += its
         if not converged:
             return ResponseTime(task=task, value=None, iterations=its_total)
@@ -175,15 +149,6 @@ def nonpreemptive_start_time(
 
     if limit is None:
         limit = instance * task.T + task.D + task.J - task.C
-
-    if _fast_ok(taskset, B, limit):
-        arr = kernels.ctj(hp)
-        value, its, converged = kernels.np_start(
-            B, arr, strict_start, limit, kernels.np_step0(B, arr, strict_start)
-        )
-        if not converged:
-            return None
-        return value, its
 
     def step(w: Number) -> Number:
         total: Number = B
@@ -230,55 +195,18 @@ def nonpreemptive_response_time(
 
     hp = taskset.hp(task)
     B = nonpreemptive_blocking(taskset, task)
-    fast = _fast_ok(taskset, B)  # one decision for busy period + q-loop
-    arr = kernels.ctj(hp) if fast else ()
-
-    if fast:
-        # Same computation as TaskSet(hp + [task]) + synchronous_busy_period,
-        # without materialising the level set: identical float utilisation
-        # guards (same summation order), then the integer kernel.
-        u = sum(t.utilization for t in hp) + task.utilization
-        if u > 1.0 + 1e-12 or (B > 0 and u > 1.0 - 1e-12):
-            return ResponseTime(task=task, value=None)
-        L = kernels.busy_period(arr + ((task.C, task.T, task.J),), B)
-    else:
-        try:
-            L = synchronous_busy_period(
-                TaskSet(hp + [task]), include_jitter=True, blocking=B
-            )
-        except ValueError:
-            return ResponseTime(task=task, value=None)
+    try:
+        L = synchronous_busy_period(
+            TaskSet(hp + [task]), include_jitter=True, blocking=B
+        )
+    except ValueError:
+        return ResponseTime(task=task, value=None)
     n_instances = ceil_div(L + task.J, task.T)
     if n_instances > max_instances:
         return ResponseTime(task=task, value=None)
 
     worst: Number = 0
     its_total = 0
-
-    if fast:
-        # One (C, T, J) extraction, one seed-bound precomputation and
-        # one zero-step evaluation serve every instance; the per-q
-        # blocking/limit terms are the same integers the generic
-        # nonpreemptive_start_time would derive.
-        params = kernels.seed_params(arr)
-        step0_tail = kernels.np_step0(0, arr, strict_start)
-        C, T, D, J = task.C, task.T, task.D, task.J
-        for q in range(max(1, n_instances)):
-            Bq = B + q * C
-            limit_q = q * T + D + J - C
-            w, its, converged = kernels.np_start(
-                Bq, arr, strict_start, limit_q, Bq + step0_tail, params
-            )
-            its_total += its
-            if not converged:
-                return ResponseTime(task=task, value=None, iterations=its_total)
-            r = w + C - q * T
-            if r > worst:
-                worst = r
-            if r + J > D:
-                return ResponseTime(task=task, value=None, iterations=its_total)
-        return ResponseTime(task=task, value=worst + J, iterations=its_total)
-
     for q in range(max(1, n_instances)):
         solved = nonpreemptive_start_time(
             taskset, task, strict_start=strict_start, instance=q

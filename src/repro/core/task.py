@@ -111,7 +111,7 @@ class TaskSet:
         if len(names) != len(set(names)):
             raise ValueError("duplicate task names in TaskSet")
         # Tasks are immutable, so per-set invariants (priority views,
-        # utilisation, the all-int flag) are computed once and memoised.
+        # utilisation) are computed once and memoised.
         self._cache: dict = {}
 
     def __getstate__(self):
@@ -148,22 +148,6 @@ class TaskSet:
             u = sum(t.utilization for t in self._tasks)
             self._cache["utilization"] = u
         return u
-
-    @property
-    def all_int(self) -> bool:
-        """True when every task's ``(C, T, D, J)`` is a plain ``int`` —
-        the precondition for the :mod:`repro.perf.kernels` fast paths."""
-        flag = self._cache.get("all_int")
-        if flag is None:
-            flag = all(
-                type(t.C) is int
-                and type(t.T) is int
-                and type(t.D) is int
-                and type(t.J) is int
-                for t in self._tasks
-            )
-            self._cache["all_int"] = flag
-        return flag
 
     @property
     def density(self) -> float:

@@ -157,38 +157,3 @@ def fixed_point(
         f"fixed-point iteration did not settle after {max_iter} iterations",
         x,
     )
-
-
-def fixed_point_int(
-    func: Callable[[int], int],
-    start: int,
-    limit: Optional[int] = None,
-    max_iter: int = 1_000_000,
-) -> Tuple[int, int, bool]:
-    """:func:`fixed_point` specialised to all-``int`` iterations.
-
-    Same contract and same values, but convergence is plain ``==`` —
-    no ``Number`` dispatch, no ``almost_equal`` — which matters when a
-    sweep drives millions of iterations.  Callers with all-``int``
-    inputs (see :attr:`repro.core.task.TaskSet.all_int`) can use this
-    directly; the hot analysis paths go further and use the array
-    kernels in :mod:`repro.perf.kernels`.
-    """
-    x = start
-    for it in range(1, max_iter + 1):
-        nxt = func(x)
-        if nxt < x:
-            raise ValueError(
-                f"fixed_point requires a monotone map; f({x!r}) = {nxt!r} decreased"
-            )
-        if nxt == x:
-            _counters.fast += it
-            return nxt, it, True
-        if limit is not None and nxt > limit:
-            _counters.fast += it
-            return nxt, it, False
-        x = nxt
-    raise DivergedError(
-        f"fixed-point iteration did not settle after {max_iter} iterations",
-        x,
-    )

@@ -52,7 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..perf import batch as batch_mod
 from ..perf import vector as vector_mod
-from ..perf.config import set_fast_path
+from ..perf.config import analysis_mode_set
 from ..profibus import serialization as serialization_mod
 from ..profibus import sweep as sweep_mod
 from ..profibus import ttr as ttr_mod
@@ -138,9 +138,8 @@ def _sweep_rows(rows) -> List[List[Any]]:
 def _compute_analysis(network: Network, config: Dict[str, Any]) -> Dict[str, Any]:
     policies = tuple(config["policies"])
     out: Dict[str, Any] = {"probe_ttr": config["ttr_probe"], "modes": {}}
-    for mode, fast in (("fast", True), ("generic", False)):
-        previous = set_fast_path(fast)
-        try:
+    for mode in ("fast", "generic"):
+        with analysis_mode_set(mode):
             # Base before probe: the probe must revisit masters whose
             # caches the base analysis just warmed.
             base = {p: _analysis_rows(network, p) for p in policies}
@@ -149,8 +148,6 @@ def _compute_analysis(network: Network, config: Dict[str, Any]) -> Dict[str, Any
                 for p in policies
             }
             batch = _batch_rows(network, policies)
-        finally:
-            set_fast_path(previous)
         out["modes"][mode] = {"base": base, "probe": probe, "batch": batch}
     # Third leg: the SoA vector kernels.  ``response_rows`` returns the
     # exact ``_analysis_rows`` shape, so the three mode documents stay

@@ -34,7 +34,7 @@ from typing import Sequence, Tuple
 
 from ..perf import vector
 from ..perf.batch import analyse_many
-from ..perf.config import fast_path_disabled, set_fast_path
+from ..perf.config import analysis_mode_set
 from ..profibus import sweep as sweep_mod
 from ..profibus.network import Network
 from ..profibus.serialization import network_from_dict, network_to_dict
@@ -200,13 +200,10 @@ def check_kernel_equivalence(
     vector kernels — three-way bit-equality on per-stream responses,
     ``Tcycle`` and the batch-driver summaries."""
     for policy in policies:
-        with fast_path_disabled():
+        with analysis_mode_set("generic"):
             generic = analyse(network, policy)
-        previous = set_fast_path(True)
-        try:
+        with analysis_mode_set("fast"):
             fast = analyse(network, policy)
-        finally:
-            set_fast_path(previous)
         if generic.tcycle != fast.tcycle:
             return OracleOutcome(
                 STATUS_FAIL,
@@ -247,12 +244,9 @@ def check_kernel_equivalence(
                 f"[{vector.backend_name()} backend] "
                 f"per-stream R diverge: {diff}",
             )
-    previous = set_fast_path(True)
-    try:
+    with analysis_mode_set("fast"):
         fast_batch = analyse_many([network], policies)
-    finally:
-        set_fast_path(previous)
-    with fast_path_disabled():
+    with analysis_mode_set("generic"):
         generic_batch = analyse_many([network], policies)
     if fast_batch != generic_batch:
         diff = next(

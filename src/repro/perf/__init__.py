@@ -5,13 +5,14 @@ fixed-point iterations, and the experiment drivers evaluate thousands of
 generated networks/tasksets.  This subpackage makes that layer fast
 without changing a single reported number:
 
-* :mod:`repro.perf.config` — a global fast-path switch so benchmarks and
-  property tests can compare the specialised kernels against the generic
-  exact path on identical inputs;
-* :mod:`repro.perf.kernels` — monomorphic integer fixed-point kernels
-  (all-``int`` tasksets take these automatically; results are
-  bit-identical to the generic :func:`repro.core.timeops.fixed_point`
-  path, property-tested in ``tests/test_perf_kernels.py``);
+* :mod:`repro.perf.config` — the analysis-mode switch (``generic`` /
+  ``fast`` / ``vectorized``) so benchmarks and property tests can
+  compare the accelerated engines against the generic reference on
+  identical inputs;
+* :mod:`repro.perf.kernels` — the whole-master integer kernels of
+  eqs. (16)–(18) (all-``int`` masters take these automatically; results
+  are bit-identical to the generic :mod:`repro.core` analyses,
+  property-tested in ``tests/test_perf_kernels.py``);
 * :mod:`repro.perf.batch` — batch drivers: the in-process analysis
   grid drivers (``analyse_many``, ``acceptance_curve``) plus a reusable
   chunked process-pool map (``pooled_map``/``pooled_imap``, the engine
@@ -20,12 +21,10 @@ without changing a single reported number:
 * :mod:`repro.perf.bench` — the ``bench`` CLI backend emitting
   machine-readable ``BENCH_*.json`` throughput artefacts.
 
-Submodules are imported lazily: the core analyses import
-``repro.perf.config`` for the fast-path switch, while ``batch``/``bench``
+Submodules are imported lazily: ``repro.core`` imports
+``repro.perf.stats`` for the iteration tallies, while ``batch``/``bench``
 import the analyses — eager re-exports here would make that a cycle.
 """
-
-from .config import fast_path_disabled, fast_path_enabled, set_fast_path
 
 __all__ = [
     "BatchResult",
@@ -36,9 +35,6 @@ __all__ = [
     "pooled_map",
     "run_benchmark",
     "write_benchmark",
-    "fast_path_disabled",
-    "fast_path_enabled",
-    "set_fast_path",
 ]
 
 _LAZY = {

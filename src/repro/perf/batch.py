@@ -47,12 +47,7 @@ from ..profibus.timing import tcycle as compute_tcycle
 from ..profibus.timing import tdel
 from ..profibus.ttr import analyse, check_policy
 from . import kernels
-from .config import (
-    analysis_mode,
-    analysis_mode_set,
-    fast_path_enabled,
-    set_analysis_mode,
-)
+from .config import analysis_mode, analysis_mode_set
 from .stats import counters
 
 DEFAULT_POLICIES: Tuple[str, ...] = ("fcfs", "dm", "edf")
@@ -118,12 +113,13 @@ def _fast_summary(index: int, network: Network,
     """BatchResult fields straight from the whole-master kernels, without
     materialising StreamResponse / NetworkAnalysis rows.
 
-    Returns ``None`` when a master has non-int stream attributes (the
-    caller falls back to the full analysis path).  Field-for-field
-    identical to summarising ``analyse(network, policy)`` — the deadline
-    used for slack/schedulability is the same stream ``D`` the specs
-    carry, and the per-stream responses come from the same kernels the
-    analysis modules use (property-tested in ``tests/test_perf_batch``).
+    Returns ``None`` when a master has non-int stream attributes or the
+    generic reference is active (the caller falls back to the full
+    analysis path).  Field-for-field identical to summarising
+    ``analyse(network, policy)`` — the deadline used for
+    slack/schedulability is the same stream ``D`` the specs carry, and
+    the per-stream responses come from the same kernels the analysis
+    modules use (property-tested in ``tests/test_perf_batch``).
     """
     tc = compute_tcycle(network, network.require_ttr(), refined=False)
     if type(tc) is not int:
@@ -151,10 +147,9 @@ def _fast_summary(index: int, network: Network,
 
 
 def _analyse_one(index: int, network: Network, policy: str) -> BatchResult:
-    if fast_path_enabled():
-        summary = _fast_summary(index, network, policy)
-        if summary is not None:
-            return summary
+    summary = _fast_summary(index, network, policy)
+    if summary is not None:
+        return summary
     res = analyse(network, policy)
     return _fold_responses(
         index, policy, res.tcycle,
@@ -172,9 +167,9 @@ def _pooled_chunk(
     one combined number into a single parent bucket used to credit those
     iterations to the wrong path."""
     fn, items, mode = payload
-    set_analysis_mode(mode)
     counters.reset()
-    results = [fn(item) for item in items]
+    with analysis_mode_set(mode):
+        results = [fn(item) for item in items]
     return results, counters.fast, counters.generic, counters.vectorized
 
 

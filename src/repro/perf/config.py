@@ -1,13 +1,14 @@
-"""Global analysis-mode selection (generic / fast / vectorized).
+"""Analysis-mode selection (generic / fast / vectorized).
 
 Three modes drive the same analyses to bit-identical values:
 
 ``generic``
-    The exact reference path — generic fixed-point drivers over the
-    object model.  Always available, never cached.
+    The exact reference path: the generic fixed-point drivers of
+    :mod:`repro.core` over the object model.  Always available; it reads
+    no memo and calls no kernel.
 ``fast``
-    The monomorphic all-int kernels of :mod:`repro.perf.kernels` plus
-    the instance-keyed caches.  Bit-identical to ``generic``
+    The whole-master integer kernels of :mod:`repro.perf.kernels` plus
+    the instance-keyed memos.  Bit-identical to ``generic``
     (property-tested), so **on by default**.  Inside
     :func:`repro.perf.batch.analyse_many` called without a ``mode``, a
     grid of at least :data:`repro.perf.batch.VECTOR_MIN_STREAMS` streams
@@ -25,94 +26,72 @@ Three modes drive the same analyses to bit-identical values:
 The switch exists for three consumers: the benchmark driver (measures
 every mode on the same workload), the property tests / fuzz oracle /
 corpus check (assert cross-mode bit-equality), and the API ``mode``
-request field.
+request field.  On the analysis side one private seam,
+:mod:`repro.profibus._memo`, reads it; :mod:`repro.core` never does.
 
-Environment overrides: ``REPRO_DISABLE_FASTPATH`` (any non-empty value)
-forces ``generic`` process-wide — handy for bisecting a suspected
-fast-path discrepancy without touching code.  ``REPRO_ANALYSIS_MODE``
-picks any of the three modes by name (``REPRO_DISABLE_FASTPATH``
-wins).  Without numpy, ``vectorized`` runs the scalar kernels over the
-SoA pack of :mod:`repro.perf.vector`.
+The process default is a plain module value (:func:`set_analysis_mode`,
+seeded from ``REPRO_ANALYSIS_MODE`` when that names a mode).  A scoped
+override (:func:`analysis_mode_set`) lives in a context variable, so
+overlapping overrides on different threads — the daemon's executor runs
+requests concurrently — never see or restore each other's mode.
+Without numpy, ``vectorized`` runs the scalar kernels over the SoA pack
+of :mod:`repro.perf.vector`.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Optional
 
 #: The recognised analysis modes, in baseline-first order.
 ANALYSIS_MODES = ("generic", "fast", "vectorized")
 
 
-def _initial_mode() -> str:
-    if os.environ.get("REPRO_DISABLE_FASTPATH"):
-        return "generic"
-    env = os.environ.get("REPRO_ANALYSIS_MODE", "")
-    if env in ANALYSIS_MODES:
-        return env
-    return "fast"
-
-
-_mode: str = _initial_mode()
-
-
-def analysis_mode() -> str:
-    """The active analysis mode (``generic``/``fast``/``vectorized``)."""
-    return _mode
-
-
-def set_analysis_mode(mode: str) -> str:
-    """Select the analysis mode; returns the previous mode."""
+def _check(mode: str) -> str:
     if mode not in ANALYSIS_MODES:
         raise ValueError(
             f"unknown analysis mode {mode!r} (expected one of {ANALYSIS_MODES})"
         )
+    return mode
+
+
+def _initial_mode() -> str:
+    env = os.environ.get("REPRO_ANALYSIS_MODE", "")
+    return env if env in ANALYSIS_MODES else "fast"
+
+
+_mode: str = _initial_mode()
+#: The innermost :func:`analysis_mode_set` scope of the current context.
+_override: ContextVar[Optional[str]] = ContextVar("analysis_mode",
+                                                  default=None)
+
+
+def analysis_mode() -> str:
+    """The active analysis mode (``generic``/``fast``/``vectorized``)."""
+    return _override.get() or _mode
+
+
+def set_analysis_mode(mode: str) -> str:
+    """Select the process default mode; returns the previous default.
+
+    An enclosing :func:`analysis_mode_set` scope still wins inside its
+    own context.
+    """
     global _mode
     previous = _mode
     # lint: disable=REP011 — this *is* the mode-switch API; callers on
-    # determinism-critical paths save/restore via analysis_mode_set()
-    _mode = mode
+    # determinism-critical paths scope their mode via analysis_mode_set()
+    _mode = _check(mode)
     return previous
 
 
 @contextmanager
 def analysis_mode_set(mode: str):
-    """Run a block under ``mode``, restoring the previous mode after."""
-    previous = set_analysis_mode(mode)
+    """Run a block under ``mode`` in this context only."""
+    token = _override.set(_check(mode))
     try:
         yield
     finally:
-        set_analysis_mode(previous)
-
-
-def fast_path_enabled() -> bool:
-    """Are the specialised integer kernels active?
-
-    True under both accelerated modes: the vectorized mode uses the
-    fast scalar kernels wherever the vector engine does not apply
-    (single-network entry points, unpackable networks).
-    """
-    return _mode != "generic"
-
-
-def set_fast_path(enabled: bool) -> bool:
-    """Enable/disable the fast paths; returns the previous setting.
-
-    Boolean view of the mode switch, kept for the established
-    callers/tests: ``True`` selects ``fast``, ``False`` selects
-    ``generic``.  Code that must preserve a ``vectorized`` selection
-    across a scope should use :func:`set_analysis_mode` /
-    :func:`analysis_mode_set` instead.
-    """
-    previous = set_analysis_mode("fast" if enabled else "generic")
-    return previous != "generic"
-
-
-@contextmanager
-def fast_path_disabled():
-    """Run a block on the generic exact path (baseline measurement)."""
-    previous = set_analysis_mode("generic")
-    try:
-        yield
-    finally:
-        set_analysis_mode(previous)
+        _override.reset(token)

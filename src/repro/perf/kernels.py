@@ -1,26 +1,29 @@
-"""Monomorphic integer fixed-point kernels.
+"""Monomorphic integer kernels for the whole-master message analyses.
 
-Every recursion in :mod:`repro.core` is driven through the generic
-:func:`repro.core.timeops.fixed_point`, which re-dispatches on the
-``Number`` union (``_is_exact`` checks, ``Fraction`` promotion,
-``almost_equal``) at every step.  When a task set is all-``int`` — the
-recommended representation, and the only one the PROFIBUS analyses ever
-produce — none of that is needed: ceilings are one integer division and
+The §4.3 transfer turns every PROFIBUS bound into a §2 uniprocessor
+recurrence with ``C = Tcycle``, so the only recurrences the system runs
+hot are eq. (16) (DM, :func:`dm_master_response_times`) and eqs.
+(17)–(18) (EDF, :func:`edf_master_response_times`) over one master's
+``(T, D, J)`` stream specs.  The generic reference —
+:mod:`repro.core` driven by :func:`repro.core.timeops.fixed_point` —
+re-dispatches on the ``Number`` union (``_is_exact`` checks,
+``Fraction`` promotion, ``almost_equal``) at every step.  Over plain
+ints none of that is needed: ceilings are one integer division and
 convergence is plain ``==``.
 
-The kernels are exact mirrors of their generic counterparts:
+The kernels are exact mirrors of the generic analyses:
 
 * same iteration maps, same seeds wherever the non-converged overshoot
   value is observable, same limit semantics — so the *values* produced
-  are bit-identical to the generic path (property-tested over thousands
-  of random task sets in ``tests/test_perf_kernels.py``);
-* ``(C, T, J)`` triples are pulled out of the :class:`Task` objects once
-  per call instead of once per step;
+  are bit-identical to the generic path (property-tested over random
+  networks in ``tests/test_perf_kernels.py`` and by the fuzz kernel
+  oracle and corpus check);
 * the deadline-bounded EDF interference caps (which do not depend on the
   iterate) are evaluated once per offset instead of once per step;
-* where the caller discards the non-converged value (the RTA start-time
-  recursions), iteration starts from the standard utilisation-based
-  lower bound on the least fixed point, skipping the early iterates.
+* where the caller discards the non-converged value (the eq. (16)
+  start-time recursions), iteration starts from the standard
+  utilisation-based lower bound on the least fixed point, skipping the
+  early iterates.
 
 Only iteration *counts* may differ (they are reported, not part of any
 analysis verdict): a seed jump reaches the same fixed point in fewer
@@ -29,7 +32,6 @@ steps.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -42,62 +44,28 @@ MAX_ITER = 1_000_000
 CTJ = Tuple[int, int, int]
 
 
-def ctj(tasks) -> Tuple[CTJ, ...]:
-    """Extract ``(C, T, J)`` triples once for a kernel call."""
-    return tuple((t.C, t.T, t.J) for t in tasks)
-
-
-def seed_params(hp: Sequence[CTJ]) -> Optional[Tuple[int, int, int, int]]:
-    """Precompute the utilisation-based lower bound on the least fixed
-    point of ``x = base + Σ ⌈(x+Jⱼ)/Tⱼ⌉·Cⱼ`` (and of the strict
-    ``⌊·⌋+1`` variant, whose map dominates the ceiling one).
+def seed_from(
+    params: Optional[Tuple[int, int, int, int]], base: int, floor_seed: int
+) -> int:
+    """The utilisation-based lower bound on the least fixed point of
+    ``x = base + Σ ⌈(x+Jⱼ)/Tⱼ⌉·Cⱼ`` (and of the strict ``⌊·⌋+1``
+    variant, whose map dominates the ceiling one), never below
+    ``floor_seed``.
 
     Any fixed point satisfies ``x ≥ base + Σ (x+Jⱼ)·Cⱼ/Tⱼ``, hence
     ``x ≥ (base + Σ CⱼJⱼ/Tⱼ) / (1 − U)`` for ``U < 1``.  With
     ``Σ CⱼJⱼ/Tⱼ = P/Q`` and ``U = A/B`` this is
-    ``x ≥ (base·Q + P)·B / (Q·(B − A))`` — returned as
-    ``(P, Q, B, Q·(B−A))`` so per-``base`` evaluation is two integer
+    ``x ≥ (base·Q + P)·B / (Q·(B − A))``; ``params`` is
+    ``(P, Q, B, Q·(B−A))`` (as :func:`dm_master_response_times`
+    accumulates it), so evaluating the bound is two integer
     multiplications and a ceiling division, exact by construction.
-    ``None`` when the bound is unavailable (no interferers or ``U ≥ 1``).
-    """
-    if not hp:
-        return None
-    # Accumulate P/Q = Σ CⱼJⱼ/Tⱼ and A/B = Σ Cⱼ/Tⱼ with explicit gcd
-    # reduction — exact like Fraction, without its per-op overhead.
-    p, q = 0, 1
-    a, b = 0, 1
-    for C, T, J in hp:
-        if J:
-            p, q = p * T + C * J * q, q * T
-            g = gcd(p, q)
-            if g > 1:
-                p //= g
-                q //= g
-        a, b = a * T + C * b, b * T
-        g = gcd(a, b)
-        if g > 1:
-            a //= g
-            b //= g
-    if a >= b:
-        return None
-    return (p, q, b, q * (b - a))
-
-
-def seed_from(
-    params: Optional[Tuple[int, int, int, int]], base: int, floor_seed: int
-) -> int:
-    """Evaluate the :func:`seed_params` bound at ``base``; never below
-    ``floor_seed`` and never above the least fixed point."""
+    ``None`` means the bound is unavailable (no interferers or
+    ``U ≥ 1``)."""
     if params is None:
         return floor_seed
     p, q, b, d = params
     bound = -((-(base * q + p) * b) // d)
     return bound if bound > floor_seed else floor_seed
-
-
-def utilization_seed(base: int, hp: Sequence[CTJ], floor_seed: int) -> int:
-    """One-shot :func:`seed_params` + :func:`seed_from`."""
-    return seed_from(seed_params(hp), base, floor_seed)
 
 
 def _iterate(
@@ -148,46 +116,21 @@ def busy_period(entries: Sequence[CTJ], blocking: int = 0,
     return value
 
 
-def rta_preemptive(
-    C: int, hp: Sequence[CTJ], limit: int
-) -> Tuple[int, int, bool]:
-    """Joseph–Pandya recursion ``r = C + Σ ⌈(r+Jⱼ)/Tⱼ⌉·Cⱼ`` from the
-    utilisation-jumped seed.
-
-    Returns ``(value, iterations, converged)`` with the same
-    ``converged`` verdict as the generic climb from ``C``: a jumped
-    iteration converging beyond ``limit`` is reported unconverged,
-    which is what the generic path would have concluded on the way up
-    (its non-converged overshoot value is discarded by the caller).
-    """
-    seed = utilization_seed(C, hp, C)
-    value, its, converged = _iterate(C, hp, seed, limit, False)
-    if converged and seed > C and value > limit:
-        return value, its, False
-    return value, its, converged
-
-
-_AUTO_PARAMS = object()
-
-
 def np_start(
     B: int,
     hp: Sequence[CTJ],
     strict: bool,
     limit: int,
     step0: int,
-    params=_AUTO_PARAMS,
+    params: Optional[Tuple[int, int, int, int]],
 ) -> Tuple[int, int, bool]:
     """Eq. (1) inner recursion ``w = B + Σ k(w)·Cⱼ``.
 
     ``step0`` is the generic seed (one application of the map to 0); the
-    kernel may jump above it via the utilisation bound (``params`` from
-    :func:`seed_params`, computed here when omitted — pass ``None`` for
-    "no bound available"), reporting unconverged for jumped solutions
-    beyond ``limit`` exactly as the generic climb would (the caller
-    discards the value either way)."""
-    if params is _AUTO_PARAMS:
-        params = seed_params(hp)
+    kernel may jump above it via the utilisation bound (``params``, see
+    :func:`seed_from`; ``None`` for "no bound available"), reporting
+    unconverged for jumped solutions beyond ``limit`` exactly as the
+    generic climb would (the caller discards the value either way)."""
     seed = seed_from(params, B, step0)
     value, its, converged = _iterate(B, hp, seed, limit, strict)
     if converged and seed > step0 and value > limit:
@@ -195,86 +138,13 @@ def np_start(
     return value, its, converged
 
 
-def np_step0(B: int, hp: Sequence[CTJ], strict: bool) -> int:
-    """One application of the eq. (1) map to ``w = 0`` (the generic seed)."""
-    total = B
-    if strict:
-        for C, T, J in hp:
-            total += (J // T + 1) * C
-    else:
-        for C, T, J in hp:
-            total += -((-J) // T) * C
-    return total
-
-
 # --------------------------------------------------------------------- EDF
 #
-# The eq. (6)-(10) offset scans re-derive, at every offset ``a`` and
-# every iterate, which tasks are in scope (``D_j <= a + D_i``), the
-# deadline-bounded interference caps, and the blocking maximum.  The
-# profile below sorts the interference set by deadline once per
-# (taskset, task) pair and precomputes blocking suffix-maxima, so each
-# offset reduces to a prefix slice, one bisect, and a tight min/sum loop.
-
-
-class EdfProfile:
-    """Offset-invariant data for one (taskset, task) EDF scan.
-
-    The deadline-sorted interference entries and the blocking
-    suffix-maxima depend only on the task *set*, so they are built once
-    and memoised in the set's cache; each task view just drops itself
-    from the shared entries (identity match, like the generic scan).
-    """
-
-    __slots__ = ("others", "block_ds", "block_suffix")
-
-    def __init__(self, taskset, task, subtract_one: bool):
-        shared_key = ("edf_profile", subtract_one)
-        shared = taskset._cache.get(shared_key)
-        if shared is None:
-            # Interference entries sorted by deadline so the
-            # ``D_j <= a + D_i`` scope is a prefix; ties in the sort key
-            # are interchangeable (identical contributions).
-            entries = sorted(
-                ((j.D, j.C, j.T, j.J), id(j)) for j in taskset
-            )
-            # Blocking scans all tasks with D_j > threshold, mirroring
-            # blocking_from(taskset-filtered) incl. its max(…, 0) floor.
-            block_ds = [e[0][0] for e in entries]
-            suffix = [0] * (len(entries) + 1)
-            best = None
-            for i in range(len(entries) - 1, -1, -1):
-                _d, c, _t, _j = entries[i][0]
-                if subtract_one:
-                    c -= 1
-                best = c if best is None or c > best else best
-                suffix[i] = best
-            shared = (entries, block_ds, suffix)
-            taskset._cache[shared_key] = shared
-        entries, self.block_ds, self.block_suffix = shared
-        me = id(task)
-        self.others: List[Tuple[int, int, int, int]] = [
-            e for e, i in entries if i != me
-        ]
-
-    def blocking_at(self, threshold: int) -> int:
-        """``max{c_eff : D_j > threshold}`` floored at 0; 0 when empty."""
-        i = bisect_right(self.block_ds, threshold)
-        if i == len(self.block_ds):
-            return 0
-        best = self.block_suffix[i]
-        return best if best > 0 else 0
-
-    def in_scope(self, deadline: int) -> List[Tuple[int, int, int, int]]:
-        """``(C, T, J, cap)`` per task with ``D_j <= deadline``, with the
-        deadline-bounded term ``cap = 1 + ⌊(dl − D_j + J_j)/T_j⌋``
-        evaluated once (it does not depend on the iterate)."""
-        out = []
-        for D, C, T, J in self.others:
-            if D > deadline:
-                break
-            out.append((C, T, J, 1 + (deadline - D + J) // T))
-        return out
+# The eq. (9)-(10) offset scans re-derive, at every offset ``a`` and
+# every iterate, which tasks are in scope (``D_j <= a + D_i``) and the
+# deadline-bounded interference caps.  edf_master_response_times sorts
+# the interference set by deadline once per master, so each offset
+# reduces to a prefix slice and a tight min/sum loop.
 
 
 def edf_np_response_at(
@@ -483,34 +353,3 @@ def edf_master_response_times(
                 best, best_a = r, a
         out.append((best, best_a))
     return out
-
-
-def edf_p_response_at(
-    task_C: int,
-    own: int,
-    interferers: Sequence[Tuple[int, int, int, int]],
-    a: int,
-    limit: int,
-) -> int:
-    """Eq. (6) at one offset: iterate
-    ``L ← own + Σ min(⌈(L+J)/T⌉ if L>0 else 0, cap)·C`` from ``own``."""
-    x = own
-    for it in range(1, MAX_ITER + 1):
-        total = own
-        if x > 0:
-            for C, T, J, cap in interferers:
-                by_time = -((-x - J) // T)
-                total += (by_time if by_time < cap else cap) * C
-        if total == x:
-            _counters.fast += it
-            r = x - a
-            return r if r > task_C else task_C
-        if total > limit:
-            _counters.fast += it
-            r = total - a
-            return r if r > task_C else task_C
-        x = total
-    raise DivergedError(
-        f"fixed-point iteration did not settle after {MAX_ITER} iterations",
-        x,
-    )

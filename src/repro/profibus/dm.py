@@ -27,12 +27,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..perf import kernels
-from ..perf.config import fast_path_enabled
 from ..core.priority import assign_deadline_monotonic
 from ..core.rta_fixed import nonpreemptive_response_time
 from ..core.task import TaskSet
-from ..core.timeops import ceil_div, fixed_point, fixed_point_int
-from .network import Master, Network, master_memo, stream_specs
+from ..core.timeops import ceil_div, fixed_point
+from ._memo import master_memo, stream_specs
+from .network import Master, Network
 from .results import NetworkAnalysis, StreamResponse
 from .timing import tcycle as compute_tcycle
 
@@ -41,21 +41,9 @@ def _master_taskset(master: Master, tc: int) -> Optional[TaskSet]:
     streams = master.high_streams
     if not streams:
         return None
-    if not fast_path_enabled():
-        return assign_deadline_monotonic(
-            TaskSet(s.as_token_task(tc) for s in streams)
-        )
-    # Single-slot per master: bounded memory under fine-grained TTR
-    # sweeps/bisections that probe many distinct Tcycle values.
-    memo = master_memo(master)
-    entry = memo.get("dm_ts")
-    if entry is not None and entry[0] == tc:
-        return entry[1]
-    ts = assign_deadline_monotonic(
+    return assign_deadline_monotonic(
         TaskSet(s.as_token_task(tc) for s in streams)
     )
-    memo["dm_ts"] = (tc, ts)
-    return ts
 
 
 def dm_response_times(master: Master, tc: int) -> List[StreamResponse]:
@@ -64,14 +52,14 @@ def dm_response_times(master: Master, tc: int) -> List[StreamResponse]:
     streams = master.high_streams
     if not streams:
         return []
-    fast = fast_path_enabled()
-    if fast:
-        memo = master_memo(master)
-        entry = memo.get("dm_rows")  # single slot, see _master_taskset
-        if entry is not None and entry[0] == tc:
-            return list(entry[1])  # callers own their copy
+    # Single slot per master: bounded memory under fine-grained TTR
+    # sweeps/bisections that probe many distinct Tcycle values.
+    memo = master_memo(master)
+    entry = memo.get("dm_rows")
+    if entry is not None and entry[0] == tc:
+        return list(entry[1])  # callers own their copy
 
-    specs = stream_specs(master) if fast else None
+    specs = stream_specs(master)
     if specs is not None and type(tc) is int:
         values = kernels.dm_master_response_times(specs, tc)
     else:
@@ -92,8 +80,7 @@ def dm_response_times(master: Master, tc: int) -> List[StreamResponse]:
         )
         for s, r in zip(streams, values)
     ]
-    if fast:
-        memo["dm_rows"] = (tc, list(out))  # private copy
+    memo["dm_rows"] = (tc, list(out))  # private copy
     return out
 
 
@@ -123,12 +110,9 @@ def dm_response_time_paper_form(
         return total
 
     limit = 64 * (task.D + task.J) + tc
-    driver = (
-        fixed_point_int
-        if fast_path_enabled() and ts.all_int and type(tc) is int
-        else fixed_point
-    )
-    value, _its, converged = driver(step, 0, limit=limit)
+    # lint: disable=REP010 — int-domain call: fixed_point's almost_equal
+    # is its generic-Number convergence test; int iterates compare exactly
+    value, _its, converged = fixed_point(step, 0, limit=limit)
     return value if converged else None
 
 

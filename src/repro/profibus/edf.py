@@ -24,26 +24,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..perf import kernels
-from ..perf.config import fast_path_enabled
 from ..core.edf_rta import edf_response_time
 from ..core.task import TaskSet
-from .network import Master, Network, master_memo, stream_specs
+from ._memo import master_memo, stream_specs
+from .network import Master, Network
 from .results import NetworkAnalysis, StreamResponse
 from .timing import tcycle as compute_tcycle
-
-
-def _staged_taskset(master: Master, tc: int) -> TaskSet:
-    # Shared across sweep rows / repeated analyses of the same immutable
-    # master: the TaskSet carries its own memoised invariants.
-    if not fast_path_enabled():
-        return TaskSet(s.as_token_task(tc) for s in master.high_streams)
-    memo = master_memo(master)
-    entry = memo.get("edf_ts")  # single slot: bounded under TTR sweeps
-    if entry is not None and entry[0] == tc:
-        return entry[1]
-    ts = TaskSet(s.as_token_task(tc) for s in master.high_streams)
-    memo["edf_ts"] = (tc, ts)
-    return ts
 
 
 def edf_response_times(master: Master, tc: int) -> List[StreamResponse]:
@@ -52,18 +38,16 @@ def edf_response_times(master: Master, tc: int) -> List[StreamResponse]:
     streams = master.high_streams
     if not streams:
         return []
-    fast = fast_path_enabled()
-    if fast:
-        memo = master_memo(master)
-        entry = memo.get("edf_rows")  # single slot, see _staged_taskset
-        if entry is not None and entry[0] == tc:
-            return list(entry[1])  # callers own their copy
+    memo = master_memo(master)
+    entry = memo.get("edf_rows")  # single slot: bounded under TTR sweeps
+    if entry is not None and entry[0] == tc:
+        return list(entry[1])  # callers own their copy
 
-    specs = stream_specs(master) if fast else None
+    specs = stream_specs(master)
     if specs is not None and type(tc) is int:
         values = kernels.edf_master_response_times(specs, tc)
     else:
-        ts = _staged_taskset(master, tc)
+        ts = TaskSet(s.as_token_task(tc) for s in streams)
         values = [
             (rt.value, rt.critical_a)
             for rt in (
@@ -87,8 +71,7 @@ def edf_response_times(master: Master, tc: int) -> List[StreamResponse]:
         )
         for s, (r, a) in zip(streams, values)
     ]
-    if fast:
-        memo["edf_rows"] = (tc, list(out))  # private copy
+    memo["edf_rows"] = (tc, list(out))  # private copy
     return out
 
 

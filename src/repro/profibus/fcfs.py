@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.timeops import floor_div
+from ._memo import master_memo
 from .network import Network
 from .results import NetworkAnalysis, StreamResponse
 from .timing import tcycle as compute_tcycle
@@ -32,25 +33,19 @@ def fcfs_analysis(
     network: Network, ttr: Optional[int] = None, refined: bool = False
 ) -> NetworkAnalysis:
     """Eq. (11)/(12) for every high-priority stream of the network."""
-    from ..perf.config import fast_path_enabled
-    from .network import master_memo
-
     if ttr is None:
         ttr = network.require_ttr()
     tc = compute_tcycle(network, ttr, refined=refined)
     per_stream = []
-    fast = fast_path_enabled()
     phy = network.phy
     for master in network.masters:
-        rows = None
-        if fast:
-            # Single slot per master (bounded under TTR sweeps); the
-            # identity check on the PHY avoids hashing it.
-            memo = master_memo(master)
-            entry = memo.get("fcfs_rows")
-            if entry is not None and entry[0] == tc and entry[1] is phy:
-                rows = entry[2]
-        if rows is None:
+        # Single slot per master (bounded under TTR sweeps); the
+        # identity check on the PHY avoids hashing it.
+        memo = master_memo(master)
+        entry = memo.get("fcfs_rows")
+        if entry is not None and entry[0] == tc and entry[1] is phy:
+            rows = entry[2]
+        else:
             nh = master.nh
             rows = [
                 StreamResponse(
@@ -59,8 +54,7 @@ def fcfs_analysis(
                 )
                 for s in master.high_streams
             ]
-            if fast:
-                memo["fcfs_rows"] = (tc, phy, rows)
+            memo["fcfs_rows"] = (tc, phy, rows)
         per_stream.extend(rows)
     return NetworkAnalysis(
         policy="fcfs",

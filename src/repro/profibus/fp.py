@@ -142,8 +142,7 @@ def stack_depth_analysis(
         ttr = network.require_ttr()
     tc = compute_tcycle(network, ttr, refined=refined)
     per_stream: List[StreamResponse] = []
-    from ..core.timeops import fixed_point, fixed_point_int, floor_div
-    from ..perf.config import fast_path_enabled
+    from ..core.timeops import fixed_point, floor_div
 
     for master in network.masters:
         streams = master.high_streams
@@ -165,12 +164,7 @@ def stack_depth_analysis(
                 return total
 
             limit = 64 * (task.D + task.J) + (depth + 1) * tc
-            driver = (
-                fixed_point_int
-                if fast_path_enabled() and base.all_int and type(tc) is int
-                else fixed_point
-            )
-            value, _its, converged = driver(step, step(0), limit=limit)
+            value, _its, converged = fixed_point(step, step(0), limit=limit)
             r = value + tc + task.J if converged else None
             per_stream.append(
                 StreamResponse(

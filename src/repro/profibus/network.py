@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..perf.config import fast_path_enabled
+from ._memo import master_memo, stream_specs  # noqa: F401 (re-export)
 from .cycle import token_pass_time
 from .phy import PhyParameters
 from .stream import MessageStream
@@ -77,43 +77,6 @@ class Master:
         return replace(self, streams=tuple(streams))
 
 
-def master_memo(master: Master) -> dict:
-    """Per-master instance memo for derived analysis artefacts.
-
-    Masters are immutable (frozen dataclasses), so staged task sets,
-    longest-cycle figures and analysis rows are cached on the instance
-    itself, keyed by the remaining analysis inputs (``Tcycle``, PHY).
-    Instance-keyed (not value-keyed) on purpose: sweeps re-analyse the
-    *same* master objects thousands of times, while benchmark baselines
-    on freshly generated but value-equal networks must not get
-    accidental hits.  Dropped on pickling (see ``__getstate__``);
-    worker processes rebuild locally.
-    """
-    try:
-        return master._analysis_memo
-    except AttributeError:
-        memo: dict = {}
-        object.__setattr__(master, "_analysis_memo", memo)
-        return memo
-
-
-def stream_specs(master: Master) -> Optional[tuple]:
-    """``(T, D, J)`` per high-priority stream when all are plain ints —
-    the whole-master kernel input (see :mod:`repro.perf.kernels`) —
-    else ``None``.  Memoised on the master."""
-    memo = master_memo(master)
-    specs = memo.get("specs", False)
-    if specs is False:
-        specs = tuple((s.T, s.D, s.J) for s in master.high_streams)
-        if not all(
-            type(t) is int and type(d) is int and type(j) is int
-            for t, d, j in specs
-        ):
-            specs = None
-        memo["specs"] = specs
-    return specs
-
-
 def master_pack_columns(master: Master, phy) -> Optional[tuple]:
     """One fused extraction pass for the SoA packer
     (:func:`repro.perf.vector.pack_networks`): ``(Ts, Ds, Js, maxval,
@@ -134,17 +97,10 @@ def master_pack_columns(master: Master, phy) -> Optional[tuple]:
     mx = 0
     cm = 0
     ok = True
-    fp = fast_path_enabled()
     for s in master.streams:
-        # Inline warm probe of the stream's single-slot cycle memo (the
-        # TTR assignment walks the cycle lengths, so it is usually
-        # populated); cold or fast-path-disabled streams take the
-        # canonical s.cycle_bits path.
         cb = s.C_bits
         if cb is None:
-            mc = getattr(s, "_cycle_memo", None) if fp else None
-            cb = mc[1] if mc is not None and mc[0] is phy \
-                else s.cycle_bits(phy)
+            cb = s.cycle_bits(phy)
         if cb > cm:
             cm = cb
         if not s.high_priority:

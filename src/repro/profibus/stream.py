@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..core.task import Task
-from ..perf.config import fast_path_enabled
+from ._memo import stream_memo
 from .cycle import MessageCycleSpec, cycle_time
 from .phy import PhyParameters
 
@@ -64,16 +64,15 @@ class MessageStream:
         """
         if self.C_bits is not None:
             return self.C_bits
-        if not fast_path_enabled():
-            return cycle_time(self.spec, phy)
         # Single-slot identity cache: a stream is evaluated against one
         # PHY in practice, and identity comparison avoids hashing the
         # parameter set on every lookup.
-        memo = getattr(self, "_cycle_memo", None)
-        if memo is not None and memo[0] is phy:
-            return memo[1]
+        memo = stream_memo(self)
+        entry = memo.get("_cycle_memo")
+        if entry is not None and entry[0] is phy:
+            return entry[1]
         bits = cycle_time(self.spec, phy)
-        object.__setattr__(self, "_cycle_memo", (phy, bits))
+        memo["_cycle_memo"] = (phy, bits)
         return bits
 
     def as_task(self, phy: PhyParameters) -> Task:

@@ -24,7 +24,7 @@ from repro.perf.batch import (
     pooled_map,
 )
 from repro.perf.bench import SCHEMA, format_report, run_benchmark, write_benchmark
-from repro.perf.config import fast_path_disabled
+from repro.perf.config import analysis_mode_set
 from repro.perf.stats import counters
 from repro.profibus import analyse
 
@@ -51,7 +51,7 @@ class TestAnalyseMany:
 
     def test_fast_and_generic_rows_identical(self):
         fast_rows = analyse_many(small_workload())
-        with fast_path_disabled():
+        with analysis_mode_set("generic"):
             generic_rows = analyse_many(small_workload())
         assert fast_rows == generic_rows
 
@@ -100,7 +100,7 @@ class TestEngineDispatch:
         before = counters.vectorized
         rows = analyse_many(nets)
         assert counters.vectorized == before
-        with fast_path_disabled():
+        with analysis_mode_set("generic"):
             assert rows == analyse_many(small_workload())
 
     def test_cold_process_small_grid_skips_numpy(self):

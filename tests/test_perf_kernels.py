@@ -1,58 +1,46 @@
-"""Fast-path / generic-path equality — the `repro.perf` contract.
+"""Accelerated-engine / generic-reference equality — the `repro.perf`
+contract — and the one seam through which the analyses read the mode.
 
-The integer kernels must produce *bit-identical* results to the generic
-exact path on every all-int input: same response values, same
-schedulability verdicts, same critical offsets.  These tests drive both
-paths over >1000 seeded-random task sets (including jitter,
-constrained-deadline and ``strict_start`` variants) plus random PROFIBUS
-networks, and check the kernel primitives against exact rational
-arithmetic with hypothesis.
+The whole-master integer kernels must produce *bit-identical* results
+to the generic reference on every all-int input: same response values,
+same schedulability verdicts, same critical offsets.  These tests drive
+both engines over random PROFIBUS networks and check the kernel
+primitives against exact rational arithmetic with hypothesis.
 
-Each path gets its own freshly-built (value-equal) inputs: results are
-memoised on the immutable objects, so reusing one instance across modes
-would let the second run trivially read the first run's answers.
+Each engine gets its own freshly-built (value-equal) inputs: results
+are memoised on the immutable objects, so reusing one instance across
+modes would let the second run read the first run's answers.
 """
 
+import ast
 import math
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    Task,
-    TaskSet,
-    assign_deadline_monotonic,
-    edf_rta,
-    nonpreemptive_rta,
-    preemptive_rta,
-    synchronous_busy_period,
-)
-from repro.core.edf_rta import edf_response_time
-from repro.core.rta_fixed import (
-    nonpreemptive_start_time,
-    preemptive_response_time_arbitrary,
-)
-from repro.core.timeops import fixed_point, fixed_point_int
+from repro.core import Task, TaskSet
 from repro.perf import kernels
 from repro.perf.config import (
-    fast_path_disabled,
-    fast_path_enabled,
-    set_fast_path,
+    analysis_mode,
+    analysis_mode_set,
+    set_analysis_mode,
 )
 
 
 def random_tasks(rng, n=None, t_max=60, allow_jitter=True,
                  constrained=True):
-    """Spec list for one random integer task set (used to build the set
-    twice — once per path).
+    """Spec list for one random integer task set.
 
     Per-task utilisation is capped below ``1/n`` so the set stays
-    strictly under full utilisation: at exact ``U = 1`` with near-coprime
-    periods the busy period converges only at hyperperiod scale, which
-    both paths handle identically but the test budget cannot afford.
+    strictly under full utilisation.
     """
     n = n or rng.randint(2, 5)
     while True:
@@ -70,8 +58,7 @@ def random_tasks(rng, n=None, t_max=60, allow_jitter=True,
             J = (rng.randint(0, T // 3)
                  if allow_jitter and rng.random() < 0.4 else 0)
             specs.append((C, T, D, J))
-        # … and enforce it exactly (the min-1 execution times can push a
-        # draw over the float guards into hyperperiod-scale iterations).
+        # … and enforce it exactly.
         if sum(Fraction(c, t) for c, t, _d, _j in specs) < Fraction(99, 100):
             return specs
 
@@ -81,133 +68,6 @@ def build(specs):
         Task(C=c, T=t, D=d, J=j, name=f"t{i}")
         for i, (c, t, d, j) in enumerate(specs)
     )
-
-
-def rt_values(result):
-    return [(rt.value, rt.critical_a) for rt in result.per_task]
-
-
-class TestFixedPriorityEquality:
-    """~600 random task sets through the FP analyses, both paths."""
-
-    N_SETS = 600
-
-    def test_preemptive_and_nonpreemptive_match_generic(self):
-        rng = random.Random(20260730)
-        for case in range(self.N_SETS):
-            specs = random_tasks(rng)
-            dm_fast = assign_deadline_monotonic(build(specs))
-            dm_slow = assign_deadline_monotonic(build(specs))
-            for fn in (
-                preemptive_rta,
-                nonpreemptive_rta,
-                lambda ts: nonpreemptive_rta(ts, strict_start=False),
-            ):
-                fast = fn(dm_fast)
-                with fast_path_disabled():
-                    slow = fn(dm_slow)
-                assert rt_values(fast) == rt_values(slow), (case, specs)
-                assert fast.schedulable == slow.schedulable
-
-    def test_arbitrary_deadline_matches_generic(self):
-        rng = random.Random(77)
-        for case in range(150):
-            specs = random_tasks(rng, constrained=False)
-            dm_fast = assign_deadline_monotonic(build(specs))
-            dm_slow = assign_deadline_monotonic(build(specs))
-            for task_idx in range(len(specs)):
-                fast = preemptive_response_time_arbitrary(
-                    dm_fast, dm_fast[task_idx]
-                )
-                with fast_path_disabled():
-                    slow = preemptive_response_time_arbitrary(
-                        dm_slow, dm_slow[task_idx]
-                    )
-                assert fast.value == slow.value, (case, specs, task_idx)
-
-    def test_start_time_matches_generic(self):
-        rng = random.Random(4242)
-        for case in range(150):
-            specs = random_tasks(rng)
-            dm_fast = assign_deadline_monotonic(build(specs))
-            dm_slow = assign_deadline_monotonic(build(specs))
-            for task_idx in range(len(specs)):
-                for strict in (True, False):
-                    fast = nonpreemptive_start_time(
-                        dm_fast, dm_fast[task_idx], strict_start=strict
-                    )
-                    with fast_path_disabled():
-                        slow = nonpreemptive_start_time(
-                            dm_slow, dm_slow[task_idx], strict_start=strict
-                        )
-                    if fast is None or slow is None:
-                        assert fast is None and slow is None
-                    else:
-                        assert fast[0] == slow[0], (case, specs, task_idx)
-
-
-class TestEdfEquality:
-    """~400 random task sets through the EDF scans, both paths."""
-
-    N_SETS = 400
-
-    def test_edf_rta_matches_generic(self):
-        rng = random.Random(918273)
-        for case in range(self.N_SETS):
-            specs = random_tasks(rng, t_max=40)
-            ts_fast, ts_slow = build(specs), build(specs)
-            for preemptive in (True, False):
-                fast = edf_rta(ts_fast, preemptive=preemptive)
-                with fast_path_disabled():
-                    slow = edf_rta(ts_slow, preemptive=preemptive)
-                assert rt_values(fast) == rt_values(slow), (
-                    case, specs, preemptive,
-                )
-
-    def test_blocking_variants_match_generic(self):
-        rng = random.Random(5150)
-        for case in range(120):
-            specs = random_tasks(rng, t_max=40)
-            ts_fast, ts_slow = build(specs), build(specs)
-            for subtract_one in (True, False):
-                for idx in range(len(specs)):
-                    fast = edf_response_time(
-                        ts_fast, ts_fast[idx], preemptive=False,
-                        blocking_subtract_one=subtract_one,
-                    )
-                    with fast_path_disabled():
-                        slow = edf_response_time(
-                            ts_slow, ts_slow[idx], preemptive=False,
-                            blocking_subtract_one=subtract_one,
-                        )
-                    assert (fast.value, fast.critical_a) == (
-                        slow.value, slow.critical_a,
-                    ), (case, specs, subtract_one, idx)
-
-
-class TestBusyPeriodEquality:
-    def test_matches_generic(self):
-        rng = random.Random(31337)
-        for case in range(300):
-            specs = random_tasks(rng)
-            blocking = rng.choice([0, 0, rng.randint(1, 10)])
-            ts_fast, ts_slow = build(specs), build(specs)
-            for jitter in (False, True):
-                try:
-                    fast = synchronous_busy_period(
-                        ts_fast, include_jitter=jitter, blocking=blocking
-                    )
-                except ValueError:
-                    with fast_path_disabled(), pytest.raises(ValueError):
-                        synchronous_busy_period(
-                            ts_slow, include_jitter=jitter, blocking=blocking
-                        )
-                    continue
-                with fast_path_disabled():
-                    slow = synchronous_busy_period(
-                        ts_slow, include_jitter=jitter, blocking=blocking
-                    )
-                assert fast == slow, (case, specs, jitter, blocking)
 
 
 class TestNetworkEquality:
@@ -236,7 +96,7 @@ class TestNetworkEquality:
 
             for policy in ("fcfs", "dm", "edf"):
                 fast = analyse(make(), policy)
-                with fast_path_disabled():
+                with analysis_mode_set("generic"):
                     slow = analyse(make(), policy)
                 assert [
                     (sr.R, sr.Q, sr.critical_a) for sr in fast.per_stream
@@ -272,7 +132,7 @@ class TestNetworkEquality:
 
             for policy in ("dm", "edf"):
                 fast = analyse(make(), policy)
-                with fast_path_disabled():
+                with analysis_mode_set("generic"):
                     slow = analyse(make(), policy)
                 assert [sr.R for sr in fast.per_stream] == [
                     sr.R for sr in slow.per_stream
@@ -281,47 +141,50 @@ class TestNetworkEquality:
 
 class TestKernelPrimitives:
     @given(
+        st.integers(1, 30),
         st.lists(
             st.tuples(
-                st.integers(1, 50), st.integers(1, 50), st.integers(0, 50)
+                st.integers(1, 300), st.integers(1, 2000), st.integers(0, 60)
             ),
             min_size=1,
             max_size=5,
         ),
-        st.integers(0, 100),
     )
     @settings(max_examples=200, deadline=None)
-    def test_seed_params_never_overshoots(self, hp, base):
-        """The utilisation seed is a true lower bound on the least fixed
-        point of the ceiling map (checked against exact Fractions)."""
-        params = kernels.seed_params(hp)
-        util = sum(Fraction(c, t) for c, t, _ in hp)
-        if util >= 1:
-            assert params is None
-            return
-        seed = kernels.seed_from(params, base, 0)
-        exact = (
-            Fraction(base) + sum(Fraction(c * j, t) for c, t, j in hp)
-        ) / (1 - util)
-        assert seed == math.ceil(exact)
-        # and the map at the seed does not fall below the seed: iterating
-        # from it climbs to the same least fixed point the generic path
-        # reaches from below.
-        step = base + sum(
-            -((-seed - j) // t) * c for c, t, j in hp
-        )
-        assert step >= seed
+    def test_seed_params_never_overshoots(self, tc, draws):
+        """The utilisation seed :func:`kernels.dm_master_response_times`
+        accumulates per priority rank is exactly the lower bound on the
+        least fixed point of the eq. (16) map (checked against exact
+        Fractions), so its jump never overshoots the fixed point the
+        generic climb reaches from below."""
+        # T > n·tc keeps every master strictly below full utilisation
+        # (at U = 1 the busy period runs to hyperperiod scale).
+        specs = [(len(draws) * tc + k, d, j) for k, d, j in draws]
+        calls = []
+        real = kernels.np_start
 
-    @given(st.integers(0, 10**6), st.integers(1, 10**4), st.integers(1, 500))
-    @settings(max_examples=200, deadline=None)
-    def test_fixed_point_int_matches_generic(self, c, t, limit_scale):
-        def f(x):
-            return c + -((-x) // t)
+        def recording(B, hp, strict, limit, step0, params):
+            calls.append((B, list(hp), strict, params))
+            return real(B, hp, strict, limit, step0, params)
 
-        limit = limit_scale * (c + t)
-        generic = fixed_point(f, c, limit=limit)
-        fast = fixed_point_int(f, c, limit=limit)
-        assert generic == fast
+        with mock.patch.object(kernels, "np_start", recording):
+            kernels.dm_master_response_times(specs, tc)
+        for base, hp, strict, params in calls:
+            util = sum(Fraction(c, t) for c, t, _ in hp)
+            if not hp or util >= 1:
+                assert params is None
+                continue
+            seed = kernels.seed_from(params, base, 0)
+            exact = (
+                Fraction(base) + sum(Fraction(c * j, t) for c, t, j in hp)
+            ) / (1 - util)
+            assert seed == math.ceil(exact)
+            # the map at the seed does not fall below the seed: iterating
+            # from it climbs to the same least fixed point the generic
+            # path reaches from below.
+            assert strict
+            step = base + sum(((seed + j) // t + 1) * c for c, t, j in hp)
+            assert step >= seed
 
     def test_candidate_offsets_matches_generic(self):
         from repro.core.edf_rta import _candidate_offsets
@@ -341,16 +204,151 @@ class TestKernelPrimitives:
 
 class TestConfigToggle:
     def test_context_manager_restores(self):
-        assert fast_path_enabled()
-        with fast_path_disabled():
-            assert not fast_path_enabled()
-            with fast_path_disabled():
-                assert not fast_path_enabled()
-            assert not fast_path_enabled()
-        assert fast_path_enabled()
+        assert analysis_mode() == "fast"
+        with analysis_mode_set("generic"):
+            assert analysis_mode() == "generic"
+            with analysis_mode_set("vectorized"):
+                assert analysis_mode() == "vectorized"
+            assert analysis_mode() == "generic"
+        assert analysis_mode() == "fast"
+        with pytest.raises(ValueError):
+            with analysis_mode_set("turbo"):
+                pass
+        assert analysis_mode() == "fast"
 
     def test_set_returns_previous(self):
-        prev = set_fast_path(False)
-        assert prev is True
-        assert set_fast_path(True) is False
-        assert fast_path_enabled()
+        prev = set_analysis_mode("generic")
+        try:
+            assert prev == "fast"
+            assert analysis_mode() == "generic"
+            with analysis_mode_set("vectorized"):
+                # a scope wins over the process default it encloses
+                assert set_analysis_mode("fast") == "generic"
+                assert analysis_mode() == "vectorized"
+            assert analysis_mode() == "fast"
+        finally:
+            set_analysis_mode(prev)
+
+    def test_overlapping_thread_scopes_keep_the_process_mode(self):
+        """Two requests on an executor's threads: A enters ``generic``,
+        B enters ``vectorized``, A exits, B exits.  Each sees its own
+        mode throughout, and the process keeps its default after."""
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def request_a():
+            with analysis_mode_set("generic"):
+                a_in.set()
+                b_in.wait(5)
+                seen["a"] = analysis_mode()
+            a_out.set()
+
+        def request_b():
+            a_in.wait(5)
+            with analysis_mode_set("vectorized"):
+                b_in.set()
+                a_out.wait(5)
+                seen["b"] = analysis_mode()
+
+        threads = [threading.Thread(target=request_a),
+                   threading.Thread(target=request_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+            assert not t.is_alive()
+        assert seen == {"a": "generic", "b": "vectorized"}
+        assert analysis_mode() == "fast"
+
+    def test_thread_scopes_under_preemption(self):
+        """More threads than cores, switching every microsecond: every
+        scope reads its own mode and the default survives them all."""
+        wrong = []
+
+        def worker(k):
+            for i in range(300):
+                mode = ("generic", "fast", "vectorized")[(k + i) % 3]
+                with analysis_mode_set(mode):
+                    time.sleep(0)  # yield to the other scopes
+                    if analysis_mode() != mode:
+                        wrong.append((k, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert analysis_mode() == "fast"
+
+
+def _perf_imports(path: Path, package: str):
+    """Absolute ``repro.perf*`` module names one source file imports
+    (``from ..perf import kernels`` counts as ``repro.perf.kernels``)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = package.split(".")[:1 - node.level or None]
+                base = ".".join(parts + ([node.module] if node.module else []))
+            else:
+                base = node.module
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(n for n in names
+                     if n == "repro.perf" or n.startswith("repro.perf."))
+    return found
+
+
+class TestEngineSeam:
+    """One accelerated path: :mod:`repro.core` is the generic reference
+    and ``profibus`` reads the analysis mode behind one seam."""
+
+    SRC = Path(kernels.__file__).resolve().parents[1]
+
+    def _modules(self, package):
+        for path in sorted((self.SRC / package).glob("*.py")):
+            yield path, _perf_imports(path, f"repro.{package}")
+
+    def test_core_imports_only_the_iteration_tallies(self):
+        for path, imported in self._modules("core"):
+            beyond = {n for n in imported
+                      if n != "repro.perf" and n != "repro.perf.stats"
+                      and not n.startswith("repro.perf.stats.")}
+            assert not beyond, (path.name, beyond)
+
+    def test_one_profibus_module_reads_the_mode(self):
+        readers = [path.name for path, imported in self._modules("profibus")
+                   if "repro.perf.config" in imported]
+        assert readers == ["_memo.py"]
+
+    def test_generic_reference_reads_no_memo_and_calls_no_kernel(self):
+        from repro.gen import random_network
+        from repro.perf.batch import analyse_many
+        from repro.perf.stats import counters
+        from repro.profibus import analyse, tdel
+        from repro.profibus.timing import tdel_refined
+
+        before = counters.fast
+        with analysis_mode_set("generic"):
+            net = random_network(n_masters=3, streams_per_master=3, seed=5)
+            net = net.with_ttr(max(net.ring_latency(), tdel(net) // 2))
+            for policy in ("fcfs", "dm", "edf"):
+                analyse(net, policy)
+            analyse_many([net])
+            tdel_refined(net)
+        assert counters.fast == before
+        memos = [vars(net)] + [vars(m) for m in net.masters] + [
+            vars(s) for m in net.masters for s in m.streams
+        ]
+        assert not [k for d in memos for k in d if k.endswith("_memo")]

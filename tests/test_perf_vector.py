@@ -286,12 +286,12 @@ def _assert_batch_modes_equal():
 
 
 def _assert_rows_match_generic():
-    from repro.perf.config import fast_path_disabled
+    from repro.perf.config import analysis_mode_set
     from repro.profibus.ttr import analyse
 
     for net in _mixed_workload(10, seed="rows"):
         for policy in POLICIES:
-            with fast_path_disabled():
+            with analysis_mode_set("generic"):
                 res = analyse(net, policy)
             want = {
                 "tcycle": res.tcycle,
