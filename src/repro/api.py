@@ -566,10 +566,9 @@ def execute(
 
 
 def execute_request_doc(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Dict-in/dict-out :func:`execute` — module-level and picklable, so
-    the service's process-pool workers can run it directly.  Caching
-    stays in the caller's process (the pool must compute, not consult a
-    worker-local cache that would miss forever)."""
+    """Dict-in/dict-out :func:`execute` — what the service runs on its
+    executor thread for a cache miss.  It never consults a cache: the
+    caller owns the shared one."""
     return execute(AnalysisRequest.from_dict(doc)).to_dict()
 
 

@@ -8,7 +8,7 @@ Subcommands::
     profibus-rt monitor  --scenario factory-cell --trace run.jsonl
     profibus-rt report   --scenario factory-cell
     profibus-rt fuzz     --budget 200 --seed 0
-    profibus-rt serve    --port 7532 --workers 4
+    profibus-rt serve    --port 7532
 
 ``analyse`` prints per-stream worst-case response times (eqs. 11/16/17);
 ``ttr`` prints the maximum feasible TTR per policy (eq. 15 +
@@ -411,19 +411,13 @@ def _cmd_lint(args) -> int:
         result = run_lint(
             args.paths,
             rule_ids=args.rules or None,
-            baseline=args.baseline,
-            update_baseline=args.update_baseline,
             flow=args.flow,
             include_fixtures=args.include_fixtures,
-            changed_only=args.changed_only,
-            changed_base=args.base,
             dump_graph=args.dump_graph,
         )
     except LintUsageError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
-    for warning in result.warnings:
-        print(f"lint: warning: {warning}", file=sys.stderr)
     doc = result.to_doc()
     if args.format == "json":
         print(render_json(doc), end="")
@@ -437,12 +431,9 @@ def _cmd_serve(args) -> int:
 
     from .service import AnalysisServer
 
-    if args.workers < 1:
-        raise SystemExit("serve: --workers must be >= 1")
     if args.cache_capacity < 1:
         raise SystemExit("serve: --cache-capacity must be >= 1")
     server = AnalysisServer(host=args.host, port=args.port,
-                            workers=args.workers,
                             cache_capacity=args.cache_capacity)
 
     async def main() -> None:
@@ -844,30 +835,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="files/directories to lint (default: src)")
     p.add_argument("--format", default="text", choices=("text", "json"),
                    help="report format (json follows schema "
-                        "profibus-rt/lint/v2)")
+                        "profibus-rt/lint/v3)")
     p.add_argument("--rules", nargs="*", default=None, metavar="REPxxx",
                    help="restrict to these rule ids (default: all)")
-    p.add_argument("--baseline", default=None, metavar="BASELINE.jsonl",
-                   help="JSONL baseline: existing findings listed there "
-                        "are subtracted from the report")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="freeze the current findings into --baseline "
-                        "and report clean")
-    p.add_argument("--flow", dest="flow", action="store_true",
-                   default=True,
-                   help="run the interprocedural call-graph passes "
-                        "REP010-REP013 (default: on)")
     p.add_argument("--no-flow", dest="flow", action="store_false",
-                   help="per-file rules only; skip call-graph "
-                        "construction")
+                   help="per-file rules only; skip the interprocedural "
+                        "call-graph passes REP010-REP013")
     p.add_argument("--dump-graph", default=None, metavar="GRAPH.json",
                    help="also write the deterministic call-graph "
                         "artifact (schema profibus-rt/callgraph/v1)")
-    p.add_argument("--changed-only", action="store_true",
-                   help="lint only files changed vs --base per git "
-                        "diff; full run with a warning outside git")
-    p.add_argument("--base", default="HEAD", metavar="REF",
-                   help="git base for --changed-only (default: HEAD)")
     p.add_argument("--include-fixtures", action="store_true",
                    help="also lint tests/lint_fixtures/** "
                         "(intentionally-bad trees, skipped by default)")
@@ -882,9 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=7532,
                    help="TCP port; 0 asks the kernel for a free one "
                         "(reported on the 'listening on' line)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="analysis process-pool size; 1 computes on a "
-                        "thread off the accept loop (default)")
     p.add_argument("--cache-capacity", type=int, default=4096,
                    help="shared result-cache capacity (LRU entries)")
     p.set_defaults(func=_cmd_serve)

@@ -1,10 +1,12 @@
 """`repro.lint` — AST-based static enforcement of the repo's contracts.
 
 The test suite proves the bit-exactness, determinism, and schema
-contracts *dynamically* — 798 tests, fuzz oracles, corpus mutants — but
-a violation that no seeded workload happens to cross still ships.  This
-package closes that gap with a **single-pass static analysis** that
-runs in seconds on every commit, before any test:
+contracts *dynamically* — tier-1 tests, fuzz oracles, corpus mutants —
+but a violation that no seeded workload happens to cross still ships.
+This package closes that gap with a **single-pass static analysis**
+that runs in seconds on every commit, before any test.  It keeps only
+the rules that guard something no runtime check catches at the point
+of the mistake:
 
 =======  ==================  ===========================================
 rule     title               invariant
@@ -18,13 +20,6 @@ REP002   determinism         no module-level RNG, wall-clock, or
 REP003   schema-registry     every ``profibus-rt/<name>/v<k>`` literal
                              comes from :mod:`repro.schemas`; the
                              registry is coherent and documented
-REP004   pickle-safety       pool-submitted callables are module-level
-                             defs, not lambdas/closures
-REP005   seam-integrity      every mutant seam in ``corpus/mutants.py``
-                             still resolves to a live attribute
-REP006   frozen-api          no attribute assignment to frozen
-                             ``repro.api`` instances outside their
-                             constructors
 =======  ==================  ===========================================
 
 On top of the per-file pass, the **flow layer** (:mod:`~repro.lint.flow`,
@@ -46,15 +41,16 @@ REP012   async-safety           no blocking call (pool drive, file IO,
                                 ``time.sleep`` ...) reachable from a
                                 ``repro.service`` coroutine without an
                                 executor hop
-REP013   pickle-reachability    everything a pool-submitted callable
+REP013   pickle-reachability    a pool submission is a module-level
+                                def (or ``partial`` of one, with no
+                                lambda arguments), and everything it
                                 transitively calls is importable by
                                 name in a worker process
 =======  =====================  ========================================
 
 Run it as ``repro-cli lint src/ [--format json|text] [--rules ...]
-[--baseline FILE [--update-baseline]] [--no-flow] [--dump-graph G.json]
-[--changed-only [--base REF]] [--include-fixtures]``; exit code 0 =
-clean, 1 = findings, 2 = usage error.  Per-line exceptions are recorded
+[--no-flow] [--dump-graph G.json] [--include-fixtures]``; exit code
+0 = clean, 1 = findings, 2 = usage error.  Per-line exceptions are recorded
 inline as ``# lint: disable=REPxxx — <reason>``.  Rule strength is
 proven the same way the corpus proves mutant strength:
 ``tests/lint_fixtures/`` holds known-bad snippets every rule must flag,

@@ -2,12 +2,9 @@
 
 One parse per file, one traversal per file: the engine walks the AST
 exactly once and dispatches every node to each active rule's
-``visit_<NodeType>`` handler.  While walking it maintains the scope
-context rules need for more than pattern matching — the enclosing
-class stack and a function-scope stack with the names bound locally in
-each frame (and *how* they were bound: nested ``def``, ``lambda``
-assignment, or anything else) — so rules like pickle-safety can tell a
-module-level callable from a closure without a second pass.
+``visit_<NodeType>`` handler.  Rules that need more than one file
+(cross-file resolution, whole-program flow) work in :meth:`Rule.finalize`
+or in the flow layer (:mod:`repro.lint.flow`).
 
 Suppressions are inline comments, collected from the token stream (the
 AST does not keep comments):
@@ -20,7 +17,7 @@ AST does not keep comments):
 * ``# lint: disable-file=REP001`` anywhere suppresses the rule for the
   whole file.
 
-A comma list (``disable=REP001,REP004``) names several rules; text
+A comma list (``disable=REP001,REP002``) names several rules; text
 after the rule list is the human justification and is encouraged —
 the repo convention is ``# lint: disable=REPxxx — <reason>``.
 """
@@ -31,7 +28,7 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -100,21 +97,15 @@ class Finding:
         return {"rule": self.rule, "path": self.path, "line": self.line,
                 "col": self.col, "message": self.message}
 
-    @property
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Line-independent identity used by the baseline file: a
-        finding survives unrelated edits that only shift it."""
-        return (self.rule, self.path, self.message)
-
 
 class Rule:
     """Base class every lint rule extends.
 
     Subclasses set :attr:`rule_id`/:attr:`title`/:attr:`rationale`,
     override :meth:`applies` to scope themselves to module paths, and
-    implement ``visit_<NodeType>(ctx, node)`` handlers.  Per-file state
-    belongs in :meth:`begin_file`; repo-level checks (cross-file
-    resolution, registry coherence) go in :meth:`finalize`.
+    implement ``visit_<NodeType>(ctx, node)`` handlers.  Repo-level
+    checks (cross-file resolution, registry coherence) go in
+    :meth:`finalize`.
     """
 
     rule_id: str = "REP000"
@@ -124,95 +115,8 @@ class Rule:
     def applies(self, ctx: "FileContext") -> bool:
         return True
 
-    def begin_file(self, ctx: "FileContext") -> None:
-        pass
-
-    def end_file(self, ctx: "FileContext") -> None:
-        pass
-
-    def enter_scope(self, ctx: "FileContext", node: ast.AST) -> None:
-        pass
-
-    def exit_scope(self, ctx: "FileContext", node: ast.AST) -> None:
-        pass
-
     def finalize(self, project: "ProjectContext") -> Iterable[Finding]:
         return ()
-
-
-@dataclass
-class FunctionScope:
-    """One function frame on the context stack: the node plus the names
-    it binds locally, mapped to the binding kind (``'def'``,
-    ``'lambda'``, or ``'other'``)."""
-
-    node: ast.AST
-    bindings: Dict[str, str] = field(default_factory=dict)
-
-
-def _bind_target(target: ast.AST, kind: str, out: Dict[str, str]) -> None:
-    if isinstance(target, ast.Name):
-        out.setdefault(target.id, kind)
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for elt in target.elts:
-            _bind_target(elt, kind, out)
-    elif isinstance(target, ast.Starred):
-        _bind_target(target.value, kind, out)
-
-
-def local_bindings(fn: ast.AST) -> Dict[str, str]:
-    """Names bound inside a function body (without descending into
-    nested function/class bodies), mapped to their binding kind."""
-    bindings: Dict[str, str] = {}
-    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        a = fn.args
-        for arg in (list(a.posonlyargs) + list(a.args) + list(a.kwonlyargs)
-                    + ([a.vararg] if a.vararg else [])
-                    + ([a.kwarg] if a.kwarg else [])):
-            bindings.setdefault(arg.arg, "other")
-
-    def scan(stmts: Sequence[ast.stmt]) -> None:
-        for st in stmts:
-            if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                bindings.setdefault(st.name, "def")
-            elif isinstance(st, ast.ClassDef):
-                bindings.setdefault(st.name, "other")
-            elif isinstance(st, ast.Assign):
-                kind = "lambda" if isinstance(st.value, ast.Lambda) else "other"
-                for t in st.targets:
-                    _bind_target(t, kind, bindings)
-            elif isinstance(st, ast.AnnAssign) and st.value is not None:
-                kind = "lambda" if isinstance(st.value, ast.Lambda) else "other"
-                _bind_target(st.target, kind, bindings)
-            elif isinstance(st, (ast.For, ast.AsyncFor)):
-                _bind_target(st.target, "other", bindings)
-                scan(st.body)
-                scan(st.orelse)
-            elif isinstance(st, (ast.With, ast.AsyncWith)):
-                for item in st.items:
-                    if item.optional_vars is not None:
-                        _bind_target(item.optional_vars, "other", bindings)
-                scan(st.body)
-            elif isinstance(st, (ast.If, ast.While)):
-                scan(st.body)
-                scan(st.orelse)
-            elif isinstance(st, ast.Try):
-                scan(st.body)
-                for handler in st.handlers:
-                    if handler.name:
-                        bindings.setdefault(handler.name, "other")
-                    scan(handler.body)
-                scan(st.orelse)
-                scan(st.finalbody)
-            elif isinstance(st, (ast.Import, ast.ImportFrom)):
-                for alias in st.names:
-                    name = alias.asname or alias.name.split(".")[0]
-                    bindings.setdefault(name, "other")
-
-    body = getattr(fn, "body", None)
-    if isinstance(body, list):
-        scan(body)
-    return bindings
 
 
 class FileContext:
@@ -229,8 +133,6 @@ class FileContext:
         #: ``src/repro/profibus/dm.py`` (``None`` outside any ``repro``
         #: package dir).  Rules scope themselves on this.
         self.relmod: Optional[Tuple[str, ...]] = _relmod(path)
-        self.class_stack: List[ast.ClassDef] = []
-        self.func_stack: List[FunctionScope] = []
         self.findings: List[Finding] = []
         self.suppressed_count: int = 0
         self._line_suppressions, self._file_suppressions = \
@@ -329,11 +231,8 @@ class ProjectContext:
         return None
 
 
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-
 class LintEngine:
-    """Drives the one-pass traversal: node dispatch plus scope upkeep."""
+    """Drives the one-pass traversal: node dispatch to every rule."""
 
     def __init__(self, rules: Sequence[Rule]) -> None:
         self.rules = list(rules)
@@ -358,13 +257,8 @@ class LintEngine:
             return ctx
         ctx = FileContext(path, display, source, tree, project)
         active = [r for r in self.rules if r.applies(ctx)]
-        if not active:
-            return ctx
-        for rule in active:
-            rule.begin_file(ctx)
-        self._walk(ctx, tree, active)
-        for rule in active:
-            rule.end_file(ctx)
+        if active:
+            self._walk(ctx, tree, active)
         return ctx
 
     def _walk(self, ctx: FileContext, node: ast.AST,
@@ -374,24 +268,5 @@ class LintEngine:
             handler = getattr(rule, "visit_" + name, None)
             if handler is not None:
                 handler(ctx, node)
-        if isinstance(node, _SCOPE_NODES):
-            ctx.func_stack.append(FunctionScope(node, local_bindings(node)))
-            for rule in rules:
-                rule.enter_scope(ctx, node)
-            for child in ast.iter_child_nodes(node):
-                self._walk(ctx, child, rules)
-            for rule in rules:
-                rule.exit_scope(ctx, node)
-            ctx.func_stack.pop()
-        elif isinstance(node, ast.ClassDef):
-            ctx.class_stack.append(node)
-            for rule in rules:
-                rule.enter_scope(ctx, node)
-            for child in ast.iter_child_nodes(node):
-                self._walk(ctx, child, rules)
-            for rule in rules:
-                rule.exit_scope(ctx, node)
-            ctx.class_stack.pop()
-        else:
-            for child in ast.iter_child_nodes(node):
-                self._walk(ctx, child, rules)
+        for child in ast.iter_child_nodes(node):
+            self._walk(ctx, child, rules)

@@ -30,14 +30,15 @@ hop, so a finding is an explanation, not a flag.
   stalls the event loop and is a finding.  An executor hop
   (``run_in_executor(pool, fn, ...)`` / ``to_thread``) passes ``fn`` as
   a *reference*, not a call, so it correctly does not propagate.
-* **REP013 pickle-reachability** — strengthens REP004 from "the
-  submitted callable is a module-level def" to "everything the
-  submitted callable transitively calls is importable by name in a
-  worker process": a call to a name with no static module-level binding
-  (bound only at runtime, e.g. via ``global`` from another function),
-  a module-level-``lambda`` submission (pickles by qualname
-  ``<lambda>`` and fails), and lambda/local-def ``partial`` *arguments*
-  (which do cross the pickle boundary) are findings.
+* **REP013 pickle-reachability** — everything a pool submission ships
+  must be importable by name in a worker process: the submitted
+  callable itself (an inline lambda, a nested def, a local or
+  module-level lambda — bare or under ``partial`` — pickles by a
+  qualname no worker can import), the lambda ``partial`` *arguments*
+  that cross the pickle boundary with it, and every name the submitted
+  def transitively calls (a name with no static module-level binding,
+  bound only at runtime e.g. via ``global`` from another function,
+  fails in the worker).
 
 Suppressions reuse the engine's inline machinery: a ``# lint:
 disable=REP01x — <reason>`` on the *seed* line disarms that source for
@@ -52,13 +53,17 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .engine import Finding
 from .graph import CallGraph, CallSite, iter_own_calls
-from .rules import KERNEL_MODULES, _INT_SAFE_MATH, _POOL_FUNCTIONS
-from .symbols import FunctionInfo
+from .rules import KERNEL_MODULES, _INT_SAFE_MATH
+from .symbols import FunctionInfo, ModuleSymbols, local_bindings
 
 #: Dotted names of the kernel-critical modules (REP010's protected set).
 KERNEL_MODULE_NAMES = frozenset(
     ".".join(("repro",) + rel) for rel in KERNEL_MODULES
 )
+
+#: Calls that ship their first argument to process-pool workers (plus
+#: any executor's ``submit``).
+_POOL_FUNCTIONS = {"pooled_map", "pooled_imap"}
 
 _WALLCLOCK_TIME = {"time", "time_ns", "monotonic", "monotonic_ns",
                    "perf_counter", "perf_counter_ns"}
@@ -496,44 +501,69 @@ class AsyncSafetyRule(FlowRule):
 class PickleReachabilityRule(FlowRule):
     rule_id = "REP013"
     title = "pickle-reachability"
-    rationale = ("REP004 proves the submitted callable is a module-level "
-                 "def; workers additionally re-import everything that def "
-                 "transitively calls, so a name bound only at runtime — "
-                 "or a pickled lambda argument — still detonates on the "
+    rationale = ("process-pool workers receive the submitted callable by "
+                 "pickle and re-import everything it transitively calls; "
+                 "a lambda, a closure, or a name bound only at runtime "
+                 "passes every workers=1 test and only detonates on the "
                  "first real pooled run")
 
-    def _submission_sites(self, graph: CallGraph):
+    @staticmethod
+    def _submission_sites(graph: CallGraph):
         """Every pool-submission call in the tree, in deterministic
-        order: ``(caller_info, call_node)``."""
-        for qualname in sorted(graph.functions):
-            fn = graph.functions[qualname]
-            for call in iter_own_calls(fn.node):
+        order: ``(module, caller_info or None at module level, call)``."""
+        scopes = [(graph.modules[name], None, graph.modules[name].tree)
+                  for name in sorted(graph.modules)]
+        scopes += [(graph.by_display[fn.path], fn, fn.node)
+                   for fn in (graph.functions[q]
+                              for q in sorted(graph.functions))]
+        for mod, fn, node in scopes:
+            for call in iter_own_calls(node):
                 name = _call_name(call)
-                if name in _POOL_FUNCTIONS or name == "submit":
-                    yield fn, call
+                if (name in _POOL_FUNCTIONS or name == "submit") \
+                        and call.args:
+                    yield mod, fn, call
 
     @staticmethod
-    def _resolve_submitted(graph: CallGraph, fn: FunctionInfo,
-                           expr: ast.AST) -> Tuple[Optional[str],
-                                                   Optional[ast.Call]]:
+    def _local_kind(mod: ModuleSymbols, fn: Optional[FunctionInfo],
+                    name: str) -> Optional[str]:
+        """How the innermost enclosing function frame binds ``name``
+        (``def`` | ``lambda`` | ``other``), or ``None`` if no frame does."""
+        if fn is None:
+            return None
+        for local in (fn.local, *reversed(fn.enclosing)):
+            frame = mod.functions.get(local)
+            if frame is not None:
+                kind = local_bindings(frame.node).get(name)
+                if kind is not None:
+                    return kind
+        return None
+
+    def _closure_problem(self, mod: ModuleSymbols,
+                         fn: Optional[FunctionInfo],
+                         expr: ast.AST) -> Optional[str]:
+        """Why the submitted expression cannot pickle by qualname when it
+        is a lambda or a function-local callable; ``None`` otherwise."""
+        if isinstance(expr, ast.Lambda):
+            return "a lambda"
+        if isinstance(expr, ast.Name):
+            kind = self._local_kind(mod, fn, expr.id)
+            if kind == "def":
+                return f"the locally-defined function {expr.id!r}"
+            if kind == "lambda":
+                return f"the local lambda {expr.id!r}"
+        return None
+
+    @staticmethod
+    def _resolve_submitted(graph: CallGraph, mod: ModuleSymbols,
+                           expr: ast.AST) -> Optional[str]:
         """The module-level qualname the submitted expression names
-        (unwrapping ``partial``), plus the partial call if any."""
-        partial_call: Optional[ast.Call] = None
-        if isinstance(expr, ast.Call):
-            func = expr.func
-            pname = (func.id if isinstance(func, ast.Name)
-                     else func.attr if isinstance(func, ast.Attribute)
-                     else None)
-            if pname == "partial" and expr.args:
-                partial_call = expr
-                expr = expr.args[0]
-        mod = graph.by_display.get(fn.path)
-        if mod is None or not isinstance(expr, ast.Name):
-            return None, partial_call
+        (``<module>.<name>:lambda`` for a module-level lambda)."""
+        if not isinstance(expr, ast.Name):
+            return None
         name = expr.id
         info = mod.functions.get(name)
         if info is not None and info.kind == "function":
-            return info.qualname, partial_call
+            return info.qualname
         target = mod.imports.get(name)
         if target is not None:
             parent, _, leaf = target.rpartition(".")
@@ -541,34 +571,46 @@ class PickleReachabilityRule(FlowRule):
             if parent_mod is not None:
                 pinfo = parent_mod.functions.get(leaf)
                 if pinfo is not None and pinfo.kind == "function":
-                    return pinfo.qualname, partial_call
+                    return pinfo.qualname
                 if parent_mod.bindings.get(leaf) == "lambda":
-                    return f"{parent}.{leaf}:lambda", partial_call
+                    return f"{parent}.{leaf}:lambda"
         if mod.bindings.get(name) == "lambda":
-            return f"{mod.name}.{name}:lambda", partial_call
-        return None, partial_call
+            return f"{mod.name}.{name}:lambda"
+        return None
 
     def run(self, graph: CallGraph) -> Tuple[List[Finding], int]:
         emitter = _Emitter(graph, self.rule_id)
-        for fn, call in self._submission_sites(graph):
-            if not call.args:
-                continue
-            qual, partial_call = self._resolve_submitted(graph, fn,
-                                                         call.args[0])
-            if partial_call is not None:
-                for arg in list(partial_call.args[1:]) + [
-                        kw.value for kw in partial_call.keywords]:
+        for mod, fn, call in self._submission_sites(graph):
+            path = mod.display
+            submitted = call.args[0]
+            # unwrap partial(partial(f, a), b) down to f; every partial
+            # argument is pickled along with the submission
+            while (isinstance(submitted, ast.Call)
+                    and _call_name(submitted) == "partial"
+                    and submitted.args):
+                for arg in list(submitted.args[1:]) + [
+                        kw.value for kw in submitted.keywords]:
                     if isinstance(arg, ast.Lambda):
                         emitter.emit(
-                            fn.path, call.lineno, call.col_offset,
+                            path, call.lineno, call.col_offset,
                             "partial() argument is a lambda; it is "
                             "pickled with the submission and cannot "
                             "cross to a pool worker")
+                submitted = submitted.args[0]
+            problem = self._closure_problem(mod, fn, submitted)
+            if problem is not None:
+                emitter.emit(
+                    path, call.lineno, call.col_offset,
+                    f"{_call_name(call)}() is handed {problem}, which "
+                    "cannot pickle to pool workers; hoist it to a "
+                    "module-level def (functools.partial of one is fine)")
+                continue
+            qual = self._resolve_submitted(graph, mod, submitted)
             if qual is None:
-                continue  # REP004's jurisdiction (lambda/closure/unknown)
+                continue  # a parameter, attribute, or out-of-tree callable
             if qual.endswith(":lambda"):
                 emitter.emit(
-                    fn.path, call.lineno, call.col_offset,
+                    path, call.lineno, call.col_offset,
                     f"submitted callable {qual[:-7]} is a module-level "
                     "lambda; pickle serialises functions by qualname "
                     "('<lambda>') and a worker cannot re-import it")
@@ -598,7 +640,7 @@ class PickleReachabilityRule(FlowRule):
                     where = (f"{info.path}:{miss.line}"
                              if info is not None else "?")
                     emitter.emit(
-                        fn.path, call.lineno, call.col_offset,
+                        path, call.lineno, call.col_offset,
                         f"pool-submitted {qual}() transitively calls "
                         f"{miss.name!r} at {where}, which has no "
                         "module-level binding a worker import would "

@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .engine import local_bindings
-from .symbols import FunctionInfo, ModuleSymbols, build_module_symbols
+from .symbols import (FunctionInfo, ModuleSymbols, build_module_symbols,
+                      local_bindings)
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 

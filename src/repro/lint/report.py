@@ -1,22 +1,23 @@
 """Text and JSON reporters for lint results.
 
 The JSON form is itself a frozen contract — schema
-``profibus-rt/lint/v2`` (:data:`repro.schemas.LINT_SCHEMA`), documented
+``profibus-rt/lint/v3`` (:data:`repro.schemas.LINT_SCHEMA`), documented
 in ``PERF.md`` — so CI jobs and editor integrations can consume lint
-output without scraping text.  v2 replaces v1 (one live version per
-family, per the registry invariant): the rule list now spans both the
-per-file and the flow rules, and a ``graph`` key carries the call-graph
-summary (``null`` when the flow layer was skipped)::
+output without scraping text.  v3 replaces v2 (one live version per
+family, per the registry invariant): ``counts`` no longer carries
+``baselined``.  The rule list spans both the per-file and the flow
+rules, and a ``graph`` key carries the call-graph summary (``null``
+when the flow layer was skipped)::
 
     {
-      "schema": "profibus-rt/lint/v2",
+      "schema": "profibus-rt/lint/v3",
       "ok": false,
       "files": 74,
       "rules": [{"id": "REP001", "title": "exact-arithmetic",
                  "rationale": "..."}],
       "findings": [{"rule": "REP001", "path": "src/repro/profibus/dm.py",
                     "line": 12, "col": 8, "message": "..."}],
-      "counts": {"findings": 1, "suppressed": 14, "baselined": 0},
+      "counts": {"findings": 1, "suppressed": 14},
       "graph": {"modules": 40, "functions": 310, "edges": 700,
                 "unresolved": 420}
     }
@@ -33,7 +34,6 @@ from .engine import Finding, Rule
 
 def report_doc(findings: Sequence[Finding], *, files: int,
                rules: Sequence[Any], suppressed: int,
-               baselined: int,
                graph: Optional[Dict[str, int]] = None) -> Dict[str, Any]:
     """The schema-versioned report document."""
     return {
@@ -49,7 +49,6 @@ def report_doc(findings: Sequence[Finding], *, files: int,
         "counts": {
             "findings": len(findings),
             "suppressed": suppressed,
-            "baselined": baselined,
         },
         "graph": dict(graph) if graph is not None else None,
     }
@@ -68,12 +67,7 @@ def render_text(doc: Dict[str, Any]) -> str:
     counts = doc["counts"]
     tail = (f"lint: {counts['findings']} finding(s) in {doc['files']} "
             f"file(s)")
-    extras = []
     if counts["suppressed"]:
-        extras.append(f"{counts['suppressed']} suppressed inline")
-    if counts["baselined"]:
-        extras.append(f"{counts['baselined']} baselined")
-    if extras:
-        tail += f" ({', '.join(extras)})"
+        tail += f" ({counts['suppressed']} suppressed inline)"
     lines.append(tail)
     return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""The domain rules (REP001–REP006).
+"""The per-file domain rules (REP001–REP003).
 
 Each rule statically enforces one invariant the test suite otherwise
 only checks dynamically:
@@ -15,24 +15,16 @@ only checks dynamically:
 * **REP003 schema-registry** — every ``profibus-rt/<name>/v<k>``
   string literal must come from :mod:`repro.schemas`; the registry
   itself must be duplicate-free and documented in ``PERF.md``.
-* **REP004 pickle-safety** — callables shipped to process pools
-  (``pooled_map``/``pooled_imap``/executor ``submit``) must be
-  module-level functions (or ``functools.partial`` of one); lambdas
-  and closures only fail at runtime, and only with ``workers > 1``.
-* **REP005 seam-integrity** — every mutant seam in
-  ``corpus/mutants.py`` must resolve to an attribute that still exists,
-  so a refactor cannot silently turn the mutation harness vacuous.
-* **REP006 frozen-api** — :class:`repro.api.AnalysisRequest` /
-  ``AnalysisResult`` instances are immutable value objects; attribute
-  assignment (including ``object.__setattr__`` backdoors) outside
-  their own constructors breaks value-keyed caching.
+
+Pickle safety of pool submissions is a whole-program property and
+lives in the flow layer (REP013, :mod:`repro.lint.flow`).
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .engine import FileContext, Finding, ProjectContext, Rule
 
@@ -271,299 +263,10 @@ class SchemaRegistryRule(Rule):
                                  "undocumented: PERF.md never mentions it"))
 
 
-# --------------------------------------------------------------- REP004
-
-_POOL_FUNCTIONS = {"pooled_map", "pooled_imap"}
-
-
-class PickleSafetyRule(Rule):
-    rule_id = "REP004"
-    title = "pickle-safety"
-    rationale = ("process-pool workers receive their callable by pickle; "
-                 "lambdas and closures pass every workers=1 test and only "
-                 "explode on a real pooled run")
-
-    def _describe_unpicklable(self, ctx: FileContext,
-                              expr: ast.AST) -> Optional[str]:
-        if isinstance(expr, ast.Lambda):
-            return "a lambda"
-        if isinstance(expr, ast.Name):
-            for scope in ctx.func_stack:
-                kind = scope.bindings.get(expr.id)
-                if kind == "def":
-                    return f"the locally-defined function {expr.id!r}"
-                if kind == "lambda":
-                    return f"the local lambda {expr.id!r}"
-            return None
-        if isinstance(expr, ast.Call):
-            func = expr.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute)
-                    else None)
-            if name == "partial" and expr.args:
-                return self._describe_unpicklable(ctx, expr.args[0])
-        return None
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        func = node.func
-        name = (func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None)
-        if name in _POOL_FUNCTIONS or name == "submit":
-            if not node.args:
-                return
-            problem = self._describe_unpicklable(ctx, node.args[0])
-            if problem is not None:
-                ctx.report(self.rule_id, node,
-                           f"{name}() is handed {problem}, which cannot "
-                           "pickle to pool workers; hoist it to a "
-                           "module-level def (functools.partial of one "
-                           "is fine)")
-
-
-# --------------------------------------------------------------- REP005
-
-class SeamIntegrityRule(Rule):
-    rule_id = "REP005"
-    title = "seam-integrity"
-    rationale = ("mutants patch module attributes by name; a renamed or "
-                 "deleted seam would otherwise turn the mutation harness "
-                 "vacuous without failing anything")
-
-    def applies(self, ctx: FileContext) -> bool:
-        return ctx.relmod == ("corpus", "mutants")
-
-    def begin_file(self, ctx: FileContext) -> None:
-        # alias -> dotted module-ish path, gathered from every import in
-        # the file (the mutant factories import inside their bodies)
-        self._aliases: Dict[str, str] = {}
-        if ctx.relmod is None:
-            return
-        package = ("repro",) + ctx.relmod[:-1]
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self._aliases[alias.asname or alias.name.split(".")[0]] = \
-                        alias.name if alias.asname else alias.name.split(".")[0]
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    base = package[:len(package) - (node.level - 1)]
-                else:
-                    base = ()
-                base = base + tuple((node.module or "").split("."))
-                base = tuple(p for p in base if p)
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    self._aliases[bound] = ".".join(base + (alias.name,))
-
-    @staticmethod
-    def _toplevel_bindings(tree: ast.Module) -> Dict[str, ast.stmt]:
-        out: Dict[str, ast.stmt] = {}
-        for st in tree.body:
-            if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-                out.setdefault(st.name, st)
-            elif isinstance(st, ast.Assign):
-                for t in st.targets:
-                    if isinstance(t, ast.Name):
-                        out.setdefault(t.id, st)
-            elif isinstance(st, ast.AnnAssign) and isinstance(st.target,
-                                                              ast.Name):
-                out.setdefault(st.target.id, st)
-            elif isinstance(st, (ast.Import, ast.ImportFrom)):
-                for alias in st.names:
-                    out.setdefault(alias.asname or alias.name.split(".")[0],
-                                   st)
-        return out
-
-    @staticmethod
-    def _class_bindings(cls: ast.ClassDef) -> Set[str]:
-        names: Set[str] = set()
-        for st in cls.body:
-            if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                names.add(st.name)
-            elif isinstance(st, ast.Assign):
-                for t in st.targets:
-                    if isinstance(t, ast.Name):
-                        names.add(t.id)
-            elif isinstance(st, ast.AnnAssign) and isinstance(st.target,
-                                                              ast.Name):
-                names.add(st.target.id)
-        return names
-
-    def _resolve_module(self, ctx: FileContext,
-                        alias: str) -> Optional[Tuple[str, ast.Module]]:
-        """The (dotted, AST) of the module an alias refers to."""
-        dotted = self._aliases.get(alias)
-        if dotted is None:
-            return None
-        parsed = ctx.project.module_ast(dotted)
-        if parsed is not None:
-            return dotted, parsed[1]
-        return None
-
-    def _check_seam(self, ctx: FileContext, call: ast.Call,
-                    target: ast.AST, attr: str) -> None:
-        if isinstance(target, ast.Name):
-            resolved = self._resolve_module(ctx, target.id)
-            if resolved is None:
-                # the alias may be a class imported from a module
-                dotted = self._aliases.get(target.id)
-                if dotted and "." in dotted:
-                    parent, _, leaf = dotted.rpartition(".")
-                    parsed = ctx.project.module_ast(parent)
-                    if parsed is not None:
-                        binding = self._toplevel_bindings(parsed[1]).get(leaf)
-                        if binding is None:
-                            ctx.report(self.rule_id, call,
-                                       f"mutant seam target {target.id!r} "
-                                       f"({dotted}) no longer exists")
-                        elif (isinstance(binding, ast.ClassDef)
-                                and attr not in
-                                self._class_bindings(binding)):
-                            ctx.report(self.rule_id, call,
-                                       f"mutant seam {dotted}.{attr} no "
-                                       "longer exists on that class")
-                        return
-                ctx.report(self.rule_id, call,
-                           f"mutant seam target {target.id!r} cannot be "
-                           "statically resolved to a module of this tree")
-                return
-            dotted, tree = resolved
-            if attr not in self._toplevel_bindings(tree):
-                ctx.report(self.rule_id, call,
-                           f"mutant seam {dotted}.{attr} no longer exists "
-                           "— the mutant would patch a dead attribute and "
-                           "silently stop mutating anything")
-            return
-        if isinstance(target, ast.Attribute) and isinstance(target.value,
-                                                            ast.Name):
-            resolved = self._resolve_module(ctx, target.value.id)
-            if resolved is None:
-                ctx.report(self.rule_id, call,
-                           f"mutant seam target {target.value.id!r} cannot "
-                           "be statically resolved to a module of this tree")
-                return
-            dotted, tree = resolved
-            container = self._toplevel_bindings(tree).get(target.attr)
-            if container is None:
-                ctx.report(self.rule_id, call,
-                           f"mutant seam container {dotted}.{target.attr} "
-                           "no longer exists")
-                return
-            if isinstance(container, ast.ClassDef):
-                if attr not in self._class_bindings(container):
-                    ctx.report(self.rule_id, call,
-                               f"mutant seam {dotted}.{target.attr}.{attr} "
-                               "no longer exists on that class")
-            elif (isinstance(container, ast.Assign)
-                    and isinstance(container.value, ast.Dict)):
-                keys = {k.value for k in container.value.keys
-                        if isinstance(k, ast.Constant)
-                        and isinstance(k.value, str)}
-                # only judge dicts whose keys are all literal strings
-                if (len(keys) == len(container.value.keys)
-                        and attr not in keys):
-                    ctx.report(self.rule_id, call,
-                               f"mutant seam dict key {attr!r} is not a "
-                               f"key of {dotted}.{target.attr}")
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        func = node.func
-        name = (func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None)
-        if name != "_patched":
-            return
-        for arg in node.args:
-            if (isinstance(arg, ast.Tuple) and len(arg.elts) >= 3
-                    and isinstance(arg.elts[1], ast.Constant)
-                    and isinstance(arg.elts[1].value, str)):
-                self._check_seam(ctx, node, arg.elts[0], arg.elts[1].value)
-
-
-# --------------------------------------------------------------- REP006
-
-_API_TYPES = {"AnalysisRequest", "AnalysisResult"}
-
-
-class FrozenApiRule(Rule):
-    rule_id = "REP006"
-    title = "frozen-api"
-    rationale = ("api request/result instances hash and cache by value; "
-                 "mutating one after construction corrupts every "
-                 "value-keyed cache and dedup structure holding it")
-
-    def begin_file(self, ctx: FileContext) -> None:
-        #: var name -> func-stack depth at which it was bound to an
-        #: api instance (module level = 0)
-        self._tracked: Dict[str, int] = {}
-
-    def exit_scope(self, ctx: FileContext, node: ast.AST) -> None:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-            return  # class scopes do not delimit tracked variables
-        depth = len(ctx.func_stack)
-        self._tracked = {name: d for name, d in self._tracked.items()
-                         if d < depth}
-
-    @staticmethod
-    def _api_type_name(expr: ast.AST) -> Optional[str]:
-        if isinstance(expr, ast.Name) and expr.id in _API_TYPES:
-            return expr.id
-        if isinstance(expr, ast.Attribute) and expr.attr in _API_TYPES:
-            return expr.attr
-        return None
-
-    def _inside_api_class(self, ctx: FileContext) -> bool:
-        return any(cls.name in _API_TYPES for cls in ctx.class_stack)
-
-    def visit_Assign(self, ctx: FileContext, node: ast.Assign) -> None:
-        depth = len(ctx.func_stack)
-        if (isinstance(node.value, ast.Call)
-                and self._api_type_name(node.value.func)):
-            for t in node.targets:
-                if isinstance(t, ast.Name):
-                    self._tracked[t.id] = depth
-        for t in node.targets:
-            if (isinstance(t, ast.Attribute)
-                    and isinstance(t.value, ast.Name)
-                    and t.value.id in self._tracked
-                    and not self._inside_api_class(ctx)):
-                ctx.report(self.rule_id, node,
-                           f"attribute assignment to frozen api instance "
-                           f"{t.value.id!r} ({t.value.id}.{t.attr} = ...); "
-                           "build a new request/result instead")
-
-    def visit_AnnAssign(self, ctx: FileContext, node: ast.AnnAssign) -> None:
-        if (isinstance(node.target, ast.Name)
-                and self._api_type_name(node.annotation)
-                and not ctx.class_stack):
-            self._tracked[node.target.id] = len(ctx.func_stack)
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        if self._inside_api_class(ctx):
-            return
-        func = node.func
-        is_object_setattr = (
-            isinstance(func, ast.Attribute) and func.attr == "__setattr__"
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "object")
-        is_plain_setattr = isinstance(func, ast.Name) and func.id == "setattr"
-        if not (is_object_setattr or is_plain_setattr):
-            return
-        if (node.args and isinstance(node.args[0], ast.Name)
-                and node.args[0].id in self._tracked):
-            via = "object.__setattr__" if is_object_setattr else "setattr"
-            ctx.report(self.rule_id, node,
-                       f"{via}() on frozen api instance "
-                       f"{node.args[0].id!r} outside its constructor; "
-                       "frozen means frozen — build a new instance")
-
-
 #: The rule registry, id -> class, in catalogue order.
 ALL_RULES = {
     rule.rule_id: rule
-    for rule in (ExactArithmeticRule, DeterminismRule, SchemaRegistryRule,
-                 PickleSafetyRule, SeamIntegrityRule, FrozenApiRule)
+    for rule in (ExactArithmeticRule, DeterminismRule, SchemaRegistryRule)
 }
 
 

@@ -2,20 +2,17 @@
 
 :func:`run_lint` is the single entrypoint both the CLI and the tests
 use: collect ``.py`` files from the given paths (skipping the
-known-bad ``lint_fixtures`` trees unless asked), optionally restrict
-to git-changed files, run the per-file engine over each, run the flow
-layer's whole-program passes over the call graph, apply the optional
-baseline, and return a :class:`LintResult` the reporters render.
+known-bad ``lint_fixtures`` trees unless asked), run the per-file
+engine over each, run the flow layer's whole-program passes over the
+call graph, and return a :class:`LintResult` the reporters render.
 """
 
 from __future__ import annotations
 
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
-from . import baseline as baseline_mod
 from .engine import Finding, LintEngine, ProjectContext, Rule
 from .flow import FLOW_RULES, make_flow_rules, run_flow
 from .graph import build_graph, graph_doc, render_graph
@@ -39,10 +36,8 @@ class LintResult:
     files: int
     rules: List[Rule]
     suppressed: int = 0
-    baselined: int = 0
     flow_rules: List[Any] = field(default_factory=list)
     graph_stats: Optional[Dict[str, int]] = None
-    warnings: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -56,7 +51,6 @@ class LintResult:
         return report_doc(self.findings, files=self.files,
                           rules=list(self.rules) + list(self.flow_rules),
                           suppressed=self.suppressed,
-                          baselined=self.baselined,
                           graph=self.graph_stats)
 
 
@@ -104,45 +98,15 @@ def collect_files(
     return unique
 
 
-def _changed_files(anchor: Path, base: str) -> Optional[Set[Path]]:
-    """Resolved paths of files changed vs ``base`` per git, or ``None``
-    when ``anchor`` is not inside a usable git checkout."""
-    probe = anchor if anchor.is_dir() else anchor.parent
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            cwd=probe, capture_output=True, text=True, timeout=30)
-        if top.returncode != 0:
-            return None
-        root = Path(top.stdout.strip())
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", base],
-            cwd=root, capture_output=True, text=True, timeout=30)
-        if diff.returncode != 0:
-            return None
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return {(root / line).resolve()
-            for line in diff.stdout.splitlines() if line.strip()}
-
-
 def run_lint(
     paths: Sequence[Union[str, Path]],
     *,
     rule_ids: Optional[Sequence[str]] = None,
-    baseline: Optional[Union[str, Path]] = None,
-    update_baseline: bool = False,
     flow: bool = True,
     include_fixtures: bool = False,
-    changed_only: bool = False,
-    changed_base: str = "HEAD",
     dump_graph: Optional[Union[str, Path]] = None,
 ) -> LintResult:
     """Lint the given paths.
-
-    ``baseline`` names a JSONL baseline file: with ``update_baseline``
-    the current findings are frozen into it (and the run reports clean);
-    otherwise, if the file exists, baselined findings are subtracted.
 
     ``flow`` (default on) additionally builds the whole-program call
     graph and runs the interprocedural REP010–REP013 passes;
@@ -168,16 +132,7 @@ def run_lint(
         raise LintUsageError(str(exc))
     flow_rules = make_flow_rules(flow_ids) if flow else []
 
-    warnings: List[str] = []
     files = collect_files(paths, include_fixtures=include_fixtures)
-    if changed_only and files:
-        changed = _changed_files(Path(paths[0]), changed_base)
-        if changed is None:
-            warnings.append(
-                "--changed-only: not a git checkout (or base "
-                f"{changed_base!r} unusable); linting everything")
-        else:
-            files = [p for p in files if p.resolve() in changed]
 
     project = ProjectContext(files,
                              {p.resolve(): str(p) for p in files})
@@ -217,22 +172,6 @@ def run_lint(
 
     findings.sort(key=Finding.sort_key)
 
-    baselined = 0
-    if baseline is not None:
-        if update_baseline:
-            baseline_mod.write_baseline(baseline, findings)
-            baselined = len(findings)
-            findings = []
-        elif Path(baseline).is_file():
-            try:
-                keys = baseline_mod.load_baseline(baseline)
-            except ValueError as exc:
-                raise LintUsageError(str(exc))
-            findings, baselined = baseline_mod.apply_baseline(findings, keys)
-    elif update_baseline:
-        raise LintUsageError("--update-baseline needs --baseline FILE")
-
     return LintResult(findings=findings, files=linted, rules=rules,
-                      suppressed=suppressed, baselined=baselined,
-                      flow_rules=flow_rules, graph_stats=graph_stats,
-                      warnings=warnings)
+                      suppressed=suppressed, flow_rules=flow_rules,
+                      graph_stats=graph_stats)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .engine import _relmod, collect_suppressions
 
@@ -114,6 +114,69 @@ def _bind_names(target: ast.AST, out: List[str]) -> None:
             _bind_names(elt, out)
     elif isinstance(target, ast.Starred):
         _bind_names(target.value, out)
+
+
+def local_bindings(fn: ast.AST) -> Dict[str, str]:
+    """Names bound inside a function body (without descending into
+    nested function/class bodies), mapped to their binding kind
+    (``def`` | ``lambda`` | ``other``)."""
+    bindings: Dict[str, str] = {}
+
+    def bind(target: ast.AST, kind: str) -> None:
+        names: List[str] = []
+        _bind_names(target, names)
+        for n in names:
+            bindings.setdefault(n, kind)
+
+    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = fn.args
+        for arg in (list(a.posonlyargs) + list(a.args) + list(a.kwonlyargs)
+                    + ([a.vararg] if a.vararg else [])
+                    + ([a.kwarg] if a.kwarg else [])):
+            bindings.setdefault(arg.arg, "other")
+
+    def scan(stmts: Sequence[ast.stmt]) -> None:
+        for st in stmts:
+            if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bindings.setdefault(st.name, "def")
+            elif isinstance(st, ast.ClassDef):
+                bindings.setdefault(st.name, "other")
+            elif isinstance(st, ast.Assign):
+                kind = "lambda" if isinstance(st.value, ast.Lambda) else "other"
+                for t in st.targets:
+                    bind(t, kind)
+            elif isinstance(st, ast.AnnAssign) and st.value is not None:
+                kind = "lambda" if isinstance(st.value, ast.Lambda) else "other"
+                bind(st.target, kind)
+            elif isinstance(st, (ast.For, ast.AsyncFor)):
+                bind(st.target, "other")
+                scan(st.body)
+                scan(st.orelse)
+            elif isinstance(st, (ast.With, ast.AsyncWith)):
+                for item in st.items:
+                    if item.optional_vars is not None:
+                        bind(item.optional_vars, "other")
+                scan(st.body)
+            elif isinstance(st, (ast.If, ast.While)):
+                scan(st.body)
+                scan(st.orelse)
+            elif isinstance(st, ast.Try):
+                scan(st.body)
+                for handler in st.handlers:
+                    if handler.name:
+                        bindings.setdefault(handler.name, "other")
+                    scan(handler.body)
+                scan(st.orelse)
+                scan(st.finalbody)
+            elif isinstance(st, (ast.Import, ast.ImportFrom)):
+                for alias in st.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    bindings.setdefault(name, "other")
+
+    body = getattr(fn, "body", None)
+    if isinstance(body, list):
+        scan(body)
+    return bindings
 
 
 class _Collector:

@@ -48,10 +48,11 @@ FUZZ_CHECKPOINT_SCHEMA = "profibus-rt/fuzz-checkpoint/v1"
 #: ``BENCH_batch.json`` throughput reports (:mod:`repro.perf.bench`).
 BENCH_SCHEMA = "profibus-rt/bench-batch/v3"
 
-#: ``repro-cli lint`` JSON reports (:mod:`repro.lint`).  v2 replaces v1:
-#: the rule catalogue spans the interprocedural flow rules and a
-#: ``graph`` key summarises the call graph (null without ``--flow``).
-LINT_SCHEMA = "profibus-rt/lint/v2"
+#: ``repro-cli lint`` JSON reports (:mod:`repro.lint`).  v3 replaces v2:
+#: ``counts`` drops ``baselined`` (the baseline file is gone).  The rule
+#: catalogue spans the interprocedural flow rules and a ``graph`` key
+#: summarises the call graph (null under ``--no-flow``).
+LINT_SCHEMA = "profibus-rt/lint/v3"
 
 #: ``repro-cli lint --dump-graph`` whole-program call-graph artifacts
 #: (:mod:`repro.lint.graph`) — byte-deterministic for a given tree.

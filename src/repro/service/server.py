@@ -6,13 +6,11 @@ Architecture (the single-backend / multi-client proxy shape)::
     client-2 ─┤  TCP, JSON lines   ┌──────────────────┐
     client-N ─┴────────────────────┤  AnalysisServer  │
                                    │  shared ResultCache
-                                   │  shared worker pool
                                    └──────────────────┘
 
 One :class:`AnalysisServer` owns **one** value-keyed
-:class:`repro.perf.cache.ResultCache` and **one** worker pool; every
-connected client is multiplexed over both.  A request is served in
-three steps:
+:class:`repro.perf.cache.ResultCache`; every connected client is
+multiplexed over it.  A request is served in three steps:
 
 1. the envelope is parsed and the api request's **value key** computed
    (canonical network fingerprint + analysis coordinates) — cheap, on
@@ -21,9 +19,8 @@ three steps:
    document without touching the analysis layer at all — this is what
    makes repeated and near-duplicate traffic cheap;
 3. a miss computes through :func:`repro.api.execute_request_doc` on the
-   worker pool (a shared :class:`~concurrent.futures.ProcessPoolExecutor`
-   when ``workers > 1``, the loop's thread executor otherwise, so the
-   accept loop stays responsive either way), then populates the cache.
+   loop's default thread executor, so the accept loop stays responsive
+   while an analysis runs, then populates the cache.
 
 Shutdown is graceful by construction: each connection handler races its
 next read against the server-wide stop event, so a ``shutdown`` request
@@ -35,7 +32,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 
 from .. import api
@@ -51,16 +47,13 @@ class AnalysisServer:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        workers: int = 1,
         cache_capacity: int = DEFAULT_CAPACITY,
     ) -> None:
         self.host = host
         self.port = port
-        self.workers = workers
         self.cache = ResultCache(cache_capacity)
         self.sessions = SessionRegistry()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._stopping = asyncio.Event()
         self._client_tasks: set = set()
 
@@ -69,8 +62,6 @@ class AnalysisServer:
         """Bind and start accepting; returns ``(host, port)`` — with
         ``port=0`` the kernel-assigned port, so scripts and tests can
         connect without racing a fixed number."""
-        if self.workers > 1:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         self._server = await asyncio.start_server(
             self._on_connect, self.host, self.port,
             limit=protocol.MAX_LINE_BYTES,
@@ -82,7 +73,7 @@ class AnalysisServer:
     async def serve_until_stopped(self) -> None:
         """Run until a ``shutdown`` request (or :meth:`stop`) arrives,
         then drain: stop accepting, let in-flight requests finish, close
-        every connection, shut the pool down."""
+        every connection."""
         if self._server is None:
             await self.start()
         await self._stopping.wait()
@@ -90,9 +81,6 @@ class AnalysisServer:
         await self._server.wait_closed()
         if self._client_tasks:
             await asyncio.gather(*self._client_tasks, return_exceptions=True)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     async def run(self) -> Tuple[str, int]:
         """``start`` + ``serve_until_stopped`` in one call (what
@@ -222,7 +210,7 @@ class AnalysisServer:
         if not hit:
             loop = asyncio.get_event_loop()
             result_doc = await loop.run_in_executor(
-                self._pool, api.execute_request_doc, request.to_dict()
+                None, api.execute_request_doc, request.to_dict()
             )
             self.cache.put(key, result_doc)
         session.note_ok(cached=hit, counts_cache=True)
@@ -239,7 +227,6 @@ class AnalysisServer:
             "server": {
                 "host": self.host,
                 "port": self.port,
-                "workers": self.workers,
             },
             "cache": self.cache.snapshot(),
             "sessions": self.sessions.snapshot(),

@@ -1,10 +1,11 @@
-"""Known-bad pool use REP004 cannot see: the submitted callable *is* a
-module-level def, but it calls a name bound only at runtime.
+"""Known-bad pool use only a whole-program check can see: the submitted
+callable *is* a module-level def, but it calls a name bound only at
+runtime.
 
 ``configure()`` installs ``handler`` via ``global`` — in the parent
 process, after import.  A pool worker re-imports this module fresh and
 finds no ``handler`` at all: the submission detonates remotely with a
-``NameError`` the per-file pickle rule is structurally blind to.
+``NameError`` that no look at the submission site alone can predict.
 """
 
 from ..perf.batch import pooled_map

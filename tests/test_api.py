@@ -1,6 +1,7 @@
 """Tests for the unified ``repro.api`` facade and the shared result
 cache under it."""
 
+import dataclasses
 import json
 
 import pytest
@@ -52,6 +53,17 @@ class TestRequestValidation:
     def test_requests_compare_by_value(self):
         assert _analyse_request() == _analyse_request()
         assert _analyse_request() != _analyse_request(policy="edf")
+
+    def test_request_and_result_are_frozen(self):
+        # value-keyed caches hold these objects; a field assignment
+        # after construction must fail at the assignment itself
+        request = _analyse_request()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            request.policy = "edf"
+        result = api.execute(request)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.schedulable = not result.schedulable
+        assert request == _analyse_request()
 
 
 class TestTransportForms:

@@ -1,7 +1,7 @@
 """Tests for the interprocedural flow layer — ``repro.lint.flow`` and
 the call graph underneath it (``repro.lint.graph`` / ``symbols``).
 
-Five layers:
+Four layers:
 
 * **call graph** — cross-module resolution, unresolved-call categories
   (recorded, never dropped), deterministic ``--dump-graph`` artifact;
@@ -11,13 +11,10 @@ Five layers:
 * **taint paths** — the REP010 finding names every hop down to the
   float source;
 * **runner plumbing** — ``--no-flow``, flow rule selection via
-  ``--rules``, fixture-tree exclusion + ``--include-fixtures``;
-* **``--changed-only``** — git-restricted runs and the warned full-run
-  fallback outside a checkout.
+  ``--rules``, fixture-tree exclusion + ``--include-fixtures``.
 """
 
 import json
-import subprocess
 import textwrap
 from pathlib import Path
 
@@ -271,6 +268,35 @@ def test_rep013_module_level_lambda_submission_is_flagged(tmp_path):
     assert "<lambda>" in result.findings[0].message
 
 
+@pytest.mark.parametrize("source, expected", [
+    # a lambda bound to a local name
+    ("from repro.perf.batch import pooled_map\n"
+     "def run(items):\n"
+     "    worker = lambda x: x + 1\n"
+     "    return pooled_map(worker, items)\n",
+     "local lambda 'worker'"),
+    # the innermost binding decides: the submitted `worker` is the
+    # closure, not the importable module-level def of the same name
+    ("from concurrent.futures import ProcessPoolExecutor\n"
+     "def worker(x):\n    return x\n"
+     "def run(items, k):\n"
+     "    def worker(x):\n        return x + k\n"
+     "    with ProcessPoolExecutor() as pool:\n"
+     "        return [pool.submit(worker, i) for i in items]\n",
+     "locally-defined function 'worker'"),
+    # submissions at module level are checked too
+    ("from repro.perf.batch import pooled_map\n"
+     "RESULTS = pooled_map(lambda x: x, [1, 2])\n",
+     "a lambda"),
+], ids=["local-lambda", "shadowing-nested-def", "module-level-call"])
+def test_rep013_unpicklable_submission_is_flagged(tmp_path, source,
+                                                  expected):
+    _write(tmp_path, "repro/anywhere.py", source)
+    result = run_lint([tmp_path])
+    assert [f.rule for f in result.findings] == ["REP013"]
+    assert expected in result.findings[0].message
+
+
 # --------------------------------------------------------- runner plumbing
 
 def test_no_flow_skips_graph_and_flow_findings():
@@ -306,47 +332,3 @@ def test_explicit_fixture_path_is_always_kept(tmp_path):
     # naming the tree (or the file) directly means the caller wants it
     assert run_lint([bad.parent]).findings
     assert run_lint([bad]).findings
-
-
-# ----------------------------------------------------------- changed-only
-
-def _git(cwd, *args):
-    subprocess.run(["git", "-c", "user.email=lint@test",
-                    "-c", "user.name=lint", *args],
-                   cwd=cwd, check=True, capture_output=True)
-
-
-def test_changed_only_outside_git_warns_and_lints_everything(tmp_path):
-    _write(tmp_path, "repro/profibus/dm.py",
-           "def bound(a, b):\n    return a / b\n")
-    result = run_lint([tmp_path], changed_only=True)
-    assert [f.rule for f in result.findings] == ["REP001"]
-    assert any("not a git checkout" in w for w in result.warnings)
-
-
-def test_changed_only_restricts_to_git_diff(tmp_path):
-    tree = tmp_path / "tree"
-    old = _write(tree, "repro/profibus/dm.py",
-                 "def bound(a, b):\n    return a / b\n")
-    new = _write(tree, "repro/profibus/edf.py",
-                 "def ok(a, b):\n    return a + b\n")
-    _git(tree, "init", "-q")
-    _git(tree, "add", "-A")
-    _git(tree, "commit", "-q", "-m", "seed")
-    # dm.py's violation is old news; edf.py gains a fresh one
-    new.write_text("def bad(a):\n    return float(a)\n")
-
-    result = run_lint([tree], changed_only=True)
-    assert result.warnings == []
-    assert [f.path for f in result.findings] == [str(new)]
-    assert result.files == 1
-
-    # without the flag both violations surface
-    full = run_lint([tree])
-    assert {f.path for f in full.findings} == {str(old), str(new)}
-
-
-def test_changed_only_cli_warning_goes_to_stderr(tmp_path, capsys):
-    _write(tmp_path, "repro/core/ok.py", "def f(x):\n    return x\n")
-    assert cli_main(["lint", str(tmp_path), "--changed-only"]) == 0
-    assert "not a git checkout" in capsys.readouterr().err

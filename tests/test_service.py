@@ -307,11 +307,11 @@ class TestShutdown:
 
 class TestStatsDoc:
     def test_stats_shape(self):
-        with ServerThread(workers=1, cache_capacity=64) as srv:
+        with ServerThread(cache_capacity=64) as srv:
             with srv.client() as c:
                 stats = c.stats()
-        assert stats["server"]["port"] == srv.server.port
-        assert stats["server"]["workers"] == 1
+        assert stats["server"] == {"host": srv.server.host,
+                                   "port": srv.server.port}
         assert set(stats["cache"]) >= {"hits", "misses", "evictions",
                                        "size", "capacity"}
         assert stats["cache"]["capacity"] == 64
