@@ -18,7 +18,7 @@ questions about a network document:
 
 This module gives those questions one typed request/response shape:
 frozen :class:`AnalysisRequest` / :class:`AnalysisResult` dataclasses
-with schema-versioned dict/JSON forms (``profibus-rt/api/v1``).  The
+with schema-versioned dict/JSON forms (``profibus-rt/api/v2``).  The
 CLI subcommands and the resident service (:mod:`repro.service`) are two
 thin transports over :func:`execute`; scripts embed it directly.  The
 declarative-input / deterministic-core / schema-validated-output split
@@ -49,7 +49,6 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .perf.cache import ResultCache
-from .perf.config import ANALYSIS_MODES, analysis_mode_set
 from .profibus import serialization as serialization_mod
 from .profibus import sweep as sweep_mod
 from .profibus import ttr as ttr_mod
@@ -104,20 +103,10 @@ class AnalysisRequest:
     #: monitor only: ignore responses of releases before this time (bit
     #: times) — the steady-state filter of ``TokenBusConfig.stats_after``
     stats_after: int = 0
-    #: analysis mode override (``generic``/``fast``/``vectorized``);
-    #: ``None`` = the serving process's default.  All modes answer
-    #: bit-identically (the PERF.md contract) — the knob exists for
-    #: benchmarking and cross-checking through the same transport, and
-    #: is not part of :meth:`cache_key`.
-    mode: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.op not in OPS:
             raise ApiError(f"unknown op {self.op!r}; pick from {list(OPS)}")
-        if self.mode is not None and self.mode not in ANALYSIS_MODES:
-            raise ApiError(
-                f"unknown mode {self.mode!r}; pick from {list(ANALYSIS_MODES)}"
-            )
         if not isinstance(self.network, dict):
             raise ApiError("request network must be a scenario document")
         if self.policy not in POLICIES:
@@ -160,9 +149,7 @@ class AnalysisRequest:
         """The shared-cache key: canonical network fingerprint + the
         analysis coordinates.  Two requests with value-equal networks
         and equal coordinates collide — by design — however their
-        documents were spelled.  ``mode`` is not a coordinate: every
-        mode answers bit-identically, so it only picks the engine that
-        fills a missing slot."""
+        documents were spelled."""
         return json.dumps({
             "schema": API_SCHEMA,
             "op": self.op,
@@ -203,7 +190,7 @@ class AnalysisRequest:
         }
         for name in ("policy", "policies", "ttr", "refined", "sweep_param",
                      "sweep_values", "admission_master", "admission_stream",
-                     "trace", "stats_after", "mode"):
+                     "trace", "stats_after"):
             value = getattr(self, name)
             if value != defaults[name]:
                 doc[name] = list(value) if isinstance(value, tuple) else value
@@ -221,7 +208,7 @@ class AnalysisRequest:
         allowed = {"schema", "op", "network", "policy", "policies", "ttr",
                    "refined", "sweep_param", "sweep_values",
                    "admission_master", "admission_stream", "trace",
-                   "stats_after", "mode"}
+                   "stats_after"}
         unknown = set(doc) - allowed
         if unknown:
             raise ApiError(
@@ -234,7 +221,7 @@ class AnalysisRequest:
         kwargs: Dict[str, Any] = {"op": doc["op"], "network": doc["network"]}
         for name in ("policy", "ttr", "refined", "sweep_param",
                      "admission_master", "admission_stream", "trace",
-                     "stats_after", "mode"):
+                     "stats_after"):
             if name in doc:
                 kwargs[name] = doc[name]
         if "policies" in doc:
@@ -542,12 +529,7 @@ def execute_cached(
     fingerprint = net.fingerprint()
 
     def compute() -> AnalysisResult:
-        # A mode override scopes the whole computation: every analysis
-        # kernel under this op runs in the requested mode.
-        if request.mode is None:
-            return _COMPUTE[request.op](request, net, fingerprint)
-        with analysis_mode_set(request.mode):
-            return _COMPUTE[request.op](request, net, fingerprint)
+        return _COMPUTE[request.op](request, net, fingerprint)
 
     if cache is None:
         return compute(), False
@@ -586,13 +568,12 @@ def analyse_network(
     ttr: Optional[int] = None,
     refined: bool = False,
     cache: Optional[ResultCache] = None,
-    mode: Optional[str] = None,
 ) -> AnalysisResult:
     """Typed form of the classic ``ttr.analyse`` call (which remains as
     the compute core; new code should prefer this entrypoint)."""
     return execute(
         AnalysisRequest(op="analyse", network=_network_doc(network),
-                        policy=policy, ttr=ttr, refined=refined, mode=mode),
+                        policy=policy, ttr=ttr, refined=refined),
         cache=cache,
     )
 
@@ -604,14 +585,13 @@ def sweep_network(
     policies: Tuple[str, ...] = POLICIES,
     ttr: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    mode: Optional[str] = None,
 ) -> AnalysisResult:
     """Typed form of the sweep drivers (grid in, rows + CSV out)."""
     return execute(
         AnalysisRequest(op="sweep", network=_network_doc(network),
                         policies=tuple(policies), ttr=ttr,
                         sweep_param=sweep_param,
-                        sweep_values=tuple(sweep_values), mode=mode),
+                        sweep_values=tuple(sweep_values)),
         cache=cache,
     )
 

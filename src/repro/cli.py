@@ -82,8 +82,7 @@ def _cmd_analyse(args) -> int:
 
     net = _load_network(args)
     payload = api.analyse_network(net, policy=args.policy,
-                                  refined=args.refined,
-                                  mode=args.mode).payload
+                                  refined=args.refined).payload
     phy = net.phy
     print(f"scenario={args.scenario} policy={args.policy} "
           f"TTR={payload['ttr']} ({phy.ms(payload['ttr']):.2f} ms) "
@@ -180,7 +179,7 @@ def _cmd_sweep(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"unknown sweep parameter {args.param!r}")
     try:
-        result = api.sweep_network(net, args.param, values, mode=args.mode)
+        result = api.sweep_network(net, args.param, values)
     except api.ApiError as exc:
         raise SystemExit(str(exc))
     print(result.payload["csv"], end="")
@@ -318,26 +317,6 @@ def _cmd_bandwidth(args) -> int:
               f"low budget {rep.low_budget_per_rotation:.0f} bits/rotation  "
               f"= {rep.low_fraction * 100:.1f}% of bus time")
     return 0
-
-
-def _cmd_bench(args) -> int:
-    from .perf.bench import format_report, run_benchmark, write_benchmark
-
-    if args.networks < 1:
-        raise SystemExit("bench: --networks must be >= 1")
-    report = run_benchmark(
-        n_networks=args.networks,
-        seed=args.seed,
-        rounds=args.rounds,
-        check=not args.no_check,
-        modes=tuple(args.mode) if args.mode else None,
-    )
-    for line in format_report(report):
-        print(line)
-    path = write_benchmark(report, args.out)
-    print(f"wrote {path}")
-    # Non-zero only on an actual mismatch (None = check skipped).
-    return 1 if report["consistent"] is False else 0
 
 
 def _cmd_fuzz(args) -> int:
@@ -619,15 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--policy", default="dm",
                            choices=("fcfs", "dm", "edf"))
 
-    def add_mode(p):
-        p.add_argument("--mode", default=None,
-                       choices=("generic", "fast", "vectorized"),
-                       help="analysis mode override; every mode answers "
-                            "bit-identically (default: process default)")
-
     p = sub.add_parser("analyse", help="per-stream worst-case response times")
     add_common(p)
-    add_mode(p)
     p.set_defaults(func=_cmd_analyse)
 
     p = sub.add_parser("ttr", help="maximum feasible TTR per policy")
@@ -673,27 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "deadline-scale)")
     p.add_argument("--stop", type=int, default=8000)
     p.add_argument("--step", type=int, default=500)
-    add_mode(p)
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser(
-        "bench",
-        help="batch-analysis throughput benchmark -> BENCH_batch.json",
-    )
-    p.add_argument("--networks", type=int, default=500,
-                   help="number of random networks in the workload")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=3,
-                   help="timed repetitions per mode (best is reported)")
-    p.add_argument("--out", default="BENCH_batch.json",
-                   help="output JSON path")
-    p.add_argument("--no-check", action="store_true",
-                   help="skip the cross-mode result-equality check")
-    p.add_argument("--mode", nargs="*", default=None,
-                   choices=("generic", "fast", "vectorized"),
-                   help="restrict the benchmark to these analysis modes "
-                        "(default: all)")
-    p.set_defaults(func=_cmd_bench)
 
     from .fuzz.families import FAMILIES
 

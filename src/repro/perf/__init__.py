@@ -5,10 +5,10 @@ fixed-point iterations, and the experiment drivers evaluate thousands of
 generated networks/tasksets.  This subpackage makes that layer fast
 without changing a single reported number:
 
-* :mod:`repro.perf.config` — the analysis-mode switch (``generic`` /
-  ``fast`` / ``vectorized``) so benchmarks and property tests can
-  compare the accelerated engines against the generic reference on
-  identical inputs;
+* :mod:`repro.perf.config` — the internal analysis-mode seam
+  (``generic`` / ``fast`` / ``vectorized``) through which the corpus
+  goldens, the fuzz oracles and perfbench compare the accelerated
+  engines against the generic reference on identical inputs;
 * :mod:`repro.perf.kernels` — the whole-master integer kernels of
   eqs. (16)–(18) (all-``int`` masters take these automatically; results
   are bit-identical to the generic :mod:`repro.core` analyses,
@@ -17,13 +17,11 @@ without changing a single reported number:
   grid drivers (``analyse_many``, ``acceptance_curve``) plus a reusable
   chunked process-pool map (``pooled_map``/``pooled_imap``, the engine
   under the fuzzing campaigns' per-instance oracles and the corpus
-  check);
-* :mod:`repro.perf.bench` — the ``bench`` CLI backend emitting
-  machine-readable ``BENCH_*.json`` throughput artefacts.
+  check).
 
 Submodules are imported lazily: ``repro.core`` imports
-``repro.perf.stats`` for the iteration tallies, while ``batch``/``bench``
-import the analyses — eager re-exports here would make that a cycle.
+``repro.perf.stats`` for the iteration tallies, while ``batch``
+imports the analyses — eager re-exports here would make that a cycle.
 """
 
 __all__ = [
@@ -33,8 +31,6 @@ __all__ = [
     "generate_networks",
     "pooled_imap",
     "pooled_map",
-    "run_benchmark",
-    "write_benchmark",
 ]
 
 _LAZY = {
@@ -44,8 +40,6 @@ _LAZY = {
     "generate_networks": "batch",
     "pooled_imap": "batch",
     "pooled_map": "batch",
-    "run_benchmark": "bench",
-    "write_benchmark": "bench",
 }
 
 

@@ -82,8 +82,8 @@ def _fold_responses(index, policy, tcycle, pairs) -> BatchResult:
     """Fold ``(response, deadline)`` pairs into one BatchResult — the
     single definition of schedulable / worst_response / worst_slack used
     by both the kernel summary and the full-analysis path (so the
-    bench's fast/generic consistency check compares real work, not two
-    folds that could drift apart)."""
+    fast/generic equality checks compare real work, not two folds that
+    could drift apart)."""
     schedulable = True
     worst_r: Optional[int] = None
     worst_slack: Optional[int] = None
@@ -363,16 +363,13 @@ def acceptance_curve(
     streams_per_master: int = 3,
     period_ms: Tuple[float, float] = (50.0, 1000.0),
     payload_range: Tuple[int, int] = (2, 16),
-    mode: Optional[str] = None,
 ) -> Dict[float, Dict[str, int]]:
     """The E5 curve: schedulable counts per policy per tightness level.
 
     Deadlines are drawn in ``[0.6·x·T, x·T]`` at tightness ``x``; the
     per-point seed mixes ``seed`` so points are independent but
     reproducible.  All (level × network × policy) rows go through one
-    :func:`analyse_many` call; ``mode`` selects its analysis mode (the
-    acceptance workload is the benchmark the vectorized kernels are
-    measured on).
+    :func:`analyse_many` call, which picks its engine from the grid size.
     """
     nets: List[Network] = []
     spans: List[Tuple[float, int]] = []
@@ -389,7 +386,7 @@ def acceptance_curve(
         spans.append((x, len(nets)))
         nets.extend(batch)
 
-    rows = analyse_many(nets, policies, mode=mode)
+    rows = analyse_many(nets, policies)
     by_index: Dict[int, Dict[str, bool]] = {}
     for row in rows:
         by_index.setdefault(row.index, {})[row.policy] = row.schedulable

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-#: One-shot analysis/sweep/admission request & result documents
-#: (:mod:`repro.api`).
-API_SCHEMA = "profibus-rt/api/v1"
+#: One-shot analysis/sweep/admission/monitor request & result documents
+#: (:mod:`repro.api`).  v2 is v1 without the request's ``mode`` field.
+API_SCHEMA = "profibus-rt/api/v2"
 
 #: JSON-lines wire protocol of the resident analysis daemon
 #: (:mod:`repro.service`).
@@ -44,9 +44,6 @@ FUZZ_SCHEMA = "profibus-rt/fuzz/v2"
 #: Kill-safe streaming campaign checkpoints
 #: (:mod:`repro.fuzz.campaign`).
 FUZZ_CHECKPOINT_SCHEMA = "profibus-rt/fuzz-checkpoint/v1"
-
-#: ``BENCH_batch.json`` throughput reports (:mod:`repro.perf.bench`).
-BENCH_SCHEMA = "profibus-rt/bench-batch/v3"
 
 #: ``repro-cli lint`` JSON reports (:mod:`repro.lint`).  v3 replaces v2:
 #: ``counts`` drops ``baselined`` (the baseline file is gone).  The rule

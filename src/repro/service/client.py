@@ -3,7 +3,7 @@
 The client the CLI, scripts and tests use.  One socket, one request on
 the wire at a time (the server answers in order, so pipelining is
 possible — this client just doesn't need it).  Typed replies carry the
-``profibus-rt/api/v1`` result document verbatim, plus the transport
+``profibus-rt/api/v2`` result document verbatim, plus the transport
 metadata (``cached``, ``elapsed_ms``) the server adds around it.
 """
 

@@ -3,14 +3,14 @@
 
 One request per line, one response per line, in order, per connection.
 A request envelope names an operation and (for analysis operations)
-carries a ``profibus-rt/api/v1`` request document verbatim::
+carries a ``profibus-rt/api/v2`` request document verbatim::
 
     {"schema": "profibus-rt/service/v1", "id": 7, "op": "analyse",
-     "request": {"schema": "profibus-rt/api/v1", "op": "analyse",
+     "request": {"schema": "profibus-rt/api/v2", "op": "analyse",
                  "network": {...}, "policy": "dm"}}
 
 Responses echo the ``id`` (clients may pipeline) and either wrap an
-``profibus-rt/api/v1`` result document::
+``profibus-rt/api/v2`` result document::
 
     {"schema": "profibus-rt/service/v1", "id": 7, "ok": true,
      "op": "analyse", "result": {...}, "cached": false,

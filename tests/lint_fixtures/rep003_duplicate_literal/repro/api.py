@@ -2,4 +2,4 @@
 
 # BUG: duplicates repro.schemas.API_SCHEMA — the next version bump
 # misses this copy.
-API_SCHEMA = "profibus-rt/api/v1"
+API_SCHEMA = "profibus-rt/api/v2"

