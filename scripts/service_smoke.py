@@ -11,6 +11,9 @@ drives **four concurrent clients** at it:
   key, so it must miss),
 * every verdict is compared **bit-exactly** against the offline
   ``repro.api`` path computed in this process,
+* a request whose network has a master at address 200 must come back
+  as a ``bad-request`` error, and an exact repeat of the base request
+  must come back ``cached`` and byte-equal to the offline result,
 * the final ``stats`` document must show nonzero cache hits and one
   session per client,
 * a ``shutdown`` request must stop the daemon cleanly (exit code 0).
@@ -26,7 +29,7 @@ import threading
 from repro import api
 from repro.profibus import network_to_dict
 from repro.scenarios import factory_cell_network
-from repro.service import ServiceClient
+from repro.service import ServiceClient, ServiceError
 
 N_CLIENTS = 4
 
@@ -36,11 +39,17 @@ def fail(message):
     sys.exit(1)
 
 
+def canonical(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def main():
     base = api.AnalysisRequest(
         op="analyse", network=network_to_dict(factory_cell_network())
     ).to_dict()
     variant = dict(base, ttr=50_000)
+    malformed = json.loads(json.dumps(base))
+    malformed["network"]["masters"][0]["address"] = 200
     offline_base = api.execute_request_doc(base)
     offline_variant = api.execute_request_doc(variant)
 
@@ -98,18 +107,33 @@ def main():
         if mutated.cached:
             fail("mutated variant must be a cache miss")
 
+        with ServiceClient(*address) as probe:
+            try:
+                probe.analyse(malformed)
+                fail("a master at address 200 was answered")
+            except ServiceError as exc:
+                if exc.error_type != "bad-request":
+                    fail(f"malformed address: expected bad-request, got {exc}")
+            repeat = probe.analyse(base)
+            if not repeat.cached:
+                fail("an exact repeat missed the shared cache")
+            if canonical(repeat.result) != canonical(offline_base):
+                fail("exact repeat differs from offline repro.api")
+
         with ServiceClient(*address) as monitor:
             stats = monitor.stats()
             cache = stats["cache"]
-            if cache["hits"] < N_CLIENTS:
-                fail(f"expected >= {N_CLIENTS} cache hits, got {cache!r}")
+            if cache["hits"] < N_CLIENTS + 1:
+                fail(f"expected >= {N_CLIENTS + 1} cache hits, got {cache!r}")
             if cache["misses"] != 2:
                 fail(f"expected exactly 2 misses (base + variant): {cache!r}")
             sessions = stats["sessions"]
-            if sessions["total_clients"] != N_CLIENTS + 2:  # + warmup, monitor
-                fail(f"expected {N_CLIENTS + 2} sessions: {sessions!r}")
-            if any(s["errors"] for s in sessions["sessions"].values()):
-                fail(f"a session recorded errors: {sessions!r}")
+            # + warmup, probe, monitor
+            if sessions["total_clients"] != N_CLIENTS + 3:
+                fail(f"expected {N_CLIENTS + 3} sessions: {sessions!r}")
+            errors = sum(s["errors"] for s in sessions["sessions"].values())
+            if errors != 1:  # the malformed probe only
+                fail(f"expected exactly 1 session error: {sessions!r}")
             monitor.shutdown()
 
         if proc.wait(timeout=30) != 0:

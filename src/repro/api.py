@@ -31,7 +31,10 @@ key** — the canonical network fingerprint plus the analysis coordinates
 — so identical and repeated requests hit instead of recompute, whoever
 parsed the document.  Pass ``cache=None`` (the default) for the
 recompute-always behaviour the benchmarks and differential oracles
-require.
+require.  :func:`execute_cached` runs in two steps that the service
+calls one by one: :func:`keyed_network` parses and fingerprints the
+network once, and :func:`compute_result` answers a miss over that same
+parsed network, so no request parses its network twice.
 
 The old call signatures (``repro.profibus.ttr.analyse``,
 ``repro.perf.batch.analyse_many``, the sweep functions) remain as the
@@ -277,18 +280,6 @@ class AnalysisResult:
 
 # ---------------------------------------------------------------- compute
 
-def _parse_network(request: AnalysisRequest) -> Network:
-    try:
-        net = serialization_mod.network_from_dict(request.network)
-    except ScenarioFormatError as exc:
-        raise ApiError(f"bad network document: {exc}") from exc
-    if request.ttr is not None:
-        if request.ttr <= 0:
-            raise ApiError("ttr override must be positive")
-        net = net.with_ttr(request.ttr)
-    return net
-
-
 def _analysis_payload(net: Network, policy: str,
                       refined: bool) -> Dict[str, Any]:
     try:
@@ -515,6 +506,29 @@ _COMPUTE = {
 
 # ------------------------------------------------------------- entrypoint
 
+def keyed_network(request: AnalysisRequest) -> Tuple[Network, str]:
+    """The key step: ``(network, fingerprint)`` for ``request`` — the
+    parsed network (TTR override applied) and its canonical fingerprint,
+    from which :meth:`AnalysisRequest.cache_key` builds the value key."""
+    try:
+        net = serialization_mod.network_from_dict(request.network)
+    except ScenarioFormatError as exc:
+        raise ApiError(f"bad network document: {exc}") from exc
+    if request.ttr is not None:
+        if request.ttr <= 0:
+            raise ApiError("ttr override must be positive")
+        net = net.with_ttr(request.ttr)
+    return net, net.fingerprint()
+
+
+def compute_result(request: AnalysisRequest, net: Network,
+                   fingerprint: str) -> AnalysisResult:
+    """The compute step: answer ``request`` over the network and
+    fingerprint :func:`keyed_network` returned for it.  Never consults
+    a cache."""
+    return _COMPUTE[request.op](request, net, fingerprint)
+
+
 def execute_cached(
     request: AnalysisRequest,
     cache: Optional[ResultCache] = None,
@@ -525,16 +539,13 @@ def execute_cached(
     analysis coordinates) is consulted first; a hit returns the stored
     result without touching the analysis layer.
     """
-    net = _parse_network(request)
-    fingerprint = net.fingerprint()
-
-    def compute() -> AnalysisResult:
-        return _COMPUTE[request.op](request, net, fingerprint)
-
+    net, fingerprint = keyed_network(request)
     if cache is None:
-        return compute(), False
-    key = request.cache_key(fingerprint)
-    hit, result = cache.get_or_compute(key, compute)
+        return compute_result(request, net, fingerprint), False
+    hit, result = cache.get_or_compute(
+        request.cache_key(fingerprint),
+        lambda: compute_result(request, net, fingerprint),
+    )
     return result, hit
 
 
@@ -548,9 +559,8 @@ def execute(
 
 
 def execute_request_doc(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Dict-in/dict-out :func:`execute` — what the service runs on its
-    executor thread for a cache miss.  It never consults a cache: the
-    caller owns the shared one."""
+    """Dict-in/dict-out :func:`execute`, without a cache — the offline
+    entry point for callers holding a request document."""
     return execute(AnalysisRequest.from_dict(doc)).to_dict()
 
 

@@ -30,10 +30,13 @@ Properties:
   runs computations on executor threads, and sync clients embed the
   cache in multi-threaded scripts.
 
-Benchmarks and differential oracles (bench, fuzz, corpus check) never
-consult a ``ResultCache`` — their whole point is recomputation — so the
-honesty argument from PERF.md §2 is preserved: caching is opt-in at the
-:mod:`repro.api` boundary, not ambient in the analysis layer.
+The differential oracles (fuzz, corpus check) and the uncached
+perfbench workloads (``batch``, ``api-request``) never consult a
+``ResultCache`` — their whole point is recomputation — so the honesty
+argument from PERF.md §2 is preserved: caching is opt-in at the
+:mod:`repro.api` boundary and in the daemon, not ambient in the
+analysis layer.  (perfbench's ``daemon`` workload measures the daemon's
+cache on purpose.)
 """
 
 from __future__ import annotations

@@ -42,66 +42,6 @@ class ScenarioFormatError(ValueError):
     """Raised for malformed scenario documents."""
 
 
-def _check_keys(obj: Dict[str, Any], allowed, where: str) -> None:
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ScenarioFormatError(
-            f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
-        )
-
-
-def _phy_from(obj: Dict[str, Any]) -> PhyParameters:
-    fields = {f.name for f in dataclasses.fields(PhyParameters)}
-    _check_keys(obj, fields, "phy")
-    return PhyParameters(**obj)
-
-
-def _cycle_from(obj: Dict[str, Any]) -> MessageCycleSpec:
-    fields = {f.name for f in dataclasses.fields(MessageCycleSpec)}
-    _check_keys(obj, fields, "cycle")
-    return MessageCycleSpec(**obj)
-
-
-def _stream_from(obj: Dict[str, Any]) -> MessageStream:
-    allowed = {"name", "T", "D", "J", "high_priority", "cycle", "C_bits"}
-    _check_keys(obj, allowed, f"stream {obj.get('name', '?')!r}")
-    kwargs = {k: obj[k] for k in ("name", "T", "D", "J", "high_priority",
-                                  "C_bits") if k in obj}
-    if "cycle" in obj:
-        kwargs["spec"] = _cycle_from(obj["cycle"])
-    try:
-        return MessageStream(**kwargs)
-    except TypeError as exc:
-        raise ScenarioFormatError(f"bad stream {obj!r}: {exc}") from exc
-
-
-def _master_from(obj: Dict[str, Any]) -> Master:
-    _check_keys(obj, {"address", "name", "streams"}, "master")
-    return Master(
-        address=obj["address"],
-        name=obj.get("name", ""),
-        streams=tuple(_stream_from(s) for s in obj.get("streams", [])),
-    )
-
-
-def network_from_dict(doc: Dict[str, Any]) -> Network:
-    """Build a :class:`Network` from a parsed scenario document."""
-    if not isinstance(doc, dict):
-        raise ScenarioFormatError("scenario document must be a JSON object")
-    _check_keys(doc, {"phy", "ttr", "masters", "slaves"}, "scenario")
-    if "masters" not in doc:
-        raise ScenarioFormatError("scenario needs a 'masters' list")
-    return Network(
-        masters=tuple(_master_from(m) for m in doc["masters"]),
-        slaves=tuple(
-            Slave(address=s["address"], name=s.get("name", ""))
-            for s in doc.get("slaves", [])
-        ),
-        phy=_phy_from(doc.get("phy", {})),
-        ttr=doc.get("ttr"),
-    )
-
-
 def _field_defaults(cls) -> Dict[str, Any]:
     """Field name → declared default (``MISSING`` for required fields)."""
     return {
@@ -111,8 +51,91 @@ def _field_defaults(cls) -> Dict[str, Any]:
     }
 
 
+# Field sets read once at import: the parse and the canonical-document
+# builder run per request, and ``dataclasses.fields``/``asdict`` cost
+# more than the reads they drive.
+_PHY_FIELDS = tuple(f.name for f in dataclasses.fields(PhyParameters))
 _CYCLE_DEFAULTS = _field_defaults(MessageCycleSpec)
 _STREAM_DEFAULTS = _field_defaults(MessageStream)
+
+
+def _check_keys(obj: Dict[str, Any], allowed, where: str,
+                required=()) -> None:
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise ScenarioFormatError(
+            f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
+        )
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ScenarioFormatError(f"missing key(s) {missing} in {where}")
+
+
+def _build(cls, where: str, /, **kwargs):
+    """``cls(**kwargs)``, with the model's own validation (a bad
+    address, ``T <= 0``, ``tsl <= tsdr_max``, …) reported as a
+    :class:`ScenarioFormatError` naming ``where``."""
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFormatError(f"bad {where}: {exc}") from exc
+
+
+def _phy_from(obj: Dict[str, Any]) -> PhyParameters:
+    _check_keys(obj, _PHY_FIELDS, "phy")
+    return _build(PhyParameters, "phy", **obj)
+
+
+def _cycle_from(obj: Dict[str, Any]) -> MessageCycleSpec:
+    _check_keys(obj, _CYCLE_DEFAULTS, "cycle")
+    return MessageCycleSpec(**obj)
+
+
+def _stream_from(obj: Dict[str, Any]) -> MessageStream:
+    allowed = {"name", "T", "D", "J", "high_priority", "cycle", "C_bits"}
+    where = f"stream {obj.get('name', '?')!r}"
+    _check_keys(obj, allowed, where, required=("name", "T"))
+    kwargs = {k: obj[k] for k in ("name", "T", "D", "J", "high_priority",
+                                  "C_bits") if k in obj}
+    if "cycle" in obj:
+        kwargs["spec"] = _cycle_from(obj["cycle"])
+    return _build(MessageStream, where, **kwargs)
+
+
+def _master_from(obj: Dict[str, Any]) -> Master:
+    _check_keys(obj, {"address", "name", "streams"}, "master",
+                required=("address",))
+    return _build(
+        Master, "master",
+        address=obj["address"],
+        name=obj.get("name", ""),
+        streams=tuple(_stream_from(s) for s in obj.get("streams", [])),
+    )
+
+
+def _slave_from(obj: Dict[str, Any]) -> Slave:
+    _check_keys(obj, {"address", "name"}, "slave", required=("address",))
+    return _build(Slave, "slave", address=obj["address"],
+                  name=obj.get("name", ""))
+
+
+def network_from_dict(doc: Dict[str, Any]) -> Network:
+    """Build a :class:`Network` from a parsed scenario document.
+
+    Every fault of the document — an unknown or missing key, or a value
+    the object model rejects — raises :class:`ScenarioFormatError`."""
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError("scenario document must be a JSON object")
+    _check_keys(doc, {"phy", "ttr", "masters", "slaves"}, "scenario")
+    if "masters" not in doc:
+        raise ScenarioFormatError("scenario needs a 'masters' list")
+    return _build(
+        Network, "scenario",
+        masters=tuple(_master_from(m) for m in doc["masters"]),
+        slaves=tuple(_slave_from(s) for s in doc.get("slaves", [])),
+        phy=_phy_from(doc.get("phy", {})),
+        ttr=doc.get("ttr"),
+    )
 
 
 def network_to_dict(network: Network) -> Dict[str, Any]:
@@ -122,7 +145,9 @@ def network_to_dict(network: Network) -> Dict[str, Any]:
     *defaults* (not when they are merely falsy): a ``max_retry`` of 0
     overrides the PHY retry limit and must survive the round trip, and
     any non-falsy default added to :class:`MessageCycleSpec` later stays
-    round-trip exact without touching this function.
+    round-trip exact without touching this function.  Fields are read
+    by name in declaration order, so the document (and its
+    ``fingerprint/v1`` digest) is the one ``dataclasses.asdict`` gave.
     """
     def stream_doc(s: MessageStream) -> Dict[str, Any]:
         out: Dict[str, Any] = {"name": s.name, "T": s.T, "D": s.D}
@@ -133,15 +158,18 @@ def network_to_dict(network: Network) -> Dict[str, Any]:
         if s.C_bits is not None:
             out["C_bits"] = s.C_bits
         else:
-            out["cycle"] = {
-                k: v
-                for k, v in dataclasses.asdict(s.spec).items()
-                if v != _CYCLE_DEFAULTS[k]
-            }
+            spec = s.spec
+            cycle: Dict[str, Any] = {}
+            for name, default in _CYCLE_DEFAULTS.items():
+                value = getattr(spec, name)
+                if value != default:
+                    cycle[name] = value
+            out["cycle"] = cycle
         return out
 
+    phy = network.phy
     doc: Dict[str, Any] = {
-        "phy": dataclasses.asdict(network.phy),
+        "phy": {name: getattr(phy, name) for name in _PHY_FIELDS},
         "masters": [
             {
                 "address": m.address,

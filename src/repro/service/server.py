@@ -10,17 +10,31 @@ Architecture (the single-backend / multi-client proxy shape)::
 
 One :class:`AnalysisServer` owns **one** value-keyed
 :class:`repro.perf.cache.ResultCache`; every connected client is
-multiplexed over it.  A request is served in three steps:
+multiplexed over it.  A request is served in up to four steps, all but
+the last on the event loop:
 
-1. the envelope is parsed and the api request's **value key** computed
-   (canonical network fingerprint + analysis coordinates) — cheap, on
-   the event loop;
-2. the shared cache is consulted; a hit returns the stored result
-   document without touching the analysis layer at all — this is what
-   makes repeated and near-duplicate traffic cheap;
-3. a miss computes through :func:`repro.api.execute_request_doc` on the
-   loop's default thread executor, so the accept loop stays responsive
-   while an analysis runs, then populates the cache.
+1. the envelope is parsed and the sha256 of the api request document,
+   as spelled (compact JSON, keys in arrival order), is looked up in a
+   small LRU that maps each spelling already seen to its **value key**.
+   If the spelling is known and its value key is still cached, the
+   stored result document is the answer: no request object and no
+   network is built.  This is what makes exact repeats cheap;
+2. otherwise the request is parsed and keyed through
+   :func:`repro.api.keyed_network`: one network parse and one canonical
+   fingerprint, from which the value key (fingerprint + analysis
+   coordinates) follows.  The spelling is recorded only now that the
+   request has parsed and keyed;
+3. the shared cache is consulted under the value key; a hit returns the
+   stored result document.  Two clients spelling the same plant
+   differently meet here;
+4. a miss hands the parsed request, network and fingerprint to
+   :func:`repro.api.compute_result` on the loop's default thread
+   executor, so the accept loop stays responsive while an analysis
+   runs, then populates the cache.  Nothing is parsed a second time.
+
+Each analysis request counts exactly one cache hit or one miss: a known
+spelling whose value key has been evicted counts its miss at step 1 and
+goes straight from step 2 to step 4.
 
 Shutdown is graceful by construction: each connection handler races its
 next read against the server-wide stop event, so a ``shutdown`` request
@@ -31,6 +45,8 @@ complete and flush its response before connections close.
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
 import time
 from typing import Any, Dict, Optional, Tuple
 
@@ -52,6 +68,9 @@ class AnalysisServer:
         self.host = host
         self.port = port
         self.cache = ResultCache(cache_capacity)
+        #: spelled-request digest → value key, bounded like the cache
+        #: (an LRU of keys, not results; its own counters go unreported)
+        self._spellings = ResultCache(cache_capacity)
         self.sessions = SessionRegistry()
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping = asyncio.Event()
@@ -200,19 +219,24 @@ class AnalysisServer:
         request_doc: Dict[str, Any],
     ) -> Dict[str, Any]:
         start = time.perf_counter()
-        request = api.AnalysisRequest.from_dict(request_doc)
-        # Value key first (cheap): the fingerprint normalises the
-        # document, so two clients spelling the same plant differently
-        # still share one cache slot.
-        net = api._parse_network(request)
-        key = request.cache_key(net.fingerprint())
-        hit, result_doc = self.cache.get(key)
+        spelling = hashlib.sha256(json.dumps(
+            request_doc, separators=(",", ":")).encode("utf-8")).hexdigest()
+        known, key = self._spellings.get(spelling)
+        hit, result_doc = self.cache.get(key) if known else (False, None)
         if not hit:
-            loop = asyncio.get_event_loop()
-            result_doc = await loop.run_in_executor(
-                None, api.execute_request_doc, request.to_dict()
-            )
-            self.cache.put(key, result_doc)
+            request = api.AnalysisRequest.from_dict(request_doc)
+            net, fingerprint = api.keyed_network(request)
+            if not known:
+                key = request.cache_key(fingerprint)
+                self._spellings.put(spelling, key)
+                hit, result_doc = self.cache.get(key)
+            if not hit:
+                loop = asyncio.get_event_loop()
+                result = await loop.run_in_executor(
+                    None, api.compute_result, request, net, fingerprint
+                )
+                result_doc = result.to_dict()
+                self.cache.put(key, result_doc)
         session.note_ok(cached=hit, counts_cache=True)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         return protocol.result_response(request_id, op, result_doc, hit,

@@ -1,6 +1,8 @@
 """Tests for scenario (de)serialisation."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +91,23 @@ class TestValidation:
             network_from_dict({"masters": [
                 {"address": 1, "streams": [{"name": "s", "T": 0}]},
             ]})
+
+
+    @pytest.mark.parametrize("doc, where", [
+        ({"masters": [{"address": 200}]}, "bad master"),
+        ({"masters": [{"address": 1, "streams": [{"name": "s", "T": -5}]}]},
+         "bad stream 's'"),
+        ({"masters": [{"address": 1}], "phy": {"tsl": 1}}, "bad phy"),
+        ({"masters": [{"address": 1}], "slaves": [{"name": "x"}]},
+         "in slave"),
+        ({"masters": [{"name": "m"}]}, "in master"),
+        ({"masters": [{"address": 1}], "slaves": [{"address": 1}]},
+         "bad scenario"),
+    ], ids=["address-200", "T-negative", "tsl-1", "slave-no-address",
+            "master-no-address", "duplicate-address"])
+    def test_model_errors_are_format_errors(self, doc, where):
+        with pytest.raises(ScenarioFormatError, match=where):
+            network_from_dict(doc)
 
 
 class TestMinimalDocuments:
@@ -213,3 +232,91 @@ class TestFingerprint:
         fingerprints.add(variant(
             lambda d: d["masters"].reverse()))  # ring order is semantic
         assert len(fingerprints) == 7  # every mutation changed the digest
+
+
+# ---------------------------------------------------------------------------
+# fingerprint identity: the hoisted-field builder against the asdict form
+# ---------------------------------------------------------------------------
+
+def _asdict_network_to_dict(network):
+    """``network_to_dict`` as it was built through ``dataclasses.asdict``
+    — the oracle the field-by-name builder must match byte for byte."""
+    from repro.profibus import MessageCycleSpec, MessageStream
+
+    cycle_defaults = {f.name: f.default
+                      for f in dataclasses.fields(MessageCycleSpec)}
+    stream_defaults = {f.name: f.default
+                       for f in dataclasses.fields(MessageStream)}
+
+    def stream_doc(s):
+        out = {"name": s.name, "T": s.T, "D": s.D}
+        if s.J != stream_defaults["J"]:
+            out["J"] = s.J
+        if s.high_priority != stream_defaults["high_priority"]:
+            out["high_priority"] = s.high_priority
+        if s.C_bits is not None:
+            out["C_bits"] = s.C_bits
+        else:
+            out["cycle"] = {k: v for k, v in dataclasses.asdict(s.spec).items()
+                            if v != cycle_defaults[k]}
+        return out
+
+    doc = {
+        "phy": dataclasses.asdict(network.phy),
+        "masters": [
+            {"address": m.address, "name": m.name,
+             "streams": [stream_doc(s) for s in m.streams]}
+            for m in network.masters
+        ],
+    }
+    if network.ttr is not None:
+        doc["ttr"] = network.ttr
+    if network.slaves:
+        doc["slaves"] = [{"address": s.address, "name": s.name}
+                         for s in network.slaves]
+    return doc
+
+
+def _fuzz_family_names():
+    from repro.fuzz import FAMILIES
+
+    return sorted(FAMILIES)
+
+
+class TestFingerprintIdentity:
+    """``fingerprint/v1`` digests key the service cache, corpus entries
+    and fuzz checkpoints: the canonical document must not move."""
+
+    INSTANCES_PER_FAMILY = 50
+
+    @staticmethod
+    def _assert_identical(net):
+        from repro.profibus.serialization import (
+            network_doc_fingerprint,
+            network_fingerprint,
+        )
+
+        oracle = _asdict_network_to_dict(net)
+        doc = network_to_dict(net)
+        assert json.dumps(doc) == json.dumps(oracle)  # order included
+        assert network_fingerprint(net) == network_doc_fingerprint(oracle)
+
+    @pytest.mark.parametrize("family", _fuzz_family_names())
+    def test_every_fuzz_family(self, family):
+        from repro.fuzz import generate_instance
+
+        for index in range(self.INSTANCES_PER_FAMILY):
+            self._assert_identical(generate_instance(0, family, index))
+
+    def test_factory_cell_and_every_corpus_network(self):
+        from repro.corpus import load_corpus
+
+        corpus = Path(__file__).resolve().parent.parent / "corpus"
+        entries = load_corpus(corpus)
+        assert entries
+        self._assert_identical(factory_cell_network())
+        for entry in entries:
+            net = entry.network()
+            self._assert_identical(net)
+            if entry.fingerprint:
+                assert net.fingerprint() == entry.fingerprint

@@ -259,6 +259,31 @@ class TestErrors:
             session = stats["sessions"]["sessions"]["client-1"]
             assert session["errors"] == 1
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["network"]["masters"][0].update(address=200),
+        lambda d: d["network"]["masters"][0]["streams"][0].update(T=-5),
+        lambda d: d["network"].update(phy={"tsl": 1}),
+        lambda d: d["network"].update(slaves=[{"name": "drive"}]),
+        lambda d: d["network"]["masters"][0].pop("address"),
+        lambda d: d.update(op="admission", admission_master=1,
+                           admission_stream={"name": "new", "T": -5}),
+    ], ids=["master-address-200", "stream-T-negative", "phy-tsl-1",
+            "slave-without-address", "master-without-address",
+            "admission-T-negative"])
+    def test_malformed_network_document_is_a_bad_request(self, mutate):
+        doc = _base_doc()
+        mutate(doc)
+        with pytest.raises(api.ApiError):
+            api.execute_request_doc(doc)
+        with ServerThread() as srv:
+            with srv.client() as c:
+                with pytest.raises(ServiceError) as exc_info:
+                    c.request(doc["op"], doc)
+                assert exc_info.value.error_type == "bad-request"
+                # the same session keeps serving well-formed requests
+                reply = c.analyse(_base_doc())
+                assert reply.result == api.execute_request_doc(_base_doc())
+
     def test_unparseable_line_reports_protocol_error(self):
         with ServerThread() as srv:
             host, port = srv.address
@@ -274,19 +299,20 @@ class TestShutdown:
     def test_shutdown_completes_in_flight_request(self, monkeypatch):
         """A request already computing when ``shutdown`` arrives still
         gets its (correct) response before the connection closes."""
-        compute_started = threading.Event()
-        release = threading.Event()
-        real_execute = api.execute_request_doc
-
-        def slow_execute(doc):
-            compute_started.set()
-            assert release.wait(timeout=20), "test never released compute"
-            return real_execute(doc)
-
-        monkeypatch.setattr(api, "execute_request_doc", slow_execute)
-
         base = _base_doc()
         offline = api.execute(api.AnalysisRequest.from_dict(base)).to_dict()
+
+        compute_started = threading.Event()
+        release = threading.Event()
+        real_compute = api.compute_result
+
+        def slow_compute(request, net, fingerprint):
+            compute_started.set()
+            assert release.wait(timeout=20), "test never released compute"
+            return real_compute(request, net, fingerprint)
+
+        # the server's miss path: the compute step on the executor
+        monkeypatch.setattr(api, "compute_result", slow_compute)
         reply_box = {}
 
         with ServerThread() as srv:
@@ -317,6 +343,118 @@ class TestShutdown:
             with pytest.raises((ServiceError, OSError)):
                 idle.request("ping")
             idle.close()
+
+
+class TestOneParsePerRequest:
+    """A miss parses and fingerprints its network once, an exact repeat
+    not at all, and every analysis request counts one cache hit or one
+    miss."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from repro.profibus import serialization
+
+        counts = {"parse": 0, "fingerprint": 0}
+        real_parse = serialization.network_from_dict
+        real_fingerprint = serialization.network_fingerprint
+
+        def parse(doc):
+            counts["parse"] += 1
+            return real_parse(doc)
+
+        def fingerprint(net):
+            counts["fingerprint"] += 1
+            return real_fingerprint(net)
+
+        monkeypatch.setattr(serialization, "network_from_dict", parse)
+        monkeypatch.setattr(serialization, "network_fingerprint", fingerprint)
+        return counts
+
+    @staticmethod
+    def _analyse(client, doc, counts):
+        counts.update(parse=0, fingerprint=0)
+        reply = client.analyse(doc)
+        return reply, dict(counts)
+
+    def test_miss_repeat_and_respelled_twin(self, counts):
+        base = _base_doc()
+        offline = api.execute_request_doc(base)
+        twin = json.loads(json.dumps(base))
+        for master in twin["network"]["masters"]:
+            for stream in master["streams"]:
+                stream.setdefault("J", 0)  # default made explicit
+        with ServerThread() as srv:
+            with srv.client() as c:
+                miss, miss_counts = self._analyse(c, base, counts)
+                repeat, repeat_counts = self._analyse(c, base, counts)
+                twin_hit, twin_counts = self._analyse(c, twin, counts)
+                stats = c.stats()
+        assert (miss.cached, miss_counts) == (
+            False, {"parse": 1, "fingerprint": 1})
+        assert (repeat.cached, repeat_counts) == (
+            True, {"parse": 0, "fingerprint": 0})
+        assert (twin_hit.cached, twin_counts) == (
+            True, {"parse": 1, "fingerprint": 1})
+        for reply in (miss, repeat, twin_hit):
+            assert reply.result == offline
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (2, 1)
+
+    def test_known_spelling_with_evicted_value_key(self, counts,
+                                                   monkeypatch):
+        """With ``cache_capacity=1``, two concurrent misses finishing out
+        of order leave the later spelling known while its value key has
+        been evicted: that request parses once and counts one miss."""
+        first, second = _base_doc(), _variant_doc()
+        offline = api.execute_request_doc(second)
+        gates = {None: threading.Event(), 50_000: threading.Event()}
+        started = {ttr: threading.Event() for ttr in gates}
+        ungated = dict(gates)  # each request waits on its first compute only
+        real_compute = api.compute_result
+
+        def gated_compute(request, net, fingerprint):
+            gate = ungated.pop(request.ttr, None)
+            if gate is not None:
+                started[request.ttr].set()
+                assert gate.wait(timeout=20), "test never opened the gate"
+            return real_compute(request, net, fingerprint)
+
+        monkeypatch.setattr(api, "compute_result", gated_compute)
+        replies = {}
+        with ServerThread(cache_capacity=1) as srv:
+            def send(doc, ttr):
+                with srv.client() as client:
+                    replies[ttr] = client.analyse(doc)
+
+            workers = []
+            for doc, ttr in ((first, None), (second, 50_000)):
+                worker = threading.Thread(target=send, args=(doc, ttr))
+                worker.start()
+                assert started[ttr].wait(timeout=20)
+                workers.append(worker)
+            # the second request finishes first, so the first one's put
+            # evicts the second's value key; the second spelling stays
+            # the known one (the spelling LRU holds one entry)
+            gates[50_000].set()
+            workers[1].join(timeout=20)
+            assert not workers[1].is_alive()
+            gates[None].set()
+            workers[0].join(timeout=20)
+            assert not workers[0].is_alive()
+            assert [r.cached for r in (replies[None], replies[50_000])] == [
+                False, False]
+            with srv.client() as c:
+                evicted, evicted_counts = self._analyse(c, second, counts)
+                repeat, repeat_counts = self._analyse(c, second, counts)
+                stats = c.stats()
+        assert (evicted.cached, evicted_counts) == (
+            False, {"parse": 1, "fingerprint": 1})
+        assert (repeat.cached, repeat_counts) == (
+            True, {"parse": 0, "fingerprint": 0})
+        assert evicted.result == repeat.result == offline
+        cache = stats["cache"]
+        # four analysis requests: three misses, one hit, nothing counted twice
+        assert (cache["hits"], cache["misses"]) == (1, 3)
+        assert cache["evictions"] == 2
 
 
 class TestStatsDoc:
