@@ -24,6 +24,12 @@ representation)::
     stream_T / stream_D / stream_J   per high-priority stream, in
                               declaration order within each master
 
+``tc`` is eq. (14) ``TTR + Σ_k C_M^k``, with each stream's cycle
+length ``Ch`` taken from a table that lives for one call: one
+:func:`repro.profibus.cycle.cycle_time` per distinct (PHY, request
+payload, response payload, ``short_ack``, retry override), not one per
+stream.
+
 Every value passes through :func:`_pack_value` on the way in (the
 identity — it exists as the seam the ``vec-int32-truncation`` corpus
 mutant narrows).  Networks the arrays cannot represent exactly — a
@@ -253,17 +259,21 @@ def pack_networks(networks: Sequence, ttr: Optional[int] = None) -> NetworkPack:
     ints — or whose magnitudes exceed ``_PACK_LIMIT`` — land in
     ``pack.fallback`` for the scalar path.
 
-    Extraction is one fused pass per master
-    (:func:`repro.profibus.network.master_pack_columns`): the flat spec
-    columns and the eq. (13) ``C_M^k`` term come out of a single walk
-    of the stream list, and ``Tcycle = TTR + Tdel`` (eq. (14)) is
-    assembled right here instead of through the layered scalar helpers
-    — bit-identical by the round-trip property tests and the golden
-    corpus, at a fraction of the per-network constant cost that
-    dominates packing.
+    Extraction is one walk of each master's stream list: the flat
+    ``(T, D, J)`` columns and the eq. (13) ``C_M^k`` term come out
+    together, and ``Tcycle = TTR + Tdel`` (eq. (14)) is assembled right
+    here instead of through the layered scalar helpers.  A stream's
+    cycle length is its explicit ``C_bits``, else a lookup in a table
+    local to this call, keyed by the PHY and the four
+    ``MessageCycleSpec`` fields ``cycle_time`` reads and filled by
+    :func:`repro.profibus.cycle.cycle_time` the first time a key
+    appears — a generated 1000-network batch holds about 140 distinct
+    keys over ~14k streams.  Packing writes nothing onto the networks'
+    streams or masters.  Bit-identical to the scalar helpers by the
+    round-trip property tests and the golden corpus.
     """
+    from ..profibus.cycle import cycle_time
     from ..profibus.frames import TOKEN_FRAME
-    from ..profibus.network import master_pack_columns
 
     pack = NetworkPack()
     pack.networks = tuple(networks)
@@ -272,15 +282,20 @@ def pack_networks(networks: Sequence, ttr: Optional[int] = None) -> NetworkPack:
     identity = pv is _PACK_IDENTITY
     lim = _PACK_LIMIT
     sT, sD, sJ = pack.stream_T, pack.stream_D, pack.stream_J
+    addT, addD, addJ = sT.append, sD.append, sJ.append
     m_net, m_tc, m_start = (pack.master_net, pack.master_tc,
                             pack.master_stream_start)
     token_bits = TOKEN_FRAME.bits
+    # PHY → {(req_payload, resp_payload, short_ack, max_retry): Ch}
+    tables: Dict[Any, Dict[tuple, int]] = {}
+    table: Dict[tuple, int] = {}
     last_phy = None
     tpt = 0
     for idx, net in enumerate(pack.networks):
         phy = net.phy
         if phy is not last_phy:
             tpt = token_bits + phy.tid2  # token_pass_time(phy)
+            table = tables.setdefault(phy, {})
             last_phy = phy
         # Single pass with rollback: columns go straight into the flat
         # arrays; an unpackable master truncates back to the marks.
@@ -290,22 +305,42 @@ def pack_networks(networks: Sequence, ttr: Optional[int] = None) -> NetworkPack:
         tdel = 0
         ok = True
         for master in net.masters:
-            cols = master_pack_columns(master, phy)
-            if cols is None or cols[3] > lim:
+            m_net.append(p)
+            mx = 0
+            cm = 0
+            for s in master.streams:
+                cb = s.C_bits
+                if cb is None:
+                    spec = s.spec
+                    key = (spec.req_payload, spec.resp_payload,
+                           spec.short_ack, spec.max_retry)
+                    cb = table.get(key)
+                    if cb is None:
+                        cb = table[key] = cycle_time(spec, phy)
+                if cb > cm:
+                    cm = cb
+                if not s.high_priority:
+                    continue
+                t = s.T
+                d = s.D
+                j = s.J
+                if type(t) is int and type(d) is int and type(j) is int:
+                    if t > mx:
+                        mx = t
+                    if d > mx:
+                        mx = d
+                    if j > mx:
+                        mx = j
+                    addT(t)
+                    addD(d)
+                    addJ(j)
+                else:
+                    ok = False
+                    break
+            if not ok or mx > lim:
                 ok = False
                 break
-            ts, ds, js, _mx, cm = cols
             tdel += cm
-            m_net.append(p)
-            if ts:
-                if identity:
-                    sT.extend(ts)
-                    sD.extend(ds)
-                    sJ.extend(js)
-                else:
-                    sT.extend(map(pv, ts))
-                    sD.extend(map(pv, ds))
-                    sJ.extend(map(pv, js))
             m_start.append(len(sT))
         if ok:
             t = ttr if ttr is not None else net.require_ttr()
@@ -321,10 +356,14 @@ def pack_networks(networks: Sequence, ttr: Optional[int] = None) -> NetworkPack:
             del m_net[mark_m:], m_start[mark_m + 1:]
             fallback.append(idx)
             continue
+        if not identity:
+            sT[mark_s:] = map(pv, sT[mark_s:])
+            sD[mark_s:] = map(pv, sD[mark_s:])
+            sJ[mark_s:] = map(pv, sJ[mark_s:])
+            tc = pv(tc)
         pack.indices.append(idx)
-        tc_packed = tc if identity else pv(tc)
-        pack.tc.append(tc_packed)
-        m_tc.extend([tc_packed] * (len(m_net) - mark_m))
+        pack.tc.append(tc)
+        m_tc.extend([tc] * (len(m_net) - mark_m))
         pack.net_master_start.append(len(m_net))
         pack.net_stream_start.append(len(sT))
     pack.fallback = tuple(fallback)

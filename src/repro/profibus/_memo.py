@@ -47,8 +47,7 @@ def stream_memo(stream) -> dict:
 
 
 def master_memo(master) -> dict:
-    """Per-master memo: staged rows, longest cycles, kernel specs and
-    SoA pack columns."""
+    """Per-master memo: staged rows, longest cycles and kernel specs."""
     return _memo(master, "_analysis_memo")
 
 

@@ -77,55 +77,6 @@ class Master:
         return replace(self, streams=tuple(streams))
 
 
-def master_pack_columns(master: Master, phy) -> Optional[tuple]:
-    """One fused extraction pass for the SoA packer
-    (:func:`repro.perf.vector.pack_networks`): ``(Ts, Ds, Js, maxval,
-    longest_cycle)`` from a single walk of ``master.streams`` — the
-    high-priority ``(T, D, J)`` specs transposed into columns, their
-    magnitude ceiling, and the eq. (13) ``C_M^k`` term — or ``None``
-    when any high-priority attribute is not a plain int.  Memoised per
-    (master, PHY): packing is per-network-constant-cost bound, and the
-    batch drivers pack the same master against one PHY thousands of
-    times."""
-    memo = master_memo(master)
-    entry = memo.get("pack_cols")
-    if entry is not None and entry[0] is phy:
-        return entry[1]
-    ts: list = []
-    ds: list = []
-    js: list = []
-    mx = 0
-    cm = 0
-    ok = True
-    for s in master.streams:
-        cb = s.C_bits
-        if cb is None:
-            cb = s.cycle_bits(phy)
-        if cb > cm:
-            cm = cb
-        if not s.high_priority:
-            continue
-        t = s.T
-        d = s.D
-        j = s.J
-        if type(t) is int and type(d) is int and type(j) is int:
-            if t > mx:
-                mx = t
-            if d > mx:
-                mx = d
-            if j > mx:
-                mx = j
-            ts.append(t)
-            ds.append(d)
-            js.append(j)
-        else:
-            ok = False
-            break
-    cols = (tuple(ts), tuple(ds), tuple(js), mx, cm) if ok else None
-    memo["pack_cols"] = (phy, cols)
-    return cols
-
-
 @dataclass(frozen=True)
 class Slave:
     """A slave station (responder only)."""

@@ -20,6 +20,7 @@ Numpy-only tests skip cleanly on numpy-free machines; the numpy-free
 path is also exercised on numpy machines by patching the probe.
 """
 
+import pickle
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -32,6 +33,7 @@ from repro.core.timeops import DivergedError
 from repro.corpus.mutants import run_mutation_harness
 from repro.perf import vector
 from repro.perf.batch import analyse_many, generate_networks
+from repro.perf.config import analysis_mode_set
 from repro.perf.stats import counters
 from repro.perf.vector import (
     _PACK_LIMIT,
@@ -40,8 +42,13 @@ from repro.perf.vector import (
     _pack_value,
     pack_networks,
 )
-from repro.profibus.network import stream_specs
+from repro.profibus.cycle import MessageCycleSpec
+from repro.profibus.network import Master, Network, Slave, stream_specs
+from repro.profibus.phy import PhyParameters
+from repro.profibus.stream import MessageStream
+from repro.profibus.timing import longest_cycle, longest_high_cycle
 from repro.profibus.timing import tcycle as compute_tcycle
+from repro.scenarios import factory_cell_network
 
 REPO_CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -144,6 +151,200 @@ class TestPackRoundTrip:
         pack.net_master_start.append(1)
         pack.net_stream_start.append(len(pack.stream_T))
         assert pack.network_view(0) == (100, (tuple(specs),))
+
+
+def _reference_view(net):
+    """``(Tcycle, per-master (T, D, J) tuples)`` through the generic
+    scalar helpers, which read no memo."""
+    with analysis_mode_set("generic"):
+        tc = compute_tcycle(net, net.require_ttr(), refined=False)
+    return tc, tuple(tuple((s.T, s.D, s.J) for s in m.high_streams)
+                     for m in net.masters)
+
+
+def _assert_pack_parity(nets):
+    pack = pack_networks(nets)
+    assert pack.fallback == ()
+    assert pack.indices == list(range(len(nets)))
+    for p, net in enumerate(nets):
+        want = _reference_view(net)
+        assert pack.tc[p] == want[0], f"network {p}: Tcycle"
+        assert pack.network_view(p) == want, f"network {p}: view"
+    return pack
+
+
+def _hand_built(phy, tag=0):
+    """Every cycle-length source in one network: a short-ack cycle,
+    per-spec retry overrides (including zero), an explicit ``C_bits``
+    ahead of a stream with the same spec fields, and a low-priority
+    stream carrying the master's longest (eq. (13)) cycle."""
+    base = 40_000 + 1_000 * tag
+    m1 = Master(1, (
+        MessageStream("ack", T=base, D=base - 5_000, J=120,
+                      spec=MessageCycleSpec(req_payload=4, short_ack=True)),
+        MessageStream("retry3", T=base + 10_000,
+                      spec=MessageCycleSpec(req_payload=8, resp_payload=8,
+                                            max_retry=3)),
+        MessageStream("retry0", T=base + 20_000, J=40,
+                      spec=MessageCycleSpec(req_payload=2, resp_payload=2,
+                                            max_retry=0)),
+    ))
+    m2 = Master(2, (
+        MessageStream("fixed", T=base + 5_000, C_bits=777),
+        MessageStream("plain", T=base + 7_000),
+        MessageStream("bulk", T=9 * base, high_priority=False,
+                      spec=MessageCycleSpec(req_payload=240,
+                                            resp_payload=240, max_retry=2)),
+    ))
+    m3 = Master(3, (
+        MessageStream("background", T=5 * base, high_priority=False,
+                      spec=MessageCycleSpec(req_payload=16)),
+    ))
+    return Network(masters=(m1, m2, m3), slaves=(Slave(10), Slave(11)),
+                   phy=phy, ttr=6_000 + tag)
+
+
+def _patch_cycle_time(monkeypatch, fn):
+    """Route every ``cycle_time`` the packer or a stream could call
+    through ``fn``."""
+    from repro.profibus import cycle, stream
+
+    monkeypatch.setattr(cycle, "cycle_time", fn)
+    monkeypatch.setattr(stream, "cycle_time", fn)
+
+
+class TestPackParity:
+    """``pack_networks`` derives each cycle length from a table shared
+    by every network of the call; the packed ``Tcycle`` and spec
+    columns must equal the generic scalar helpers network by network."""
+
+    def test_fuzz_families_corpus_and_factory_cell_in_one_pack(self):
+        from repro.corpus import load_corpus
+        from repro.fuzz import FAMILIES, generate_instance
+
+        nets = [generate_instance(0, family, index)
+                for family in sorted(FAMILIES) for index in range(50)]
+        nets += [entry.network() for entry in load_corpus(REPO_CORPUS)]
+        nets.append(factory_cell_network())
+        _assert_pack_parity(nets)
+
+    def test_hand_built_cycle_sources(self):
+        phy = PhyParameters()
+        nets = [_hand_built(phy, tag=k) for k in range(3)]
+        _assert_pack_parity(nets)
+        m2 = nets[0].masters[1]
+        bulk = m2.stream("bulk")
+        with analysis_mode_set("generic"):
+            # the low-priority stream sets C_M^k, above every high one
+            assert longest_cycle(m2, phy) == bulk.cycle_bits(phy)
+            assert longest_high_cycle(m2, phy) < bulk.cycle_bits(phy)
+            # same spec fields, different cycle lengths
+            assert m2.stream("plain").cycle_bits(phy) != 777
+
+    def test_value_equal_and_interleaved_phys(self):
+        phy_a = PhyParameters()
+        phy_b = PhyParameters()
+        slow = PhyParameters(baud_rate=93_750, tsdr_max=80, tid1=40,
+                             tsl=250, max_retry=2)
+        assert phy_a == phy_b and phy_a is not phy_b
+        nets = []
+        for k in range(6):
+            nets.append(_hand_built((phy_a, phy_b)[k % 2], tag=k))
+            nets.append(_hand_built(slow, tag=k))
+        pack = _assert_pack_parity(nets)
+        # the two PHYs really give different Tcycles for the same shape
+        assert pack.tc[0] != pack.tc[1]
+        # value-equal PHYs: the same Tdel, TTR grows by one per tag
+        assert pack.tc[2] == pack.tc[0] + 1
+
+    def test_cycle_time_called_once_per_distinct_key(self, monkeypatch):
+        from repro.profibus.cycle import cycle_time
+
+        # fresh unpickled instances, as the batch drivers see them
+        nets = pickle.loads(pickle.dumps(
+            generate_networks(1000, seed="pack-work")))
+        streams = [s for net in nets for m in net.masters for s in m.streams]
+        keys = {(net.phy, s.spec.req_payload, s.spec.resp_payload,
+                 s.spec.short_ack, s.spec.max_retry)
+                for net in nets for m in net.masters for s in m.streams
+                if s.C_bits is None}
+        calls = []
+
+        def counting(spec, phy):
+            calls.append(spec)
+            return cycle_time(spec, phy)
+
+        _patch_cycle_time(monkeypatch, counting)
+        pack = pack_networks(nets)
+        assert pack.fallback == ()
+        assert 0 < len(calls) <= len(keys) < len(streams)
+        for net in nets:
+            for m in net.masters:
+                assert "pack_cols" not in m.__dict__.get("_analysis_memo", {})
+                for s in m.streams:
+                    assert "_cycle_memo" not in s.__dict__
+
+
+UNFRAMABLE = {
+    "oversized-request": MessageCycleSpec(req_payload=300),
+    "short-ack-with-data": MessageCycleSpec(resp_payload=4, short_ack=True),
+    "negative-retry": MessageCycleSpec(max_retry=-1),
+}
+
+
+class TestPackErrors:
+    """An unframable cycle spec fails packing with the scalar path's
+    own message, and a failed key is never kept for a later call."""
+
+    @staticmethod
+    def _with_bad_stream(spec):
+        net = _hand_built(PhyParameters())
+        m2 = net.masters[1]
+        bad = MessageStream("bad", T=70_000, spec=spec)
+        return replace(net, masters=(net.masters[0],
+                                     m2.with_streams(m2.streams + (bad,)),
+                                     net.masters[2])), bad
+
+    @pytest.mark.parametrize("case", sorted(UNFRAMABLE))
+    def test_same_message_as_cycle_bits(self, case):
+        net, bad = self._with_bad_stream(UNFRAMABLE[case])
+        with pytest.raises(ValueError) as want:
+            bad.cycle_bits(net.phy)
+        message = str(want.value)
+        good = _hand_built(PhyParameters(), tag=1)
+        with pytest.raises(ValueError) as got:
+            pack_networks([good, net])
+        assert str(got.value) == message
+        for mode in ("generic", "fast", "vectorized"):
+            fresh, _ = self._with_bad_stream(UNFRAMABLE[case])
+            with pytest.raises(ValueError) as got:
+                analyse_many([fresh], POLICIES, mode=mode)
+            assert str(got.value) == message, mode
+
+    def test_failed_key_is_not_kept(self, monkeypatch):
+        from repro.profibus.cycle import cycle_time
+
+        flaky = MessageCycleSpec(req_payload=12, resp_payload=3)
+        net, _ = self._with_bad_stream(flaky)
+        want = _reference_view(net)
+        calls = []
+
+        def fail_once(spec, phy):
+            if spec == flaky:
+                calls.append(spec)
+                if len(calls) == 1:
+                    raise ValueError("transient")
+            return cycle_time(spec, phy)
+
+        _patch_cycle_time(monkeypatch, fail_once)
+        with pytest.raises(ValueError, match="transient"):
+            pack_networks([net])
+        # the retry computes the key afresh and packs the right value
+        pack = pack_networks([net])
+        assert len(calls) == 2
+        assert pack.network_view(0) == want
+        pack_networks([net])
+        assert len(calls) == 3  # a new call starts from an empty table
 
 
 # -------------------------------------------------------------- lane engine
