@@ -49,8 +49,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isfinite
+from numbers import Real
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from .perf.batch import spec_columns, summarise_columns
 from .perf.cache import ResultCache
 from .profibus import serialization as serialization_mod
 from .profibus import sweep as sweep_mod
@@ -123,6 +126,12 @@ class AnalysisRequest:
                     f"unknown policy {p!r}; pick from {list(POLICIES)}"
                 )
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
+        for value in self.sweep_values:
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or (isinstance(value, float) and not isfinite(value))):
+                raise ApiError(
+                    f"sweep_values must be finite numbers, got {value!r}"
+                )
         if self.op == "sweep":
             if self.sweep_param not in SWEEP_PARAMS:
                 raise ApiError(
@@ -336,7 +345,9 @@ def _compute_sweep(request: AnalysisRequest, net: Network,
                 else sweep_mod.STANDARD_BAUD_RATES,
                 policies=policies,
             )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: a finite grid value too large to rescale by
+        # (a baud rate past float range)
         raise ApiError(str(exc)) from exc
     row_docs = [
         {
@@ -405,9 +416,17 @@ def _deadline_tightening_limit(net: Network, policy: str,
     even unscaled (the bisection's infeasible-at-upper case)."""
     from .core.sensitivity import smallest_feasible_factor
 
+    # Tcycle and the (T, J) columns do not move with the deadlines:
+    # each probe rewrites only the D column (see deadline_scale_sweep)
+    base = spec_columns(net, refined=refined)
+
     def feasible(factor: Fraction) -> bool:
-        scaled = sweep_mod._scale_deadlines(net, float(factor))
-        return ttr_mod.analyse(scaled, policy, refined=refined).schedulable
+        if base is None:
+            scaled = sweep_mod._scale_deadlines(net, float(factor))
+            return ttr_mod.analyse(scaled, policy,
+                                   refined=refined).schedulable
+        columns = sweep_mod.scale_columns(base[1], float(factor))
+        return summarise_columns(policy, base[0], columns).schedulable
 
     limit = smallest_feasible_factor(feasible, precision=HEADROOM_PRECISION)
     return None if limit is None else float(limit)

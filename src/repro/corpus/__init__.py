@@ -23,7 +23,7 @@ into a permanent corpus entry at campaign end.
 
 The mutation-strength harness (:mod:`repro.corpus.mutants`) measures
 the corpus's killing power: it injects known-bad analysis variants
-(dropped blocking term, truncated ``_scale_deadlines``, single-instance
+(dropped blocking term, truncated ``scaled_deadline``, single-instance
 busy period, stale interference cache, ...) through the same
 late-bound module seams the golden computation calls through, and
 asserts ``corpus check`` kills each one.

@@ -23,8 +23,9 @@ Catalogue (each entry names the layer it corrupts):
   blocking refinement the paper's transfer explicitly does not use.
 * ``tdel-drops-overrunner`` — eq. (13) missing its largest per-master
   cycle term.
-* ``sweep-truncated-deadline-scale`` — ``_scale_deadlines`` truncates
-  instead of rounding (the PR 3 regression).
+* ``sweep-truncated-deadline-scale`` — ``scaled_deadline`` (the one
+  deadline-scaling formula of the column and object sweep paths)
+  truncates instead of rounding (the PR 3 regression).
 * ``csv-drops-header`` — ``rows_to_csv`` stops emitting the header row.
 * ``serialization-drops-jitter`` — ``network_to_dict`` silently loses
   non-zero ``J`` fields.
@@ -207,21 +208,12 @@ def _tdel_drops_overrunner():
 
 def _sweep_truncates():
     from ..profibus import sweep as sweep_mod
-    from ..profibus.network import Network
 
-    def truncating_scale_deadlines(network, factor):
-        masters = []
-        for m in network.masters:
-            streams = [
-                s.with_deadline(max(1, min(s.T, int(s.D * factor))))  # BUG
-                for s in m.streams
-            ]
-            masters.append(m.with_streams(streams))
-        return Network(masters=tuple(masters), slaves=network.slaves,
-                       phy=network.phy, ttr=network.ttr)
+    def truncating_scaled_deadline(D, T, factor):
+        return max(1, min(T, int(D * factor)))  # BUG: truncates
 
-    return _patched((sweep_mod, "_scale_deadlines",
-                     truncating_scale_deadlines))
+    return _patched((sweep_mod, "scaled_deadline",
+                     truncating_scaled_deadline))
 
 
 def _csv_drops_header():
@@ -322,7 +314,7 @@ MUTANTS: Dict[str, Mutant] = {
                "eq. (13) missing its largest per-master cycle term",
                ("analysis", "sweep", "validation"), _tdel_drops_overrunner),
         Mutant("sweep-truncated-deadline-scale",
-               "_scale_deadlines truncates instead of rounding",
+               "scaled_deadline truncates instead of rounding",
                ("sweep",), _sweep_truncates),
         Mutant("csv-drops-header",
                "rows_to_csv stops emitting the header row",

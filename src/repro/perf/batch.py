@@ -108,48 +108,71 @@ def _fold_responses(index, policy, tcycle, pairs) -> BatchResult:
     )
 
 
-def _fast_summary(index: int, network: Network,
-                  policy: str) -> Optional[BatchResult]:
-    """BatchResult fields straight from the whole-master kernels, without
-    materialising StreamResponse / NetworkAnalysis rows.
-
-    Returns ``None`` when a master has non-int stream attributes or the
-    generic reference is active (the caller falls back to the full
-    analysis path).  Field-for-field identical to summarising
-    ``analyse(network, policy)`` — the deadline used for
-    slack/schedulability is the same stream ``D`` the specs carry, and
-    the per-stream responses come from the same kernels the analysis
-    modules use (property-tested in ``tests/test_perf_batch``).
-    """
-    tc = compute_tcycle(network, network.require_ttr(), refined=False)
-    if type(tc) is not int:
-        return None
-    pairs = []
+def spec_columns(network: Network, ttr: Optional[int] = None,
+                 refined: bool = False) -> Optional[Tuple[int, List[tuple]]]:
+    """``(Tcycle, per-master (T, D, J) columns)`` — the input of
+    :func:`summarise_columns` — for the network at ``ttr`` (default: its
+    own TTR), or ``None`` when a master has non-int stream attributes,
+    the generic reference is active or ``Tcycle`` is not an int (the
+    caller then takes the full analysis path)."""
+    columns = []
     for master in network.masters:
         specs = stream_specs(master)
         if specs is None:
             return None
+        columns.append(specs)
+    if ttr is None:
+        ttr = network.require_ttr()
+    tc = compute_tcycle(network, ttr, refined=refined)
+    if type(tc) is not int:
+        return None
+    return tc, columns
+
+
+def _master_responses(policy: str, specs: tuple, tc: int) -> list:
+    if policy == "fcfs":
+        return [len(specs) * tc] * len(specs)
+    if policy == "dm":
+        return kernels.dm_master_response_times(specs, tc)
+    check_policy(policy)  # edf is the one known policy left
+    return [r for r, _a in kernels.edf_master_response_times(specs, tc)]
+
+
+def summarise_columns(policy: str, tc: int, columns: Sequence[tuple],
+                      index: int = 0,
+                      memo: Optional[dict] = None) -> BatchResult:
+    """BatchResult fields straight from the whole-master kernels over
+    ``(T, D, J)`` columns at one ``Tcycle``, without materialising
+    StreamResponse / NetworkAnalysis rows.
+
+    Field-for-field identical to summarising ``analyse(network,
+    policy)`` of a network with these columns — the deadline used for
+    slack/schedulability is the same ``D`` the column carries, and the
+    per-stream responses come from the same kernels the analysis
+    modules use (property-tested in ``tests/test_perf_batch`` and
+    ``tests/test_sweep_columns``).  ``memo``, when given, keeps each
+    master's responses keyed by ``(policy, column)``; it is only valid
+    for one ``tc``, so a caller owns it for one call.
+    """
+    pairs = []
+    for specs in columns:
         if not specs:
             continue
-        if policy == "fcfs":
-            r = len(specs) * tc
-            values = [r] * len(specs)
-        elif policy == "dm":
-            values = kernels.dm_master_response_times(specs, tc)
-        elif policy == "edf":
-            values = [
-                r for r, _a in kernels.edf_master_response_times(specs, tc)
-            ]
+        if memo is None:
+            values = _master_responses(policy, specs, tc)
         else:
-            return None
+            key = (policy, specs)
+            values = memo.get(key)
+            if values is None:
+                values = memo[key] = _master_responses(policy, specs, tc)
         pairs.extend((r, d) for (_t, d, _j), r in zip(specs, values))
     return _fold_responses(index, policy, tc, pairs)
 
 
 def _analyse_one(index: int, network: Network, policy: str) -> BatchResult:
-    summary = _fast_summary(index, network, policy)
-    if summary is not None:
-        return summary
+    base = spec_columns(network)
+    if base is not None:
+        return summarise_columns(policy, base[0], base[1], index)
     res = analyse(network, policy)
     return _fold_responses(
         index, policy, res.tcycle,

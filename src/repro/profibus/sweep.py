@@ -13,10 +13,16 @@ each:
   (bit-time parameters are baud-invariant, deadlines in seconds are
   not, so this shows the minimum line speed for a plant).
 
-All three build their (network, policy) grid up front and evaluate it
-through one in-process :func:`repro.perf.batch.analyse_many` call.
-Static per-network work (ring latency, the scaled-network construction)
-is hoisted out of the row loops.
+The TTR and baud sweeps build their (network, policy) grid up front
+and evaluate it through one in-process
+:func:`repro.perf.batch.analyse_many` call; static per-network work
+(ring latency, the scaled-network construction) is hoisted out of the
+row loops.  Scaling deadlines moves neither ``Tcycle`` nor ``C``, so the
+deadline-scale sweep builds no network per point: it computes
+``Tcycle`` once and rewrites the D column of the base ``(T, D, J)``
+columns per factor (:func:`scaled_deadline` is the one scaling
+formula), falling back to scaled networks only where the column path
+does not apply.
 
 Rows are plain dataclasses; :func:`rows_to_csv` renders any of them for
 spreadsheet handoff.  Used by the CLI ``sweep`` subcommand.
@@ -30,10 +36,16 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..perf.batch import BatchResult, analyse_many
+from ..perf.batch import (
+    BatchResult,
+    analyse_many,
+    spec_columns,
+    summarise_columns,
+)
 from .network import Master, Network
 from .phy import STANDARD_BAUD_RATES, PhyParameters
 from .stream import MessageStream
+from .ttr import check_policy
 
 DEFAULT_POLICIES = ("fcfs", "dm", "edf")
 
@@ -105,19 +117,34 @@ def ttr_sweep(
     return _grid_rows("ttr", entries, policies)
 
 
+def scaled_deadline(D: int, T: int, factor: float) -> int:
+    """``clamp(round(D·factor), 1, T)`` — the one deadline-scaling
+    formula of the sweeps and the admission headroom.  Rounded like
+    :func:`_rescale_network` (truncation shifted E5 acceptance curves by
+    an off-by-one deadline tightening on fine factor grids); the
+    product is compared with ``T`` before it is converted, so a factor
+    too large for ``int(round(...))`` (``D·f`` overflowing to ``inf``)
+    yields ``T``."""
+    x = D * factor
+    return T if x >= T else max(1, int(round(x)))
+
+
 def _scale_deadlines(network: Network, factor: float) -> Network:
+    """The network with every deadline scaled — the object path, for
+    networks :func:`repro.perf.batch.spec_columns` declines."""
     masters = []
     for m in network.masters:
-        streams = []
-        for s in m.streams:
-            # Round like _rescale_network does — truncation shifted E5
-            # acceptance curves by an off-by-one deadline tightening on
-            # fine factor grids.
-            d = max(1, min(s.T, int(round(s.D * factor))))
-            streams.append(s.with_deadline(d))
+        streams = [s.with_deadline(scaled_deadline(s.D, s.T, factor))
+                   for s in m.streams]
         masters.append(m.with_streams(streams))
     return Network(masters=tuple(masters), slaves=network.slaves,
                    phy=network.phy, ttr=network.ttr)
+
+
+def scale_columns(columns: Sequence[tuple], factor: float) -> List[tuple]:
+    """Per-master ``(T, D, J)`` columns with only ``D`` rewritten."""
+    return [tuple((t, scaled_deadline(d, t, factor), j) for t, d, j in specs)
+            for specs in columns]
 
 
 def deadline_scale_sweep(
@@ -125,15 +152,42 @@ def deadline_scale_sweep(
     factors: Iterable[float],
     policies: Sequence[str] = DEFAULT_POLICIES,
 ) -> List[SweepRow]:
-    """Scale every deadline by each factor (clamped to ``[1, T]``)."""
+    """Scale every deadline by each factor (clamped to ``[1, T]``).
+
+    Scaling moves only ``D``: ``Tcycle``, ``C`` and the ``(T, J)``
+    columns stay those of ``network``.  So ``Tcycle`` is computed once
+    and each grid point rewrites the D column of the base
+    ``(T, D, J)`` columns; the kernels run once per distinct
+    ``(policy, column)`` of the call (clamping to ``T`` makes columns
+    repeat across factors).  Networks the column path declines (non-int
+    attributes, the generic reference) are scaled and analysed as
+    objects through :func:`analyse_many`."""
     factors = list(factors)
     for factor in factors:
-        if factor <= 0:
+        if not factor > 0:
             raise ValueError("deadline factors must be positive")
-    entries = [
-        (factor, _scale_deadlines(network, factor)) for factor in factors
-    ]
-    return _grid_rows("deadline_scale", entries, policies)
+    if not factors:
+        return []
+    policies = tuple(policies)
+    for policy in policies:
+        check_policy(policy)
+    base = spec_columns(network)
+    if base is None:
+        entries = [
+            (factor, _scale_deadlines(network, factor)) for factor in factors
+        ]
+        return _grid_rows("deadline_scale", entries, policies)
+    tc, columns = base
+    memo: dict = {}
+    rows: List[SweepRow] = []
+    for factor in factors:
+        scaled = scale_columns(columns, factor)
+        for policy in policies:
+            b = summarise_columns(policy, tc, scaled, memo=memo)
+            rows.append(SweepRow("deadline_scale", factor, policy,
+                                 b.schedulable, b.worst_response,
+                                 b.worst_slack, tc))
+    return rows
 
 
 def _rescale_network(network: Network, baud: int) -> Network:

@@ -52,10 +52,21 @@ def analyse(
 def schedulable_with_ttr(
     network: Network, policy: str, ttr: int, refined: bool = False
 ) -> bool:
-    """Is the network schedulable under ``policy`` with this TTR?"""
+    """Is the network schedulable under ``policy`` with this TTR?
+
+    Evaluated on the master's memoised ``(T, D, J)`` columns at
+    ``Tcycle(ttr)`` without building response rows; networks the
+    column path declines take the full analysis."""
     if ttr < network.ring_latency():
         return False
-    return analyse(network, policy, ttr, refined=refined).schedulable
+    # perf.batch imports this module: bind its column evaluator late
+    from ..perf.batch import spec_columns, summarise_columns
+
+    check_policy(policy)
+    base = spec_columns(network, ttr, refined=refined)
+    if base is None:
+        return analyse(network, policy, ttr, refined=refined).schedulable
+    return summarise_columns(policy, base[0], base[1]).schedulable
 
 
 def max_feasible_ttr(

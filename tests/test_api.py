@@ -152,6 +152,53 @@ class TestSweep:
         assert len(result.payload["rows"]) == len(rows)
 
 
+def _sweep_doc(param, values):
+    return {"schema": api.API_SCHEMA, "op": "sweep", "network": _net_doc(),
+            "sweep_param": param, "sweep_values": values}
+
+
+class TestSweepValues:
+    """A bad grid value is the caller's fault: an ``ApiError`` (the
+    daemon's ``bad-request``), never an ``internal`` error from deep in
+    the scaling arithmetic."""
+
+    @pytest.mark.parametrize("param,values", [
+        ("deadline-scale", [float("inf")]),
+        ("deadline-scale", [float("nan")]),
+        ("deadline-scale", [True]),
+        ("ttr", [float("inf")]),
+        ("ttr", [float("-inf")]),
+        ("ttr", ["x"]),
+        ("ttr", [None]),
+        ("baud", [float("inf")]),
+        ("baud", [[9600]]),
+    ], ids=["scale-inf", "scale-nan", "scale-true", "ttr-inf",
+            "ttr-minus-inf", "ttr-string", "ttr-null", "baud-inf",
+            "baud-list"])
+    def test_rejected_at_request_construction(self, param, values):
+        with pytest.raises(ApiError, match="sweep_values"):
+            api.execute_request_doc(_sweep_doc(param, values))
+
+    def test_huge_deadline_factor_clamps_every_deadline_to_t(self):
+        # D·1e308 overflows to inf; the comparison with T runs first
+        huge = api.execute_request_doc(_sweep_doc("deadline-scale", [1e308]))
+        at_t = api.execute_request_doc(_sweep_doc("deadline-scale", [1e6]))
+        assert ([dict(r, value=None) for r in huge["payload"]["rows"]]
+                == [dict(r, value=None) for r in at_t["payload"]["rows"]])
+
+    def test_baud_past_float_range_is_a_bad_request(self):
+        with pytest.raises(ApiError):
+            api.execute_request_doc(_sweep_doc("baud", [10 ** 400]))
+
+    def test_finite_numbers_accepted(self):
+        from fractions import Fraction
+
+        request = AnalysisRequest(op="sweep", network=_net_doc(),
+                                  sweep_param="deadline-scale",
+                                  sweep_values=(1, 0.5, Fraction(3, 4)))
+        assert request.sweep_values == (1, 0.5, Fraction(3, 4))
+
+
 class TestAdmission:
     STREAM = {"name": "new-sensor", "T": 120_000, "D": 60_000,
               "cycle": {"req_payload": 0, "resp_payload": 8}}

@@ -284,6 +284,24 @@ class TestErrors:
                 reply = c.analyse(_base_doc())
                 assert reply.result == api.execute_request_doc(_base_doc())
 
+    @pytest.mark.parametrize("param,values", [
+        ("deadline-scale", [float("inf")]),
+        ("ttr", ["x"]),
+        ("deadline-scale", [True]),
+    ], ids=["scale-inf", "ttr-string", "scale-true"])
+    def test_bad_sweep_value_is_a_bad_request(self, param, values):
+        doc = dict(_base_doc(), op="sweep", sweep_param=param,
+                   sweep_values=values)
+        with ServerThread() as srv:
+            with srv.client() as c:
+                with pytest.raises(ServiceError) as exc_info:
+                    c.request("sweep", doc)
+                assert exc_info.value.error_type == "bad-request"
+                assert "sweep_values" in str(exc_info.value)
+                # the same session keeps serving well-formed requests
+                reply = c.analyse(_base_doc())
+                assert reply.result == api.execute_request_doc(_base_doc())
+
     def test_unparseable_line_reports_protocol_error(self):
         with ServerThread() as srv:
             host, port = srv.address
