@@ -119,12 +119,30 @@ class AnalysisRequest:
             raise ApiError(
                 f"unknown policy {self.policy!r}; pick from {list(POLICIES)}"
             )
+        if not isinstance(self.policies, (list, tuple)):
+            raise ApiError(
+                f"policies must be a list of policy names, "
+                f"got {self.policies!r}"
+            )
         object.__setattr__(self, "policies", tuple(self.policies))
         for p in self.policies:
-            if p not in POLICIES:
+            if not isinstance(p, str) or p not in POLICIES:
                 raise ApiError(
                     f"unknown policy {p!r}; pick from {list(POLICIES)}"
                 )
+        if self.ttr is not None and (
+                isinstance(self.ttr, bool) or not isinstance(self.ttr, int)
+                or self.ttr <= 0):
+            raise ApiError(
+                f"ttr must be a positive integer, got {self.ttr!r}"
+            )
+        if not isinstance(self.refined, bool):
+            raise ApiError(f"refined must be a boolean, got {self.refined!r}")
+        if not isinstance(self.sweep_values, (list, tuple)):
+            raise ApiError(
+                f"sweep_values must be a list of numbers, "
+                f"got {self.sweep_values!r}"
+            )
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         for value in self.sweep_values:
             if (isinstance(value, bool) or not isinstance(value, Real)
@@ -145,6 +163,12 @@ class AnalysisRequest:
         if self.op == "admission":
             if self.admission_master is None:
                 raise ApiError("admission needs admission_master (address)")
+            if (isinstance(self.admission_master, bool)
+                    or not isinstance(self.admission_master, int)):
+                raise ApiError(
+                    f"admission_master must be an integer address, "
+                    f"got {self.admission_master!r}"
+                )
             if not isinstance(self.admission_stream, dict):
                 raise ApiError(
                     "admission needs admission_stream (a stream document)"
@@ -231,15 +255,11 @@ class AnalysisRequest:
             if key not in doc:
                 raise ApiError(f"request missing key {key!r}")
         kwargs: Dict[str, Any] = {"op": doc["op"], "network": doc["network"]}
-        for name in ("policy", "ttr", "refined", "sweep_param",
-                     "admission_master", "admission_stream", "trace",
-                     "stats_after"):
+        for name in ("policy", "policies", "ttr", "refined", "sweep_param",
+                     "sweep_values", "admission_master", "admission_stream",
+                     "trace", "stats_after"):
             if name in doc:
                 kwargs[name] = doc[name]
-        if "policies" in doc:
-            kwargs["policies"] = tuple(doc["policies"])
-        if "sweep_values" in doc:
-            kwargs["sweep_values"] = tuple(doc["sweep_values"])
         return cls(**kwargs)
 
 

@@ -68,8 +68,8 @@ class CorpusEntry:
     fingerprint: str = ""
 
     def network(self) -> Network:
-        """Parse the stored scenario document (fresh instance: analysis
-        memos never leak between entries or check runs)."""
+        """Parse the stored scenario document (a fresh instance per
+        call)."""
         return serialization_mod.network_from_dict(self.network_doc)
 
     def to_doc(self) -> Dict[str, Any]:

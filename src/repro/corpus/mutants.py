@@ -16,8 +16,9 @@ Catalogue (each entry names the layer it corrupts):
 * ``dm-single-instance-busy-period`` — only the first instance of the
   level-i busy period is examined (the pre-Davis-2007 unsoundness the
   multi-instance correction in ``rta_fixed`` exists for).
-* ``dm-stale-interference-cache`` — the per-master response-row memo
-  ignores its ``Tcycle`` key and serves the previous analysis' rows.
+* ``dm-stale-interference-cache`` — the deadline-scale sweep's
+  per-call column memo drops its policy key, so a column first
+  analysed under one policy serves those responses to the DM/EDF rows.
 * ``fcfs-queue-undercount`` — eq. (11) with ``(nh−1)·Tcycle``.
 * ``edf-blocking-subtract-one`` — eqs. (17)–(18) with the ``C−1``
   blocking refinement the paper's transfer explicitly does not use.
@@ -124,22 +125,33 @@ def _dm_single_instance():
     )
 
 
+class _PolicyBlindMemo:
+    """A ``summarise_columns`` memo keyed by the column alone."""
+
+    def __init__(self, memo: dict) -> None:
+        self._memo = memo
+
+    def get(self, key):
+        return self._memo.get(key[1])  # BUG: the policy key is dropped
+
+    def __setitem__(self, key, value) -> None:
+        self._memo[key[1]] = value
+
+
 def _dm_stale_cache():
-    from ..profibus import dm as dm_mod
-    from ..profibus.network import master_memo
+    from ..profibus import sweep as sweep_mod
 
-    original = dm_mod.dm_response_times
+    original = sweep_mod.summarise_columns
 
-    def stale_dm_response_times(master, tc):
-        # the generic reference hands out an empty throwaway memo
-        entry = master_memo(master).get("dm_rows")
-        if entry is not None:  # BUG: the Tcycle key is never checked
-            return list(entry[1])
-        # cache miss: the real implementation computes and stores the
-        # (tc, rows) slot this wrapper will then serve stale
-        return original(master, tc)
+    def policy_blind_summarise_columns(policy, tc, columns, index=0,
+                                       memo=None):
+        if memo is not None:
+            memo = _PolicyBlindMemo(memo)
+        return original(policy, tc, columns, index, memo)
 
-    return _patched((dm_mod, "dm_response_times", stale_dm_response_times))
+    return _patched(
+        (sweep_mod, "summarise_columns", policy_blind_summarise_columns)
+    )
 
 
 # ---------------------------------------------------- FCFS / EDF mutants
@@ -302,8 +314,8 @@ MUTANTS: Dict[str, Mutant] = {
                "(pre-Davis-2007)",
                ("analysis",), _dm_single_instance),
         Mutant("dm-stale-interference-cache",
-               "per-master DM row memo ignores its Tcycle key",
-               ("analysis",), _dm_stale_cache),
+               "deadline-scale sweep column memo ignores its policy key",
+               ("sweep",), _dm_stale_cache),
         Mutant("fcfs-queue-undercount",
                "eq. (11) computed as (nh-1)*Tcycle",
                ("analysis",), _fcfs_undercount),

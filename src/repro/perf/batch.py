@@ -207,7 +207,7 @@ def pooled_imap(
     ``workers=None`` uses ``os.cpu_count()``; ``workers<=1`` (or fewer
     than two items) runs serial in-process with no pool overhead.  In
     pooled mode the items are split into chunks (one pickling round trip
-    each, memo caches warm up inside a chunk) and results stream back
+    each) and results stream back
     chunk by chunk as workers finish, which lets callers checkpoint
     long campaigns incrementally.  ``fn`` must be picklable: a
     module-level function or a :func:`functools.partial` of one.
@@ -347,8 +347,7 @@ def generate_networks(
 
     One :class:`random.Random` threads through every draw, so the
     workload is a pure function of ``seed`` — equal seeds give
-    value-equal networks (fresh instances each call: the instance-keyed
-    analysis memos never leak between repetitions).  String seeds hash
+    value-equal networks (fresh instances each call).  String seeds hash
     with SHA-512 inside :class:`random.Random`, stable across processes
     and ``PYTHONHASHSEED`` settings.
     """

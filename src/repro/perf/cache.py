@@ -1,22 +1,20 @@
 """Value-keyed shared result cache.
 
-The PR 2 interference memos are *instance-keyed* on purpose: inside one
-process a sweep re-analyses the same immutable master objects thousands
-of times, while benchmark baselines on freshly generated but value-equal
-networks must not get accidental hits.  That design has a deliberate
-blind spot: two value-equal networks built from two different requests
-never share anything.  At service traffic — many clients posting the
-same plant document, near-duplicate admission probes, repeated sweep
-rows — that blind spot *is* the workload.
+The analyses cache nothing on the model objects: a caller that repeats
+work inside one call hoists the shared input itself (the TTR sweep
+derives ``Tdel`` once).  Across calls, two value-equal networks built
+from two different requests would share nothing — and at service
+traffic (many clients posting the same plant document, near-duplicate
+admission probes, repeated sweep rows) that repetition *is* the
+workload.
 
-:class:`ResultCache` closes it one layer up.  It memoises **finished
+:class:`ResultCache` serves it.  It memoises **finished
 analysis results** under a value key derived from the canonical network
 fingerprint (:func:`repro.profibus.serialization.network_fingerprint`)
 plus the analysis coordinates (operation, policy, TTR override, grid,
 …), so identical and repeated requests hit instead of recompute, no
-matter which client or process parsed the document.  The instance-keyed
-memos keep doing their job *within* a single computation; this cache
-decides whether that computation runs at all.
+matter which client or process parsed the document: this cache
+decides whether a computation runs at all.
 
 Properties:
 
@@ -32,8 +30,8 @@ Properties:
 
 The differential oracles (fuzz, corpus check) and the uncached
 perfbench workloads (``batch``, ``api-request``) never consult a
-``ResultCache`` — their whole point is recomputation — so the honesty
-argument from PERF.md §2 is preserved: caching is opt-in at the
+``ResultCache`` — their whole point is recomputation — so benchmarks
+stay honest: caching is opt-in at the
 :mod:`repro.api` boundary and in the daemon, not ambient in the
 analysis layer.  (perfbench's ``daemon`` workload measures the daemon's
 cache on purpose.)

@@ -4,11 +4,12 @@ Three modes drive the same analyses to bit-identical values:
 
 ``generic``
     The exact reference path: the generic fixed-point drivers of
-    :mod:`repro.core` over the object model.  Always available; it reads
-    no memo and calls no kernel.
+    :mod:`repro.core` over the object model.  Always available; it
+    calls no kernel.
 ``fast``
-    The whole-master integer kernels of :mod:`repro.perf.kernels` plus
-    the instance-keyed memos.  Bit-identical to ``generic``
+    The whole-master integer kernels of :mod:`repro.perf.kernels`; no
+    analysis result is cached on the model objects.  Bit-identical to
+    ``generic``
     (property-tested), so **on by default**.  Inside
     :func:`repro.perf.batch.analyse_many` called without a ``mode``, a
     grid of at least :data:`repro.perf.batch.VECTOR_MIN_STREAMS` streams
@@ -26,8 +27,9 @@ Three modes drive the same analyses to bit-identical values:
 The switch is an internal oracle seam, not a user knob: the corpus
 goldens, the fuzz oracles and perfbench's generic reference run the
 accelerated engines against the generic one on identical inputs.  On
-the analysis side one private seam, :mod:`repro.profibus._memo`, reads
-it; :mod:`repro.core` never does.
+the analysis side one seam reads it,
+:func:`repro.profibus.network.stream_specs` (``None`` under
+``generic``, so no kernel runs); :mod:`repro.core` never does.
 
 The process default is ``fast``.  A scoped override
 (:func:`analysis_mode_set`) lives in a context variable, so overlapping

@@ -884,36 +884,20 @@ def batch_pairs(pack: NetworkPack, policy: str):
         yield pack.indices[p], pack.tc[p], pairs
 
 
-def _fold_pairs(pairs):
-    """(schedulable, worst_response, worst_slack) — the exact fold of
-    :func:`repro.perf.batch._fold_responses`."""
-    schedulable = True
-    worst_r: Optional[int] = None
-    worst_slack: Optional[int] = None
-    for r, dd in pairs:
-        if r is None:
-            schedulable = False
-            continue
-        if r > dd:
-            schedulable = False
-        if worst_r is None or r > worst_r:
-            worst_r = r
-        slack = dd - r
-        if worst_slack is None or slack < worst_slack:
-            worst_slack = slack
-    return schedulable, worst_r, worst_slack if schedulable else None
-
-
 def batch_summaries(pack: NetworkPack, policy: str):
     """``(original_index, tcycle, schedulable, worst_response,
     worst_slack)`` per packed network — the fully-folded
     :class:`repro.perf.batch.BatchResult` fields.  The numpy lanes fold
     over the network CSR with ``reduceat``; after the scalar kernels the
-    pairs fold exactly as ``batch._fold_responses`` does."""
+    pairs fold through ``batch._fold_responses`` itself."""
     flat = _flat_values(pack, policy)
     if flat is None:
-        return [(idx, tc) + _fold_pairs(pairs)
-                for idx, tc, pairs in batch_pairs(pack, policy)]
+        from .batch import _fold_responses
+
+        folded = (_fold_responses(idx, policy, tc, pairs)
+                  for idx, tc, pairs in batch_pairs(pack, policy))
+        return [(b.index, b.tcycle, b.schedulable, b.worst_response,
+                 b.worst_slack) for b in folded]
     np = _load_numpy()
     d = pack.np_arrays()
     i64 = np.int64

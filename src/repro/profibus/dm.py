@@ -31,8 +31,7 @@ from ..core.priority import assign_deadline_monotonic
 from ..core.rta_fixed import nonpreemptive_response_time
 from ..core.task import TaskSet
 from ..core.timeops import ceil_div, fixed_point
-from ._memo import master_memo, stream_specs
-from .network import Master, Network
+from .network import Master, Network, stream_specs
 from .results import NetworkAnalysis, StreamResponse
 from .timing import tcycle as compute_tcycle
 
@@ -47,18 +46,10 @@ def _master_taskset(master: Master, tc: int) -> Optional[TaskSet]:
 
 
 def dm_response_times(master: Master, tc: int) -> List[StreamResponse]:
-    """Eq. (16) for every high-priority stream of one master (memoised
-    per master instance and Tcycle)."""
+    """Eq. (16) for every high-priority stream of one master."""
     streams = master.high_streams
     if not streams:
         return []
-    # Single slot per master: bounded memory under fine-grained TTR
-    # sweeps/bisections that probe many distinct Tcycle values.
-    memo = master_memo(master)
-    entry = memo.get("dm_rows")
-    if entry is not None and entry[0] == tc:
-        return list(entry[1])  # callers own their copy
-
     specs = stream_specs(master)
     if specs is not None and type(tc) is int:
         values = kernels.dm_master_response_times(specs, tc)
@@ -71,7 +62,7 @@ def dm_response_times(master: Master, tc: int) -> List[StreamResponse]:
             nonpreemptive_response_time(ts, ts[idx]).value
             for idx in range(len(streams))
         ]
-    out = [
+    return [
         StreamResponse(
             master=master.name,
             stream=s,
@@ -80,8 +71,6 @@ def dm_response_times(master: Master, tc: int) -> List[StreamResponse]:
         )
         for s, r in zip(streams, values)
     ]
-    memo["dm_rows"] = (tc, list(out))  # private copy
-    return out
 
 
 def dm_response_time_paper_form(

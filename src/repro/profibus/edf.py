@@ -26,23 +26,16 @@ from typing import List, Optional
 from ..perf import kernels
 from ..core.edf_rta import edf_response_time
 from ..core.task import TaskSet
-from ._memo import master_memo, stream_specs
-from .network import Master, Network
+from .network import Master, Network, stream_specs
 from .results import NetworkAnalysis, StreamResponse
 from .timing import tcycle as compute_tcycle
 
 
 def edf_response_times(master: Master, tc: int) -> List[StreamResponse]:
-    """Eqs. (17)–(18) for every high-priority stream of one master
-    (memoised per master instance and Tcycle)."""
+    """Eqs. (17)–(18) for every high-priority stream of one master."""
     streams = master.high_streams
     if not streams:
         return []
-    memo = master_memo(master)
-    entry = memo.get("edf_rows")  # single slot: bounded under TTR sweeps
-    if entry is not None and entry[0] == tc:
-        return list(entry[1])  # callers own their copy
-
     specs = stream_specs(master)
     if specs is not None and type(tc) is int:
         values = kernels.edf_master_response_times(specs, tc)
@@ -61,7 +54,7 @@ def edf_response_times(master: Master, tc: int) -> List[StreamResponse]:
                 for idx in range(len(streams))
             )
         ]
-    out = [
+    return [
         StreamResponse(
             master=master.name,
             stream=s,
@@ -71,8 +64,6 @@ def edf_response_times(master: Master, tc: int) -> List[StreamResponse]:
         )
         for s, (r, a) in zip(streams, values)
     ]
-    memo["edf_rows"] = (tc, list(out))  # private copy
-    return out
 
 
 def edf_analysis(

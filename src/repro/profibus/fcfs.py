@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.timeops import floor_div
-from ._memo import master_memo
 from .network import Network
 from .results import NetworkAnalysis, StreamResponse
 from .timing import tcycle as compute_tcycle
@@ -39,23 +38,14 @@ def fcfs_analysis(
     per_stream = []
     phy = network.phy
     for master in network.masters:
-        # Single slot per master (bounded under TTR sweeps); the
-        # identity check on the PHY avoids hashing it.
-        memo = master_memo(master)
-        entry = memo.get("fcfs_rows")
-        if entry is not None and entry[0] == tc and entry[1] is phy:
-            rows = entry[2]
-        else:
-            nh = master.nh
-            rows = [
-                StreamResponse(
-                    master=master.name, stream=s, R=nh * tc,
-                    Q=nh * tc - s.cycle_bits(phy),
-                )
-                for s in master.high_streams
-            ]
-            memo["fcfs_rows"] = (tc, phy, rows)
-        per_stream.extend(rows)
+        nh = master.nh
+        per_stream.extend(
+            StreamResponse(
+                master=master.name, stream=s, R=nh * tc,
+                Q=nh * tc - s.cycle_bits(phy),
+            )
+            for s in master.high_streams
+        )
     return NetworkAnalysis(
         policy="fcfs",
         ttr=ttr,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ._memo import master_memo, stream_specs  # noqa: F401 (re-export)
+from ..perf.config import analysis_mode
 from .cycle import token_pass_time
 from .phy import PhyParameters
 from .stream import MessageStream
@@ -39,8 +39,8 @@ class Master:
             object.__setattr__(self, "name", f"M{self.address}")
 
     def __getstate__(self):
-        # Memoised derivations (leading underscore) are process-local:
-        # the analysis memo can hold identity-keyed caches.
+        # Cached stream partitions (leading underscore) are rebuilt on
+        # first use after unpickling.
         return {k: v for k, v in self.__dict__.items()
                 if not k.startswith("_")}
 
@@ -187,3 +187,18 @@ class Network:
                 "network.ttr is not set; call with_ttr() or derive one via repro.profibus.ttr"
             )
         return self.ttr
+
+
+def stream_specs(master: Master) -> Optional[tuple]:
+    """``(T, D, J)`` per high-priority stream when all are plain ints —
+    the whole-master kernel input (see :mod:`repro.perf.kernels`) —
+    else ``None``; always ``None`` under the ``generic`` reference, so
+    that reference calls no kernel.  The one place :mod:`repro.profibus`
+    reads the analysis mode."""
+    if analysis_mode() == "generic":
+        return None
+    specs = tuple((s.T, s.D, s.J) for s in master.high_streams)
+    for t, d, j in specs:
+        if type(t) is not int or type(d) is not int or type(j) is not int:
+            return None
+    return specs

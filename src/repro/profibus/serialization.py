@@ -207,8 +207,7 @@ def network_fingerprint(network: Network) -> str:
     deadline, jitter, PHY parameters, ring order, TTR) changes the
     digest.  This is the shared-cache key for the analysis service and
     the identity key for corpus entries and fuzz checkpoints — contexts
-    where *fresh value-equal instances* must collide, which is exactly
-    what the instance-keyed analysis memos intentionally never do.
+    where *fresh value-equal instances* must collide.
     """
     return network_doc_fingerprint(network_to_dict(network))
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..core.task import Task
-from ._memo import stream_memo
 from .cycle import MessageCycleSpec, cycle_time
 from .phy import PhyParameters
 
@@ -49,31 +48,11 @@ class MessageStream:
         if self.C_bits is not None and self.C_bits <= 0:
             raise ValueError(f"stream {self.name!r}: C_bits must be > 0")
 
-    def __getstate__(self):
-        # Keep memoised derivations (leading underscore) out of pickles;
-        # workers rebuild them locally.
-        return {k: v for k, v in self.__dict__.items()
-                if not k.startswith("_")}
-
     def cycle_bits(self, phy: PhyParameters) -> int:
-        """Worst-case message-cycle length ``Ch`` in bit times.
-
-        Memoised per PHY parameter set: streams are immutable and the
-        sweep/batch drivers evaluate the same stream against the same
-        PHY thousands of times.
-        """
+        """Worst-case message-cycle length ``Ch`` in bit times."""
         if self.C_bits is not None:
             return self.C_bits
-        # Single-slot identity cache: a stream is evaluated against one
-        # PHY in practice, and identity comparison avoids hashing the
-        # parameter set on every lookup.
-        memo = stream_memo(self)
-        entry = memo.get("_cycle_memo")
-        if entry is not None and entry[0] is phy:
-            return entry[1]
-        bits = cycle_time(self.spec, phy)
-        memo["_cycle_memo"] = (phy, bits)
-        return bits
+        return cycle_time(self.spec, phy)
 
     def as_task(self, phy: PhyParameters) -> Task:
         """View this stream as a core :class:`~repro.core.task.Task`

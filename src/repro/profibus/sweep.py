@@ -13,16 +13,15 @@ each:
   (bit-time parameters are baud-invariant, deadlines in seconds are
   not, so this shows the minimum line speed for a plant).
 
-The TTR and baud sweeps build their (network, policy) grid up front
-and evaluate it through one in-process
-:func:`repro.perf.batch.analyse_many` call; static per-network work
-(ring latency, the scaled-network construction) is hoisted out of the
-row loops.  Scaling deadlines moves neither ``Tcycle`` nor ``C``, so the
-deadline-scale sweep builds no network per point: it computes
-``Tcycle`` once and rewrites the D column of the base ``(T, D, J)``
-columns per factor (:func:`scaled_deadline` is the one scaling
-formula), falling back to scaled networks only where the column path
-does not apply.
+The TTR and deadline-scale sweeps build no network per point: they
+read the base ``(T, D, J)`` columns once
+(:func:`repro.perf.batch.spec_columns`) and rewrite one input per
+point — the TTR sweep sets ``Tcycle = TTR + Tdel`` with ``Tdel`` derived
+once, the deadline-scale sweep keeps ``Tcycle`` and rewrites the D
+column (:func:`scaled_deadline` is the one scaling formula).  Networks
+the column path declines, and every baud-sweep point, are built as
+networks and evaluated through one in-process
+:func:`repro.perf.batch.analyse_many` call.
 
 Rows are plain dataclasses; :func:`rows_to_csv` renders any of them for
 spreadsheet handoff.  Used by the CLI ``sweep`` subcommand.
@@ -106,15 +105,40 @@ def ttr_sweep(
     policies: Sequence[str] = DEFAULT_POLICIES,
 ) -> List[SweepRow]:
     """Analyse the network at each TTR (values below the ring latency
-    are reported unschedulable rather than raising)."""
+    are reported unschedulable rather than raising).
+
+    The TTR moves only ``Tcycle = TTR + Tdel``: ``Tdel`` and the
+    ``(T, D, J)`` columns are read once (:func:`spec_columns` at the
+    ring latency) and each grid point runs the kernels at its own
+    ``Tcycle``.  Networks the column path declines are analysed as
+    objects, one :meth:`Network.with_ttr` copy per point."""
     ring = network.ring_latency()
-    entries = []
-    for ttr in ttr_values:
-        # Round — never truncate — float grid values, and judge
-        # feasibility on the rounded TTR actually analysed.
-        t = int(round(ttr))
-        entries.append((ttr, network.with_ttr(t) if t >= ring else None))
-    return _grid_rows("ttr", entries, policies)
+    # Round — never truncate — float grid values, and judge
+    # feasibility on the rounded TTR actually analysed.
+    points = [(ttr, int(round(ttr))) for ttr in ttr_values]
+    base = None
+    if any(t >= ring for _ttr, t in points):
+        base = spec_columns(network, ring)
+    if base is None:
+        entries = [(ttr, network.with_ttr(t) if t >= ring else None)
+                   for ttr, t in points]
+        return _grid_rows("ttr", entries, policies)
+    policies = tuple(policies)
+    for policy in policies:
+        check_policy(policy)
+    tc_ring, columns = base
+    lateness = tc_ring - ring
+    rows: List[SweepRow] = []
+    for ttr, t in points:
+        for policy in policies:
+            if t < ring:
+                rows.append(SweepRow("ttr", ttr, policy, False, None, None, 0))
+                continue
+            tc = t + lateness
+            b = summarise_columns(policy, tc, columns)
+            rows.append(SweepRow("ttr", ttr, policy, b.schedulable,
+                                 b.worst_response, b.worst_slack, tc))
+    return rows
 
 
 def scaled_deadline(D: int, T: int, factor: float) -> int:

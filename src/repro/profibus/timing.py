@@ -31,57 +31,37 @@ which never exceeds eq. (13) and is validated against the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
-from ._memo import master_memo, network_memo
 from .network import Master, Network
 
 
 def longest_cycle(master: Master, phy) -> int:
     """``C_M^k``: longest message cycle of either priority; 0 if no streams."""
-    # Single-slot identity cache per master (one PHY per network).
-    memo = master_memo(master)
-    entry = memo.get("cm")
-    if entry is not None and entry[0] is phy:
-        return entry[1]
-    lengths = [s.cycle_bits(phy) for s in master.streams]
-    value = max(lengths) if lengths else 0
-    memo["cm"] = (phy, value)
-    return value
+    return max((s.cycle_bits(phy) for s in master.streams), default=0)
 
 
 def longest_high_cycle(master: Master, phy) -> int:
     """``ChM^k``: longest *high-priority* cycle; 0 if none."""
-    memo = master_memo(master)
-    entry = memo.get("chm")
-    if entry is not None and entry[0] is phy:
-        return entry[1]
-    lengths = [s.cycle_bits(phy) for s in master.high_streams]
-    value = max(lengths) if lengths else 0
-    memo["chm"] = (phy, value)
-    return value
+    return max((s.cycle_bits(phy) for s in master.high_streams), default=0)
 
 
 def tdel(network: Network) -> int:
-    """Eq. (13): ``Tdel = Σ_k C_M^k`` (memoised per network)."""
-    memo = network_memo(network)
-    value = memo.get("tdel")
-    if value is None:
-        value = sum(longest_cycle(m, network.phy) for m in network.masters)
-        memo["tdel"] = value
-    return value
+    """Eq. (13): ``Tdel = Σ_k C_M^k``.
+
+    Derived on every call.  Callers that probe many TTRs of one network
+    (:func:`repro.profibus.ttr.max_feasible_ttr`,
+    :func:`repro.profibus.sweep.ttr_sweep`) take it once from
+    :func:`repro.perf.batch.spec_columns` and add it per probe."""
+    return sum(longest_cycle(m, network.phy) for m in network.masters)
 
 
 def tdel_refined(network: Network) -> int:
     """Refined lateness bound (one overrunner + one high-prio cycle each).
 
     Falls back to the single master's longest cycle for a one-master
-    network.  Never exceeds :func:`tdel`.  Memoised per network.
+    network.  Never exceeds :func:`tdel`.
     """
-    memo = network_memo(network)
-    value = memo.get("tdel_refined")
-    if value is not None:
-        return value
     phy = network.phy
     cm = [longest_cycle(m, phy) for m in network.masters]
     chm = [longest_high_cycle(m, phy) for m in network.masters]
@@ -91,7 +71,6 @@ def tdel_refined(network: Network) -> int:
         cand = cm[k] + (total_high - chm[k])
         if cand > best:
             best = cand
-    memo["tdel_refined"] = best
     return best
 
 

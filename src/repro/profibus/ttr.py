@@ -15,7 +15,7 @@ response times.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .dm import dm_analysis
 from .edf import edf_analysis
@@ -52,21 +52,10 @@ def analyse(
 def schedulable_with_ttr(
     network: Network, policy: str, ttr: int, refined: bool = False
 ) -> bool:
-    """Is the network schedulable under ``policy`` with this TTR?
-
-    Evaluated on the master's memoised ``(T, D, J)`` columns at
-    ``Tcycle(ttr)`` without building response rows; networks the
-    column path declines take the full analysis."""
+    """Is the network schedulable under ``policy`` with this TTR?"""
     if ttr < network.ring_latency():
         return False
-    # perf.batch imports this module: bind its column evaluator late
-    from ..perf.batch import spec_columns, summarise_columns
-
-    check_policy(policy)
-    base = spec_columns(network, ttr, refined=refined)
-    if base is None:
-        return analyse(network, policy, ttr, refined=refined).schedulable
-    return summarise_columns(policy, base[0], base[1]).schedulable
+    return analyse(network, policy, ttr, refined=refined).schedulable
 
 
 def max_feasible_ttr(
@@ -80,15 +69,35 @@ def max_feasible_ttr(
     Uses eq. (15) directly for FCFS; binary search on the monotone
     feasibility predicate for DM/EDF.  Returns ``None`` when even the
     minimum TTR fails.
+
+    ``Tdel`` and the ``(T, D, J)`` columns do not move with the TTR, so
+    the search reads them once (:func:`repro.perf.batch.spec_columns`
+    at the ring latency) and each probe runs the kernels at
+    ``Tcycle = TTR + Tdel``; networks the column path declines are
+    analysed in full per probe.
     """
-    lo = network.ring_latency()
+    ring = lo = network.ring_latency()
     if policy == "fcfs":
         closed = fcfs_max_ttr(network, refined=refined)
-        if closed is None or closed < lo:
+        if closed is None or closed < ring:
             return None
         # eq. (15) is exact for FCFS, but keep the contract honest:
         return closed
-    if not schedulable_with_ttr(network, policy, lo, refined=refined):
+    check_policy(policy)
+    # perf.batch imports this module: bind its column evaluator late
+    from ..perf.batch import spec_columns, summarise_columns
+
+    base = spec_columns(network, ring, refined=refined)
+    lateness = None if base is None else base[0] - ring
+
+    def feasible(t: int) -> bool:
+        if t < ring:
+            return False
+        if base is None:
+            return analyse(network, policy, t, refined=refined).schedulable
+        return summarise_columns(policy, t + lateness, base[1]).schedulable
+
+    if not feasible(lo):
         return None
     if hi is None:
         hi = max(
@@ -97,11 +106,11 @@ def max_feasible_ttr(
         )
         hi = max(hi, lo)
     # Invariant: lo feasible. Grow hi until infeasible or proven maximal.
-    if schedulable_with_ttr(network, policy, hi, refined=refined):
+    if feasible(hi):
         return hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if schedulable_with_ttr(network, policy, mid, refined=refined):
+        if feasible(mid):
             lo = mid
         else:
             hi = mid

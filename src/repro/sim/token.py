@@ -324,6 +324,7 @@ def simulate_token_bus(
         it = pattern.releases(horizon)
         state = by_name[master.name]
         _stats_for(master, stream)  # materialise stats even if never sent
+        cycle_bits = stream.cycle_bits(phy)
 
         def fire_next():
             try:
@@ -338,7 +339,7 @@ def simulate_token_bus(
                     release=t,
                     deadline=t + stream.D,
                     rel_deadline=stream.D,
-                    cycle_bits=stream.cycle_bits(phy),
+                    cycle_bits=cycle_bits,
                     high_priority=stream.high_priority,
                     seq=seq_counter[0],
                 )

@@ -157,6 +157,51 @@ def _sweep_doc(param, values):
             "sweep_param": param, "sweep_values": values}
 
 
+class TestFieldTypes:
+    """A wrong-typed request field is an ``ApiError`` (the daemon's
+    ``bad-request``) at request construction: never a ``TypeError``
+    from the analysis, and never silently accepted."""
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"ttr": "x"}, "ttr"),
+        ({"ttr": 5000.5}, "ttr"),
+        ({"ttr": True}, "ttr"),
+        ({"ttr": 0}, "ttr"),
+        ({"ttr": -4000}, "ttr"),
+        ({"refined": "yes"}, "refined"),
+        ({"refined": 1}, "refined"),
+        ({"policies": 5}, "policies"),
+        ({"policies": "dm"}, "policies"),
+        ({"policies": [["dm"]]}, "policy"),
+        ({"policies": [3]}, "policy"),
+        ({"op": "admission", "admission_master": "3",
+          "admission_stream": {"name": "new", "T": 120_000}},
+         "admission_master"),
+        ({"op": "admission", "admission_master": True,
+          "admission_stream": {"name": "new", "T": 120_000}},
+         "admission_master"),
+        ({"op": "sweep", "sweep_param": "ttr", "sweep_values": 5},
+         "sweep_values"),
+    ], ids=["ttr-string", "ttr-float", "ttr-bool", "ttr-zero",
+            "ttr-negative", "refined-string", "refined-int",
+            "policies-int", "policies-string", "policies-nested",
+            "policies-int-entry", "admission-master-string",
+            "admission-master-bool", "sweep-values-int"])
+    def test_rejected_from_a_document(self, overrides, field):
+        doc = dict(_analyse_request().to_dict(), **overrides)
+        with pytest.raises(ApiError, match=field):
+            api.execute_request_doc(doc)
+
+    def test_well_typed_fields_accepted(self):
+        doc = dict(_analyse_request().to_dict(), ttr=5000, refined=True,
+                   policies=["dm", "edf"])
+        result = api.execute_request_doc(doc)
+        assert result["payload"]["tcycle"] > 5000
+        request = AnalysisRequest.from_dict(doc)
+        assert request.policies == ("dm", "edf")
+        assert request.refined is True
+
+
 class TestSweepValues:
     """A bad grid value is the caller's fault: an ``ApiError`` (the
     daemon's ``bad-request``), never an ``internal`` error from deep in

@@ -193,11 +193,11 @@ class TestGenerateNetworks:
 
     def test_networks_pickle_without_identity_caches(self):
         net = generate_networks(1, seed=9)[0]
-        analyse(net, "dm")  # populate instance memos
+        analyse(net, "dm")  # populate the cached stream partitions
         clone = pickle.loads(pickle.dumps(net))
         assert clone == net
-        for master in clone.masters:
-            assert not hasattr(master, "_analysis_memo")
+        for obj in (clone,) + clone.masters:
+            assert not [k for k in vars(obj) if k.startswith("_")]
         # and the clone analyses to the same verdicts
         a, b = analyse(net, "edf"), analyse(clone, "edf")
         assert [sr.R for sr in a.per_stream] == [sr.R for sr in b.per_stream]

@@ -329,7 +329,7 @@ class TestEngineSeam:
     def test_one_profibus_module_reads_the_mode(self):
         readers = [path.name for path, imported in self._modules("profibus")
                    if "repro.perf.config" in imported]
-        assert readers == ["_memo.py"]
+        assert readers == ["network.py"]
 
     def test_generic_reference_reads_no_memo_and_calls_no_kernel(self):
         from repro.gen import random_network

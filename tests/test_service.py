@@ -284,6 +284,18 @@ class TestErrors:
                 reply = c.analyse(_base_doc())
                 assert reply.result == api.execute_request_doc(_base_doc())
 
+    def test_wrong_typed_field_is_a_bad_request(self):
+        doc = dict(_base_doc(), ttr="x")
+        with ServerThread() as srv:
+            with srv.client() as c:
+                with pytest.raises(ServiceError) as exc_info:
+                    c.request("analyse", doc)
+                assert exc_info.value.error_type == "bad-request"
+                assert "ttr" in str(exc_info.value)
+                # the same session keeps serving well-formed requests
+                reply = c.analyse(_base_doc())
+                assert reply.result == api.execute_request_doc(_base_doc())
+
     @pytest.mark.parametrize("param,values", [
         ("deadline-scale", [float("inf")]),
         ("ttr", ["x"]),

@@ -133,6 +133,23 @@ class TestLowPriorityTraffic:
         assert res.max_trr > plain.max_trr
 
 
+class TestCycleLengths:
+    def test_cycle_time_derived_once_per_stream(self, factory_cell,
+                                                monkeypatch):
+        from repro.profibus import stream as stream_mod
+
+        calls = []
+        real = stream_mod.cycle_time
+        monkeypatch.setattr(stream_mod, "cycle_time",
+                            lambda spec, phy: calls.append(spec)
+                            or real(spec, phy))
+        res = simulate_token_bus(factory_cell, 3_000_000)
+        streams = [s for m in factory_cell.masters for s in m.streams]
+        assert len(calls) == len(streams)
+        released = sum(st.released for st in res.streams.values())
+        assert released > 10 * len(streams)
+
+
 class TestTcycleBound:
     def test_warm_start_respects_eq14(self, factory_cell):
         lap = {m.name: longest_cycle(m, factory_cell.phy)
