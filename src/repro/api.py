@@ -53,7 +53,12 @@ from math import isfinite
 from numbers import Real
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from .perf.batch import spec_columns, summarise_columns
+from .perf.batch import (
+    dm_order_responses,
+    fold_column,
+    master_partial,
+    spec_columns,
+)
 from .perf.cache import ResultCache
 from .profibus import serialization as serialization_mod
 from .profibus import sweep as sweep_mod
@@ -434,22 +439,73 @@ def _deadline_tightening_limit(net: Network, policy: str,
     figure, through the same monotone bisection the core's critical
     scaling factor uses.  ``None`` when the network is not schedulable
     even unscaled (the bisection's infeasible-at-upper case)."""
+    return _tightening_limit_on(net, policy, refined,
+                                spec_columns(net, refined=refined))
+
+
+def _tightening_limit_on(net: Network, policy: str, refined: bool,
+                         base: Optional[tuple]) -> Optional[float]:
+    """:func:`_deadline_tightening_limit` over ``base``, the network's
+    ``spec_columns`` at its own TTR (``None``: declined, a scaled
+    network analysed per probe).
+
+    ``Tcycle`` and the ``(T, J)`` columns do not move with the
+    deadlines: each probe rewrites only the D columns (see
+    ``deadline_scale_sweep``).  Schedulability is a conjunction over
+    masters, so a probe stops at the first unschedulable master and
+    tries the master that failed last first; that is exact for any
+    conjunction, with no monotonicity argument over the factor (which
+    can reorder DM priorities).  DM reads its responses through
+    :func:`repro.perf.batch.dm_order_responses`: the first probe is at
+    factor 1, and :func:`repro.profibus.sweep.scaled_deadline` is
+    monotone in the factor, so that probe's column dominates every
+    later probe's and serves each one with the same DM order; a probe
+    with a new order runs its own column."""
     from .core.sensitivity import smallest_feasible_factor
 
-    # Tcycle and the (T, J) columns do not move with the deadlines:
-    # each probe rewrites only the D column (see deadline_scale_sweep)
-    base = spec_columns(net, refined=refined)
-
-    def feasible(factor: Fraction) -> bool:
-        if base is None:
+    if base is None:
+        def feasible(factor: Fraction) -> bool:
             scaled = sweep_mod._scale_deadlines(net, float(factor))
             return ttr_mod.analyse(scaled, policy,
                                    refined=refined).schedulable
-        columns = sweep_mod.scale_columns(base[1], float(factor))
-        return summarise_columns(policy, base[0], columns).schedulable
+    else:
+        tc = base[0]
+        masters = [specs for specs in base[1] if specs]
+        runs: dict = {}
+
+        def feasible(factor: Fraction) -> bool:
+            for k, specs in enumerate(masters):
+                scaled = sweep_mod.scale_column(specs, float(factor))
+                if policy == "dm":
+                    responses = dm_order_responses([scaled], tc, runs)[0]
+                    ok = fold_column(scaled, responses)[0]
+                else:
+                    ok = master_partial(policy, scaled, tc)[0]
+                if not ok:
+                    masters.insert(0, masters.pop(k))
+                    return False
+            return True
 
     limit = smallest_feasible_factor(feasible, precision=HEADROOM_PRECISION)
     return None if limit is None else float(limit)
+
+
+def _headroom(net: Network, policy: str, refined: bool) -> Dict[str, Any]:
+    """Max feasible TTR and deadline-tightening limit of a schedulable
+    network.  Both searches share one ``spec_columns`` read at the ring
+    latency: the tightening's ``Tcycle`` at the network's own TTR is
+    that read's ``Tcycle − ring latency + TTR``."""
+    ring = net.ring_latency()
+    base = spec_columns(net, ring, refined=refined)
+    max_ttr = ttr_mod.max_feasible_ttr_on(net, policy, refined, base)
+    if base is not None:
+        tc = base[0] - ring + net.require_ttr()
+        base = (tc, base[1]) if type(tc) is int else None
+    return {
+        "max_feasible_ttr": max_ttr,
+        "deadline_tightening_limit": _tightening_limit_on(
+            net, policy, refined, base),
+    }
 
 
 def _compute_admission(request: AnalysisRequest, net: Network,
@@ -475,12 +531,7 @@ def _compute_admission(request: AnalysisRequest, net: Network,
         "deadline_tightening_limit": None,
     }
     if admitted:
-        headroom["max_feasible_ttr"] = ttr_mod.max_feasible_ttr(
-            after_net, request.policy, refined=request.refined
-        )
-        headroom["deadline_tightening_limit"] = _deadline_tightening_limit(
-            after_net, request.policy, request.refined
-        )
+        headroom = _headroom(after_net, request.policy, request.refined)
     payload = {
         "policy": request.policy,
         "refined": request.refined,

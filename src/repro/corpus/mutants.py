@@ -16,9 +16,11 @@ Catalogue (each entry names the layer it corrupts):
 * ``dm-single-instance-busy-period`` — only the first instance of the
   level-i busy period is examined (the pre-Davis-2007 unsoundness the
   multi-instance correction in ``rta_fixed`` exists for).
-* ``dm-stale-interference-cache`` — the deadline-scale sweep's
-  per-call column memo drops its policy key, so a column first
-  analysed under one policy serves those responses to the DM/EDF rows.
+* ``dm-stale-interference-cache`` — ``perf.batch.dm_order_responses``
+  serves its DM order group's one kernel run, made at the group's
+  elementwise-max deadlines, to every member column without the
+  member's own ``R ≤ D`` verdict, so a deadline-scale sweep point
+  reads responses its tighter deadlines reject.
 * ``fcfs-queue-undercount`` — eq. (11) with ``(nh−1)·Tcycle``.
 * ``edf-blocking-subtract-one`` — eqs. (17)–(18) with the ``C−1``
   blocking refinement the paper's transfer explicitly does not use.
@@ -125,33 +127,15 @@ def _dm_single_instance():
     )
 
 
-class _PolicyBlindMemo:
-    """A ``summarise_columns`` memo keyed by the column alone."""
-
-    def __init__(self, memo: dict) -> None:
-        self._memo = memo
-
-    def get(self, key):
-        return self._memo.get(key[1])  # BUG: the policy key is dropped
-
-    def __setitem__(self, key, value) -> None:
-        self._memo[key[1]] = value
-
-
 def _dm_stale_cache():
-    from ..profibus import sweep as sweep_mod
+    from ..perf import batch as batch_mod
 
-    original = sweep_mod.summarise_columns
+    def unjudged_verdicts(specs, values):
+        # BUG: each member column reads the order group's run as made
+        # at the group's max deadlines, without its own R <= D verdict
+        return list(values)
 
-    def policy_blind_summarise_columns(policy, tc, columns, index=0,
-                                       memo=None):
-        if memo is not None:
-            memo = _PolicyBlindMemo(memo)
-        return original(policy, tc, columns, index, memo)
-
-    return _patched(
-        (sweep_mod, "summarise_columns", policy_blind_summarise_columns)
-    )
+    return _patched((batch_mod, "_dm_verdicts", unjudged_verdicts))
 
 
 # ---------------------------------------------------- FCFS / EDF mutants
@@ -314,7 +298,8 @@ MUTANTS: Dict[str, Mutant] = {
                "(pre-Davis-2007)",
                ("analysis",), _dm_single_instance),
         Mutant("dm-stale-interference-cache",
-               "deadline-scale sweep column memo ignores its policy key",
+               "DM order-group run served to member columns without "
+               "their own R <= D verdict",
                ("sweep",), _dm_stale_cache),
         Mutant("fcfs-queue-undercount",
                "eq. (11) computed as (nh-1)*Tcycle",

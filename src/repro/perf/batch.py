@@ -78,10 +78,17 @@ class BatchResult:
     tcycle: int
 
 
-def _fold_responses(index, policy, tcycle, pairs) -> BatchResult:
-    """Fold ``(response, deadline)`` pairs into one BatchResult — the
-    single definition of schedulable / worst_response / worst_slack used
-    by both the kernel summary and the full-analysis path (so the
+#: One master's share of a :class:`BatchResult`: ``(schedulable,
+#: worst_response, worst_slack)``, the slack kept even when the master
+#: is unschedulable (:func:`combine_partials` drops it).
+Partial = Tuple[bool, Optional[int], Optional[int]]
+
+
+def fold_pairs(pairs: Iterable[Tuple[Optional[int], int]]) -> Partial:
+    """Fold one master's ``(response, deadline)`` pairs into a
+    :data:`Partial`.  With :func:`combine_partials` this is the single
+    definition of schedulable / worst_response / worst_slack, used by
+    the kernel summaries, the sweeps and the full-analysis path (so the
     fast/generic equality checks compare real work, not two folds that
     could drift apart)."""
     schedulable = True
@@ -98,6 +105,25 @@ def _fold_responses(index, policy, tcycle, pairs) -> BatchResult:
         slack = d - r
         if worst_slack is None or slack < worst_slack:
             worst_slack = slack
+    return schedulable, worst_r, worst_slack
+
+
+def combine_partials(index: int, policy: str, tcycle: int,
+                     partials: Iterable[Partial]) -> BatchResult:
+    """One BatchResult from per-master partial folds: schedulable is
+    their AND, worst_response their max and worst_slack their min,
+    reported only when the whole network is schedulable.  Folding the
+    concatenated pairs of every master gives the same fields."""
+    schedulable = True
+    worst_r: Optional[int] = None
+    worst_slack: Optional[int] = None
+    for sched, r, slack in partials:
+        if not sched:
+            schedulable = False
+        if r is not None and (worst_r is None or r > worst_r):
+            worst_r = r
+        if slack is not None and (worst_slack is None or slack < worst_slack):
+            worst_slack = slack
     return BatchResult(
         index=index,
         policy=policy,
@@ -106,6 +132,12 @@ def _fold_responses(index, policy, tcycle, pairs) -> BatchResult:
         worst_slack=worst_slack if schedulable else None,
         tcycle=tcycle,
     )
+
+
+def _fold_responses(index, policy, tcycle, pairs) -> BatchResult:
+    """Fold every stream's ``(response, deadline)`` pair of a network
+    into one BatchResult: the network as a single partial."""
+    return combine_partials(index, policy, tcycle, (fold_pairs(pairs),))
 
 
 def spec_columns(network: Network, ttr: Optional[int] = None,
@@ -130,6 +162,8 @@ def spec_columns(network: Network, ttr: Optional[int] = None,
 
 
 def _master_responses(policy: str, specs: tuple, tc: int) -> list:
+    """Per-stream responses of one master's ``(T, D, J)`` column at
+    ``Tcycle = tc`` (``None`` = unschedulable; EDF may exceed ``D``)."""
     if policy == "fcfs":
         return [len(specs) * tc] * len(specs)
     if policy == "dm":
@@ -138,9 +172,107 @@ def _master_responses(policy: str, specs: tuple, tc: int) -> list:
     return [r for r, _a in kernels.edf_master_response_times(specs, tc)]
 
 
+def fold_column(specs: tuple, responses: Sequence[Optional[int]]) -> Partial:
+    """:func:`fold_pairs` of one column's responses against its ``D``."""
+    return fold_pairs((r, d) for (_t, d, _j), r in zip(specs, responses))
+
+
+def master_partial(policy: str, specs: tuple, tc: int) -> Partial:
+    """The :data:`Partial` of one master column at one ``Tcycle``."""
+    return fold_column(specs, _master_responses(policy, specs, tc))
+
+
+def dm_order_key(specs: tuple, tc: int) -> tuple:
+    """``((T, J) column, DM priority order, tc)`` — what the eq. (16)
+    kernel reads of a master column besides its deadlines (see
+    :func:`dm_order_responses`)."""
+    deadlines = [d for _t, d, _j in specs]
+    # a stable sort of the indices by D is the kernel's (D, i) order
+    return (tuple((t, j) for t, _d, j in specs),
+            tuple(sorted(range(len(specs)), key=deadlines.__getitem__)),
+            tc)
+
+
+def dm_order_responses(columns: Sequence[tuple], tc: int,
+                       runs: dict) -> List[list]:
+    """DM responses of every ``(T, D, J)`` column in ``columns`` at one
+    ``tc``, one kernel run per **DM order group**.
+
+    Eq. (16) with ``C = tc`` reads a deadline in two places only: the
+    priority order ``sorted(range(n), key=(D, i))`` and each stream's
+    verdict.  Blocking, the level-i busy period, the instance count, the
+    start-time recurrences and the float utilisation guard see only
+    ``(T, J)``, ``tc`` and the order.  So columns sharing a
+    :func:`dm_order_key` differ only in the verdicts, and the kernel
+    runs once per group on the group's **elementwise-max D column**:
+
+    * the max column has the group's order.  If every member puts
+      ``a`` before ``b`` (``(D_a, a) < (D_b, b)``), so does the max: its
+      ``D_a`` is some member's, which is at most that member's ``D_b``,
+      and a tie would need ``a < b`` in that member already;
+    * instance ``q`` of stream ``i`` runs ``w ← Bq + Σ k(w)·tc`` up to
+      ``limit_q = q·T + D + J − tc``, and its response is
+      ``r_q = w + tc − q·T``.  The iterates climb monotonically below
+      the least fixed point ``w_q``, and a seed jump is never above it,
+      so a converged ``w`` is ``w_q`` whatever the limit; ``D`` bounds
+      only how far the climb may go.  The stream is feasible at ``D``
+      iff every ``r_q + J ≤ D``, i.e. ``w_q ≤ q·T + D − J − tc``, which
+      is below ``limit_q``: then no iterate escapes the limit, every
+      instance converges to ``w_q``, and ``R = max_q r_q + J``
+      does not depend on ``D``;
+    * the float guard and the instance cap that turn a stream to
+      ``None`` before any instance runs read no ``D`` either, so they
+      trip alike for every member;
+    * so a stream feasible at ``D_max`` has its exact ``R``, and each
+      member reads ``R`` if ``R ≤ D`` else ``None``.  A stream
+      infeasible at ``D_max`` has some ``w_q`` above
+      ``q·T + D_max − J − tc`` (the escape or the ``r + J > D`` exit
+      at the first failing instance both say so), hence above the
+      bound of every member ``D ≤ D_max``: ``None`` for all of them,
+      as the early exit at that first failing instance gives each
+      member's own run.
+
+    Per stream the run does the work of the member whose ``D`` is the
+    max, so one group costs at most the kernel's work on one member
+    column per stream, never more than running every member.
+
+    ``runs`` is the caller's per-call memo ``key → (D column, responses)``.
+    A column whose key has a run that dominates it elementwise reads it
+    off (the factor-1 probe of a deadline-tightening bisection serves
+    every later probe with its order this way); the others are grouped
+    by key and run on their max column, which replaces the key's run.
+    """
+    out: List[Optional[list]] = [None] * len(columns)
+    pending: Dict[tuple, List[int]] = {}
+    for k, specs in enumerate(columns):
+        key = dm_order_key(specs, tc)
+        run = runs.get(key)
+        if run is not None and all(
+                d <= top for (_t, d, _j), top in zip(specs, run[0])):
+            out[k] = _dm_verdicts(specs, run[1])
+        else:
+            pending.setdefault(key, []).append(k)
+    for key, members in pending.items():
+        first = columns[members[0]]
+        top = [d for _t, d, _j in first]
+        for k in members[1:]:
+            top = [a if a >= d else d
+                   for a, (_t, d, _j) in zip(top, columns[k])]
+        column = tuple((t, d, j) for (t, _d, j), d in zip(first, top))
+        values = kernels.dm_master_response_times(column, tc)
+        runs[key] = (top, values)
+        for k in members:
+            out[k] = _dm_verdicts(columns[k], values)
+    return out
+
+
+def _dm_verdicts(specs: tuple, values: Sequence[Optional[int]]) -> list:
+    return [r if r is not None and r <= d else None
+            for (_t, d, _j), r in zip(specs, values)]
+
+
 def summarise_columns(policy: str, tc: int, columns: Sequence[tuple],
-                      index: int = 0,
-                      memo: Optional[dict] = None) -> BatchResult:
+                      index: int = 0) -> BatchResult:
     """BatchResult fields straight from the whole-master kernels over
     ``(T, D, J)`` columns at one ``Tcycle``, without materialising
     StreamResponse / NetworkAnalysis rows.
@@ -150,23 +282,10 @@ def summarise_columns(policy: str, tc: int, columns: Sequence[tuple],
     slack/schedulability is the same ``D`` the column carries, and the
     per-stream responses come from the same kernels the analysis
     modules use (property-tested in ``tests/test_perf_batch`` and
-    ``tests/test_sweep_columns``).  ``memo``, when given, keeps each
-    master's responses keyed by ``(policy, column)``; it is only valid
-    for one ``tc``, so a caller owns it for one call.
+    ``tests/test_sweep_columns``).
     """
-    pairs = []
-    for specs in columns:
-        if not specs:
-            continue
-        if memo is None:
-            values = _master_responses(policy, specs, tc)
-        else:
-            key = (policy, specs)
-            values = memo.get(key)
-            if values is None:
-                values = memo[key] = _master_responses(policy, specs, tc)
-        pairs.extend((r, d) for (_t, d, _j), r in zip(specs, values))
-    return _fold_responses(index, policy, tc, pairs)
+    return combine_partials(index, policy, tc, (
+        master_partial(policy, specs, tc) for specs in columns if specs))
 
 
 def _analyse_one(index: int, network: Network, policy: str) -> BatchResult:

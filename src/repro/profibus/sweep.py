@@ -13,14 +13,25 @@ each:
   (bit-time parameters are baud-invariant, deadlines in seconds are
   not, so this shows the minimum line speed for a plant).
 
-The TTR and deadline-scale sweeps build no network per point: they
-read the base ``(T, D, J)`` columns once
-(:func:`repro.perf.batch.spec_columns`) and rewrite one input per
-point — the TTR sweep sets ``Tcycle = TTR + Tdel`` with ``Tdel`` derived
-once, the deadline-scale sweep keeps ``Tcycle`` and rewrites the D
-column (:func:`scaled_deadline` is the one scaling formula).  Networks
-the column path declines, and every baud-sweep point, are built as
-networks and evaluated through one in-process
+No sweep builds a network per point.  Each reads the base
+``(T, D, J)`` columns once (:func:`repro.perf.batch.spec_columns`) and
+rewrites one input per point: the TTR sweep sets
+``Tcycle = TTR + Tdel`` with ``Tdel`` derived once; the deadline-scale
+sweep keeps ``Tcycle`` and rewrites the D column
+(:func:`scaled_deadline` is the one scaling formula); the baud sweep
+rescales ``(T, D, J)`` and the TTR, since frame and timer bit counts,
+hence ``Tdel`` and the ring latency, do not change with the line speed.
+
+The deadline-scale and baud sweeps fold each distinct
+``(policy, master column)`` once into a per-master partial
+(:func:`repro.perf.batch.fold_pairs`), and each point combines its
+masters' partials (:func:`repro.perf.batch.combine_partials`).  DM
+deadlines enter eq. (16) only through the priority order and the final
+``R ≤ D`` verdict, so the DM kernel runs once per priority-order group
+of a master's columns, on the group's elementwise-max deadlines
+(:func:`repro.perf.batch.dm_order_responses`, which argues why that
+is exact).  Networks the column path declines are built as networks
+per point and evaluated through one in-process
 :func:`repro.perf.batch.analyse_many` call.
 
 Rows are plain dataclasses; :func:`rows_to_csv` renders any of them for
@@ -38,6 +49,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from ..perf.batch import (
     BatchResult,
     analyse_many,
+    combine_partials,
+    dm_order_responses,
+    fold_column,
+    master_partial,
     spec_columns,
     summarise_columns,
 )
@@ -165,10 +180,42 @@ def _scale_deadlines(network: Network, factor: float) -> Network:
                    phy=network.phy, ttr=network.ttr)
 
 
+def scale_column(specs: tuple, factor: float) -> tuple:
+    """One master's ``(T, D, J)`` column with only ``D`` rewritten."""
+    return tuple((t, scaled_deadline(d, t, factor), j) for t, d, j in specs)
+
+
 def scale_columns(columns: Sequence[tuple], factor: float) -> List[tuple]:
     """Per-master ``(T, D, J)`` columns with only ``D`` rewritten."""
-    return [tuple((t, scaled_deadline(d, t, factor), j) for t, d, j in specs)
-            for specs in columns]
+    return [scale_column(specs, factor) for specs in columns]
+
+
+def _column_partials(policies: Sequence[str], tc: int,
+                     columns: Iterable[tuple]) -> dict:
+    """``(policy, column) → Partial`` for every distinct non-empty
+    master column at one ``Tcycle``: DM through one kernel run per
+    order group (:func:`repro.perf.batch.dm_order_responses`), FCFS and
+    EDF through one kernel run per column."""
+    distinct = [c for c in dict.fromkeys(columns) if c]
+    partials: dict = {}
+    for policy in dict.fromkeys(policies):
+        if policy == "dm":
+            values = dm_order_responses(distinct, tc, {})
+            for specs, responses in zip(distinct, values):
+                partials["dm", specs] = fold_column(specs, responses)
+        else:
+            for specs in distinct:
+                partials[policy, specs] = master_partial(policy, specs, tc)
+    return partials
+
+
+def _point_row(parameter: str, value, policy: str, tc: int,
+               columns: Sequence[tuple], partials: dict) -> SweepRow:
+    """One grid point's row: its masters' partial folds combined."""
+    b = combine_partials(0, policy, tc, (
+        partials[policy, specs] for specs in columns if specs))
+    return SweepRow(parameter, value, policy, b.schedulable,
+                    b.worst_response, b.worst_slack, tc)
 
 
 def deadline_scale_sweep(
@@ -181,11 +228,13 @@ def deadline_scale_sweep(
     Scaling moves only ``D``: ``Tcycle``, ``C`` and the ``(T, J)``
     columns stay those of ``network``.  So ``Tcycle`` is computed once
     and each grid point rewrites the D column of the base
-    ``(T, D, J)`` columns; the kernels run once per distinct
-    ``(policy, column)`` of the call (clamping to ``T`` makes columns
-    repeat across factors).  Networks the column path declines (non-int
-    attributes, the generic reference) are scaled and analysed as
-    objects through :func:`analyse_many`."""
+    ``(T, D, J)`` columns.  Every distinct ``(policy, master column)``
+    of the call is folded once into a per-master partial, and each
+    point combines its masters' partials.  EDF runs its kernel once per
+    distinct column; DM once per DM order group of each master's scaled
+    columns, however many factors share the order.  Networks the column
+    path declines (non-int attributes, the generic reference) are scaled
+    and analysed as objects through :func:`analyse_many`."""
     factors = list(factors)
     for factor in factors:
         if not factor > 0:
@@ -202,16 +251,23 @@ def deadline_scale_sweep(
         ]
         return _grid_rows("deadline_scale", entries, policies)
     tc, columns = base
-    memo: dict = {}
-    rows: List[SweepRow] = []
-    for factor in factors:
-        scaled = scale_columns(columns, factor)
-        for policy in policies:
-            b = summarise_columns(policy, tc, scaled, memo=memo)
-            rows.append(SweepRow("deadline_scale", factor, policy,
-                                 b.schedulable, b.worst_response,
-                                 b.worst_slack, tc))
-    return rows
+    scaled = [scale_columns(columns, factor) for factor in factors]
+    partials = _column_partials(
+        policies, tc, (specs for point in scaled for specs in point))
+    return [_point_row("deadline_scale", factor, policy, tc, point, partials)
+            for factor, point in zip(factors, scaled) for policy in policies]
+
+
+def _rescaled(value, scale: float) -> int:
+    """A period, deadline or TTR at another line speed: the same
+    duration in seconds, rounded, at least one bit time."""
+    return max(1, int(round(value * scale)))
+
+
+def _rescaled_spec(stream: MessageStream, scale: float) -> tuple:
+    """The stream's ``(T, D, J)`` at another line speed."""
+    return (_rescaled(stream.T, scale), _rescaled(stream.D, scale),
+            int(round(stream.J * scale)))
 
 
 def _rescale_network(network: Network, baud: int) -> Network:
@@ -219,29 +275,34 @@ def _rescale_network(network: Network, baud: int) -> Network:
     policy row: wall-clock periods/deadlines/TTR are rescaled so their
     duration in seconds is preserved at the new line speed."""
     scale = baud / network.phy.baud_rate
-
-    def rescale(v: int) -> int:
-        return max(1, int(round(v * scale)))
-
     masters = []
     for m in network.masters:
-        streams = [
-            dataclasses.replace(
-                s,
-                T=rescale(s.T),
-                D=rescale(s.D),
-                J=int(round(s.J * scale)),
-            )
-            for s in m.streams
-        ]
+        streams = []
+        for s in m.streams:
+            T, D, J = _rescaled_spec(s, scale)
+            streams.append(dataclasses.replace(s, T=T, D=D, J=J))
         masters.append(m.with_streams(streams))
     phy = dataclasses.replace(network.phy, baud_rate=baud)
     return Network(
         masters=tuple(masters),
         slaves=network.slaves,
         phy=phy,
-        ttr=max(1, rescale(network.require_ttr())),
+        ttr=_rescaled(network.require_ttr(), scale),
     )
+
+
+def _rescale_columns(network: Network, scale: float):
+    """``(TTR, per-master high-priority (T, D, J) columns)`` of the
+    network at ``scale`` times its line speed — the numbers
+    :func:`_rescale_network` builds, in the order it computes them
+    (every stream, then the TTR), so an overflowing product raises
+    where it does there."""
+    columns = []
+    for m in network.masters:
+        specs = [(_rescaled_spec(s, scale), s.high_priority)
+                 for s in m.streams]
+        columns.append(tuple(spec for spec, high in specs if high))
+    return _rescaled(network.require_ttr(), scale), columns
 
 
 def baud_sweep(
@@ -255,12 +316,46 @@ def baud_sweep(
     the original network, so they are rescaled to keep their duration in
     seconds while the frame/timer bit counts stay fixed — exactly what
     changing the line speed of a real plant does.
+
+    Fixed bit counts mean ``Tdel`` and the ring latency do not move with
+    the baud rate.  So ``Tdel`` is read once (:func:`spec_columns` at
+    the ring latency) and each rate rescales only ``(T, D, J)`` and the
+    TTR, with ``Tcycle = TTR + Tdel``; the rows combine per-master
+    partial folds as :func:`deadline_scale_sweep` does.  Networks the
+    column path declines, and grids with a rate that is not positive
+    (the object path reports it), are rescaled and analysed as
+    networks.
     """
-    entries = []
-    for baud in baud_rates:
-        net = _rescale_network(network, baud)
-        entries.append((baud, net if net.ttr >= net.ring_latency() else None))
-    return _grid_rows("baud", entries, policies)
+    bauds = list(baud_rates)
+    ring = network.ring_latency()
+    base = None
+    if bauds and all(baud > 0 for baud in bauds):
+        base = spec_columns(network, ring)
+    if base is None:
+        entries = []
+        for baud in bauds:
+            net = _rescale_network(network, baud)
+            entries.append((baud, net if net.ttr >= ring else None))
+        return _grid_rows("baud", entries, policies)
+    lateness = base[0] - ring
+    points = [_rescale_columns(network, baud / network.phy.baud_rate)
+              for baud in bauds]
+    policies = tuple(policies)
+    if any(ttr >= ring for ttr, _columns in points):
+        # an all-infeasible grid analyses nothing, as on the object path
+        for policy in policies:
+            check_policy(policy)
+    rows: List[SweepRow] = []
+    for baud, (ttr, columns) in zip(bauds, points):
+        if ttr < ring:
+            rows.extend(SweepRow("baud", baud, policy, False, None, None, 0)
+                        for policy in policies)
+            continue
+        tc = ttr + lateness
+        partials = _column_partials(policies, tc, columns)
+        rows.extend(_point_row("baud", baud, policy, tc, columns, partials)
+                    for policy in policies)
+    return rows
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:

@@ -32,7 +32,14 @@ from repro.core.sensitivity import smallest_feasible_factor
 from repro.corpus import load_corpus
 from repro.fuzz import FAMILIES, generate_instance
 from repro.perf import kernels
-from repro.perf.batch import spec_columns, summarise_columns
+from repro.perf.batch import (
+    dm_order_key,
+    dm_order_responses,
+    master_partial,
+    spec_columns,
+    summarise_columns,
+)
+from repro.perf.stats import counters
 from repro.perf.config import analysis_mode_set
 from repro.profibus import sweep, ttr
 from repro.profibus.cycle import MessageCycleSpec
@@ -384,8 +391,19 @@ class TestCallCounts:
         assert len(rows) == len(GRID) * len(POLICIES)
         assert one_point > 0 and len(cycle_calls) == one_point
         assert scale_calls == []
-        assert kernel_calls
-        assert len(kernel_calls) == len(set(kernel_calls))
+        # EDF: one kernel call per distinct (master, column); DM: at
+        # most one per (master, DM order group), fewer than columns
+        tc, columns = spec_columns(net)
+        scaled = [(m, specs) for factor in GRID
+                  for m, specs in enumerate(sweep.scale_columns(columns,
+                                                                factor))
+                  if specs]
+        edf = [specs for policy, specs in kernel_calls if policy == "edf"]
+        dm = [specs for policy, specs in kernel_calls if policy == "dm"]
+        assert sorted(edf) == sorted({specs for _m, specs in scaled})
+        groups = {(m, dm_order_key(specs, tc)[1]) for m, specs in scaled}
+        assert 0 < len(dm) <= len(groups) < len(edf)
+        assert len({dm_order_key(specs, tc) for specs in dm}) == len(dm)
 
     def test_ttr_sweep_derives_cycles_once(self, monkeypatch):
         net = factory_cell_network()
@@ -408,11 +426,11 @@ class TestCallCounts:
         one_tdel = len(calls)
         probes = []
 
-        def counted(*args, **kwargs):
-            probes.append(args[1])
-            return summarise_columns(*args, **kwargs)
+        def counted(policy, specs, tc):
+            probes.append(tc)
+            return master_partial(policy, specs, tc)
 
-        monkeypatch.setattr("repro.perf.batch.summarise_columns", counted)
+        monkeypatch.setattr("repro.perf.batch.master_partial", counted)
         for policy in ("dm", "edf"):
             for hi in (ring + 1, 10 ** 9):
                 del calls[:]
@@ -420,6 +438,39 @@ class TestCallCounts:
                 assert len(calls) == one_tdel > 0, (policy, hi)
         # the two upper bounds really bisect to different depths
         assert len(set(probes)) > 8
+
+
+    @pytest.mark.parametrize("refined", [False, True])
+    @pytest.mark.parametrize("policy", ["dm", "edf"])
+    def test_admission_reads_tdel_once_for_both_searches(
+            self, policy, refined, monkeypatch):
+        net = factory_cell_network()
+        stream = {"name": "joining", "T": 120_000, "D": 60_000}
+        address = net.masters[0].address
+        after_net = api._admit_stream(net, address, stream)
+        calls = _count_cycle_time(monkeypatch)
+        ttr.analyse(net, policy, refined=refined)
+        ttr.analyse(after_net, policy, refined=refined)
+        analyses = len(calls)
+        del calls[:]
+        spec_columns(after_net, after_net.ring_latency(), refined=refined)
+        one_read = len(calls)
+        del calls[:]
+        request = AnalysisRequest(
+            op="admission", network=network_to_dict(net), policy=policy,
+            refined=refined, admission_master=address,
+            admission_stream=stream)
+        result = api.compute_result(request, net, net.fingerprint())
+        headroom = result.payload["headroom"]
+        assert result.payload["admitted"]
+        assert headroom["max_feasible_ttr"] is not None
+        assert headroom["deadline_tightening_limit"] is not None
+        assert one_read > 0 and len(calls) == analyses + one_read
+        # and the shared read gives the separate searches' answers
+        assert headroom["max_feasible_ttr"] == ttr.max_feasible_ttr(
+            after_net, policy, refined=refined)
+        assert headroom["deadline_tightening_limit"] == \
+            api._deadline_tightening_limit(after_net, policy, refined)
 
 
 def _model_objects(net):
@@ -462,3 +513,228 @@ class TestModelObjectsUntouched:
         after = _state(objects)
         after[0].pop("_fingerprint")
         assert after == before
+
+
+def _fuzz_networks(per_family):
+    return [generate_instance(0, family, index)
+            for family in sorted(FAMILIES) for index in range(per_family)]
+
+
+def _oracle_networks():
+    """Every fuzz family, the corpus networks and the factory cell."""
+    return _fuzz_networks(12) + _corpus_networks()
+
+
+def _late_jitter_master():
+    """One master whose lowest-priority stream fails at instance 0 of
+    every scaled column while its level-i busy period spans more than
+    100 instances (the jitter alone covers 100 periods).  A kernel run
+    that hid the failure behind a huge deadline would iterate all of
+    them; one on the group's max column stops where each member does."""
+    m = Master(1, (
+        MessageStream("hp", T=2_000, D=1_000, C_bits=100),
+        MessageStream("lp", T=3_000, D=2_900, J=300_000, C_bits=100),
+    ))
+    return Network(masters=(m,), slaves=(Slave(10),), phy=PhyParameters(),
+                   ttr=900)
+
+
+def _fast_iterations(fn, *args):
+    before = counters.fast
+    fn(*args)
+    return counters.fast - before
+
+
+class TestDmOrderGroups:
+    """``dm_order_responses`` gives every column the kernel's own
+    answer, however the columns group and whichever run serves them."""
+
+    def test_bulk_and_incremental_reads_match_the_kernel(self):
+        from random import Random
+
+        rng = Random(5)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            tc = rng.randint(200, 2_000)
+            tj = [(rng.randint(tc, 12 * tc), rng.choice((0, 0, tc // 3)))
+                  for _ in range(n)]
+            base = [rng.randint(tc, 10 * tc) for _ in range(n)]
+            columns = [
+                tuple((t, sweep.scaled_deadline(d, t, f), j)
+                      for (t, j), d in zip(tj, base))
+                for f in (1.0, 0.9, 0.6, 0.45, 0.3, 1.7, 0.2)
+            ]
+            expected = [kernels.dm_master_response_times(c, tc)
+                        for c in columns]
+            assert dm_order_responses(columns, tc, {}) == expected
+            runs = {}
+            assert [dm_order_responses([c], tc, runs)[0]
+                    for c in columns] == expected
+
+    def test_one_run_serves_a_dominated_column(self, monkeypatch):
+        columns = [((20_000, 9_000, 0), (30_000, 24_000, 0)),
+                   ((20_000, 6_000, 0), (30_000, 12_000, 0))]
+        calls = []
+        real = kernels.dm_master_response_times
+        monkeypatch.setattr(kernels, "dm_master_response_times",
+                            lambda specs, tc: calls.append(specs)
+                            or real(specs, tc))
+        runs = {}
+        got = [dm_order_responses([c], 4_000, runs)[0] for c in columns]
+        assert calls == columns[:1]
+        assert got == [real(c, 4_000) for c in columns]
+
+
+class TestBoundedWork:
+    """A deadline-scale sweep iterates no more than evaluating each
+    distinct ``(policy, column)`` once, which is no more than
+    evaluating each grid point on its own."""
+
+    @staticmethod
+    def _check(net, factors=GRID):
+        tc, columns = spec_columns(net)
+        points = [sweep.scale_columns(columns, f) for f in factors]
+
+        def each_point():
+            for point in points:
+                for policy in POLICIES:
+                    summarise_columns(policy, tc, point)
+
+        def each_column():
+            for policy in POLICIES:
+                for specs in {c for point in points for c in point if c}:
+                    master_partial(policy, specs, tc)
+
+        swept = _fast_iterations(sweep.deadline_scale_sweep, net, factors)
+        once = _fast_iterations(each_column)
+        assert swept <= once <= _fast_iterations(each_point)
+        return swept, once
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_fuzz_family(self, family):
+        for index in range(20):
+            self._check(generate_instance(0, family, index))
+
+    def test_corpus_and_factory_cell(self):
+        for net in _corpus_networks():
+            self._check(net, FACTORS)
+
+    def test_instance_zero_failure_with_a_long_busy_period(self):
+        net = _late_jitter_master()
+        tc, columns = spec_columns(net)
+        (_hp, (T, _D, J)), = columns
+        L = kernels.busy_period([(tc, t, j) for t, _d, j in columns[0]])
+        assert -(-(L + J) // T) >= 100
+        factors = GRID[:17]  # every lp deadline clamps below T + J
+        swept, once = self._check(net, factors)
+        assert swept < once
+        rows = sweep.deadline_scale_sweep(net, factors, ("dm",))
+        assert rows == _legacy_rows(net, factors, ("dm",))
+
+
+def _legacy_column_max_ttr(net, policy, refined):
+    """The network-wide bisection over ``summarise_columns`` that the
+    master-wise search replaced (a test oracle only)."""
+    ring = lo = net.ring_latency()
+    tc_ring, columns = spec_columns(net, ring, refined=refined)
+
+    def feasible(t):
+        return summarise_columns(policy, t - ring + tc_ring,
+                                 columns).schedulable
+
+    if not feasible(lo):
+        return None
+    hi = max(max((s.D for m in net.masters for s in m.high_streams),
+                 default=lo), lo)
+    if feasible(hi):
+        return hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _legacy_column_tightening(net, policy, refined):
+    """The all-masters deadline-tightening bisection over
+    ``summarise_columns`` (a test oracle only)."""
+    tc, columns = spec_columns(net, refined=refined)
+
+    def feasible(factor):
+        scaled = sweep.scale_columns(columns, float(factor))
+        return summarise_columns(policy, tc, scaled).schedulable
+
+    limit = smallest_feasible_factor(feasible,
+                                     precision=api.HEADROOM_PRECISION)
+    return None if limit is None else float(limit)
+
+
+class TestHeadroomOracles:
+    @pytest.mark.parametrize("refined", [False, True])
+    @pytest.mark.parametrize("policy", ["dm", "edf"])
+    def test_master_wise_max_feasible_ttr(self, policy, refined):
+        for net in _oracle_networks():
+            assert _outcome(ttr.max_feasible_ttr, net, policy,
+                            refined=refined) == \
+                _outcome(_legacy_column_max_ttr, net, policy, refined), net
+
+    @pytest.mark.parametrize("refined", [False, True])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_deadline_tightening_limit(self, policy, refined):
+        for net in _oracle_networks():
+            assert _outcome(api._deadline_tightening_limit, net, policy,
+                            refined) == \
+                _outcome(_legacy_column_tightening, net, policy,
+                         refined), net
+
+
+def _legacy_baud_rows(network, bauds, policies=POLICIES):
+    """The pre-column ``baud_sweep``: a rescaled network per rate."""
+    entries = []
+    for baud in bauds:
+        net = sweep._rescale_network(network, baud)
+        entries.append((baud, net if net.ttr >= net.ring_latency() else None))
+    return sweep._grid_rows("baud", entries, policies)
+
+
+#: every standard rate, the native one, and rates that drop the TTR
+#: below the ring latency
+BAUDS = (9_600, 19_200, 45_450, 93_750, 187_500, 500_000, 1_500_000,
+         3_000_000, 6_000_000, 12_000_000, 1_000, 250)
+
+
+class TestBaudSweepParity:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_fuzz_family(self, family):
+        for index in range(30):
+            net = generate_instance(0, family, index)
+            grid = BAUDS + (net.phy.baud_rate,)
+            assert sweep.baud_sweep(net, grid) == \
+                _legacy_baud_rows(net, grid), (family, index)
+
+    def test_corpus_factory_cell_and_edge_cases(self):
+        for net in _corpus_networks() + [_hand_built(), _non_int()]:
+            rows = _outcome(sweep.baud_sweep, net, BAUDS)
+            assert rows == _outcome(_legacy_baud_rows, net, BAUDS)
+            if max(s.T for m in net.masters for s in m.streams) > 2 ** 32:
+                continue  # probe:wide-values: see TestTtrSweepParity
+            with analysis_mode_set("generic"):
+                assert rows == _outcome(sweep.baud_sweep, net, BAUDS)
+
+    def test_errors_and_degenerate_grids_match(self):
+        net = factory_cell_network()
+        no_ttr = Network(masters=net.masters, slaves=net.slaves,
+                         phy=net.phy)
+        for network, grid, policies in (
+                (net, [], POLICIES),
+                (net, [250, 1_000], ("rm",)),  # all infeasible: no check
+                (net, [500_000], ("rm",)),
+                (net, [500_000, 0], POLICIES),
+                (net, [500_000, -9_600], POLICIES),
+                (net, [10 ** 400], POLICIES),
+                (net, [500_000], ("edf", "dm", "edf")),
+                (no_ttr, [500_000], POLICIES)):
+            assert _outcome(sweep.baud_sweep, network, grid, policies) == \
+                _outcome(_legacy_baud_rows, network, grid, policies), grid
