@@ -11,9 +11,10 @@ drives **four concurrent clients** at it:
   key, so it must miss),
 * every verdict is compared **bit-exactly** against the offline
   ``repro.api`` path computed in this process,
-* a request whose network has a master at address 200 must come back
-  as a ``bad-request`` error, and an exact repeat of the base request
-  must come back ``cached`` and byte-equal to the offline result,
+* a request whose network has a master at address 200, and one whose
+  master carries ``"streams": 5``, must each come back as a
+  ``bad-request`` error, and an exact repeat of the base request must
+  come back ``cached`` and byte-equal to the offline result,
 * the final ``stats`` document must show nonzero cache hits and one
   session per client,
 * a ``shutdown`` request must stop the daemon cleanly (exit code 0).
@@ -50,6 +51,8 @@ def main():
     variant = dict(base, ttr=50_000)
     malformed = json.loads(json.dumps(base))
     malformed["network"]["masters"][0]["address"] = 200
+    not_a_list = json.loads(json.dumps(base))
+    not_a_list["network"]["masters"][0]["streams"] = 5
     offline_base = api.execute_request_doc(base)
     offline_variant = api.execute_request_doc(variant)
 
@@ -114,6 +117,12 @@ def main():
             except ServiceError as exc:
                 if exc.error_type != "bad-request":
                     fail(f"malformed address: expected bad-request, got {exc}")
+            try:
+                probe.analyse(not_a_list)
+                fail('a master with "streams": 5 was answered')
+            except ServiceError as exc:
+                if exc.error_type != "bad-request":
+                    fail(f'"streams": 5: expected bad-request, got {exc}')
             repeat = probe.analyse(base)
             if not repeat.cached:
                 fail("an exact repeat missed the shared cache")
@@ -132,8 +141,8 @@ def main():
             if sessions["total_clients"] != N_CLIENTS + 3:
                 fail(f"expected {N_CLIENTS + 3} sessions: {sessions!r}")
             errors = sum(s["errors"] for s in sessions["sessions"].values())
-            if errors != 1:  # the malformed probe only
-                fail(f"expected exactly 1 session error: {sessions!r}")
+            if errors != 2:  # the two malformed probes only
+                fail(f"expected exactly 2 session errors: {sessions!r}")
             monitor.shutdown()
 
         if proc.wait(timeout=30) != 0:

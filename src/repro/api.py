@@ -32,9 +32,12 @@ key** — the canonical network fingerprint plus the analysis coordinates
 parsed the document.  Pass ``cache=None`` (the default) for the
 recompute-always behaviour the benchmarks and differential oracles
 require.  :func:`execute_cached` runs in two steps that the service
-calls one by one: :func:`keyed_network` parses and fingerprints the
-network once, and :func:`compute_result` answers a miss over that same
-parsed network, so no request parses its network twice.
+calls one by one: :func:`keyed_network` makes one validating pass over
+the network document and hashes its canonical form, and
+:func:`compute_result` answers a miss over that same pass — an
+``analyse`` straight from its int rows, anything else over the
+:class:`~repro.profibus.network.Network` built from it once — so no
+request reads its network document twice.
 
 The old call signatures (``repro.profibus.ttr.analyse``,
 ``repro.perf.batch.analyse_many``, the sweep functions) remain as the
@@ -54,17 +57,21 @@ from numbers import Real
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .perf.batch import (
+    _master_responses,
     dm_order_responses,
     fold_column,
     master_partial,
     spec_columns,
 )
 from .perf.cache import ResultCache
+from .perf.config import analysis_mode
 from .profibus import serialization as serialization_mod
 from .profibus import sweep as sweep_mod
 from .profibus import ttr as ttr_mod
+from .profibus.cycle import token_pass_time
 from .profibus.network import Master, Network
-from .profibus.serialization import ScenarioFormatError
+from .profibus.serialization import NetworkScan, ScenarioFormatError
+from .profibus.timing import tcycle_of_cycles
 from .schemas import API_SCHEMA
 
 OPS = ("analyse", "sweep", "admission", "monitor")
@@ -340,9 +347,78 @@ def _analysis_payload(net: Network, policy: str,
     }
 
 
+def _scan_payload(scan: NetworkScan, policy: str,
+                  refined: bool) -> Optional[Dict[str, Any]]:
+    """:func:`_analysis_payload` straight from the scan's rows: eqs.
+    (13)/(14) from the ``C`` column, then one whole-master kernel run per
+    master.  ``None`` (build the network instead) when a ``T``, ``D``,
+    ``J``, ``C`` or the TTR is not a plain int (a float attribute, a
+    cycle spec ``cycle_time`` rejects, no TTR) or under the generic
+    reference."""
+    ttr = scan.ttr
+    if type(ttr) is not int or analysis_mode() == "generic":
+        return None
+    cm: List[int] = []
+    chm: List[int] = []
+    # per master with high-priority streams: (name, stream names, column)
+    masters = []
+    for master in scan.masters:
+        longest = longest_high = 0
+        names = []
+        specs = []
+        for name, (t, d, j, high, c) in zip(master.names, master.rows):
+            if (type(t) is not int or type(d) is not int
+                    or type(j) is not int or type(c) is not int):
+                return None
+            if c > longest:
+                longest = c
+            if high:
+                if c > longest_high:
+                    longest_high = c
+                names.append(name)
+                specs.append((t, d, j))
+        cm.append(longest)
+        chm.append(longest_high)
+        if specs:
+            masters.append((master.name, names, tuple(specs)))
+    try:
+        tc = tcycle_of_cycles(ttr, len(cm) * token_pass_time(scan.phy),
+                              cm, chm, refined=refined)
+    except ValueError as exc:
+        raise ApiError(str(exc)) from exc
+    schedulable = True
+    streams = []
+    for master_name, names, specs in masters:
+        responses = _master_responses(policy, specs, tc)
+        for name, (_t, d, _j), r in zip(names, specs, responses):
+            ok = r is not None and r <= d
+            schedulable = schedulable and ok
+            streams.append({
+                "master": master_name,
+                "stream": name,
+                "R": r,
+                "D": d,
+                "schedulable": ok,
+                "slack": None if r is None else d - r,
+            })
+    return {
+        "policy": policy,
+        "refined": refined,
+        "ttr": ttr,
+        "tcycle": tc,
+        "schedulable": schedulable,
+        "streams": streams,
+    }
+
+
 def _compute_analyse(request: AnalysisRequest, net: Network,
                      fingerprint: str) -> AnalysisResult:
     payload = _analysis_payload(net, request.policy, request.refined)
+    return _analyse_result(payload, fingerprint)
+
+
+def _analyse_result(payload: Dict[str, Any],
+                    fingerprint: str) -> AnalysisResult:
     return AnalysisResult(
         op="analyse",
         fingerprint=fingerprint,
@@ -405,7 +481,7 @@ def _admit_stream(net: Network, address: int,
     """The candidate network: ``stream_doc`` joined to the master at
     ``address`` (or a fresh master appended to the logical ring)."""
     try:
-        stream = serialization_mod._stream_from(stream_doc)
+        stream = serialization_mod._stream_from(stream_doc, net.phy)
     except ScenarioFormatError as exc:
         raise ApiError(f"bad admission stream: {exc}") from exc
     masters: List[Master] = []
@@ -596,26 +672,41 @@ _COMPUTE = {
 
 # ------------------------------------------------------------- entrypoint
 
-def keyed_network(request: AnalysisRequest) -> Tuple[Network, str]:
-    """The key step: ``(network, fingerprint)`` for ``request`` — the
-    parsed network (TTR override applied) and its canonical fingerprint,
-    from which :meth:`AnalysisRequest.cache_key` builds the value key."""
+def keyed_network(request: AnalysisRequest) -> Tuple[NetworkScan, str]:
+    """The key step: ``(scan, fingerprint)`` for ``request`` — one
+    validating pass over its network document
+    (:func:`repro.profibus.serialization.scan_network`, TTR override
+    applied) and the canonical fingerprint hashed from the pass's
+    canonical document, from which :meth:`AnalysisRequest.cache_key`
+    builds the value key.  No :class:`Network` is built here."""
     try:
-        net = serialization_mod.network_from_dict(request.network)
+        scan = serialization_mod.scan_network(request.network)
     except ScenarioFormatError as exc:
         raise ApiError(f"bad network document: {exc}") from exc
     if request.ttr is not None:
-        if request.ttr <= 0:
-            raise ApiError("ttr override must be positive")
-        net = net.with_ttr(request.ttr)
-    return net, net.fingerprint()
+        scan = scan.with_ttr(request.ttr)
+    return scan, scan.fingerprint()
 
 
-def compute_result(request: AnalysisRequest, net: Network,
+def compute_result(request: AnalysisRequest,
+                   net: Union[NetworkScan, Network],
                    fingerprint: str) -> AnalysisResult:
-    """The compute step: answer ``request`` over the network and
-    fingerprint :func:`keyed_network` returned for it.  Never consults
-    a cache."""
+    """The compute step: answer ``request`` over the scan (or network)
+    and fingerprint :func:`keyed_network` returned for it.  Never
+    consults a cache.
+
+    An ``analyse`` over a scan whose rows are all int, outside the
+    generic reference, is answered from the rows and stream names
+    (:func:`_scan_payload`): ``Tdel`` and ``Tcycle`` from the ``C``
+    column, one whole-master kernel run per master, no objects.  Every
+    other request builds the :class:`Network` from the scan once and
+    takes the object path."""
+    if isinstance(net, NetworkScan):
+        if request.op == "analyse":
+            payload = _scan_payload(net, request.policy, request.refined)
+            if payload is not None:
+                return _analyse_result(payload, fingerprint)
+        net = net.network()
     return _COMPUTE[request.op](request, net, fingerprint)
 
 
@@ -629,12 +720,12 @@ def execute_cached(
     analysis coordinates) is consulted first; a hit returns the stored
     result without touching the analysis layer.
     """
-    net, fingerprint = keyed_network(request)
+    scan, fingerprint = keyed_network(request)
     if cache is None:
-        return compute_result(request, net, fingerprint), False
+        return compute_result(request, scan, fingerprint), False
     hit, result = cache.get_or_compute(
         request.cache_key(fingerprint),
-        lambda: compute_result(request, net, fingerprint),
+        lambda: compute_result(request, scan, fingerprint),
     )
     return result, hit
 

@@ -21,6 +21,11 @@ Catalogue (each entry names the layer it corrupts):
   elementwise-max deadlines, to every member column without the
   member's own ``R ≤ D`` verdict, so a deadline-scale sweep point
   reads responses its tighter deadlines reject.
+* ``dm-order-key-drops-order`` — ``perf.batch.dm_order_key`` leaves
+  the DM priority order out of the group key, so columns whose orders
+  differ share one kernel run made in the max column's order; killed by
+  the ``probe:dm-order`` entry, whose DM order flips between the sweep
+  factors.
 * ``fcfs-queue-undercount`` — eq. (11) with ``(nh−1)·Tcycle``.
 * ``edf-blocking-subtract-one`` — eqs. (17)–(18) with the ``C−1``
   blocking refinement the paper's transfer explicitly does not use.
@@ -136,6 +141,16 @@ def _dm_stale_cache():
         return list(values)
 
     return _patched((batch_mod, "_dm_verdicts", unjudged_verdicts))
+
+
+def _dm_order_key_drops_order():
+    from ..perf import batch as batch_mod
+
+    def orderless_key(specs, tc):
+        # BUG: columns with different DM priority orders share a group
+        return (tuple((t, j) for t, _d, j in specs), tc)
+
+    return _patched((batch_mod, "dm_order_key", orderless_key))
 
 
 # ---------------------------------------------------- FCFS / EDF mutants
@@ -301,6 +316,10 @@ MUTANTS: Dict[str, Mutant] = {
                "DM order-group run served to member columns without "
                "their own R <= D verdict",
                ("sweep",), _dm_stale_cache),
+        Mutant("dm-order-key-drops-order",
+               "DM order-group key without the priority order: columns "
+               "whose DM orders differ share one kernel run",
+               ("sweep",), _dm_order_key_drops_order),
         Mutant("fcfs-queue-undercount",
                "eq. (11) computed as (nh-1)*Tcycle",
                ("analysis",), _fcfs_undercount),

@@ -7,6 +7,9 @@ The seeded corpus ships as:
 * ``event-order.jsonl`` — the DES event-ordering probe (name sorts
   first, so mutation-harness kills meet it before anything else);
 * ``scenarios.jsonl`` — the three built-in scenarios;
+* ``sweep-dm-order.jsonl`` — a master whose DM priority order flips
+  between the sweep factors, which keeps the DM order-group key of the
+  deadline-scale sweep honest;
 * ``wide-values.jsonl`` — the >2³² magnitude probe that keeps the
   vector engine's packing seam honest about integer width;
 * ``fuzz.jsonl`` — one exemplar instance per fuzz family, recorded at a
@@ -131,6 +134,40 @@ def wide_values_probe_network() -> "Network":
     ))
     net = Network(masters=(m1, m2), phy=PhyParameters(baud_rate=500_000))
     return net.with_ttr(max(900, net.ring_latency()))
+
+
+#: Validation horizon for the DM-order probe — a few token rotations
+#: past the slowest first response (about 3·Tcycle).
+DM_ORDER_PROBE_HORIZON = 20_000
+
+
+def dm_order_probe_network() -> "Network":
+    """A master that stays DM-schedulable at both sweep factors while
+    its DM priority order flips between them — the canary for the DM
+    order-group key (:func:`repro.perf.batch.dm_order_key`).
+
+    ``drive`` has the tightest deadline at factor 0.7003 (its ``D`` is
+    well below ``T``) but the loosest at 1.25, where every scaled
+    deadline clamps at ``T`` and ``drive`` has the longest period.  The
+    periods are under five token cycles, so each stream's response
+    depends on which streams outrank it.  A group key without the
+    priority order serves the 0.7003 column the 1.25 column's order,
+    and the frozen sweep row at 0.7003 turns unschedulable.
+    """
+    from ..profibus.cycle import MessageCycleSpec
+    from ..profibus.network import Master
+    from ..profibus.phy import PhyParameters
+    from ..profibus.stream import MessageStream
+
+    spec = MessageCycleSpec(req_payload=2, resp_payload=2)
+    cell = Master(1, (
+        MessageStream("scan", T=8_500, D=8_500, spec=spec),
+        MessageStream("drive", T=8_800, D=7_600, spec=spec),
+        MessageStream("valve", T=8_000, D=8_000, spec=spec),
+    ), name="cell")
+    hmi = Master(2, (MessageStream("log", T=20_000, spec=spec),), name="hmi")
+    net = Network(masters=(cell, hmi), phy=PhyParameters(baud_rate=500_000))
+    return net.with_ttr(max(600, net.ring_latency()))
 
 
 #: A second factory-cell entry pins a horizon *shorter than several
@@ -348,6 +385,22 @@ def seed_entries() -> List[Tuple[str, CorpusEntry]]:
                          "goldens diverge"),
             },
             validation_horizon=WIDE_VALUES_PROBE_HORIZON,
+        ),
+    ))
+    out.append((
+        "sweep-dm-order.jsonl",
+        record_network(
+            dm_order_probe_network(),
+            entry_id="probe:dm-order",
+            provenance={
+                "source": "probe",
+                "note": ("master 'cell' stays DM-schedulable at both sweep "
+                         "factors while its DM order flips between them: "
+                         "a DM order-group key without the priority order "
+                         "(the dm-order-key-drops-order mutant) turns the "
+                         "frozen 0.7003 sweep row unschedulable"),
+            },
+            validation_horizon=DM_ORDER_PROBE_HORIZON,
         ),
     ))
     for family in sorted(SEED_FUZZ_EXEMPLARS):

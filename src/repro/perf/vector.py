@@ -274,6 +274,7 @@ def pack_networks(networks: Sequence, ttr: Optional[int] = None) -> NetworkPack:
     """
     from ..profibus.cycle import cycle_time
     from ..profibus.frames import TOKEN_FRAME
+    from ..profibus.timing import check_ring_latency
 
     pack = NetworkPack()
     pack.networks = tuple(networks)
@@ -344,11 +345,7 @@ def pack_networks(networks: Sequence, ttr: Optional[int] = None) -> NetworkPack:
             m_start.append(len(sT))
         if ok:
             t = ttr if ttr is not None else net.require_ttr()
-            if t < net.n_masters * tpt:
-                raise ValueError(
-                    f"TTR={t} is below the no-load ring latency "
-                    f"{net.ring_latency()}; the Tcycle bound does not apply"
-                )
+            check_ring_latency(t, net.n_masters * tpt)
             tc = t + tdel  # eq. (14): Tcycle = TTR + Tdel
             ok = type(tc) is int and tc <= lim
         if not ok:

@@ -20,7 +20,7 @@ bytes of user data" into an exact transmission time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -54,10 +54,16 @@ SD2_OVERHEAD_CHARS = 9
 
 @dataclass(frozen=True)
 class Frame:
-    """One telegram: its format and data-unit length (bytes)."""
+    """One telegram: its format and data-unit length (bytes).
+
+    ``chars`` (length in UART characters) and ``bits`` (transmission
+    time in bit times) are derived once at construction: every message
+    cycle length reads them, and a frame never changes."""
 
     frame_type: FrameType
     payload: int = 0
+    chars: int = field(init=False, repr=False, compare=False)
+    bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.payload < 0:
@@ -67,25 +73,17 @@ class Frame:
                 raise ValueError(
                     f"SD2 payload {self.payload} exceeds maximum {SD2_MAX_PAYLOAD}"
                 )
+            chars = SD2_OVERHEAD_CHARS + self.payload
         elif self.frame_type is FrameType.SD3:
             if self.payload not in (0, 8):
                 raise ValueError("SD3 carries exactly 8 data bytes")
+            chars = _FIXED_CHARS[FrameType.SD3]
         elif self.payload != 0:
             raise ValueError(f"{self.frame_type.value} carries no data field")
-
-    @property
-    def chars(self) -> int:
-        """Length of the telegram in UART characters."""
-        if self.frame_type is FrameType.SD2:
-            return SD2_OVERHEAD_CHARS + self.payload
-        if self.frame_type is FrameType.SD3:
-            return _FIXED_CHARS[FrameType.SD3]
-        return _FIXED_CHARS[self.frame_type]
-
-    @property
-    def bits(self) -> int:
-        """Transmission time of the telegram in bit times."""
-        return char_time_bits(self.chars)
+        else:
+            chars = _FIXED_CHARS[self.frame_type]
+        object.__setattr__(self, "chars", chars)
+        object.__setattr__(self, "bits", char_time_bits(chars))
 
 
 #: The token telegram (SD4), used by the MAC analyses and the simulator.

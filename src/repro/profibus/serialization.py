@@ -21,7 +21,25 @@ format mirrors the object model one-to-one::
     }
 
 Unknown keys raise immediately (typo protection — a silently-ignored
-``"dealine"`` would make an unschedulable plant look fine).
+``"dealine"`` would make an unschedulable plant look fine).  Every
+number must be a real number and not a bool, ``high_priority`` and
+``short_ack`` must be bools, payload sizes and retry counts ints, names
+strings, and every container the type the format shows.
+
+One pass, one validator.  :func:`scan_network` walks a document once
+and applies every rule of the format and of the object model, with the
+model's own messages; each fault raises :class:`ScenarioFormatError`.
+It yields a :class:`NetworkScan`: the canonical document (the
+``fingerprint/v1`` form :func:`network_to_dict` gives, hashed directly),
+per master its name, stream names and ``(T, D, J, high_priority, C)``
+rows, the PHY and the TTR.  ``C`` is a stream's explicit ``C_bits``,
+else its cycle length from a :func:`repro.profibus.cycle.cycle_time`
+table that lives for the one call, one entry per distinct cycle spec.
+:func:`network_from_dict` is that pass followed by
+:meth:`NetworkScan.network`, which builds the objects from its output.
+The analysis service keys a request from the scan alone and builds the
+:class:`Network` lazily, only for the work the rows cannot answer
+(:func:`repro.api.compute_result`).
 """
 
 from __future__ import annotations
@@ -29,9 +47,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, NamedTuple, Optional, Tuple, Union
 
+from . import cycle as cycle_mod
 from .cycle import MessageCycleSpec
 from .network import Master, Network, Slave
 from .phy import PhyParameters
@@ -51,18 +72,28 @@ def _field_defaults(cls) -> Dict[str, Any]:
     }
 
 
-# Field sets read once at import: the parse and the canonical-document
+# Field sets read once at import: the pass and the canonical-document
 # builder run per request, and ``dataclasses.fields``/``asdict`` cost
 # more than the reads they drive.
 _PHY_FIELDS = tuple(f.name for f in dataclasses.fields(PhyParameters))
 _CYCLE_DEFAULTS = _field_defaults(MessageCycleSpec)
 _STREAM_DEFAULTS = _field_defaults(MessageStream)
 
+_SCENARIO_KEYS = frozenset({"phy", "ttr", "masters", "slaves"})
+_MASTER_KEYS = frozenset({"address", "name", "streams"})
+_SLAVE_KEYS = frozenset({"address", "name"})
+_STREAM_KEYS = frozenset({"name", "T", "D", "J", "high_priority", "cycle",
+                          "C_bits"})
+_PHY_KEYS = frozenset(_PHY_FIELDS)
+_CYCLE_KEYS = frozenset(_CYCLE_DEFAULTS)
+#: the cycle-spec key of a stream without a ``cycle`` object
+_DEFAULT_CYCLE = tuple(_CYCLE_DEFAULTS.values())
 
-def _check_keys(obj: Dict[str, Any], allowed, where: str,
+
+def _check_keys(obj: Dict[str, Any], allowed: frozenset, where: str,
                 required=()) -> None:
-    unknown = set(obj) - set(allowed)
-    if unknown:
+    if not obj.keys() <= allowed:
+        unknown = set(obj) - allowed
         raise ScenarioFormatError(
             f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
         )
@@ -71,71 +102,296 @@ def _check_keys(obj: Dict[str, Any], allowed, where: str,
         raise ScenarioFormatError(f"missing key(s) {missing} in {where}")
 
 
-def _build(cls, where: str, /, **kwargs):
-    """``cls(**kwargs)``, with the model's own validation (a bad
-    address, ``T <= 0``, ``tsl <= tsdr_max``, …) reported as a
-    :class:`ScenarioFormatError` naming ``where``."""
+def _bad(where: str, message: str) -> ScenarioFormatError:
+    return ScenarioFormatError(f"bad {where}: {message}")
+
+
+def _kind(value: Any) -> str:
+    return type(value).__name__
+
+
+def _number(value: Any, what: str, where: str) -> Any:
+    """``value`` if it is a real number and not a bool."""
+    if type(value) is int or (isinstance(value, Real)
+                              and not isinstance(value, bool)):
+        return value
+    raise _bad(where, f"{what} must be a number, got {value!r}")
+
+
+def _entries(value: Any, what: str, where: str) -> Any:
+    if isinstance(value, (list, tuple)):
+        return value
+    raise _bad(where, f"{what} must be a list, got {_kind(value)}")
+
+
+def _object(value: Any, where: str) -> Dict[str, Any]:
+    if isinstance(value, dict):
+        return value
+    raise _bad(where, f"expected an object, got {_kind(value)}")
+
+
+def _build(cls, where: str, /, *args, **kwargs):
+    """``cls(*args, **kwargs)``, with the model's own validation
+    reported as a :class:`ScenarioFormatError` naming ``where``."""
     try:
-        return cls(**kwargs)
+        return cls(*args, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"bad {where}: {exc}") from exc
 
 
-def _phy_from(obj: Dict[str, Any]) -> PhyParameters:
-    _check_keys(obj, _PHY_FIELDS, "phy")
+class ScannedMaster(NamedTuple):
+    """One master as :func:`scan_network` read it."""
+
+    address: int
+    name: str
+    #: stream names, in document order
+    names: Tuple[str, ...]
+    #: ``(T, D, J, high_priority, C)`` per stream; ``C`` is ``None``
+    #: when ``cycle_time`` rejects the stream's cycle spec
+    rows: Tuple[tuple, ...]
+    #: ``(MessageCycleSpec, C_bits)`` per stream, for the objects
+    cycles: Tuple[tuple, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class NetworkScan:
+    """What one validating pass over a network document yields."""
+
+    #: the canonical document (``fingerprint/v1`` form); read-only
+    doc: Dict[str, Any]
+    phy: PhyParameters
+    ttr: Optional[Any]
+    masters: Tuple[ScannedMaster, ...]
+    #: ``(address, name)`` per slave
+    slaves: Tuple[Tuple[Any, str], ...]
+
+    def fingerprint(self) -> str:
+        """:func:`network_fingerprint` of the network, hashed from the
+        canonical document without building it."""
+        return network_doc_fingerprint(self.doc)
+
+    def with_ttr(self, ttr: Any) -> "NetworkScan":
+        """The scan of the same network at TTR ``ttr`` (a positive int,
+        as :class:`repro.api.AnalysisRequest` checks it)."""
+        return dataclasses.replace(self, ttr=ttr, doc={**self.doc, "ttr": ttr})
+
+    def network(self) -> Network:
+        """The :class:`Network` the document describes."""
+        masters = tuple(
+            _build(Master, "master", m.address,
+                   tuple(map(_stream_of, m.names, m.rows, m.cycles)), m.name)
+            for m in self.masters
+        )
+        slaves = tuple(_build(Slave, "slave", address, name)
+                       for address, name in self.slaves)
+        return _build(Network, "scenario", masters, slaves, self.phy, self.ttr)
+
+
+def _stream_of(name: str, row: tuple, cycle: tuple) -> MessageStream:
+    t, d, j, high, _c = row
+    spec, c_bits = cycle
+    return _build(MessageStream, f"stream {name!r}", name, t, d, j, high,
+                  spec, c_bits)
+
+
+def _scan_phy(obj: Any) -> PhyParameters:
+    _check_keys(_object(obj, "phy"), _PHY_KEYS, "phy")
+    for name, value in obj.items():
+        _number(value, name, "phy")
     return _build(PhyParameters, "phy", **obj)
 
 
-def _cycle_from(obj: Dict[str, Any]) -> MessageCycleSpec:
-    _check_keys(obj, _CYCLE_DEFAULTS, "cycle")
-    return MessageCycleSpec(**obj)
+def _cycle_key(obj: Any, name: str) -> tuple:
+    """The four ``MessageCycleSpec`` fields ``cycle_time`` reads,
+    checked, in declaration order."""
+    if type(obj) is dict and obj.keys() <= _CYCLE_KEYS:
+        key = (obj.get("req_payload", 0), obj.get("resp_payload", 0),
+               obj.get("short_ack", False), obj.get("max_retry"))
+        req, resp, short, retry = key
+        if (type(req) is int and type(resp) is int
+                and (short is True or short is False)
+                and (retry is None or type(retry) is int)):
+            return key
+    where = f"stream {name!r}"
+    _check_keys(_object(obj, f"cycle of {where}"), _CYCLE_KEYS, "cycle")
+    for field in ("req_payload", "resp_payload"):
+        value = obj.get(field, 0)
+        if type(value) is not int:
+            raise _bad(where, f"cycle {field} must be an integer, got {value!r}")
+    short = obj.get("short_ack", False)
+    if short is not True and short is not False:
+        raise _bad(where, f"cycle short_ack must be true or false, got {short!r}")
+    retry = obj.get("max_retry")  # the one field left to have failed
+    raise _bad(where,
+               f"cycle max_retry must be an integer or null, got {retry!r}")
 
 
-def _stream_from(obj: Dict[str, Any]) -> MessageStream:
-    allowed = {"name", "T", "D", "J", "high_priority", "cycle", "C_bits"}
-    where = f"stream {obj.get('name', '?')!r}"
-    _check_keys(obj, allowed, where, required=("name", "T"))
-    kwargs = {k: obj[k] for k in ("name", "T", "D", "J", "high_priority",
-                                  "C_bits") if k in obj}
-    if "cycle" in obj:
-        kwargs["spec"] = _cycle_from(obj["cycle"])
-    return _build(MessageStream, where, **kwargs)
+def _scan_stream(obj: Any, phy: PhyParameters, cycles: Dict[tuple, tuple]):
+    """``(name, row, (spec, C_bits), canonical stream document)``.
+
+    ``cycles`` is the caller's cycle-spec key → ``(spec, C or None,
+    canonical cycle document)`` table.  Per-stream work is the hot loop
+    of the key step, so the checks run inline and a message is only
+    formatted for a fault."""
+    if type(obj) is not dict:
+        obj = _object(obj, "stream entry")
+    if not obj.keys() <= _STREAM_KEYS or "name" not in obj or "T" not in obj:
+        _check_keys(obj, _STREAM_KEYS, f"stream {obj.get('name', '?')!r}",
+                    required=("name", "T"))
+    name = obj["name"]
+    if not isinstance(name, str):
+        raise _bad(f"stream {name!r}",
+                   f"name must be a string, got {_kind(name)}")
+    t = obj["T"]
+    if type(t) is not int:
+        _number(t, "T", f"stream {name!r}")
+    d = obj.get("D")
+    if d is None:
+        d = t
+    elif type(d) is not int:
+        _number(d, "D", f"stream {name!r}")
+    j = obj.get("J", 0)
+    if type(j) is not int:
+        _number(j, "J", f"stream {name!r}")
+    high = obj.get("high_priority", True)
+    if high is not True and high is not False:
+        raise _bad(f"stream {name!r}",
+                   f"high_priority must be true or false, got {high!r}")
+    c_bits = obj.get("C_bits")
+    if c_bits is not None and type(c_bits) is not int:
+        _number(c_bits, "C_bits", f"stream {name!r}")
+    key = _cycle_key(obj["cycle"], name) if "cycle" in obj else _DEFAULT_CYCLE
+    # the MessageStream rules, with its messages
+    if t <= 0:
+        raise _bad(f"stream {name!r}", f"stream {name!r}: T must be > 0")
+    if d <= 0:
+        raise _bad(f"stream {name!r}", f"stream {name!r}: D must be > 0")
+    if j < 0:
+        raise _bad(f"stream {name!r}", f"stream {name!r}: J must be >= 0")
+    if c_bits is not None and c_bits <= 0:
+        raise _bad(f"stream {name!r}", f"stream {name!r}: C_bits must be > 0")
+    entry = cycles.get(key)
+    if entry is None:
+        spec = MessageCycleSpec(*key)
+        try:
+            ch = cycle_mod.cycle_time(spec, phy)
+        except ValueError:
+            ch = None  # the analysis reports it, as for a built network
+        entry = cycles[key] = (spec, ch, {
+            field: value
+            for (field, default), value in zip(_CYCLE_DEFAULTS.items(), key)
+            if value != default
+        })
+    doc: Dict[str, Any] = {"name": name, "T": t, "D": d}
+    if j != _STREAM_DEFAULTS["J"]:
+        doc["J"] = j
+    if not high:
+        doc["high_priority"] = high
+    if c_bits is None:
+        doc["cycle"] = entry[2]  # shared by the scan's streams: read-only
+        row = (t, d, j, high, entry[1])
+    else:
+        doc["C_bits"] = c_bits
+        row = (t, d, j, high, c_bits)
+    return name, row, (entry[0], c_bits), doc
 
 
-def _master_from(obj: Dict[str, Any]) -> Master:
-    _check_keys(obj, {"address", "name", "streams"}, "master",
-                required=("address",))
-    return _build(
-        Master, "master",
-        address=obj["address"],
-        name=obj.get("name", ""),
-        streams=tuple(_stream_from(s) for s in obj.get("streams", [])),
-    )
+def _scan_master(obj: Any, phy: PhyParameters,
+                 cycles: Dict[tuple, tuple]) -> Tuple[ScannedMaster, dict]:
+    if type(obj) is not dict:
+        obj = _object(obj, "master entry")
+    if not obj.keys() <= _MASTER_KEYS or "address" not in obj:
+        _check_keys(obj, _MASTER_KEYS, "master", required=("address",))
+    address = obj["address"]
+    if type(address) is not int:
+        _number(address, "address", "master")
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise _bad("master", f"name must be a string, got {_kind(name)}")
+    streams = [_scan_stream(entry, phy, cycles) for entry in
+               _entries(obj.get("streams", []), "streams", "master")]
+    names, rows, specs, docs = zip(*streams) if streams else ((),) * 4
+    # the Master rules, with its messages
+    if not 0 <= address <= 126:
+        raise _bad("master", "PROFIBUS addresses are 0..126")
+    if len(names) != len(set(names)):
+        raise _bad("master", f"master {address}: duplicate stream names")
+    if not name:
+        name = f"M{address}"
+    return (ScannedMaster(address, name, names, rows, specs),
+            {"address": address, "name": name, "streams": list(docs)})
 
 
-def _slave_from(obj: Dict[str, Any]) -> Slave:
-    _check_keys(obj, {"address", "name"}, "slave", required=("address",))
-    return _build(Slave, "slave", address=obj["address"],
-                  name=obj.get("name", ""))
+def _scan_slave(obj: Any) -> Tuple[Any, str]:
+    if type(obj) is not dict:
+        obj = _object(obj, "slave entry")
+    if not obj.keys() <= _SLAVE_KEYS or "address" not in obj:
+        _check_keys(obj, _SLAVE_KEYS, "slave", required=("address",))
+    address = obj["address"]
+    if type(address) is not int:
+        _number(address, "address", "slave")
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise _bad("slave", f"name must be a string, got {_kind(name)}")
+    if not 0 <= address <= 126:
+        raise _bad("slave", "PROFIBUS addresses are 0..126")
+    return address, name or f"S{address}"
+
+
+def scan_network(doc: Any) -> NetworkScan:
+    """One validating pass over a scenario document (see the module
+    docstring).  Every fault raises :class:`ScenarioFormatError`; a
+    document that passes builds its :class:`Network` without error."""
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError("scenario document must be a JSON object")
+    _check_keys(doc, _SCENARIO_KEYS, "scenario")
+    if "masters" not in doc:
+        raise ScenarioFormatError("scenario needs a 'masters' list")
+    phy = _scan_phy(doc.get("phy", {}))
+    cycles: Dict[tuple, tuple] = {}
+    scanned = [_scan_master(m, phy, cycles)
+               for m in _entries(doc["masters"], "masters", "scenario")]
+    slaves = tuple(_scan_slave(s) for s in
+                   _entries(doc.get("slaves", []), "slaves", "scenario"))
+    ttr = doc.get("ttr")
+    if ttr is not None:
+        _number(ttr, "ttr", "scenario")
+    # the Network rules, with its messages
+    if not scanned:
+        raise _bad("scenario", "a network needs at least one master")
+    addresses = [m.address for m, _doc in scanned] + [a for a, _n in slaves]
+    if len(addresses) != len(set(addresses)):
+        raise _bad("scenario", "duplicate station addresses")
+    if ttr is not None and ttr <= 0:
+        raise _bad("scenario", "ttr must be positive")
+    canonical: Dict[str, Any] = {
+        "phy": {name: getattr(phy, name) for name in _PHY_FIELDS},
+        "masters": [master_doc for _m, master_doc in scanned],
+    }
+    if ttr is not None:
+        canonical["ttr"] = ttr
+    if slaves:
+        canonical["slaves"] = [{"address": a, "name": n} for a, n in slaves]
+    return NetworkScan(canonical, phy, ttr,
+                       tuple(m for m, _doc in scanned), slaves)
+
+
+def _stream_from(obj: Any, phy: PhyParameters) -> MessageStream:
+    """One stream document, checked by the pass's rules, as a
+    :class:`MessageStream` (an admission candidate)."""
+    name, row, cycle, _doc = _scan_stream(obj, phy, {})
+    return _stream_of(name, row, cycle)
 
 
 def network_from_dict(doc: Dict[str, Any]) -> Network:
-    """Build a :class:`Network` from a parsed scenario document.
+    """Build a :class:`Network` from a parsed scenario document:
+    :func:`scan_network`, then :meth:`NetworkScan.network`.
 
-    Every fault of the document — an unknown or missing key, or a value
-    the object model rejects — raises :class:`ScenarioFormatError`."""
-    if not isinstance(doc, dict):
-        raise ScenarioFormatError("scenario document must be a JSON object")
-    _check_keys(doc, {"phy", "ttr", "masters", "slaves"}, "scenario")
-    if "masters" not in doc:
-        raise ScenarioFormatError("scenario needs a 'masters' list")
-    return _build(
-        Network, "scenario",
-        masters=tuple(_master_from(m) for m in doc["masters"]),
-        slaves=tuple(_slave_from(s) for s in doc.get("slaves", [])),
-        phy=_phy_from(doc.get("phy", {})),
-        ttr=doc.get("ttr"),
-    )
+    Every fault of the document — an unknown or missing key, a
+    wrong-typed value, or a value the object model rejects — raises
+    :class:`ScenarioFormatError`."""
+    return scan_network(doc).network()
+
 
 
 def network_to_dict(network: Network) -> Dict[str, Any]:
@@ -222,6 +478,7 @@ def network_doc_fingerprint(doc: Dict[str, Any]) -> str:
         {"schema": FINGERPRINT_SCHEMA, "network": doc},
         sort_keys=True,
         separators=(",", ":"),
+        check_circular=False,  # a tree: same text, no id() bookkeeping
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

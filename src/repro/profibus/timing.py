@@ -31,7 +31,7 @@ which never exceeds eq. (13) and is validated against the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence
 
 from .network import Master, Network
 
@@ -63,8 +63,14 @@ def tdel_refined(network: Network) -> int:
     network.  Never exceeds :func:`tdel`.
     """
     phy = network.phy
-    cm = [longest_cycle(m, phy) for m in network.masters]
-    chm = [longest_high_cycle(m, phy) for m in network.masters]
+    return refined_lateness(
+        [longest_cycle(m, phy) for m in network.masters],
+        [longest_high_cycle(m, phy) for m in network.masters],
+    )
+
+
+def refined_lateness(cm: Sequence[int], chm: Sequence[int]) -> int:
+    """The refined ``Tdel`` from each master's ``C_M^k`` and ``ChM^k``."""
     total_high = sum(chm)
     best = 0
     for k in range(len(cm)):
@@ -74,17 +80,32 @@ def tdel_refined(network: Network) -> int:
     return best
 
 
+def check_ring_latency(ttr: int, ring: int) -> None:
+    """Raise the canonical ``ValueError`` for a TTR below the no-load
+    ring latency ``ring``, where the Tcycle bound does not apply."""
+    if ttr < ring:
+        raise ValueError(
+            f"TTR={ttr} is below the no-load ring latency "
+            f"{ring}; the Tcycle bound does not apply"
+        )
+
+
 def tcycle(network: Network, ttr: int = None, refined: bool = False) -> int:
     """Eq. (14): ``Tcycle = TTR + Tdel`` (refined Tdel on request)."""
     if ttr is None:
         ttr = network.require_ttr()
-    if ttr < network.ring_latency():
-        raise ValueError(
-            f"TTR={ttr} is below the no-load ring latency "
-            f"{network.ring_latency()}; the Tcycle bound does not apply"
-        )
+    check_ring_latency(ttr, network.ring_latency())
     lateness = tdel_refined(network) if refined else tdel(network)
     return ttr + lateness
+
+
+def tcycle_of_cycles(ttr: int, ring: int, cm: Sequence[int],
+                     chm: Sequence[int], refined: bool = False) -> int:
+    """Eq. (14) from each master's ``C_M^k`` and ``ChM^k``, for callers
+    holding cycle lengths rather than a :class:`Network` (the analysis
+    service's column path); ``ring`` is the no-load ring latency."""
+    check_ring_latency(ttr, ring)
+    return ttr + (refined_lateness(cm, chm) if refined else sum(cm))
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,23 @@ the last on the event loop:
    stored result document is the answer: no request object and no
    network is built.  This is what makes exact repeats cheap;
 2. otherwise the request is parsed and keyed through
-   :func:`repro.api.keyed_network`: one network parse and one canonical
-   fingerprint, from which the value key (fingerprint + analysis
-   coordinates) follows.  The spelling is recorded only now that the
+   :func:`repro.api.keyed_network`: one validating pass over the
+   network document
+   (:func:`repro.profibus.serialization.scan_network`) whose canonical
+   document is hashed directly into the fingerprint, from which the
+   value key (fingerprint + analysis coordinates) follows.  No
+   ``Network`` is built.  The spelling is recorded only now that the
    request has parsed and keyed;
 3. the shared cache is consulted under the value key; a hit returns the
    stored result document.  Two clients spelling the same plant
    differently meet here;
-4. a miss hands the parsed request, network and fingerprint to
+4. a miss hands the parsed request, the scan and the fingerprint to
    :func:`repro.api.compute_result` on the loop's default thread
    executor, so the accept loop stays responsive while an analysis
-   runs, then populates the cache.  Nothing is parsed a second time.
+   runs, then populates the cache.  An all-int ``analyse`` is answered
+   from the scan's ``(T, D, J, C)`` rows; any other request builds its
+   ``Network`` from the scan there, once.  Nothing is parsed a second
+   time.
 
 Each analysis request counts exactly one cache hit or one miss: a known
 spelling whose value key has been evicted counts its miss at step 1 and
@@ -225,7 +231,7 @@ class AnalysisServer:
         hit, result_doc = self.cache.get(key) if known else (False, None)
         if not hit:
             request = api.AnalysisRequest.from_dict(request_doc)
-            net, fingerprint = api.keyed_network(request)
+            scan, fingerprint = api.keyed_network(request)
             if not known:
                 key = request.cache_key(fingerprint)
                 self._spellings.put(spelling, key)
@@ -233,7 +239,7 @@ class AnalysisServer:
             if not hit:
                 loop = asyncio.get_event_loop()
                 result = await loop.run_in_executor(
-                    None, api.compute_result, request, net, fingerprint
+                    None, api.compute_result, request, scan, fingerprint
                 )
                 result_doc = result.to_dict()
                 self.cache.put(key, result_doc)

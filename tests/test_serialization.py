@@ -1,7 +1,7 @@
 """Tests for scenario (de)serialisation."""
 
-import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -108,6 +108,92 @@ class TestValidation:
     def test_model_errors_are_format_errors(self, doc, where):
         with pytest.raises(ScenarioFormatError, match=where):
             network_from_dict(doc)
+
+
+def _cell_doc():
+    return network_to_dict(factory_cell_network())
+
+
+def _first_stream(doc):
+    return doc["masters"][0]["streams"][0]
+
+
+class TestTypedErrors:
+    """Malformed containers and wrong-typed values are
+    :class:`ScenarioFormatError`, never a stray ``AttributeError`` /
+    ``TypeError`` and never silently accepted."""
+
+    @pytest.mark.parametrize("mutate, text", [
+        (lambda d: d["masters"][0]["streams"].append([1, 2]),
+         "bad stream entry: expected an object, got list"),
+        (lambda d: d.update(slaves=[[1, 2]]),
+         "bad slave entry: expected an object, got list"),
+        (lambda d: d["masters"][0].update(streams={"a": 1}),
+         "bad master: streams must be a list, got dict"),
+        (lambda d: d["masters"][0].update(streams=5),
+         "bad master: streams must be a list, got int"),
+        (lambda d: d.update(slaves=3),
+         "bad scenario: slaves must be a list, got int"),
+        (lambda d: d.update(masters={"a": 1}),
+         "bad scenario: masters must be a list, got dict"),
+        (lambda d: d.update(phy=[1]),
+         "bad phy: expected an object, got list"),
+        (lambda d: _first_stream(d).update(cycle=[1]),
+         "expected an object, got list"),
+        (lambda d: _first_stream(d).update(cycle={"req_payload": "x"}),
+         "cycle req_payload must be an integer, got 'x'"),
+        (lambda d: _first_stream(d).update(cycle={"max_retry": "x"}),
+         "cycle max_retry must be an integer or null, got 'x'"),
+    ], ids=["stream-entry-list", "slave-entry-list", "streams-dict",
+            "streams-int", "slaves-int", "masters-dict", "phy-list",
+            "cycle-list", "req-payload-string", "max-retry-string"])
+    def test_malformed_containers(self, mutate, text):
+        doc = _cell_doc()
+        mutate(doc)
+        with pytest.raises(ScenarioFormatError, match=re.escape(text)):
+            network_from_dict(doc)
+
+    @pytest.mark.parametrize("mutate, text", [
+        (lambda d: _first_stream(d).update(high_priority="no"),
+         "high_priority must be true or false, got 'no'"),
+        (lambda d: _first_stream(d)["cycle"].update(short_ack="yes"),
+         "cycle short_ack must be true or false, got 'yes'"),
+        (lambda d: _first_stream(d).update(D=True),
+         "D must be a number, got True"),
+        (lambda d: _first_stream(d).update(T=True),
+         "T must be a number, got True"),
+        (lambda d: _first_stream(d).update(J=False),
+         "J must be a number, got False"),
+        (lambda d: _first_stream(d).update(C_bits=True),
+         "C_bits must be a number, got True"),
+        (lambda d: d["masters"][0].update(address=True),
+         "bad master: address must be a number, got True"),
+        (lambda d: d.update(slaves=[{"address": True}]),
+         "bad slave: address must be a number, got True"),
+        (lambda d: d.update(ttr=True),
+         "bad scenario: ttr must be a number, got True"),
+        (lambda d: d["phy"].update(max_retry=True),
+         "bad phy: max_retry must be a number, got True"),
+        (lambda d: _first_stream(d).update(name=7),
+         "name must be a string, got int"),
+    ], ids=["high-priority-string", "short-ack-string", "D-true", "T-true",
+            "J-false", "C_bits-true", "address-true", "slave-address-true",
+            "ttr-true", "phy-bool", "stream-name-int"])
+    def test_wrong_typed_values(self, mutate, text):
+        doc = _cell_doc()
+        mutate(doc)
+        with pytest.raises(ScenarioFormatError, match=re.escape(text)):
+            network_from_dict(doc)
+
+    def test_floats_and_null_defaults_still_parse(self):
+        doc = _cell_doc()
+        stream = _first_stream(doc)
+        stream.update(T=float(stream["T"]), D=None, J=0.5)
+        stream["cycle"]["max_retry"] = None
+        net = network_from_dict(doc)
+        parsed = net.masters[0].streams[0]
+        assert (parsed.T, parsed.D, parsed.J) == (stream["T"], stream["T"],
+                                                  0.5)
 
 
 class TestMinimalDocuments:
@@ -238,45 +324,6 @@ class TestFingerprint:
 # fingerprint identity: the hoisted-field builder against the asdict form
 # ---------------------------------------------------------------------------
 
-def _asdict_network_to_dict(network):
-    """``network_to_dict`` as it was built through ``dataclasses.asdict``
-    — the oracle the field-by-name builder must match byte for byte."""
-    from repro.profibus import MessageCycleSpec, MessageStream
-
-    cycle_defaults = {f.name: f.default
-                      for f in dataclasses.fields(MessageCycleSpec)}
-    stream_defaults = {f.name: f.default
-                       for f in dataclasses.fields(MessageStream)}
-
-    def stream_doc(s):
-        out = {"name": s.name, "T": s.T, "D": s.D}
-        if s.J != stream_defaults["J"]:
-            out["J"] = s.J
-        if s.high_priority != stream_defaults["high_priority"]:
-            out["high_priority"] = s.high_priority
-        if s.C_bits is not None:
-            out["C_bits"] = s.C_bits
-        else:
-            out["cycle"] = {k: v for k, v in dataclasses.asdict(s.spec).items()
-                            if v != cycle_defaults[k]}
-        return out
-
-    doc = {
-        "phy": dataclasses.asdict(network.phy),
-        "masters": [
-            {"address": m.address, "name": m.name,
-             "streams": [stream_doc(s) for s in m.streams]}
-            for m in network.masters
-        ],
-    }
-    if network.ttr is not None:
-        doc["ttr"] = network.ttr
-    if network.slaves:
-        doc["slaves"] = [{"address": s.address, "name": s.name}
-                         for s in network.slaves]
-    return doc
-
-
 def _fuzz_family_names():
     from repro.fuzz import FAMILIES
 
@@ -290,33 +337,34 @@ class TestFingerprintIdentity:
     INSTANCES_PER_FAMILY = 50
 
     @staticmethod
-    def _assert_identical(net):
+    def _assert_identical(net, asdict_network_doc):
         from repro.profibus.serialization import (
             network_doc_fingerprint,
             network_fingerprint,
         )
 
-        oracle = _asdict_network_to_dict(net)
+        oracle = asdict_network_doc(net)
         doc = network_to_dict(net)
         assert json.dumps(doc) == json.dumps(oracle)  # order included
         assert network_fingerprint(net) == network_doc_fingerprint(oracle)
 
     @pytest.mark.parametrize("family", _fuzz_family_names())
-    def test_every_fuzz_family(self, family):
+    def test_every_fuzz_family(self, family, asdict_network_doc):
         from repro.fuzz import generate_instance
 
         for index in range(self.INSTANCES_PER_FAMILY):
-            self._assert_identical(generate_instance(0, family, index))
+            self._assert_identical(generate_instance(0, family, index),
+                                   asdict_network_doc)
 
-    def test_factory_cell_and_every_corpus_network(self):
+    def test_factory_cell_and_every_corpus_network(self, asdict_network_doc):
         from repro.corpus import load_corpus
 
         corpus = Path(__file__).resolve().parent.parent / "corpus"
         entries = load_corpus(corpus)
         assert entries
-        self._assert_identical(factory_cell_network())
+        self._assert_identical(factory_cell_network(), asdict_network_doc)
         for entry in entries:
             net = entry.network()
-            self._assert_identical(net)
+            self._assert_identical(net, asdict_network_doc)
             if entry.fingerprint:
                 assert net.fingerprint() == entry.fingerprint

@@ -267,9 +267,24 @@ class TestErrors:
         lambda d: d["network"]["masters"][0].pop("address"),
         lambda d: d.update(op="admission", admission_master=1,
                            admission_stream={"name": "new", "T": -5}),
+        lambda d: d["network"]["masters"][0]["streams"].append([1, 2]),
+        lambda d: d["network"].update(slaves=[[1, 2]]),
+        lambda d: d["network"]["masters"][0].update(streams={"s": 1}),
+        lambda d: d["network"]["masters"][0].update(streams=5),
+        lambda d: d["network"].update(slaves=3),
+        lambda d: d["network"]["masters"][0]["streams"][0].update(
+            cycle={"req_payload": "x"}),
+        lambda d: d["network"]["masters"][0]["streams"][0].update(
+            cycle={"max_retry": "x"}),
+        lambda d: d["network"]["masters"][0]["streams"][0].update(
+            high_priority="no"),
+        lambda d: d["network"]["masters"][0]["streams"][0].update(D=True),
     ], ids=["master-address-200", "stream-T-negative", "phy-tsl-1",
             "slave-without-address", "master-without-address",
-            "admission-T-negative"])
+            "admission-T-negative", "stream-entry-list", "slave-entry-list",
+            "streams-dict", "streams-int", "slaves-int",
+            "cycle-req-payload-string", "cycle-max-retry-string",
+            "high-priority-string", "deadline-true"])
     def test_malformed_network_document_is_a_bad_request(self, mutate):
         doc = _base_doc()
         mutate(doc)
@@ -376,28 +391,29 @@ class TestShutdown:
 
 
 class TestOneParsePerRequest:
-    """A miss parses and fingerprints its network once, an exact repeat
-    not at all, and every analysis request counts one cache hit or one
-    miss."""
+    """A miss makes one validating pass over its network document and
+    hashes its canonical form once, an exact repeat does neither, and
+    every analysis request counts one cache hit or one miss."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         from repro.profibus import serialization
 
         counts = {"parse": 0, "fingerprint": 0}
-        real_parse = serialization.network_from_dict
-        real_fingerprint = serialization.network_fingerprint
+        real_parse = serialization.scan_network
+        real_fingerprint = serialization.network_doc_fingerprint
 
         def parse(doc):
             counts["parse"] += 1
             return real_parse(doc)
 
-        def fingerprint(net):
+        def fingerprint(doc):
             counts["fingerprint"] += 1
-            return real_fingerprint(net)
+            return real_fingerprint(doc)
 
-        monkeypatch.setattr(serialization, "network_from_dict", parse)
-        monkeypatch.setattr(serialization, "network_fingerprint", fingerprint)
+        monkeypatch.setattr(serialization, "scan_network", parse)
+        monkeypatch.setattr(serialization, "network_doc_fingerprint",
+                            fingerprint)
         return counts
 
     @staticmethod
