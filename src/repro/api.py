@@ -642,6 +642,8 @@ def _compute_monitor(request: AnalysisRequest, net: Network,
             net, ingested, request.policy,
             refined=request.refined, stats_after=request.stats_after,
         )
+    except TraceFormatError as exc:
+        raise ApiError(f"bad trace document: {exc}") from exc
     except ValueError as exc:
         raise ApiError(str(exc)) from exc
     payload = {

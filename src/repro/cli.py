@@ -258,7 +258,7 @@ def _cmd_monitor(args) -> int:
                         if horizon is None:
                             horizon = header["horizon"]
                         continue
-                mon.feed(parse_event_line(line, where=f"stdin line {i + 1}"))
+                mon.feed(parse_event_line(line, "stdin line ", i + 1))
                 if args.every and mon.events_seen % args.every == 0:
                     print(json_mod.dumps(mon.report(horizon=None).to_dict()),
                           flush=True)

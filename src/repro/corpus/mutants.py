@@ -270,10 +270,9 @@ def _validate_ignores_pending():
 def _sim_mac_before_release():
     from ..sim import engine as engine_mod
 
-    original = engine_mod.Simulator.schedule
+    original = engine_mod.Simulator.post
 
-    def swapped_schedule(self, time, callback,
-                         priority=engine_mod.PRIO_MAC):
+    def swapped_post(self, time, callback, priority=engine_mod.PRIO_MAC):
         # BUG: inverts the same-instant convention — MAC decisions fire
         # before releases, so a request queued at the token-arrival
         # instant is invisible to that token visit
@@ -283,7 +282,7 @@ def _sim_mac_before_release():
             priority = engine_mod.PRIO_RELEASE
         return original(self, time, callback, priority)
 
-    return _patched((engine_mod.Simulator, "schedule", swapped_schedule))
+    return _patched((engine_mod.Simulator, "post", swapped_post))
 
 
 # -------------------------------------------------------- vector mutants

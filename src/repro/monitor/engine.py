@@ -39,7 +39,7 @@ from ..sim.token import stream_key
 from ..sim.trace import CYCLE_END, CYCLE_START, RELEASE, TOKEN_ARRIVAL, BusEvent
 from ..sim.validate import ValidationRow
 from .report import MonitorReport, master_verdict
-from .trace_io import IngestedTrace
+from .trace_io import IngestedTrace, TraceFormatError
 
 
 class _ObservedStream:
@@ -120,44 +120,55 @@ class TraceMonitor:
     # ------------------------------------------------------------- feeding
 
     def feed(self, event: BusEvent) -> None:
-        """Ingest one event (events must arrive in time order)."""
+        """Ingest one event.  Events must arrive in time order (equal
+        times are fine): the reconstruction pairs each cycle end with
+        the releases before it, so an event earlier than the previous
+        one raises :class:`TraceFormatError` and is not counted."""
+        time, kind, master, stream, _high, _value = event
+        last = self._last_time
+        if last is not None and time < last:
+            raise TraceFormatError(
+                f"trace event #{self._events}: time {time} is earlier "
+                f"than the previous event's time {last}; events must "
+                f"arrive in time order"
+            )
         self._events += 1
-        self._last_time = event.time
-        if event.kind == TOKEN_ARRIVAL:
-            om = self._masters.get(event.master)
+        self._last_time = time
+        if kind == TOKEN_ARRIVAL:
+            om = self._masters.get(master)
             if om is None:
-                om = self._masters[event.master] = _ObservedMaster()
-                self._unanalysed.setdefault(f"master:{event.master}", 0)
-                self._unanalysed[f"master:{event.master}"] += 1
+                om = self._masters[master] = _ObservedMaster()
+                self._unanalysed.setdefault(f"master:{master}", 0)
+                self._unanalysed[f"master:{master}"] += 1
             om.token_visits += 1
             if om.last_arrival is not None:
-                trr = event.time - om.last_arrival
+                trr = time - om.last_arrival
                 om.sum_trr += trr
                 if trr > om.max_trr:
                     om.max_trr = trr
-            om.last_arrival = event.time
+            om.last_arrival = time
             return
-        if event.kind == CYCLE_START or not event.stream:
+        if kind == CYCLE_START or not stream:
             # cycle starts carry no statistics (the response is measured
             # release → cycle END); stream-less ends are token/background
             # cycles with nothing to pair
             return
-        key = stream_key(event.master, event.stream)
+        key = stream_key(master, stream)
         obs = self._streams.get(key)
         if obs is None:
             # low-priority or foreign stream: tallied so the report can
             # say what the log contained, but no bound row exists
             self._unanalysed[key] = self._unanalysed.get(key, 0) + 1
             return
-        if event.kind == RELEASE:
-            obs.pending.append(event.time)
-            if event.time >= self.stats_after:
+        if kind == RELEASE:
+            obs.pending.append(time)
+            if time >= self.stats_after:
                 obs.released += 1
-        elif event.kind == CYCLE_END:
+        elif kind == CYCLE_END:
             if obs.pending:
                 release = obs.pending.popleft()
                 if release >= self.stats_after:
-                    response = event.time - release
+                    response = time - release
                     obs.completed += 1
                     obs.sum_response += response
                     if response > obs.max_response:

@@ -40,7 +40,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Union
+from typing import Any, Dict, Iterable, List, Optional, TextIO, Union
 
 from ..schemas import TRACE_SCHEMA
 from ..sim.trace import EVENT_KINDS, BusEvent, BusTrace
@@ -51,8 +51,14 @@ FORMAT_JSONL = "external-jsonl"
 FORMAT_CSV = "external-csv"
 FORMATS = (FORMAT_NATIVE, FORMAT_JSONL, FORMAT_CSV)
 
+#: the ``trace/v1`` event keys — also :class:`BusEvent`'s field order
 _EVENT_KEYS = ("time", "kind", "master", "stream", "high_priority", "value")
 _REQUIRED_KEYS = ("time", "kind", "master")
+_EVENT_KEY_SET = frozenset(_EVENT_KEYS)
+_KIND_SET = frozenset(EVENT_KINDS)
+#: builds a :class:`BusEvent` from its six fields in order — cheaper than
+#: calling the class, on the one allocation every ingested event costs
+_new_event = BusEvent._make
 
 
 class TraceFormatError(ValueError):
@@ -84,21 +90,25 @@ class IngestedTrace:
             "format": self.source_format,
             "horizon": self.horizon,
             "dropped": self.dropped,
-            "events": [event_to_doc(e) for e in self.events],
+            "events": _event_docs(self.events),
         }
 
 
 # ------------------------------------------------------------- event docs
 
+def _event_docs(events: Iterable[BusEvent]) -> List[Dict[str, Any]]:
+    """The ``trace/v1`` objects of ``events``.  Unpacking each tuple in
+    field order into a dict display is the cheapest way to build them
+    (attribute reads and ``dict(zip(keys, event))`` both cost more)."""
+    return [
+        {"time": t, "kind": k, "master": m, "stream": s,
+         "high_priority": h, "value": v}
+        for t, k, m, s, h, v in events
+    ]
+
+
 def event_to_doc(event: BusEvent) -> Dict[str, Any]:
-    return {
-        "time": event.time,
-        "kind": event.kind,
-        "master": event.master,
-        "stream": event.stream,
-        "high_priority": event.high_priority,
-        "value": event.value,
-    }
+    return _event_docs((event,))[0]
 
 
 def _int_field(doc: Dict[str, Any], key: str, where: str) -> int:
@@ -111,10 +121,37 @@ def _int_field(doc: Dict[str, Any], key: str, where: str) -> int:
     return value
 
 
-def event_from_doc(doc: Dict[str, Any], where: str = "trace event") -> BusEvent:
+def _plain_event(doc: Any) -> Optional[BusEvent]:
+    """The event of a plain, complete, well-typed event object — a
+    ``dict`` with exactly the six keys, int ``time``/``value``, a known
+    ``kind``, a non-empty ``master``, a str ``stream`` and a bool
+    ``high_priority`` (what every native export holds) — or ``None``
+    for anything else, which :func:`_checked_event` then diagnoses
+    (or accepts: defaulted keys, dict/int/str subclasses)."""
+    if type(doc) is not dict or len(doc) != 6:
+        return None
+    try:  # six keys, all six found: exactly the event keys
+        time = doc["time"]
+        kind = doc["kind"]
+        master = doc["master"]
+        stream = doc["stream"]
+        high = doc["high_priority"]
+        value = doc["value"]
+    except KeyError:
+        return None
+    if (type(time) is int and type(kind) is str and kind in _KIND_SET
+            and type(master) is str and master and type(stream) is str
+            and type(high) is bool and type(value) is int):
+        return _new_event((time, kind, master, stream, high, value))
+    return None
+
+
+def _checked_event(doc: Any, where: str) -> BusEvent:
+    """Field-by-field validation with the diagnostic of the first
+    failing check (``where`` names the event in the message)."""
     if not isinstance(doc, dict):
         raise TraceFormatError(f"{where}: event must be a JSON object")
-    unknown = set(doc) - set(_EVENT_KEYS)
+    unknown = set(doc) - _EVENT_KEY_SET
     if unknown:
         raise TraceFormatError(
             f"{where}: unknown event key(s) {sorted(unknown)}; "
@@ -146,6 +183,20 @@ def event_from_doc(doc: Dict[str, Any], where: str = "trace event") -> BusEvent:
         high_priority=high,
         value=_int_field(doc, "value", where),
     )
+
+
+def event_from_doc(doc: Dict[str, Any], where: str = "trace event",
+                   number: Optional[int] = None) -> BusEvent:
+    """The :class:`BusEvent` of one event object.  ``where`` names the
+    event in error messages; with ``number`` it is a prefix completed
+    by that number (``"trace event #", 3`` → ``trace event #3``).  The
+    text is only built for an event the fast path does not take, so a
+    clean native trace formats none."""
+    event = _plain_event(doc)
+    if event is None:
+        event = _checked_event(
+            doc, where if number is None else f"{where}{number}")
+    return event
 
 
 # ----------------------------------------------------------- whole documents
@@ -197,7 +248,7 @@ def trace_from_doc(doc: Dict[str, Any]) -> IngestedTrace:
     if not isinstance(events_doc, list):
         raise TraceFormatError("trace 'events' must be a list")
     events = [
-        event_from_doc(e, where=f"trace event #{i}")
+        event_from_doc(e, "trace event #", i)
         for i, e in enumerate(events_doc)
     ]
     return IngestedTrace(events=events, horizon=horizon, dropped=dropped,
@@ -223,8 +274,8 @@ def write_trace_jsonl(
     }
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     lines.extend(
-        json.dumps(event_to_doc(e), sort_keys=True, separators=(",", ":"))
-        for e in trace.events
+        json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        for doc in _event_docs(trace.events)
     )
     text = "\n".join(lines) + "\n"
     if hasattr(path, "write"):
@@ -265,12 +316,17 @@ def parse_header_line(line: str) -> Optional[Dict[str, Any]]:
             "format": doc.get("format", FORMAT_NATIVE)}
 
 
-def parse_event_line(line: str, where: str = "trace line") -> BusEvent:
+def parse_event_line(line: str, where: str = "trace line",
+                     number: Optional[int] = None) -> BusEvent:
+    """The event on one JSONL line (``where``/``number`` as in
+    :func:`event_from_doc`)."""
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
+        if number is not None:
+            where = f"{where}{number}"
         raise TraceFormatError(f"{where}: unparseable: {exc}") from exc
-    return event_from_doc(doc, where=where)
+    return event_from_doc(doc, where, number)
 
 
 def _read_jsonl(lines: Iterable[str]) -> IngestedTrace:
@@ -286,7 +342,7 @@ def _read_jsonl(lines: Iterable[str]) -> IngestedTrace:
                 trace.dropped = header["dropped"]
                 trace.source_format = FORMAT_NATIVE
                 continue
-        trace.events.append(parse_event_line(line, where=f"trace line {i + 1}"))
+        trace.events.append(parse_event_line(line, "trace line ", i + 1))
     return trace
 
 
@@ -299,7 +355,7 @@ def _read_csv(lines: Iterable[str]) -> IngestedTrace:
     if reader.fieldnames is None:
         raise TraceFormatError("empty CSV trace")
     fields = [f.strip() for f in reader.fieldnames]
-    unknown = set(fields) - set(_EVENT_KEYS)
+    unknown = set(fields) - _EVENT_KEY_SET
     if unknown:
         raise TraceFormatError(
             f"unknown CSV column(s) {sorted(unknown)}; "
@@ -309,12 +365,11 @@ def _read_csv(lines: Iterable[str]) -> IngestedTrace:
     if missing:
         raise TraceFormatError(f"CSV trace missing column(s) {missing}")
     trace = IngestedTrace(source_format=FORMAT_CSV)
-    for i, row in enumerate(reader):
-        where = f"CSV row {i + 2}"
+    for row_no, row in enumerate(reader, start=2):
         doc: Dict[str, Any] = {}
         for key, value in row.items():
             if value is None:
-                raise TraceFormatError(f"{where}: short row")
+                raise TraceFormatError(f"CSV row {row_no}: short row")
             key = key.strip()
             value = value.strip()
             if key in ("time", "value"):
@@ -322,20 +377,20 @@ def _read_csv(lines: Iterable[str]) -> IngestedTrace:
                     doc[key] = int(value)
                 except ValueError:
                     raise TraceFormatError(
-                        f"{where}: {key!r} must be an integer (bit times), "
-                        f"got {value!r}"
+                        f"CSV row {row_no}: {key!r} must be an integer "
+                        f"(bit times), got {value!r}"
                     )
             elif key == "high_priority":
                 try:
                     doc[key] = _CSV_BOOL[value.lower()]
                 except KeyError:
                     raise TraceFormatError(
-                        f"{where}: 'high_priority' must be one of "
+                        f"CSV row {row_no}: 'high_priority' must be one of "
                         f"{sorted(_CSV_BOOL)}, got {value!r}"
                     )
             else:
                 doc[key] = value
-        trace.events.append(event_from_doc(doc, where=where))
+        trace.events.append(event_from_doc(doc, "CSV row ", row_no))
     return trace
 
 
@@ -377,13 +432,6 @@ def read_trace(
     if fmt == "csv":
         return _read_csv(lines)
     return _read_jsonl(lines)
-
-
-def events_in_order(events: Sequence[BusEvent]) -> bool:
-    """True when the event stream is non-decreasing in time — the order
-    the monitor's incremental reconstruction assumes (real logs are;
-    a shuffled foreign log must be sorted before ingestion)."""
-    return all(a.time <= b.time for a, b in zip(events, events[1:]))
 
 
 def csv_template() -> str:

@@ -3,7 +3,9 @@
 Deliberately minimal but real: a binary-heap calendar with stable
 ordering, cancellation, and a bounded run loop.  Both simulators in this
 package (the PROFIBUS token bus and the uniprocessor scheduler
-validation harness) run on top of it.
+validation harness) run on top of it.  :meth:`Simulator.run_until` is
+the hot loop of every traced run: it pops, skips cancelled entries and
+fires in one pass over the heap, with no method call per event.
 
 Determinism contract: two events at the same timestamp fire in
 ``(time, priority, sequence)`` order, where ``sequence`` is the
@@ -75,13 +77,24 @@ class Simulator:
         priority: int = PRIO_MAC,
     ) -> EventHandle:
         """Schedule ``callback`` at absolute ``time`` (≥ now)."""
+        return EventHandle(self.post(time, callback, priority))
+
+    def post(
+        self,
+        time: Any,
+        callback: Callable[[], None],
+        priority: int = PRIO_MAC,
+    ) -> list:
+        """:meth:`schedule` without the handle, for an event that is never
+        cancelled (the token-bus simulator posts every event it
+        schedules).  Returns the raw calendar entry."""
         if time < self.now:
             raise ValueError(
                 f"cannot schedule into the past: {time!r} < now={self.now!r}"
             )
         entry = [time, priority, next(self._seq), callback, False]
         heapq.heappush(self._heap, entry)
-        return EventHandle(entry)
+        return entry
 
     def schedule_in(
         self, delay: Any, callback: Callable[[], None], priority: int = PRIO_MAC
@@ -111,21 +124,32 @@ class Simulator:
     def run_until(self, horizon: Any, max_events: int = 50_000_000) -> None:
         """Run events with ``time <= horizon`` (inclusive).
 
+        One loop over the heap: skip cancelled entries, stop at the
+        first live entry past the horizon, fire the rest in order (no
+        :meth:`peek_time`/:meth:`step` call pair per event).
         ``max_events`` is a runaway guard: exceeding it raises rather
         than silently spinning (e.g. a zero-length cycle loop bug).
         """
+        heap = self._heap
+        heappop = heapq.heappop
         fired = 0
-        while True:
-            t = self.peek_time()
-            if t is None or t > horizon:
-                self.now = horizon
-                return
-            self.step()
+        while heap:
+            time, _, _, callback, cancelled = heap[0]
+            if cancelled:
+                heappop(heap)
+                continue
+            if time > horizon:
+                break
+            heappop(heap)
+            self.now = time
+            self._events_fired += 1
+            callback()
             fired += 1
             if fired > max_events:
                 raise RuntimeError(
                     f"simulation exceeded {max_events} events before t={horizon}"
                 )
+        self.now = horizon
 
     def run_all(self, max_events: int = 50_000_000) -> None:
         fired = 0

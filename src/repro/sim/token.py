@@ -30,12 +30,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
-from ..profibus.cycle import token_pass_time
+from ..profibus.cycle import attempt_time, token_pass_time
+from ..profibus.gap import gap_cycle_bits
 from ..profibus.network import Master, Network
 from .engine import PRIO_MAC, PRIO_RELEASE, Simulator
 from .queues import FCFSQueue, Request, StackQueue, make_queue
+from .trace import CYCLE_END, CYCLE_START, RELEASE, TOKEN_ARRIVAL, BusEvent
 from .traffic import ReleasePattern, TrafficConfig, synchronous_offsets
 
 
@@ -170,6 +173,10 @@ class _MasterState:
             self.high_queue = None
         else:
             raise ValueError(f"unknown master policy {policy!r}")
+        #: the queue the MAC sends high-priority cycles from (the FCFS
+        #: outgoing queue, or the AP architecture's stack): truthy while
+        #: a request is ready, ``mac_high.pop()`` takes it
+        self.mac_high = self.high_queue if self.stack is None else self.stack
         self.low_queue = FCFSQueue()
         #: request whose message cycle is on the wire right now — still
         #: pending if the horizon cuts the cycle short
@@ -196,16 +203,6 @@ class _MasterState:
         while self.stack.free and self.ap_queue:
             self.stack.push(self.ap_queue.pop())
 
-    def has_high(self) -> bool:
-        if self.high_queue is not None:
-            return bool(self.high_queue)
-        return bool(self.stack)
-
-    def pop_high(self) -> Request:
-        if self.high_queue is not None:
-            return self.high_queue.pop()
-        return self.stack.pop()
-
     def high_cycle_done(self) -> None:
         """Called when a high-priority cycle completes (stack refill)."""
         if self.stack is not None:
@@ -217,9 +214,6 @@ class _MasterState:
         return len(self.stack) + len(self.ap_queue)
 
     # -- low-priority ------------------------------------------------------
-    def has_low(self) -> bool:
-        return bool(self.low_queue) or self.low_always_pending is not None
-
     def pop_low(self) -> Optional[Request]:
         """A queued low request, or None for a synthetic background one."""
         if self.low_queue:
@@ -306,6 +300,10 @@ def simulate_token_bus(
 
     stream_stats: Dict[str, StreamStats] = {}
     seq_counter = [0]
+    record = config.tracer.record if config.tracer is not None else None
+    # ``_make`` from the six fields in order: cheaper than calling the
+    # class, the one allocation each traced event costs
+    new_event = BusEvent._make
 
     def _stats_for(master: Master, stream) -> StreamStats:
         key = stream_key(master.name, stream.name)
@@ -345,20 +343,15 @@ def simulate_token_bus(
                 )
                 if t >= config.stats_after:
                     _stats_for(master, stream).released += 1
-                if config.tracer is not None:
-                    from .trace import RELEASE, BusEvent
-
-                    config.tracer.record(BusEvent(
-                        time=t, kind=RELEASE, master=master.name,
-                        stream=stream.name,
-                        high_priority=stream.high_priority,
-                    ))
+                if record is not None:
+                    record(new_event((t, RELEASE, master.name, stream.name,
+                                      stream.high_priority, 0)))
                 if stream.high_priority:
                     state.enqueue_high(req)
                 else:
                     state.low_queue.push(req)
                 fire_next()
-            sim.schedule(t, on_release, priority=PRIO_RELEASE)
+            sim.post(t, on_release, priority=PRIO_RELEASE)
 
         fire_next()
 
@@ -369,6 +362,10 @@ def simulate_token_bus(
     token_pass = token_pass_time(phy)
 
     # --- the MAC state machine -----------------------------------------
+    # One function per phase of a token visit, in §3.1 order:
+    # on_token_arrival (TTH, the one unconditional high cycle) →
+    # high_loop → after_high (gap poll) → low_loop → token pass.  A
+    # message cycle ends by calling the phase it was sent from.
     def cycle_length(req: Optional[Request], state: _MasterState) -> int:
         if req is None:
             # synthetic background low-priority cycle
@@ -377,10 +374,10 @@ def simulate_token_bus(
             # error-free cycle: nominal single attempt, if derivable
             stream = state.master.stream(req.stream_name)
             if stream.C_bits is None:
-                from ..profibus.cycle import attempt_time
-
                 return attempt_time(stream.spec, phy)
         return req.cycle_bits
+
+    gap_factor = config.gap_update_factor
 
     def on_token_arrival(idx: int) -> None:
         state = states[idx]
@@ -394,96 +391,87 @@ def simulate_token_bus(
             if trr > st.max_trr:
                 st.max_trr = trr
         state.seen_token = True
-        if config.gap_update_factor:
+        if gap_factor:
             state.visits_since_gap += 1
-            if state.visits_since_gap >= config.gap_update_factor:
+            if state.visits_since_gap >= gap_factor:
                 state.gap_poll_due = True
-        if config.tracer is not None:
-            from .trace import TOKEN_ARRIVAL, BusEvent
+        if record is not None:
+            record(new_event((now, TOKEN_ARRIVAL, state.master.name, "",
+                              True, trr)))
+        tth_expire = now + ttr - trr  # may be in the past (late token)
+        # one high-priority cycle even on a late token; with none
+        # pending the high loop has nothing to send either
+        if state.mac_high:
+            transmit(idx, tth_expire, state.mac_high.pop(), high_loop)
+        else:
+            after_high(idx, tth_expire)
 
-            config.tracer.record(BusEvent(
-                time=now, kind=TOKEN_ARRIVAL, master=state.master.name,
-                value=trr,
-            ))
-        tth = ttr - trr
-        tth_expire = now + tth  # may be in the past (late token)
-        serve(idx, tth_expire, phase="first_high")
+    def high_loop(idx: int, tth_expire: int) -> None:
+        state = states[idx]
+        if sim.now < tth_expire and state.mac_high:
+            transmit(idx, tth_expire, state.mac_high.pop(), high_loop)
+        else:
+            after_high(idx, tth_expire)
 
-    def serve(idx: int, tth_expire: int, phase: str) -> None:
-        """One scheduling decision at sim.now; transmits or passes token."""
+    def after_high(idx: int, tth_expire: int) -> None:
+        """The gap poll, if one is due and the token still holds time;
+        else straight on to the low-priority loop."""
         state = states[idx]
         now = sim.now
-        if phase == "first_high":
-            if state.has_high():
-                transmit(idx, tth_expire, state.pop_high(), "high_loop")
-                return
-            phase = "high_loop"
-        if phase == "high_loop":
-            if now < tth_expire and state.has_high():
-                transmit(idx, tth_expire, state.pop_high(), "high_loop")
-                return
-            phase = "gap"
-        if phase == "gap":
-            if state.gap_poll_due and now < tth_expire:
-                state.gap_poll_due = False
-                state.visits_since_gap = 0
-                state.stats.gap_polls += 1
-                from ..profibus.gap import gap_cycle_bits
-
-                dur = gap_cycle_bits(phy)
-                done = now + dur
-                if done > tth_expire > now:
-                    state.stats.tth_overruns += 1
-                    over = done - tth_expire
-                    if over > state.stats.max_overrun:
-                        state.stats.max_overrun = over
-                sim.schedule(done, lambda: serve(idx, tth_expire, "low_loop"),
-                             priority=PRIO_MAC)
-                return
-            phase = "low_loop"
-        if phase == "low_loop":
-            if now < tth_expire and state.has_low():
-                req = state.pop_low()
-                transmit(idx, tth_expire, req, "low_loop")
-                return
-        # pass the token
-        nxt = (idx + 1) % len(states)
-        sim.schedule(now + token_pass, lambda: on_token_arrival(nxt),
+        if state.gap_poll_due and now < tth_expire:
+            state.gap_poll_due = False
+            state.visits_since_gap = 0
+            state.stats.gap_polls += 1
+            done = now + gap_cycle_bits(phy)
+            note_overrun(state, now, done, tth_expire)
+            sim.post(done, partial(low_loop, idx, tth_expire),
                      priority=PRIO_MAC)
+        else:
+            low_loop(idx, tth_expire)
 
-    def transmit(idx: int, tth_expire: int, req: Optional[Request],
-                 next_phase: str) -> None:
+    def low_loop(idx: int, tth_expire: int) -> None:
         state = states[idx]
-        start = sim.now
-        state.in_flight = req
-        dur = cycle_length(req, state)
-        done = start + dur
+        now = sim.now
+        # queued lows, or a synthetic background one always ready
+        if now < tth_expire and (state.low_queue
+                                 or state.low_always_pending is not None):
+            transmit(idx, tth_expire, state.pop_low(), low_loop)
+        else:
+            sim.post(now + token_pass, pass_token[idx], priority=PRIO_MAC)
+
+    #: ``pass_token[i]`` delivers the token to master ``i``'s successor
+    pass_token = [partial(on_token_arrival, (i + 1) % len(states))
+                  for i in range(len(states))]
+
+    def note_overrun(state: _MasterState, start: int, done: int,
+                     tth_expire: int) -> None:
         if done > tth_expire > start:
             state.stats.tth_overruns += 1
             over = done - tth_expire
             if over > state.stats.max_overrun:
                 state.stats.max_overrun = over
-        if config.tracer is not None:
-            from .trace import CYCLE_START, BusEvent
 
-            config.tracer.record(BusEvent(
-                time=start, kind=CYCLE_START, master=state.master.name,
-                stream=req.stream_name if req else "",
-                high_priority=req.high_priority if req else False,
-                value=dur,
-            ))
+    def transmit(idx: int, tth_expire: int, req: Optional[Request],
+                 then: Callable[[int, int], None]) -> None:
+        """One message cycle from ``sim.now``; on completion the master
+        carries on with ``then`` (the loop the cycle was sent from)."""
+        state = states[idx]
+        start = sim.now
+        state.in_flight = req
+        dur = cycle_length(req, state)
+        done = start + dur
+        note_overrun(state, start, done, tth_expire)
+        if record is not None:
+            record(new_event((start, CYCLE_START, state.master.name,
+                              req.stream_name if req else "",
+                              req.high_priority if req else False, dur)))
 
         def on_complete():
             state.in_flight = None
-            if config.tracer is not None:
-                from .trace import CYCLE_END, BusEvent
-
-                config.tracer.record(BusEvent(
-                    time=sim.now, kind=CYCLE_END, master=state.master.name,
-                    stream=req.stream_name if req else "",
-                    high_priority=req.high_priority if req else False,
-                    value=dur,
-                ))
+            if record is not None:
+                record(new_event((sim.now, CYCLE_END, state.master.name,
+                                  req.stream_name if req else "",
+                                  req.high_priority if req else False, dur)))
             if req is not None:
                 master = state.master
                 stream = master.stream(req.stream_name)
@@ -496,12 +484,12 @@ def simulate_token_bus(
                     state.stats.low_sent += 1
             else:
                 state.stats.low_sent += 1
-            serve(idx, tth_expire, next_phase)
+            then(idx, tth_expire)
 
-        sim.schedule(done, on_complete, priority=PRIO_MAC)
+        sim.post(done, on_complete, priority=PRIO_MAC)
 
     # token starts at master 0 at t=0
-    sim.schedule(0, lambda: on_token_arrival(0), priority=PRIO_MAC)
+    sim.post(0, partial(on_token_arrival, 0), priority=PRIO_MAC)
     sim.run_until(horizon)
 
     # Account for work the horizon cut off: requests still queued (or on

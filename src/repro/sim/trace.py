@@ -11,19 +11,23 @@ which makes a token rotation visible at a glance::
 and — exported as JSONL through :mod:`repro.monitor.trace_io` — as the
 native input of the trace monitoring mode (``repro-cli monitor``).
 
-Events are plain tuples in time order; the trace is bounded
-(``max_events``) so a runaway simulation cannot eat memory.  A full
-trace does not fail silently: ``dropped`` counts the suffix that was
-cut off, :attr:`BusTrace.truncated` flags it, the timeline annotates
-it, and every monitoring/validation verdict built over a truncated
-trace is *degraded* (see :mod:`repro.sim.validate`) instead of
-confidently wrong.
+Events are plain tuples in time order: :class:`BusEvent` is a
+:class:`typing.NamedTuple`, so it compares equal to the tuple of its
+fields, unpacks in the ``trace/v1`` event key order, and costs one
+tuple allocation per event — which matters on a path that records and
+re-ingests every frame.  The trace is bounded (``max_events``) so a
+runaway simulation cannot eat memory.  A full trace does not fail
+silently: ``dropped`` counts the suffix that was cut off,
+:attr:`BusTrace.truncated` flags it, the timeline annotates it, and
+every monitoring/validation verdict built over a truncated trace is
+*degraded* (see :mod:`repro.sim.validate`) instead of confidently
+wrong.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 #: event kinds
 TOKEN_ARRIVAL = "token_arrival"
@@ -35,8 +39,7 @@ RELEASE = "release"
 EVENT_KINDS = (TOKEN_ARRIVAL, CYCLE_START, CYCLE_END, RELEASE)
 
 
-@dataclass(frozen=True)
-class BusEvent:
+class BusEvent(NamedTuple):
     """One observed bus event."""
 
     time: int

@@ -245,6 +245,29 @@ class TestErrors:
             session = stats["sessions"]["sessions"]["client-1"]
             assert session["errors"] == 1
 
+    def test_out_of_order_trace_is_a_bad_request(self):
+        from repro.monitor import trace_doc
+        from repro.sim import BusTrace, TokenBusConfig, simulate_token_bus
+
+        cell = factory_cell_network()
+        recorder = BusTrace()
+        simulate_token_bus(cell, 20 * cell.phy.baud_rate // 1000,
+                           config=TokenBusConfig(policy="ap-dm",
+                                                 tracer=recorder))
+        trace = trace_doc(recorder)
+        trace["events"].reverse()
+        request = {"schema": api.API_SCHEMA, "op": "monitor",
+                   "network": network_to_dict(cell), "policy": "dm",
+                   "trace": trace}
+        with ServerThread() as srv:
+            with srv.client() as c:
+                with pytest.raises(ServiceError) as exc_info:
+                    c.monitor(request)
+                assert exc_info.value.error_type == "bad-request"
+                assert "must arrive in time order" in str(exc_info.value)
+                trace["events"].reverse()
+                assert c.monitor(request).result["op"] == "monitor"
+
     def test_retired_mode_key_is_a_bad_request(self):
         with ServerThread() as srv:
             with srv.client() as c:
