@@ -10,10 +10,21 @@ Public surface:
 * :mod:`repro.sim` — discrete-event simulators (token bus, uniprocessor);
 * :mod:`repro.gen` — workload generators;
 * :mod:`repro.scenarios` — reference networks for examples and benches.
-"""
 
-from . import apsched, core, gen, profibus, scenarios, sim
+Subpackages are imported on first attribute access (``repro.sim``), so
+``import repro.api`` or the daemon loads only what it runs.
+"""
 
 __version__ = "1.0.0"
 
-__all__ = ["apsched", "core", "gen", "profibus", "scenarios", "sim", "__version__"]
+_SUBPACKAGES = ("apsched", "core", "gen", "profibus", "scenarios", "sim")
+
+__all__ = [*_SUBPACKAGES, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _SUBPACKAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return import_module(f".{name}", __name__)

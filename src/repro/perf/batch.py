@@ -25,8 +25,10 @@ layer one engine:
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from random import Random
 from typing import (
     Any,
@@ -35,6 +37,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -66,9 +69,13 @@ DEFAULT_POLICIES: Tuple[str, ...] = ("fcfs", "dm", "edf")
 VECTOR_MIN_STREAMS = 5000
 
 
-@dataclass(frozen=True, slots=True)
-class BatchResult:
-    """One (network, policy) analysis outcome, flattened for transport."""
+class BatchResult(NamedTuple):
+    """One (network, policy) analysis outcome, flattened for transport.
+
+    A plain tuple underneath: a row compares equal to the tuple of its
+    fields, iterates and unpacks in field order.  The batch drivers
+    build thousands per call, and a tuple costs a third of a frozen
+    dataclass to make."""
 
     index: int  # position of the network in the submitted sequence
     policy: str
@@ -76,6 +83,11 @@ class BatchResult:
     worst_response: Optional[int]
     worst_slack: Optional[int]
     tcycle: int
+
+
+#: ``BatchResult`` from a ready field tuple, skipping the keyword
+#: ``__new__`` (the SoA row emit makes one per (network, policy)).
+_row = partial(tuple.__new__, BatchResult)
 
 
 #: One master's share of a :class:`BatchResult`: ``(schedulable,
@@ -384,34 +396,41 @@ def _vector_rows(networks: List[Network],
     per-network path (fast kernels — ``vectorized`` implies them)."""
     from . import vector
 
-    rows: List[BatchResult] = []
     pack = vector.pack_networks(networks)
-    # One summary list per policy over the whole grid, then emit in
-    # (index, policy) order: packed networks and fallback indices are
-    # both ascending, so the rows come out sorted without a comparison
-    # sort.
-    summaries = [vector.batch_summaries(pack, policy) for policy in policies]
-    fb = pack.fallback
-    fi = 0
-    n_fb = len(fb)
-    for per_policy in zip(*summaries):
-        net_idx = per_policy[0][0]
-        while fi < n_fb and fb[fi] < net_idx:
-            for policy in policies:
-                rows.append(_analyse_one(fb[fi], networks[fb[fi]], policy))
-            fi += 1
-        for policy, (idx, tc, sched, wr, ws) in zip(policies, per_policy):
-            rows.append(BatchResult(idx, policy, sched, wr, ws, tc))
-    while fi < n_fb:
-        for policy in policies:
-            rows.append(_analyse_one(fb[fi], networks[fb[fi]], policy))
-        fi += 1
+    # Rows in (index, policy) order: each policy's rows fill every
+    # len(policies)-th slot, and the fallback networks' rows are
+    # spliced in where their index falls among the packed ones (both
+    # index lists ascend, so no comparison sort is needed).
+    n_pol = len(policies)
+    packed: List[Any] = [None] * (pack.n_packed * n_pol)
+    for k, policy in enumerate(policies):
+        idx, tc, sched, worst, slack = vector.summary_columns(pack, policy)
+        packed[k::n_pol] = map(_row, zip(idx, repeat(policy), sched,
+                                         worst, slack, tc))
+    if not pack.fallback:
+        return packed
+    rows: List[BatchResult] = []
+    done = 0
+    for f in pack.fallback:
+        cut = bisect_left(pack.indices, f) * n_pol
+        rows += packed[done:cut]
+        done = cut
+        rows += [_analyse_one(f, networks[f], policy) for policy in policies]
+    rows += packed[done:]
     return rows
 
 
 def _grid_streams(networks: Sequence[Network]) -> int:
-    return sum(len(master.streams)
-               for network in networks for master in network.masters)
+    """Streams summed over every master of ``networks``, counted only
+    until the total reaches :data:`VECTOR_MIN_STREAMS` (all the
+    dispatch needs to know)."""
+    total = 0
+    for network in networks:
+        for master in network.masters:
+            total += len(master.streams)
+        if total >= VECTOR_MIN_STREAMS:
+            break
+    return total
 
 
 def analyse_many(

@@ -64,8 +64,10 @@ Backends
 ========
 
 With numpy importable the *whole* pipeline is array-shaped, not just
-the iteration: priority ranks come from one ``lexsort`` over the flat
-arrays, blocking terms / seed sums / candidate EDF offsets are built by
+the iteration: one stable sort per pack
+(:meth:`NetworkPack.deadline_order`) gives the DM priority ranks and
+the prefixes EDF's deadline scopes read, blocking terms / seed sums /
+candidate EDF offsets are built by
 ``repeat``/``arange`` segment expansion, the float utilisation guards
 are evaluated as interval checks (masters whose guard lands within the
 float-reordering margin re-run through the scalar kernels, so the
@@ -176,7 +178,7 @@ class NetworkPack:
         "networks", "indices", "fallback", "tc",
         "net_master_start", "net_stream_start", "master_net", "master_tc",
         "master_stream_start", "stream_T", "stream_D", "stream_J",
-        "_specs", "_npc", "_flat", "_pm",
+        "_specs", "_npc", "_dord", "_flat", "_pm",
     )
 
     def __init__(self) -> None:
@@ -194,6 +196,7 @@ class NetworkPack:
         self.stream_J: List[int] = []
         self._specs: Dict[int, Tuple] = {}
         self._npc: Optional[Dict[str, Any]] = None
+        self._dord: Optional[Dict[str, Any]] = None
         self._flat: Dict[str, Any] = {}
         self._pm: Dict[str, List[List]] = {}
 
@@ -249,6 +252,37 @@ class NetworkPack:
                 "nss": np.asarray(self.net_stream_start, dtype=i64),
             }
         return self._npc
+
+    def deadline_order(self) -> Dict[str, Any]:
+        """The packed streams in **deadline order**, built lazily once
+        (numpy backend only): stable by ``(master, D, declaration
+        index)``, so each master keeps its segment
+        ``[m_start, m_start + count)`` of positions.  This is eq. (16)'s
+        DM priority order and the order EDF's deadline scopes are
+        prefixes of.
+
+        ``order[p]`` is the stream at sorted position ``p``; ``key`` is
+        the sorted one-int64 key ``master·D1 + D`` (``D1 = max D + 1``);
+        ``T``/``D``/``J`` are the columns in that order.  Raises
+        :class:`_VectorRangeError` when the key could wrap."""
+        if self._dord is None:
+            np = _load_numpy()
+            d = self.np_arrays()
+            aD = d["aD"]
+            D1 = int(aD.max(initial=0)) + 1
+            if self.n_masters * D1 >= _SAFE_TOTAL:
+                raise _VectorRangeError()
+            key = d["str_master"] * D1 + aD
+            order = np.argsort(key, kind="stable")
+            self._dord = {
+                "order": order,
+                "key": key[order],
+                "D1": D1,
+                "T": d["aT"][order],
+                "D": aD[order],
+                "J": d["aJ"][order],
+            }
+        return self._dord
 
 
 def pack_networks(networks: Sequence, ttr: Optional[int] = None) -> NetworkPack:
@@ -399,7 +433,12 @@ def _lanes_np(kind, base_a, x, limit_a, counts_a, eC_a, eT_a, eJ_a, eCap_a):
     cmax = int(eC_a.max(initial=0))
     emax = int(counts_a.max(initial=0))
     base_max = int(base_a.max(initial=0))
-
+    # Both maps as one floor division per entry (T > 0):
+    # ⌊(x+J)/T⌋ + 1 = ⌊(x+J+T)/T⌋ and ⌈(x+J)/T⌉ = ⌊(x+J+T−1)/T⌋.
+    eN_a = eJ_a + eT_a if strict else eJ_a + (eT_a - 1)
+    # Entry → lane map: a gather by it is cheaper than ``repeat``, and
+    # compaction selects by index (``take``), not by boolean mask.
+    lane_of = np.repeat(ids, counts_a)
     ends = np.cumsum(counts_a)
     starts = ends - counts_a
     for _sweep in range(1, MAX_ITER + 1):
@@ -407,48 +446,49 @@ def _lanes_np(kind, base_a, x, limit_a, counts_a, eC_a, eT_a, eJ_a, eCap_a):
         if not active:
             return values, converged, iters
         iters += active
-        xg = np.repeat(x, counts_a)
-        if strict:
-            k = (xg + eJ_a) // eT_a + 1
-            if capped:
-                k = np.minimum(k, eCap_a)
-        else:
-            k = -((-xg - eJ_a) // eT_a)
+        k = x.take(lane_of)
+        k += eN_a
+        k //= eT_a
+        if capped:
+            np.minimum(k, eCap_a, out=k)
         if len(k):
             kmax = int(k.max())
             if base_max + kmax * cmax * emax >= _SAFE_TOTAL:
                 raise _VectorRangeError()
-        contrib = k * eC_a
-        cs = np.empty(len(contrib) + 1, dtype=i64)
+        k *= eC_a
+        cs = np.empty(len(k) + 1, dtype=i64)
         cs[0] = 0
-        np.cumsum(contrib, out=cs[1:])
-        tot = base_a + cs[ends] - cs[starts]
+        np.cumsum(k, out=cs[1:])
+        tot = base_a + cs.take(ends) - cs.take(starts)
         eq = tot == x
         if limit_a is not None:
             exited = eq | (tot > limit_a)
         else:
             exited = eq
         if exited.any():
-            gid = ids[exited]
-            values[gid] = tot[exited]
-            converged[gid] = eq[exited]
+            out = np.flatnonzero(exited)
+            gid = ids.take(out)
+            values[gid] = tot.take(out)
+            converged[gid] = eq.take(out)
             keep = ~exited
-            if not keep.any():
+            live = np.flatnonzero(keep)
+            if not len(live):
                 return values, converged, iters
-            keep_e = np.repeat(keep, counts_a)
-            ids = ids[keep]
-            base_a = base_a[keep]
+            sel = np.flatnonzero(keep.take(lane_of))
+            ids = ids.take(live)
+            base_a = base_a.take(live)
             if limit_a is not None:
-                limit_a = limit_a[keep]
-            x = tot[keep]
-            counts_a = counts_a[keep]
+                limit_a = limit_a.take(live)
+            x = tot.take(live)
+            counts_a = counts_a.take(live)
+            lane_of = np.repeat(np.arange(len(live)), counts_a)
             ends = np.cumsum(counts_a)
             starts = ends - counts_a
-            eC_a = eC_a[keep_e]
-            eT_a = eT_a[keep_e]
-            eJ_a = eJ_a[keep_e]
+            eC_a = eC_a.take(sel)
+            eT_a = eT_a.take(sel)
+            eN_a = eN_a.take(sel)
             if eCap_a is not None:
-                eCap_a = eCap_a[keep_e]
+                eCap_a = eCap_a.take(sel)
             base_max = int(base_a.max(initial=0))
         else:
             x = tot
@@ -505,11 +545,11 @@ def _fcfs_flat_np(pack: NetworkPack):
 
 
 def _dm_flat_np(pack: NetworkPack, max_instances: int = 100_000):
-    """Eq. (16) staged entirely as arrays: one ``lexsort`` ranks every
-    stream of every master at once, segment expansion builds the busy
-    and per-instance lanes, ``reduceat`` folds the verdicts.  Returns
-    ``(resp, None, valid)`` flat over the packed streams in declaration
-    order (``valid`` False = unschedulable/None).
+    """Eq. (16) staged entirely as arrays: the pack's deadline order
+    ranks every stream of every master at once, segment expansion builds
+    the busy and per-instance lanes, ``reduceat`` folds the verdicts.
+    Returns ``(resp, None, valid)`` flat over the packed streams in
+    declaration order (``valid`` False = unschedulable/None).
 
     The float utilisation guard is interval-checked: cumsum reordering
     error is ≪ the 1e-9 margin, so streams whose guard clears the margin
@@ -519,23 +559,22 @@ def _dm_flat_np(pack: NetworkPack, max_instances: int = 100_000):
     np = _load_numpy()
     d = pack.np_arrays()
     i64 = np.int64
-    aT, aD, aJ = d["aT"], d["aD"], d["aJ"]
     sm = d["str_master"]
     m_start, m_count, m_tc = d["m_start"], d["m_count"], d["m_tc"]
-    S = len(aT)
+    S = len(sm)
     resp = np.zeros(S, dtype=i64)
     valid = np.zeros(S, dtype=bool)
     if not S:
         return resp, None, valid
-    # Priority order: (master, D, declaration index).  The sort is
-    # stable with master as primary key and masters are contiguous, so
-    # segment m occupies the same positions [m_start, m_start+count).
-    ord_ = np.lexsort((np.arange(S), aD, sm))
+    # Priority order: the pack's deadline order (master, D, declaration
+    # index); segment m keeps the positions [m_start, m_start+count).
+    dord = pack.deadline_order()
+    ord_ = dord["order"]
     seg0 = m_start[sm]
     nseg = m_count[sm]
     rank = np.arange(S, dtype=i64) - seg0
     tc_s = m_tc[sm]
-    Tp, Dp, Jp = aT[ord_], aD[ord_], aJ[ord_]
+    Tp, Dp, Jp = dord["T"], dord["D"], dord["J"]
     B = np.where(rank < nseg - 1, tc_s, 0)
     # Interval utilisation guard (inclusive segmented cumsum, priority
     # order — the reorder vs. the scalar declaration-order sum is what
@@ -583,9 +622,8 @@ def _dm_flat_np(pack: NetworkPack, max_instances: int = 100_000):
     E = int(counts_b.sum())
     if E > _MAX_LANES:
         raise _VectorRangeError()
-    ent_rel = np.arange(E, dtype=i64) - np.repeat(_cs0(np, counts_b)[:-1],
-                                                  counts_b)
-    ent_pos = np.repeat(seg0[sur_idx], counts_b) + ent_rel
+    ent_pos = np.arange(E, dtype=i64) + np.repeat(
+        seg0[sur_idx] - _cs0(np, counts_b)[:-1], counts_b)
     base_b = B[sur_idx]
     L_vals, _conv, it = _lanes_np(
         "ceil", base_b, base_b + counts_b * tc_s[sur_idx], None, counts_b,
@@ -617,9 +655,8 @@ def _dm_flat_np(pack: NetworkPack, max_instances: int = 100_000):
     Eq = int(counts_q.sum())
     if Eq > _MAX_LANES:
         raise _VectorRangeError()
-    ent_rel_q = np.arange(Eq, dtype=i64) - np.repeat(_cs0(np, counts_q)[:-1],
-                                                     counts_q)
-    ent_pos_q = np.repeat(seg0[sur2][lane_sur], counts_q) + ent_rel_q
+    ent_pos_q = np.arange(Eq, dtype=i64) + np.repeat(
+        seg0[sur2][lane_sur] - _cs0(np, counts_q)[:-1], counts_q)
     w, conv, it = _lanes_np(
         "strict", Bq, Bq + step0[sur2][lane_sur], qv * T_l + D_l + J_l - tc_l,
         counts_q, tc_s[ent_pos_q], Tp[ent_pos_q], Jp[ent_pos_q], None)
@@ -636,15 +673,20 @@ def _dm_flat_np(pack: NetworkPack, max_instances: int = 100_000):
 
 
 def _edf_flat_np(pack: NetworkPack, limit_factor: int = 4):
-    """Eqs. (17)–(18) staged entirely as arrays: candidate offsets come
-    from an (i, j) pair expansion + global ``lexsort``/dedup, deadline
-    scopes from a full-cross selection mask, the first-strict-max fold
-    from paired ``reduceat`` passes.  Returns ``(resp, crit, valid)``
-    flat over the packed streams in declaration order."""
+    """Eqs. (17)–(18) staged entirely as arrays, on the positions of the
+    pack's deadline order (each master keeps its segment, so the results
+    map back through ``order`` at the end).  Candidate offsets are
+    windows of each master's sorted absolute deadlines, merged by one
+    sort of the int64 key ``position·(Lmax+1) + a`` with an
+    adjacent-difference dedup; a lane's deadline scope is the sorted
+    prefix of its master up to ``a + D_i`` (one ``searchsorted``) minus
+    the stream itself; the first-strict-max fold is paired ``reduceat``
+    passes.  Returns ``(resp, crit, valid)`` flat over the packed
+    streams in declaration order."""
     np = _load_numpy()
     d = pack.np_arrays()
     i64 = np.int64
-    aT, aD, aJ = d["aT"], d["aD"], d["aJ"]
+    aT = d["aT"]
     sm = d["str_master"]
     m_start, m_count, m_tc = d["m_start"], d["m_count"], d["m_tc"]
     S = len(aT)
@@ -685,100 +727,105 @@ def _edf_flat_np(pack: NetworkPack, limit_factor: int = 4):
     nm_idx = np.nonzero(def_norm)[0]
     if not len(nm_idx):
         return resp, crit, valid
+    dord = pack.deadline_order()
+    Ts, Ds, Js, skey = dord["T"], dord["D"], dord["J"], dord["key"]
     # Busy lanes: one per normal master, blocking = tc, entries = all
     # its streams (order irrelevant: the map sums them).
     cnt_n = m_count[nm_idx]
     tc_n = m_tc[nm_idx]
+    start_n = m_start[nm_idx]
     En = int(cnt_n.sum())
-    ent_rel = np.arange(En, dtype=i64) - np.repeat(_cs0(np, cnt_n)[:-1],
-                                                   cnt_n)
-    ent_pos = np.repeat(m_start[nm_idx], cnt_n) + ent_rel
+    ent_pos = np.arange(En, dtype=i64) + np.repeat(
+        start_n - _cs0(np, cnt_n)[:-1], cnt_n)
     L_vals, _conv, it = _lanes_np(
         "ceil", tc_n, tc_n + cnt_n * tc_n, None, cnt_n,
-        np.repeat(tc_n, cnt_n), aT[ent_pos], aJ[ent_pos], None)
+        np.repeat(tc_n, cnt_n), Ts[ent_pos], Js[ent_pos], None)
     _counters.vectorized += it
     L_of_m = np.zeros(M, dtype=i64)
     L_of_m[nm_idx] = L_vals
-    maxD_m = np.zeros(M, dtype=i64)
-    maxD_m[nz] = np.maximum.reduceat(aD, starts_nz)
-    # Candidate offsets: (i, j) pair expansion per normal master —
-    # a = D_j − D_i + k·T_j for every k with 0 ≤ a ≤ L, plus the
-    # jitter points a − J_j ≥ 0, plus the zero point per stream —
-    # then one global sort + dedup (kernels.candidate_offsets exactly).
-    c2 = cnt_n * cnt_n
-    P2 = int(c2.sum())
-    if P2 > _MAX_LANES:
+    Lmax = int(L_vals.max())
+    Dmax = dord["D1"] - 1
+    Jmax = int(Js.max())
+    tcmax = int(tc_n.max())
+    Tmin = int(Ts.min())
+    LK = Lmax + 1  # offsets lie in [0, Lmax]
+    W = Lmax + Dmax + 1  # absolute deadline points lie below it
+    if (limit_factor * (Lmax + Dmax + Jmax) + tcmax >= _SAFE_TOTAL
+            or ((Lmax + Jmax) // Tmin + 1) * tcmax >= _SAFE_TOTAL
+            or S * LK >= _SAFE_TOTAL or M * W >= _SAFE_TOTAL):
         raise _VectorRangeError()
-    prel = np.arange(P2, dtype=i64) - np.repeat(_cs0(np, c2)[:-1], c2)
-    p_m = np.repeat(np.arange(len(nm_idx)), c2)
-    mstart_p = np.repeat(m_start[nm_idx], c2)
-    c_of = cnt_n[p_m]
-    i_pos = mstart_p + prel // c_of
-    j_pos = mstart_p + prel % c_of
-    base_off = aD[j_pos] - aD[i_pos]
-    Tj = aT[j_pos]
-    Jj = aJ[j_pos]
-    Lp = L_vals[p_m]
-    k0 = np.maximum(0, -(base_off // Tj))
-    a_first = base_off + k0 * Tj
-    kcnt = np.where(a_first <= Lp, (Lp - a_first) // Tj + 1, 0)
-    A = int(kcnt.sum())
+    # Per sorted position: its master's tc, segment start, busy period
+    # and largest D (the one closing the segment).
+    tc_pos = m_tc[sm]
+    seg_pos = m_start[sm]
+    L_pos = L_of_m[sm]
+    maxD_pos = Ds[seg_pos + m_count[sm] - 1]
+    # Candidate offsets (kernels.candidate_offsets exactly).  Stream j's
+    # absolute deadlines p = D_j + k·T_j (k ≥ 0) up to L + max D are
+    # sorted per master by the key m·W + p; stream i's offsets
+    # a = p − D_i are the points in its window [D_i, L + D_i], each
+    # with the jitter point a − J_j when J_j > 0 and a ≥ J_j, plus
+    # a = 0.  One sort of the keys i·LK + a and an adjacent-difference
+    # dedup then give every stream's ascending offset list.
+    npos = np.flatnonzero(def_norm[sm])
+    Dn = Ds[npos]
+    cntp = (L_pos[npos] + maxD_pos[npos] - Dn) // Ts[npos] + 1
+    NP = int(cntp.sum())
+    if NP > _MAX_LANES:
+        raise _VectorRangeError()
+    pp = np.repeat(npos, cntp)
+    kk = np.arange(NP, dtype=i64) - np.repeat(_cs0(np, cntp)[:-1], cntp)
+    pkey = sm[pp] * W + Ds[pp] + kk * Ts[pp]
+    porder = np.argsort(pkey)
+    pkey = pkey[porder]
+    pJ = Js[pp[porder]]
+    qlo = sm[npos] * W + Dn
+    lo = np.searchsorted(pkey, qlo, side="left")
+    wc = np.searchsorted(pkey, qlo + L_pos[npos], side="right") - lo
+    A = int(wc.sum())
     if 2 * A + S > _MAX_LANES:
         raise _VectorRangeError()
-    a_pair = np.repeat(np.arange(P2), kcnt)
-    t = np.arange(A, dtype=i64) - np.repeat(_cs0(np, kcnt)[:-1], kcnt)
-    a_vals = a_first[a_pair] + t * Tj[a_pair]
-    a_tag = i_pos[a_pair]
-    aj_vals = a_vals - Jj[a_pair]
-    keep_j = (Jj[a_pair] > 0) & (aj_vals >= 0)
-    zero_tag = np.nonzero(def_norm[sm])[0]
-    vals_all = np.concatenate(
-        [np.zeros(len(zero_tag), dtype=i64), a_vals, aj_vals[keep_j]])
-    tags_all = np.concatenate([zero_tag, a_tag, a_tag[keep_j]])
-    order2 = np.lexsort((vals_all, tags_all))
-    v_s = vals_all[order2]
-    t_s = tags_all[order2]
-    keep = np.empty(len(v_s), dtype=bool)
+    wlane = np.repeat(np.arange(len(npos)), wc)
+    wpos = np.arange(A, dtype=i64) + (lo - _cs0(np, wc)[:-1]).take(wlane)
+    a_vals = pkey.take(wpos) - qlo.take(wlane)
+    a_keys = (npos * LK).take(wlane) + a_vals
+    Jw = pJ.take(wpos)
+    keep_j = (Jw > 0) & (a_vals >= Jw)
+    keys = np.concatenate([npos * LK, a_keys, (a_keys - Jw)[keep_j]])
+    keys.sort()
+    keep = np.empty(len(keys), dtype=bool)
     keep[0] = True
-    keep[1:] = (t_s[1:] != t_s[:-1]) | (v_s[1:] != v_s[:-1])
-    lane_a = v_s[keep]
-    lane_i = t_s[keep]
-    # One capped lane per (stream, offset); offsets ascending per
-    # stream by construction of the sort.
-    nl = len(lane_a)
-    m_l = sm[lane_i]
-    tc_L = m_tc[m_l]
-    D_i, T_i, J_i = aD[lane_i], aT[lane_i], aJ[lane_i]
-    Lmax = int(L_vals.max(initial=0))
-    Dmax = int(aD.max(initial=0))
-    Jmax = int(aJ.max(initial=0))
-    tcmax = int(tc_n.max(initial=0))
-    Tmin = int(aT.min(initial=1))
-    if (limit_factor * (Lmax + Dmax + Jmax) + tcmax >= _SAFE_TOTAL
-            or ((Lmax + Jmax) // Tmin + 1) * tcmax >= _SAFE_TOTAL):
-        raise _VectorRangeError()
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = keys[keep]
+    # One capped lane per (stream, offset), offsets ascending per stream.
+    lane_p = keys // LK
+    lane_a = keys - lane_p * LK
+    nl = len(lane_p)
+    tc_L = tc_pos.take(lane_p)
+    mstart_l = seg_pos.take(lane_p)
+    D_i, T_i, J_i = Ds.take(lane_p), Ts.take(lane_p), Js.take(lane_p)
     dl = lane_a + D_i
-    Bl = np.where(maxD_m[m_l] > dl, tc_L, 0)
+    Bl = np.where(maxD_pos.take(lane_p) > dl, tc_L, 0)
     own = ((lane_a + J_i) // T_i) * tc_L
-    lim_l = limit_factor * (L_of_m[m_l] + D_i + J_i) + tc_L
-    # Deadline scope: full-cross candidates per lane, mask-selected
-    # (D_j ≤ a + D_i, j ≠ i; order within a lane is irrelevant — the
-    # map sums the scope).
-    c_l = m_count[m_l]
-    EC = int(c_l.sum())
+    lim_l = limit_factor * (L_pos.take(lane_p) + D_i + J_i) + tc_L
+    # Deadline scope (D_j ≤ a + D_i, j ≠ i): the master's sorted prefix
+    # up to key m·D1 + min(a + D_i, Dmax), minus the lane's own
+    # position (order within a lane is irrelevant — the map sums it).
+    top = np.searchsorted(
+        skey, skey.take(lane_p) + np.minimum(lane_a, Dmax - D_i),
+        side="right")
+    cnts = top - mstart_l - 1
+    EC = int(cnts.sum())
     if EC > _MAX_LANES:
         raise _VectorRangeError()
-    ent_lane = np.repeat(np.arange(nl), c_l)
-    erel = np.arange(EC, dtype=i64) - np.repeat(_cs0(np, c_l)[:-1], c_l)
-    epos = np.repeat(m_start[m_l], c_l) + erel
-    sel = (aD[epos] <= dl[ent_lane]) & (epos != lane_i[ent_lane])
-    epos_s = epos[sel]
-    elane_s = ent_lane[sel]
-    cnts = np.bincount(elane_s, minlength=nl).astype(i64)
-    eT2, eJ2, eD2 = aT[epos_s], aJ[epos_s], aD[epos_s]
-    eC2 = m_tc[sm[epos_s]]
-    cap = 1 + (dl[elane_s] - eD2 + eJ2) // eT2
-    kseed = np.minimum(1 + eJ2 // eT2, cap)
+    elane = np.repeat(np.arange(nl), cnts)
+    sp = np.arange(EC, dtype=i64) + (
+        mstart_l - _cs0(np, cnts)[:-1]).take(elane)
+    sp += sp >= lane_p.take(elane)
+    eT2, eJ2 = Ts.take(sp), Js.take(sp)
+    eC2 = tc_L.take(elane)
+    cap = 1 + (dl.take(elane) + (Js - Ds).take(sp)) // eT2
+    kseed = np.minimum((1 + Js // Ts).take(sp), cap)
     if (int(kseed.max(initial=0)) * int(eC2.max(initial=0))
             * int(cnts.max(initial=0))
             + int(Bl.max(initial=0)) + int(own.max(initial=0))
@@ -794,13 +841,13 @@ def _edf_flat_np(pack: NetworkPack, limit_factor: int = 4):
     # r from the exit value (converged or overshoot — the scalar keeps
     # both); fold per stream = first strict maximum over ascending a.
     r = np.maximum(tc_L + x - lane_a, tc_L)
-    fstart = np.nonzero(np.concatenate(([True], lane_i[1:] != lane_i[:-1])))[0]
+    fstart = np.nonzero(np.concatenate(([True], lane_p[1:] != lane_p[:-1])))[0]
     seg_counts = np.diff(np.concatenate((fstart, [nl])))
     best = np.maximum.reduceat(r, fstart)
     cand = np.where(r == np.repeat(best, seg_counts),
                     np.arange(nl, dtype=i64), nl)
     first = np.minimum.reduceat(cand, fstart)
-    sid = lane_i[fstart]
+    sid = dord["order"][lane_p[fstart]]
     resp[sid] = best
     crit[sid] = lane_a[first]
     valid[sid] = True
@@ -884,17 +931,26 @@ def batch_pairs(pack: NetworkPack, policy: str):
 def batch_summaries(pack: NetworkPack, policy: str):
     """``(original_index, tcycle, schedulable, worst_response,
     worst_slack)`` per packed network — the fully-folded
-    :class:`repro.perf.batch.BatchResult` fields.  The numpy lanes fold
-    over the network CSR with ``reduceat``; after the scalar kernels the
-    pairs fold through ``batch._fold_responses`` itself."""
+    :class:`repro.perf.batch.BatchResult` fields."""
+    return list(zip(*summary_columns(pack, policy)))
+
+
+def summary_columns(pack: NetworkPack, policy: str):
+    """:func:`batch_summaries` as five lists — original indices,
+    tcycles, schedulable flags, worst responses and worst slacks, one
+    entry per packed network.  The numpy lanes fold over the network
+    CSR with ``reduceat``; after the scalar kernels the pairs fold
+    through ``batch._fold_responses`` itself."""
     flat = _flat_values(pack, policy)
     if flat is None:
         from .batch import _fold_responses
 
-        folded = (_fold_responses(idx, policy, tc, pairs)
-                  for idx, tc, pairs in batch_pairs(pack, policy))
-        return [(b.index, b.tcycle, b.schedulable, b.worst_response,
-                 b.worst_slack) for b in folded]
+        folded = [_fold_responses(idx, policy, tc, pairs)
+                  for idx, tc, pairs in batch_pairs(pack, policy)]
+        return (pack.indices, pack.tc,
+                [b.schedulable for b in folded],
+                [b.worst_response for b in folded],
+                [b.worst_slack for b in folded])
     np = _load_numpy()
     d = pack.np_arrays()
     i64 = np.int64
@@ -906,7 +962,7 @@ def batch_summaries(pack: NetworkPack, policy: str):
     ok = valid & (resp <= aD)
     cso = _cs0(np, ok.astype(i64))
     sched = (cso[nss[1:]] - cso[nss[:-1]]) == cnt
-    BIG = _SAFE_TOTAL
+    BIG = np.iinfo(i64).max  # "no slack" sentinel, above any D − R
     wr_m = np.full(P, -1, dtype=i64)
     sl_m = np.full(P, BIG, dtype=i64)
     nzn = cnt > 0
@@ -915,14 +971,18 @@ def batch_summaries(pack: NetworkPack, policy: str):
         wr_m[nzn] = np.maximum.reduceat(np.where(valid, resp, -1), starts)
         sl_m[nzn] = np.minimum.reduceat(np.where(valid, aD - resp, BIG),
                                         starts)
-    return [
-        (idx, tc, sch,
-         None if wr < 0 else wr,
-         sl if sch and sl < BIG else None)
-        for idx, tc, sch, wr, sl in zip(
-            pack.indices, pack.tc, sched.tolist(), wr_m.tolist(),
-            sl_m.tolist())
-    ]
+    return (pack.indices, pack.tc, sched.tolist(),
+            _ints_or_none(wr_m, wr_m < 0),
+            _ints_or_none(sl_m, ~sched | (sl_m >= BIG)))
+
+
+def _ints_or_none(values, none_at) -> List[Optional[int]]:
+    """``values`` as python ints, ``None`` where ``none_at`` holds."""
+    if not none_at.any():
+        return values.tolist()
+    out = values.astype(object)
+    out[none_at] = None
+    return out.tolist()
 
 
 def response_rows(network, policy: str,

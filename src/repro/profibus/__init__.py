@@ -71,13 +71,6 @@ from .serialization import (
     save_network,
 )
 from .stream import MessageStream
-from .sweep import (
-    SweepRow,
-    baud_sweep,
-    deadline_scale_sweep,
-    rows_to_csv,
-    ttr_sweep,
-)
 from .timing import (
     TokenCycleReport,
     longest_cycle,
@@ -155,3 +148,17 @@ __all__ = [
     "token_pass_time",
     "ttr_advantage",
 ]
+
+#: Re-exported on first access: :mod:`~repro.profibus.sweep` drives
+#: :mod:`repro.perf.batch`, which imports this package, so an eager
+#: import here would be a cycle whenever the batch engine loads first.
+_SWEEP_NAMES = ("SweepRow", "baud_sweep", "deadline_scale_sweep",
+                "rows_to_csv", "ttr_sweep")
+
+
+def __getattr__(name):
+    if name not in _SWEEP_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import sweep
+
+    return getattr(sweep, name)

@@ -91,8 +91,14 @@ def test_fixture_kill_count_is_total():
 
 # ------------------------------------------------------ shipped tree clean
 
-def test_shipped_tree_is_lint_clean():
-    result = run_lint([SRC])
+@pytest.fixture(scope="module")
+def shipped_lint():
+    """One full-tree lint run of ``src/``, shared by the checks below."""
+    return run_lint([SRC])
+
+
+def test_shipped_tree_is_lint_clean(shipped_lint):
+    result = shipped_lint
     assert result.findings == [], (
         "committed tree must lint clean; fix the violation or record "
         "an inline '# lint: disable=REPxxx — <reason>':\n"
@@ -104,9 +110,9 @@ def test_shipped_tree_is_lint_clean():
     assert result.suppressed > 0
 
 
-def test_shipped_tree_lints_every_module():
+def test_shipped_tree_lints_every_module(shipped_lint):
     n_modules = len(list(SRC.rglob("*.py")))
-    assert run_lint([SRC]).files == n_modules
+    assert shipped_lint.files == n_modules
 
 
 # ----------------------------------------------------------- CLI contract

@@ -142,6 +142,55 @@ def _with_float_jitter(net):
                    slaves=net.slaves, phy=net.phy, ttr=net.ttr)
 
 
+class TestBatchResultRows:
+    """``BatchResult`` is a ``NamedTuple``: fixed field names and order,
+    rows equal to plain tuples, and one row type from every engine."""
+
+    FIELDS = ("index", "policy", "schedulable", "worst_response",
+              "worst_slack", "tcycle")
+
+    def test_field_names_and_order(self):
+        assert BatchResult._fields == self.FIELDS
+        row = BatchResult(3, "dm", True, 120, 40, 900)
+        assert tuple(row) == (3, "dm", True, 120, 40, 900)
+        assert row == (3, "dm", True, 120, 40, 900)
+        index, policy, sched, worst, slack, tcycle = row
+        assert (index, policy, sched, worst, slack, tcycle) == tuple(
+            getattr(row, name) for name in self.FIELDS)
+        assert hash(row) == hash(tuple(row))
+        assert pickle.loads(pickle.dumps(row)) == row
+
+    @pytest.mark.parametrize("fallback_at", [(), (0,), (4,), (0, 3, 9)])
+    def test_rows_equal_between_modes(self, fallback_at):
+        # fallback networks are spliced between the packed ones in
+        # index order, wherever they sit in the grid
+        nets = small_workload(n=10, seed=11)
+        for k in fallback_at:
+            nets[k] = _with_float_jitter(nets[k])
+        rows = {mode: analyse_many(nets, mode=mode)
+                for mode in ("generic", "fast", "vectorized")}
+        assert rows["vectorized"] == rows["generic"] == rows["fast"]
+        assert [(r.index, r.policy) for r in rows["vectorized"]] == [
+            (i, p) for i in range(len(nets)) for p in ("fcfs", "dm", "edf")
+        ]
+        for mode_rows in rows.values():
+            assert {type(r) for r in mode_rows} == {BatchResult}
+
+    def test_grid_count_stops_at_the_threshold(self, monkeypatch):
+        import repro.perf.batch as batch_mod
+
+        nets = small_workload(n=6)
+        per_net = [sum(len(m.streams) for m in net.masters) for net in nets]
+        assert _grid_streams(nets) == sum(per_net) < VECTOR_MIN_STREAMS
+        assert _grid_streams([]) == 0
+        # counting stops after the first network that reaches the
+        # dispatch threshold
+        monkeypatch.setattr(batch_mod, "VECTOR_MIN_STREAMS", per_net[0] + 1)
+        assert _grid_streams(nets) == sum(per_net[:2])
+        monkeypatch.setattr(batch_mod, "VECTOR_MIN_STREAMS", 1)
+        assert _grid_streams(nets) == per_net[0]
+
+
 class TestPooledMap:
     def test_matches_serial_and_preserves_order(self):
         jobs = list(enumerate(small_workload(n=8)))

@@ -26,7 +26,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.timeops import DivergedError
@@ -137,19 +137,7 @@ class TestPackRoundTrip:
     def test_master_specs_round_trip_any_columns(self, specs):
         # pack-level property without network construction overhead: a
         # hand-packed single-master layout reads back exactly
-        pack = vector.NetworkPack()
-        pack.networks = (None,)
-        pack.indices.append(0)
-        pack.tc.append(100)
-        pack.master_net.append(0)
-        pack.master_tc.append(100)
-        for t, d, j in specs:
-            pack.stream_T.append(t)
-            pack.stream_D.append(d)
-            pack.stream_J.append(j)
-        pack.master_stream_start.append(len(pack.stream_T))
-        pack.net_master_start.append(1)
-        pack.net_stream_start.append(len(pack.stream_T))
+        pack = _hand_pack([(100, [specs])])
         assert pack.network_view(0) == (100, (tuple(specs),))
 
 
@@ -467,6 +455,220 @@ class TestLaneEngineMasking:
         want = _reference_lanes(*args)
         assert _masked_lanes(*args) == want
         assert want[1] == [False]
+
+
+# ------------------------------------------- deadline-order policy staging
+
+def _hand_pack(nets):
+    """A pack laid out by hand: ``nets`` is ``[(tc, [specs, …]), …]``,
+    one ``(T, D, J)`` column per master."""
+    pack = vector.NetworkPack()
+    pack.networks = tuple(None for _ in nets)
+    for p, (tc, masters) in enumerate(nets):
+        pack.indices.append(p)
+        pack.tc.append(tc)
+        for specs in masters:
+            pack.master_net.append(p)
+            pack.master_tc.append(tc)
+            for t, d, j in specs:
+                pack.stream_T.append(t)
+                pack.stream_D.append(d)
+                pack.stream_J.append(j)
+            pack.master_stream_start.append(len(pack.stream_T))
+        pack.net_master_start.append(len(pack.master_net))
+        pack.net_stream_start.append(len(pack.stream_T))
+    return pack
+
+
+def _assert_flat_equals_scalar(pack):
+    """``_dm_flat_np`` / ``_edf_flat_np`` read back per master equal the
+    scalar kernels on that master's column."""
+    from repro.perf import kernels
+
+    dm = vector._dm_flat_np(pack)
+    edf = vector._edf_flat_np(pack)
+    for m in range(pack.n_masters):
+        lo = pack.master_stream_start[m]
+        hi = pack.master_stream_start[m + 1]
+        specs, tc = pack.master_specs(m), pack.master_tc[m]
+        resp, _none, valid = dm
+        assert [int(resp[s]) if valid[s] else None for s in range(lo, hi)] \
+            == kernels.dm_master_response_times(specs, tc), f"dm master {m}"
+        resp, crit, valid = edf
+        assert [(int(resp[s]), int(crit[s])) if valid[s] else (None, None)
+                for s in range(lo, hi)] \
+            == kernels.edf_master_response_times(specs, tc), \
+            f"edf master {m}"
+
+
+def _spy_lanes(monkeypatch):
+    """Record ``(kind, counts)`` of every lane batch the pipelines run."""
+    seen = []
+    real = vector._lanes_np
+
+    def spy(kind, base, x, limit, counts, *rest):
+        seen.append((kind, counts.tolist()))
+        return real(kind, base, x, limit, counts, *rest)
+
+    monkeypatch.setattr(vector, "_lanes_np", spy)
+    return seen
+
+
+@requires_numpy
+class TestDeadlineOrderStaging:
+    """The DM priority order and the EDF deadline scopes both read the
+    pack's one deadline order; every staged array must still equal the
+    scalar kernels master by master."""
+
+    def test_order_is_master_then_deadline_then_declaration(self):
+        pack = _hand_pack([
+            (7, [[(100, 50, 0), (80, 50, 5), (120, 30, 0), (90, 50, 1)],
+                 [(60, 10, 0)]]),
+            (5, [[(40, 40, 0), (40, 20, 3), (40, 40, 2)]]),
+        ])
+        master_of = [m for m in range(pack.n_masters)
+                     for _s in pack.master_specs(m)]
+        want = sorted(range(len(pack.stream_D)),
+                      key=lambda s: (master_of[s], pack.stream_D[s], s))
+        dord = pack.deadline_order()
+        assert dord["order"].tolist() == want
+        assert dord["key"].tolist() == sorted(dord["key"].tolist())
+        assert pack.deadline_order() is dord  # built once per pack
+
+    def test_deadline_ties_follow_declaration_order(self):
+        # equal D inside a master: the declaration index ranks them, and
+        # the DM responses depend on it (different T and J per tie)
+        pack = _hand_pack([
+            (7, [[(100, 50, 0), (80, 50, 5), (120, 50, 0), (90, 40, 0)]]),
+            (9, [[(200, 90, 30), (150, 90, 0)], [(300, 120, 0)] * 3]),
+        ])
+        _assert_flat_equals_scalar(pack)
+
+    def test_single_stream_masters(self):
+        pack = _hand_pack([
+            (10, [[(100, 30, 0)], [(50, 50, 20)], [(40, 5, 0)]]),
+            (3, [[(9, 9, 9)]]),
+        ])
+        _assert_flat_equals_scalar(pack)
+
+    def test_lanes_with_an_empty_scope(self, monkeypatch):
+        # at offset 0 the strictly tightest stream has no other stream
+        # with D_j <= D_i in scope: its lane carries no entries
+        seen = _spy_lanes(monkeypatch)
+        pack = _hand_pack([(6, [[(90, 12, 0), (100, 70, 0), (400, 300, 4)]])])
+        _assert_flat_equals_scalar(pack)
+        capped = [counts for kind, counts in seen if kind == "capped"]
+        assert capped and 0 in capped[0]
+
+    def test_jitter_points_that_coincide_with_deadline_points(self):
+        # J_j = T_j puts a − J_j on the previous deadline point, and
+        # J_j = D_j − D_l on stream l's: the dedup must merge them
+        specs = [(50, 20, 0), (60, 45, 60), (70, 40, 20), (55, 55, 15)]
+        pack = _hand_pack([(4, [specs])])
+        raw = []
+        for t, d, j in specs:
+            for k in range(8):
+                a = d - specs[0][1] + k * t
+                if 0 <= a <= 400:
+                    raw.append(a)
+                    if j and a - j >= 0:
+                        raw.append(a - j)
+        assert len(raw) > len(set(raw))
+        _assert_flat_equals_scalar(pack)
+
+    def test_ambiguous_utilisation_guard_reruns_scalar(self, monkeypatch):
+        # U == 1 exactly sits inside the float margin for both policies:
+        # those masters re-run through the scalar kernels inside the
+        # pack, the others stay on the lanes
+        from repro.perf import kernels
+
+        calls = {"dm": 0, "edf": 0}
+        real_dm = kernels.dm_master_response_times
+        real_edf = kernels.edf_master_response_times
+
+        def dm(*args, **kwargs):
+            calls["dm"] += 1
+            return real_dm(*args, **kwargs)
+
+        def edf(*args, **kwargs):
+            calls["edf"] += 1
+            return real_edf(*args, **kwargs)
+
+        pack = _hand_pack([
+            (10, [[(20, 20, 0), (20, 15, 0)], [(100, 60, 0), (70, 50, 3)]]),
+            (1, [[(3, 3, 0), (3, 2, 0), (3, 1, 0)]]),
+        ])
+        monkeypatch.setattr(kernels, "dm_master_response_times", dm)
+        monkeypatch.setattr(kernels, "edf_master_response_times", edf)
+        dm_flat = vector._dm_flat_np(pack)
+        edf_flat = vector._edf_flat_np(pack)
+        assert calls == {"dm": 2, "edf": 2}
+        monkeypatch.undo()
+        _assert_flat_equals_scalar(pack)
+        assert dm_flat[0].tolist() == vector._dm_flat_np(pack)[0].tolist()
+        assert edf_flat[0].tolist() == vector._edf_flat_np(pack)[0].tolist()
+
+    def test_overflowing_deadline_key_goes_scalar(self, monkeypatch):
+        # huge deadlines, everything else small: with the int64 ceiling
+        # lowered to masters·(Dmax+1), only the deadline-order key can
+        # trip, and both policy passes redo the pack on the scalar
+        # kernels with the generic rows
+        phy = PhyParameters()
+        big = 10**12
+        nets = [
+            Network(masters=tuple(
+                Master(10 * k + i, (
+                    MessageStream(f"s{k}{i}a", T=big + i, D=big - 7 * k),
+                    MessageStream(f"s{k}{i}b", T=big + 3, D=big // 2, J=5),
+                )) for i in range(1, 4)),
+                slaves=(Slave(100),), phy=phy, ttr=5_000)
+            for k in range(4)
+        ]
+        pack = pack_networks(nets)
+        ceiling = pack.n_masters * (max(pack.stream_D) + 1)
+        monkeypatch.setattr(vector, "_SAFE_TOTAL", ceiling)
+        with pytest.raises(vector._VectorRangeError):
+            pack.deadline_order()
+        before = counters.vectorized
+        rows = analyse_many(nets, POLICIES, mode="vectorized")
+        assert counters.vectorized == before  # no lane ran
+        assert rows == analyse_many(nets, POLICIES, mode="generic")
+        fresh = pack_networks(nets)
+        assert vector._flat_values(fresh, "dm") is None
+        assert vector._flat_values(fresh, "edf") is None
+
+    @pytest.mark.parametrize("shift", range(0, 64, 6))
+    def test_any_tripped_guard_keeps_generic_rows(self, monkeypatch, shift):
+        # lowering the int64 ceiling step by step trips the guards in
+        # every combination (deadline key, offset key, lane bounds);
+        # whichever trips, the rows stay the generic ones
+        nets = _mixed_workload(8, seed="guards")
+        want = analyse_many(nets, POLICIES, mode="generic")
+        monkeypatch.setattr(vector, "_SAFE_TOTAL", 1 << shift)
+        assert analyse_many(nets, POLICIES, mode="vectorized") == want
+
+    @given(st.lists(
+        st.tuples(
+            st.integers(1, 12),                        # tc
+            st.lists(st.lists(st.tuples(
+                st.integers(24, 400),                  # T
+                st.integers(1, 500),                   # D
+                st.integers(0, 60),                    # J
+            ), min_size=1, max_size=5), min_size=1, max_size=3),
+        ),
+        min_size=1, max_size=4,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_random_packs_equal_scalar_kernels(self, nets):
+        from fractions import Fraction
+
+        for tc, masters in nets:
+            for specs in masters:
+                u = sum(Fraction(tc, t) for t, _d, _j in specs)
+                # near-saturated masters have long busy periods the
+                # scalar reference would crawl through
+                assume(not Fraction(9, 10) < u <= Fraction(11, 10))
+        _assert_flat_equals_scalar(_hand_pack(nets))
 
 
 # -------------------------------------------------------- mode equivalence
