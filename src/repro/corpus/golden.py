@@ -16,8 +16,8 @@ Sections:
     :func:`repro.profibus.ttr.analyse`, evaluated on the fast kernel
     path, the generic exact path **and** the structure-of-arrays vector
     kernels (:func:`repro.perf.vector.response_rows` — the numpy lanes,
-    or the scalar kernels over the pack without numpy; the frozen
-    values are engine-independent by the bit-equality contract), at
+    or the scalar analysis without numpy; the frozen values are
+    engine-independent by the bit-equality contract), at
     the entry's own TTR and at a probe TTR (``config["ttr_probe"]``) —
     the probe re-analyses the *same* master objects at a second
     ``Tcycle``, so a cache that goes stale across analysis inputs

@@ -48,6 +48,8 @@ Catalogue (each entry names the layer it corrupts):
   regression a numpy rewrite invites); killed by the dedicated
   ``probe:wide-values`` corpus entry whose periods and deadlines exceed
   2³², so the wraparound silently analyses a much smaller network.
+  Without numpy nothing is packed, so the harness reports this mutant
+  not applicable rather than a survivor.
 
 Mutants patch module attributes inside a context manager and restore
 them afterwards, so the harness leaves the process clean even on error.
@@ -96,6 +98,10 @@ class Mutant:
     expected_killers: Tuple[str, ...]
     #: zero-arg factory returning the active patch context manager
     apply: Callable[[], Any]
+    #: zero-arg probe: why the mutated seam reaches no output in this
+    #: process (the harness then reports the mutant not applicable
+    #: instead of running it), or ``None`` when it does
+    inapplicable: Callable[[], Optional[str]] = lambda: None
 
 
 # ------------------------------------------------------------ DM mutants
@@ -301,6 +307,14 @@ def _vec_int32_truncation():
     return _patched((vector_mod, "_pack_value", truncating_pack_value))
 
 
+def _vec_needs_numpy() -> Optional[str]:
+    from ..perf import vector as vector_mod
+
+    if vector_mod.numpy_available():
+        return None
+    return "numpy absent: no network is packed, the seam reaches no output"
+
+
 MUTANTS: Dict[str, Mutant] = {
     m.name: m
     for m in (
@@ -347,7 +361,7 @@ MUTANTS: Dict[str, Mutant] = {
         Mutant("vec-int32-truncation",
                "vector packing seam narrows stream attributes to int32 "
                "(values beyond 2^31 wrap around)",
-               ("analysis",), _vec_int32_truncation),
+               ("analysis",), _vec_int32_truncation, _vec_needs_numpy),
     )
 }
 
@@ -360,6 +374,8 @@ class MutantOutcome:
     killed_by_entry: Optional[str] = None
     #: golden sections (or self-consistency oracles) that failed
     killed_by_sections: Tuple[str, ...] = ()
+    #: why the mutant was not run (:attr:`Mutant.inapplicable`)
+    not_applicable: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -373,7 +389,13 @@ class MutationReport:
 
     @property
     def survivors(self) -> List[str]:
-        return [o.mutant for o in self.outcomes if not o.killed]
+        return [o.mutant for o in self.outcomes
+                if not o.killed and o.not_applicable is None]
+
+    @property
+    def not_applicable(self) -> List[str]:
+        return [o.mutant for o in self.outcomes
+                if o.not_applicable is not None]
 
     @property
     def ok(self) -> bool:
@@ -389,12 +411,17 @@ class MutationReport:
                 sections = ", ".join(o.killed_by_sections)
                 lines.append(f"  killed    {o.mutant:<34} "
                              f"by {o.killed_by_entry} [{sections}]")
+            elif o.not_applicable is not None:
+                lines.append(f"  n/a       {o.mutant:<34} "
+                             f"— {o.not_applicable}")
             else:
                 lines.append(f"  SURVIVED  {o.mutant:<34} "
                              "— the corpus has a blind spot here")
+        skipped = len(self.not_applicable)
         lines.append(
-            f"mutation strength: {self.killed}/{len(self.outcomes)} "
-            f"mutants killed"
+            f"mutation strength: {self.killed}/"
+            f"{len(self.outcomes) - skipped} mutants killed"
+            + (f", {skipped} not applicable" if skipped else "")
         )
         return lines
 
@@ -427,6 +454,11 @@ def run_mutation_harness(
     baseline = check_corpus(directory)
     outcomes: List[MutantOutcome] = []
     for mutant in mutants:
+        reason = mutant.inapplicable()
+        if reason is not None:
+            outcomes.append(MutantOutcome(mutant=mutant.name, killed=False,
+                                          not_applicable=reason))
+            continue
         with mutant.apply():
             report = check_corpus(directory, fail_fast=True,
                                   stop_on_first_failure=True)

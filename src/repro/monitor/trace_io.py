@@ -36,7 +36,6 @@ Unknown kinds, unknown keys, and non-integer times are refused with
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -432,12 +431,3 @@ def read_trace(
     if fmt == "csv":
         return _read_csv(lines)
     return _read_jsonl(lines)
-
-
-def csv_template() -> str:
-    """A one-row example of the external CSV shape (for docs/tests)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_EVENT_KEYS)
-    writer.writerow([0, "release", "M1", "axis", 1, 0])
-    return buf.getvalue()

@@ -64,8 +64,8 @@ DEFAULT_POLICIES: Tuple[str, ...] = ("fcfs", "dm", "edf")
 #: whose scalar run costs as much as the import, 150 ms / (25–31 µs),
 #: has 4800–6000 streams: below that a cold process (a one-shot CLI
 #: sweep, a service warm-up) would pay more for the import than the
-#: lanes save.  Without numpy the dispatch stays scalar at every size:
-#: there are no lanes to win back the packing cost.
+#: lanes save.  Without numpy there are no lanes, and every grid stays
+#: on the scalar kernels.
 VECTOR_MIN_STREAMS = 5000
 
 
@@ -392,10 +392,15 @@ def _analyse_pair(job: Tuple[int, Network],
 def _vector_rows(networks: List[Network],
                  policies: Sequence[str]) -> List[BatchResult]:
     """One SoA pack for the whole grid: every policy's lanes advance
-    over all networks at once; unpackable networks take the scalar
-    per-network path (fast kernels — ``vectorized`` implies them)."""
+    over all networks at once.  Networks the lanes cannot take run
+    :func:`_analyse_one`: all of them without numpy (no pack is built),
+    the unpackable ones, and a policy's packed networks when its pass
+    could wrap int64."""
     from . import vector
 
+    if not vector.numpy_available():
+        return [row for job in enumerate(networks)
+                for row in _analyse_pair(job, policies)]
     pack = vector.pack_networks(networks)
     # Rows in (index, policy) order: each policy's rows fill every
     # len(policies)-th slot, and the fallback networks' rows are
@@ -404,9 +409,14 @@ def _vector_rows(networks: List[Network],
     n_pol = len(policies)
     packed: List[Any] = [None] * (pack.n_packed * n_pol)
     for k, policy in enumerate(policies):
-        idx, tc, sched, worst, slack = vector.summary_columns(pack, policy)
-        packed[k::n_pol] = map(_row, zip(idx, repeat(policy), sched,
-                                         worst, slack, tc))
+        try:
+            idx, tc, sched, worst, slack = vector.summary_columns(pack, policy)
+        except vector._VectorRangeError:
+            packed[k::n_pol] = [_analyse_one(i, networks[i], policy)
+                                for i in pack.indices]
+        else:
+            packed[k::n_pol] = map(_row, zip(idx, repeat(policy), sched,
+                                             worst, slack, tc))
     if not pack.fallback:
         return packed
     rows: List[BatchResult] = []
@@ -446,12 +456,12 @@ def analyse_many(
     bit for bit, every network's lanes advancing together.  With no
     ``mode`` the process-wide mode applies, except that under ``fast`` a
     grid of at least :data:`VECTOR_MIN_STREAMS` streams takes the SoA
-    engine too when numpy is importable (without numpy, ``vectorized``
-    packs the grid and runs the scalar kernels over the pack, which
-    only adds the packing cost).  Results come back ordered by (network
-    index, policy position) regardless of the engine.  Every network
-    must carry a TTR at or above its ring latency — pre-filter rows
-    that do not (as the sweep drivers do).
+    engine too when numpy is importable.  Without numpy, ``vectorized``
+    analyses network by network on the scalar kernels, as ``fast``
+    does.  Results come back ordered by (network index, policy
+    position) regardless of the engine.  Every network must carry a
+    TTR at or above its ring latency — pre-filter rows that do not (as
+    the sweep drivers do).
     """
     policies = tuple(policies)
     for policy in policies:
@@ -460,10 +470,7 @@ def analyse_many(
     if mode is None:
         mode = analysis_mode()
         if mode == "fast" and _grid_streams(networks) >= VECTOR_MIN_STREAMS:
-            from . import vector
-
-            if vector.numpy_available():
-                mode = "vectorized"
+            mode = "vectorized"  # network by network without numpy
     with analysis_mode_set(mode):
         if mode == "vectorized":
             return _vector_rows(networks, policies)

@@ -22,7 +22,9 @@ Three modes drive the same analyses to bit-identical values:
     fixed-point recurrences together, one instruction stream per sweep.
     Scalar (non-batch) entry points under this mode use the fast
     kernels — the vector engine engages at the batch driver
-    (:func:`repro.perf.batch.analyse_many`), at every grid size.
+    (:func:`repro.perf.batch.analyse_many`), at every grid size.  It
+    needs numpy: without it, and for every network the lanes cannot
+    take, the batch driver runs the fast kernels network by network.
 
 The switch is an internal oracle seam, not a user knob: the corpus
 goldens, the fuzz oracles and perfbench's generic reference run the
@@ -34,9 +36,7 @@ the analysis side one seam reads it,
 The process default is ``fast``.  A scoped override
 (:func:`analysis_mode_set`) lives in a context variable, so overlapping
 overrides on different threads — the daemon's executor runs requests
-concurrently — never see or restore each other's mode.  Without numpy,
-``vectorized`` runs the scalar kernels over the SoA pack of
-:mod:`repro.perf.vector`.
+concurrently — never see or restore each other's mode.
 """
 
 from __future__ import annotations

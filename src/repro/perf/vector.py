@@ -34,8 +34,8 @@ Every value passes through :func:`_pack_value` on the way in (the
 identity — it exists as the seam the ``vec-int32-truncation`` corpus
 mutant narrows).  Networks the arrays cannot represent exactly — a
 non-int ``Tcycle``, non-int stream attributes, or magnitudes beyond
-``_PACK_LIMIT`` where an int64 backend could overflow — are listed in
-``fallback`` and take the scalar path unchanged.
+``_PACK_LIMIT`` where an int64 lane could overflow — are listed in
+``fallback`` and take the per-network scalar path unchanged.
 
 Lane engine
 ===========
@@ -60,11 +60,11 @@ trajectory — each lane's sweep sequence is exactly the scalar
 iteration it replaces (property-tested against per-lane reference
 loops in ``tests/test_perf_vector.py``).
 
-Backends
-========
+Arrays and fallbacks
+====================
 
-With numpy importable the *whole* pipeline is array-shaped, not just
-the iteration: one stable sort per pack
+The engine runs on numpy, and the *whole* pipeline is array-shaped, not
+just the iteration: one stable sort per pack
 (:meth:`NetworkPack.deadline_order`) gives the DM priority ranks and
 the prefixes EDF's deadline scopes read, blocking terms / seed sums /
 candidate EDF offsets are built by
@@ -74,14 +74,15 @@ float-reordering margin re-run through the scalar kernels, so the
 bit-exact declaration-order summation still decides them), and the
 per-network verdict fold is ``reduceat`` over the network CSR.  The
 engine guards against int64 overflow with exact python-int bound
-prechecks plus a per-sweep bound.
+prechecks plus a per-sweep bound; a policy pass that could wrap raises
+``_VectorRangeError`` (freak magnitudes only).
 
-Without numpy — and for any policy pass where an int64 lane could wrap
-(``_VectorRangeError``, freak magnitudes only) — the scalar kernels of
-:mod:`repro.perf.kernels` run over the pack instead, master by master
-on the specs read back out of the flat arrays, so every value still
-crosses :func:`_pack_value`.  Correctness never depends on which of the
-two ran.
+Networks the lanes cannot take have one route: the per-network scalar
+path.  Without numpy the batch driver builds no pack at all; for an
+unpackable network or a pass that raised ``_VectorRangeError`` it runs
+:func:`repro.perf.batch._analyse_one` on each network concerned, and
+:func:`response_rows` falls back to :func:`repro.profibus.ttr.analyse`.
+Correctness never depends on which route ran.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ _PACK_LIMIT = 1 << 44
 _SAFE_TOTAL = 1 << 62
 
 #: Materialisation cap on any one lane/entry expansion — beyond this the
-#: pass falls back to the scalar kernels rather than allocate without
-#: bound (the scalar path enumerates the same work lazily).
+#: pass raises ``_VectorRangeError`` rather than allocate without bound
+#: (the per-network scalar path enumerates the same work lazily).
 _MAX_LANES = 4_000_000
 
 
@@ -158,14 +159,14 @@ def numpy_version() -> Optional[str]:
 
 
 def backend_name() -> str:
-    """``"numpy"`` (the SoA lanes) or ``"scalar"`` (the scalar kernels
-    over the pack) — the engine that would run now."""
+    """``"numpy"`` (the SoA lanes) or ``"scalar"`` (the per-network
+    kernels, numpy absent) — the engine that would run now."""
     return "scalar" if _load_numpy() is None else "numpy"
 
 
 class _VectorRangeError(Exception):
-    """Internal: an int64 pass could overflow or over-allocate; redo it
-    through the scalar kernels."""
+    """Internal: an int64 pass could overflow or over-allocate; its
+    networks take the per-network scalar path."""
 
 
 # ------------------------------------------------------------------ packing
@@ -178,7 +179,7 @@ class NetworkPack:
         "networks", "indices", "fallback", "tc",
         "net_master_start", "net_stream_start", "master_net", "master_tc",
         "master_stream_start", "stream_T", "stream_D", "stream_J",
-        "_specs", "_npc", "_dord", "_flat", "_pm",
+        "_specs", "_npc", "_dord", "_flat",
     )
 
     def __init__(self) -> None:
@@ -198,7 +199,6 @@ class NetworkPack:
         self._npc: Optional[Dict[str, Any]] = None
         self._dord: Optional[Dict[str, Any]] = None
         self._flat: Dict[str, Any] = {}
-        self._pm: Dict[str, List[List]] = {}
 
     @property
     def n_packed(self) -> int:
@@ -233,8 +233,7 @@ class NetworkPack:
         )
 
     def np_arrays(self) -> Dict[str, Any]:
-        """The int64 array mirror of the packed lists, built lazily once
-        (numpy backend only)."""
+        """The int64 array mirror of the packed lists, built lazily once."""
         if self._npc is None:
             np = _load_numpy()
             i64 = np.int64
@@ -254,12 +253,11 @@ class NetworkPack:
         return self._npc
 
     def deadline_order(self) -> Dict[str, Any]:
-        """The packed streams in **deadline order**, built lazily once
-        (numpy backend only): stable by ``(master, D, declaration
-        index)``, so each master keeps its segment
-        ``[m_start, m_start + count)`` of positions.  This is eq. (16)'s
-        DM priority order and the order EDF's deadline scopes are
-        prefixes of.
+        """The packed streams in **deadline order**, built lazily once:
+        stable by ``(master, D, declaration index)``, so each master
+        keeps its segment ``[m_start, m_start + count)`` of positions.
+        This is eq. (16)'s DM priority order and the order EDF's
+        deadline scopes are prefixes of.
 
         ``order[p]`` is the stream at sorted position ``p``; ``key`` is
         the sorted one-int64 key ``master·D1 + D`` (``D1 = max D + 1``);
@@ -291,14 +289,14 @@ def pack_networks(networks: Sequence, ttr: Optional[int] = None) -> NetworkPack:
     ``ttr`` overrides every network's own TTR when given (the golden
     probe re-analysis).  Networks whose timing or streams are not plain
     ints — or whose magnitudes exceed ``_PACK_LIMIT`` — land in
-    ``pack.fallback`` for the scalar path.
+    ``pack.fallback`` for the per-network scalar path.
 
     Extraction is one walk of each master's stream list: the flat
     ``(T, D, J)`` columns and the eq. (13) ``C_M^k`` term come out
     together, and ``Tcycle = TTR + Tdel`` (eq. (14)) is assembled right
     here instead of through the layered scalar helpers.  A stream's
     cycle length is its explicit ``C_bits``, else a lookup in a table
-    local to this call, keyed by the PHY and the four
+    local to this call, keyed by the PHY's field values and the four
     ``MessageCycleSpec`` fields ``cycle_time`` reads and filled by
     :func:`repro.profibus.cycle.cycle_time` the first time a key
     appears — a generated 1000-network batch holds about 140 distinct
@@ -306,8 +304,12 @@ def pack_networks(networks: Sequence, ttr: Optional[int] = None) -> NetworkPack:
     streams or masters.  Bit-identical to the scalar helpers by the
     round-trip property tests and the golden corpus.
     """
+    from dataclasses import fields
+    from operator import attrgetter
+
     from ..profibus.cycle import cycle_time
     from ..profibus.frames import TOKEN_FRAME
+    from ..profibus.phy import PhyParameters
     from ..profibus.timing import check_ring_latency
 
     pack = NetworkPack()
@@ -321,8 +323,11 @@ def pack_networks(networks: Sequence, ttr: Optional[int] = None) -> NetworkPack:
     m_net, m_tc, m_start = (pack.master_net, pack.master_tc,
                             pack.master_stream_start)
     token_bits = TOKEN_FRAME.bits
-    # PHY → {(req_payload, resp_payload, short_ack, max_retry): Ch}
-    tables: Dict[Any, Dict[tuple, int]] = {}
+    # PHY field values → {(req_payload, resp_payload, short_ack,
+    # max_retry): Ch}.  A tuple of ints hashes and compares far cheaper
+    # than the dataclass, and every unpickled network brings its own.
+    phy_key = attrgetter(*(f.name for f in fields(PhyParameters)))
+    tables: Dict[tuple, Dict[tuple, int]] = {}
     table: Dict[tuple, int] = {}
     last_phy = None
     tpt = 0
@@ -330,7 +335,7 @@ def pack_networks(networks: Sequence, ttr: Optional[int] = None) -> NetworkPack:
         phy = net.phy
         if phy is not last_phy:
             tpt = token_bits + phy.tid2  # token_pass_time(phy)
-            table = tables.setdefault(phy, {})
+            table = tables.setdefault(phy_key(phy), {})
             last_phy = phy
         # Single pass with rollback: columns go straight into the flat
         # arrays; an unpackable master truncates back to the marks.
@@ -506,34 +511,7 @@ def _cs0(np, a):
     return out
 
 
-# ------------------------------------------------- scalar policy stages
-
-
-def _fcfs_values(pack: NetworkPack) -> List[List[int]]:
-    out = []
-    for m in range(pack.n_masters):
-        nh = pack.master_stream_start[m + 1] - pack.master_stream_start[m]
-        out.append([nh * pack.master_tc[m]] * nh)
-    return out
-
-
-def _dm_scalar_values(pack: NetworkPack) -> List[List[Optional[int]]]:
-    return [
-        list(kernels.dm_master_response_times(pack.master_specs(m),
-                                              pack.master_tc[m]))
-        for m in range(pack.n_masters)
-    ]
-
-
-def _edf_scalar_values(pack: NetworkPack) -> List[List[Tuple]]:
-    return [
-        list(kernels.edf_master_response_times(pack.master_specs(m),
-                                               pack.master_tc[m]))
-        for m in range(pack.n_masters)
-    ]
-
-
-# ---------------------------------------------- numpy-backend policy stages
+# ------------------------------------------------------- policy stages
 
 
 def _fcfs_flat_np(pack: NetworkPack):
@@ -855,77 +833,23 @@ def _edf_flat_np(pack: NetworkPack, limit_factor: int = 4):
 
 
 def _flat_values(pack: NetworkPack, policy: str):
-    """Numpy flat results ``(resp, crit_or_None, valid)`` for a policy,
-    cached on the pack; ``None`` when the scalar kernels run over the
-    pack instead — numpy absent, or an int64 pass that could wrap — and
-    the per-master cache holds their ``dm``/``edf`` values (``fcfs``
-    needs no kernel: :func:`master_values` computes it directly)."""
-    if policy not in pack._flat:
-        if policy not in ("fcfs", "dm", "edf"):
-            raise ValueError(f"unknown policy {policy!r}")
-        flat = None
-        if _load_numpy() is not None:
-            try:
-                if policy == "fcfs":
-                    flat = _fcfs_flat_np(pack)
-                elif policy == "dm":
-                    flat = _dm_flat_np(pack)
-                else:
-                    flat = _edf_flat_np(pack)
-            except _VectorRangeError:
-                pass
-        if flat is None and policy != "fcfs":
-            pack._pm[policy] = (_dm_scalar_values(pack) if policy == "dm"
-                                else _edf_scalar_values(pack))
-        pack._flat[policy] = flat
-    return pack._flat[policy]
-
-
-def master_values(pack: NetworkPack, policy: str) -> List[List]:
-    """Per-master response values for every packed master, in the shape
-    of the scalar per-master kernels (``fcfs``: R per stream; ``dm``:
-    Optional[R]; ``edf``: ``(R, critical_a)``)."""
-    if policy == "fcfs":
-        return _fcfs_values(pack)
-    if policy not in ("dm", "edf"):
-        raise ValueError(f"unknown policy {policy!r}")
-    if policy in pack._pm:
-        return pack._pm[policy]
-    flat = _flat_values(pack, policy)
+    """``(resp, crit_or_None, valid)`` for a policy, flat over the
+    packed streams in declaration order (``valid`` False =
+    unschedulable), cached on the pack.  Raises
+    :class:`_VectorRangeError` when an int64 pass could wrap or
+    over-allocate."""
+    flat = pack._flat.get(policy)
     if flat is None:
-        return pack._pm[policy]
-    resp, crit, valid = flat
-    out: List[List] = []
-    for m in range(pack.n_masters):
-        lo = pack.master_stream_start[m]
-        hi = pack.master_stream_start[m + 1]
-        if policy == "dm":
-            out.append([int(resp[s]) if valid[s] else None
-                        for s in range(lo, hi)])
+        if policy == "fcfs":
+            flat = _fcfs_flat_np(pack)
+        elif policy == "dm":
+            flat = _dm_flat_np(pack)
+        elif policy == "edf":
+            flat = _edf_flat_np(pack)
         else:
-            out.append([(int(resp[s]), int(crit[s])) if valid[s]
-                        else (None, None) for s in range(lo, hi)])
-    pack._pm[policy] = out
-    return out
-
-
-def batch_pairs(pack: NetworkPack, policy: str):
-    """Yield ``(original_index, tcycle, [(response, deadline), …])`` per
-    packed network — the :func:`repro.perf.batch._fold_responses`
-    input, straight from the arrays."""
-    values = master_values(pack, policy)
-    for p in range(pack.n_packed):
-        pairs: List[Tuple[Optional[int], int]] = []
-        for m in pack.masters_of(p):
-            specs = pack.master_specs(m)
-            vals = values[m]
-            if policy == "edf":
-                vals = [r for r, _a in vals]
-            pairs.extend(
-                (None if r is None else int(r), d)
-                for (_t, d, _j), r in zip(specs, vals)
-            )
-        yield pack.indices[p], pack.tc[p], pairs
+            raise ValueError(f"unknown policy {policy!r}")
+        pack._flat[policy] = flat
+    return flat
 
 
 def batch_summaries(pack: NetworkPack, policy: str):
@@ -938,23 +862,13 @@ def batch_summaries(pack: NetworkPack, policy: str):
 def summary_columns(pack: NetworkPack, policy: str):
     """:func:`batch_summaries` as five lists — original indices,
     tcycles, schedulable flags, worst responses and worst slacks, one
-    entry per packed network.  The numpy lanes fold over the network
-    CSR with ``reduceat``; after the scalar kernels the pairs fold
-    through ``batch._fold_responses`` itself."""
-    flat = _flat_values(pack, policy)
-    if flat is None:
-        from .batch import _fold_responses
-
-        folded = [_fold_responses(idx, policy, tc, pairs)
-                  for idx, tc, pairs in batch_pairs(pack, policy)]
-        return (pack.indices, pack.tc,
-                [b.schedulable for b in folded],
-                [b.worst_response for b in folded],
-                [b.worst_slack for b in folded])
+    entry per packed network, folded over the network CSR with
+    ``reduceat``.  Raises :class:`_VectorRangeError` as
+    :func:`_flat_values` does."""
+    resp, _crit, valid = _flat_values(pack, policy)
     np = _load_numpy()
     d = pack.np_arrays()
     i64 = np.int64
-    resp, _crit, valid = flat
     aD = d["aD"]
     nss = d["nss"]
     P = pack.n_packed
@@ -988,26 +902,28 @@ def _ints_or_none(values, none_at) -> List[Optional[int]]:
 def response_rows(network, policy: str,
                   ttr: Optional[int] = None) -> Dict[str, Any]:
     """``{"tcycle": …, "rows": [[master, stream, R], …]}`` for one
-    network through the vector kernels — the same shape as the golden
-    ``analysis`` rows, for the three-way oracles.  Falls back to the
-    scalar analysis for unpackable networks (identical semantics)."""
-    pack = pack_networks([network], ttr=ttr)
-    if pack.fallback:
-        from ..profibus import ttr as ttr_mod
+    network, read straight from the lanes' flat arrays — the same shape
+    as the golden ``analysis`` rows, for the three-way oracles.  Without
+    numpy, for an unpackable network or on :class:`_VectorRangeError`
+    it falls back to the scalar analysis (identical semantics)."""
+    if _load_numpy() is not None:
+        pack = pack_networks([network], ttr=ttr)
+        if not pack.fallback:
+            try:
+                resp, _crit, valid = _flat_values(pack, policy)
+            except _VectorRangeError:
+                pass
+            else:
+                names = [(master.name, stream.name)
+                         for master in network.masters
+                         for stream in master.high_streams]
+                rows = [[m, s, r if ok else None] for (m, s), r, ok
+                        in zip(names, resp.tolist(), valid.tolist())]
+                return {"tcycle": pack.tc[0], "rows": rows}
+    from ..profibus import ttr as ttr_mod
 
-        res = ttr_mod.analyse(network, policy, ttr=ttr)
-        return {
-            "tcycle": res.tcycle,
-            "rows": [[sr.master, sr.stream.name, sr.R]
-                     for sr in res.per_stream],
-        }
-    values = master_values(pack, policy)
-    rows: List[List[Any]] = []
-    for m, master in zip(pack.masters_of(0), network.masters):
-        vals = values[m]
-        if policy == "edf":
-            vals = [r for r, _a in vals]
-        for stream, r in zip(master.high_streams, vals):
-            rows.append([master.name, stream.name,
-                         None if r is None else int(r)])
-    return {"tcycle": pack.tc[0], "rows": rows}
+    res = ttr_mod.analyse(network, policy, ttr=ttr)
+    return {
+        "tcycle": res.tcycle,
+        "rows": [[sr.master, sr.stream.name, sr.R] for sr in res.per_stream],
+    }

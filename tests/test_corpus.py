@@ -200,15 +200,22 @@ class TestPooledCheck:
 
 class TestMutationStrength:
     def test_all_mutants_killed(self):
+        from repro.perf import vector
+
         report = run_mutation_harness(REPO_CORPUS)
         assert report.baseline_ok
         assert not report.survivors, "\n".join(report.format_lines())
         # the acceptance bar: at least 8 named analytic mutants die
         assert report.killed >= 8
-        assert report.killed == len(MUTANTS)
+        # every mutant dies with numpy; without it only the packing-seam
+        # mutant is not applicable (nothing is packed)
+        skipped = [] if vector.numpy_available() else ["vec-int32-truncation"]
+        assert report.not_applicable == skipped
+        assert report.killed == len(MUTANTS) - len(skipped)
         for outcome in report.outcomes:
-            assert outcome.killed_by_entry
-            assert outcome.killed_by_sections
+            if outcome.mutant not in skipped:
+                assert outcome.killed_by_entry
+                assert outcome.killed_by_sections
 
     def test_harness_restores_every_seam(self):
         """After the harness, the unmutated check still passes — no

@@ -14,8 +14,10 @@ Four layers:
   ``--rules``, fixture-tree exclusion + ``--include-fixtures``.
 """
 
+import io
 import json
 import textwrap
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -75,10 +77,24 @@ def test_unparseable_file_is_skipped_not_fatal(tmp_path):
     assert graph.modules == {}
 
 
-def test_dump_graph_is_byte_identical_across_runs(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
+@pytest.fixture(scope="module")
+def cli_graph_dump(tmp_path_factory):
+    """One full-tree ``lint --format json --dump-graph`` through the CLI:
+    ``(exit code, report doc, graph file)``, shared by the CLI test and
+    the determinism check (each full-tree graph build costs seconds)."""
+    out = tmp_path_factory.mktemp("graph") / "graph.json"
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        code = cli_main(["lint", str(SRC), "--format", "json",
+                         "--dump-graph", str(out)])
+    return code, json.loads(stdout.getvalue()), out
+
+
+def test_dump_graph_is_byte_identical_across_runs(tmp_path, cli_graph_dump):
+    # an in-process dump must reproduce the CLI run's file byte for byte
+    a = tmp_path / "a.json"
     run_lint([SRC], flow=False, dump_graph=a)
-    run_lint([SRC], flow=False, dump_graph=b)
+    _code, _report, b = cli_graph_dump
     assert a.read_bytes() == b.read_bytes()
     doc = json.loads(a.read_text())
     # lint: disable=REP003 — pins the frozen tag verbatim
@@ -89,11 +105,9 @@ def test_dump_graph_is_byte_identical_across_runs(tmp_path):
     assert doc["counts"]["functions"] == len(doc["functions"]) > 0
 
 
-def test_dump_graph_cli_and_stats_in_report(tmp_path, capsys):
-    out = tmp_path / "graph.json"
-    assert cli_main(["lint", str(SRC), "--format", "json",
-                     "--dump-graph", str(out)]) == 0
-    doc = json.loads(capsys.readouterr().out)
+def test_dump_graph_cli_and_stats_in_report(cli_graph_dump):
+    code, doc, out = cli_graph_dump
+    assert code == 0
     assert doc["graph"]["modules"] == \
         json.loads(out.read_text())["counts"]["modules"]
 

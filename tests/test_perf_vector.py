@@ -14,7 +14,7 @@ Three properties carry the module:
   kinds;
 * ``vectorized`` mode must be bit-identical to ``generic`` and ``fast``
   through the public batch driver, with the numpy lanes and without
-  numpy, where the scalar kernels run over the pack.
+  numpy, where every network takes the per-network scalar path.
 
 Numpy-only tests skip cleanly on numpy-free machines; the numpy-free
 path is also exercised on numpy machines by patching the probe.
@@ -501,6 +501,21 @@ def _assert_flat_equals_scalar(pack):
             f"edf master {m}"
 
 
+def _huge_deadline_nets():
+    """Four rings of three masters whose deadlines and periods are near
+    10¹² while every cycle is small: only keys built on ``D`` get big."""
+    big = 10**12
+    return [
+        Network(masters=tuple(
+            Master(10 * k + i, (
+                MessageStream(f"s{k}{i}a", T=big + i, D=big - 7 * k),
+                MessageStream(f"s{k}{i}b", T=big + 3, D=big // 2, J=5),
+            )) for i in range(1, 4)),
+            slaves=(Slave(100),), phy=PhyParameters(), ttr=5_000)
+        for k in range(4)
+    ]
+
+
 def _spy_lanes(monkeypatch):
     """Record ``(kind, counts)`` of every lane batch the pipelines run."""
     seen = []
@@ -611,19 +626,9 @@ class TestDeadlineOrderStaging:
     def test_overflowing_deadline_key_goes_scalar(self, monkeypatch):
         # huge deadlines, everything else small: with the int64 ceiling
         # lowered to masters·(Dmax+1), only the deadline-order key can
-        # trip, and both policy passes redo the pack on the scalar
-        # kernels with the generic rows
-        phy = PhyParameters()
-        big = 10**12
-        nets = [
-            Network(masters=tuple(
-                Master(10 * k + i, (
-                    MessageStream(f"s{k}{i}a", T=big + i, D=big - 7 * k),
-                    MessageStream(f"s{k}{i}b", T=big + 3, D=big // 2, J=5),
-                )) for i in range(1, 4)),
-                slaves=(Slave(100),), phy=phy, ttr=5_000)
-            for k in range(4)
-        ]
+        # trip; both policy passes raise, and their networks take the
+        # per-network scalar path with the generic rows
+        nets = _huge_deadline_nets()
         pack = pack_networks(nets)
         ceiling = pack.n_masters * (max(pack.stream_D) + 1)
         monkeypatch.setattr(vector, "_SAFE_TOTAL", ceiling)
@@ -634,8 +639,42 @@ class TestDeadlineOrderStaging:
         assert counters.vectorized == before  # no lane ran
         assert rows == analyse_many(nets, POLICIES, mode="generic")
         fresh = pack_networks(nets)
-        assert vector._flat_values(fresh, "dm") is None
-        assert vector._flat_values(fresh, "edf") is None
+        for policy in ("dm", "edf"):
+            with pytest.raises(vector._VectorRangeError):
+                vector._flat_values(fresh, policy)
+
+    def test_only_the_overflowing_policy_goes_per_network(self,
+                                                           monkeypatch):
+        # a ceiling just above masters·(Dmax+1) spares the shared
+        # deadline key and every DM bound, and trips EDF's offset-window
+        # key masters·(Lmax+Dmax+1): only EDF's rows take _analyse_one
+        from repro.perf import batch
+
+        nets = _huge_deadline_nets()
+        want = analyse_many(nets, POLICIES, mode="generic")
+        pack = pack_networks(nets)
+        ceiling = pack.n_masters * (max(pack.stream_D) + 1) + 1
+        monkeypatch.setattr(vector, "_SAFE_TOTAL", ceiling)
+        with pytest.raises(vector._VectorRangeError):
+            vector._edf_flat_np(pack)
+        before = counters.vectorized
+        assert analyse_many(nets, ("dm",), mode="vectorized") \
+            == [row for row in want if row.policy == "dm"]
+        dm_iterations = counters.vectorized - before
+        assert dm_iterations > 0  # DM stays on its lanes
+        calls = []
+        real = batch._analyse_one
+
+        def spy(index, network, policy):
+            calls.append((index, policy))
+            return real(index, network, policy)
+
+        monkeypatch.setattr(batch, "_analyse_one", spy)
+        before = counters.vectorized
+        rows = analyse_many(nets, POLICIES, mode="vectorized")
+        assert counters.vectorized - before >= dm_iterations
+        assert calls == [(i, "edf") for i in range(len(nets))]
+        assert rows == want
 
     @pytest.mark.parametrize("shift", range(0, 64, 6))
     def test_any_tripped_guard_keeps_generic_rows(self, monkeypatch, shift):
@@ -726,9 +765,9 @@ class TestThreeModeEquality:
 
 
 class TestWithoutNumpy:
-    """With the probe reporting no numpy, ``vectorized`` runs the scalar
-    kernels over the pack: the same rows, no lane iterations, and the
-    packing seam still in the path."""
+    """With the probe reporting no numpy, ``vectorized`` builds no pack
+    and runs the per-network scalar path: the same rows, no lane
+    iterations, and the packing seam out of reach."""
 
     @pytest.fixture(autouse=True)
     def _no_numpy(self, monkeypatch):
@@ -748,10 +787,33 @@ class TestWithoutNumpy:
         _assert_rows_match_generic()
         assert counters.snapshot()["vectorized"] == 0
 
-    def test_int32_truncation_mutant_still_killed(self):
-        # the scalar path still reads its specs out of the pack, so the
-        # narrowed packing seam must still change a golden value
+    def test_int32_truncation_mutant_not_applicable(self):
+        # nothing is packed, so the narrowed packing seam reaches no
+        # output: the harness reports the mutant not applicable, never
+        # as a survivor
         report = run_mutation_harness(REPO_CORPUS,
                                       mutant_names=["vec-int32-truncation"])
+        lines = "\n".join(report.format_lines())
         assert report.baseline_ok
-        assert report.killed == 1, "\n".join(report.format_lines())
+        assert report.ok, lines
+        assert report.killed == 0
+        assert report.survivors == []
+        assert report.not_applicable == ["vec-int32-truncation"]
+        assert "numpy absent" in report.outcomes[0].not_applicable
+        assert "n/a       vec-int32-truncation" in lines
+        assert "SURVIVED" not in lines
+        assert lines.endswith("0/0 mutants killed, 1 not applicable")
+
+    def test_vectorized_builds_no_pack(self, monkeypatch):
+        packs = []
+        real = vector.pack_networks
+
+        def spy(*args, **kwargs):
+            packs.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(vector, "pack_networks", spy)
+        nets = _mixed_workload(12, seed="nopack")
+        rows = analyse_many(nets, POLICIES, mode="vectorized")
+        assert packs == []
+        assert rows == analyse_many(nets, POLICIES, mode="generic")
