@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite
 from numbers import Real
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .perf.batch import (
     _master_responses,
@@ -64,6 +64,7 @@ from .perf.batch import (
     spec_columns,
 )
 from .perf.cache import ResultCache
+from .perf.kernels import iteration_bound
 from .perf.config import analysis_mode
 from .profibus import serialization as serialization_mod
 from .profibus import sweep as sweep_mod
@@ -347,20 +348,36 @@ def _analysis_payload(net: Network, policy: str,
     }
 
 
-def _scan_payload(scan: NetworkScan, policy: str,
-                  refined: bool) -> Optional[Dict[str, Any]]:
-    """:func:`_analysis_payload` straight from the scan's rows: eqs.
-    (13)/(14) from the ``C`` column, then one whole-master kernel run per
-    master.  ``None`` (build the network instead) when a ``T``, ``D``,
-    ``J``, ``C`` or the TTR is not a plain int (a float attribute, a
-    cycle spec ``cycle_time`` rejects, no TTR) or under the generic
-    reference."""
+class AnalyseColumns(NamedTuple):
+    """What an all-int ``analyse`` reads of its scan, derived once: the
+    TTR, eqs. (13)/(14)'s ``Tcycle`` from the ``C`` column and, per
+    master with high-priority streams, ``(master name, stream names,
+    (T, D, J) column)``.  The daemon bounds a miss's kernel work from it
+    (:meth:`iteration_bound`) and :func:`compute_result` answers from
+    it, so ``Tcycle`` is not derived twice."""
+
+    ttr: int
+    tcycle: int
+    masters: Tuple[Tuple[str, List[str], tuple], ...]
+
+    def iteration_bound(self, policy: str) -> Optional[int]:
+        """:func:`repro.perf.kernels.iteration_bound` over every master
+        column (``None``: some master's ``U ≥ 1``)."""
+        return iteration_bound(policy, [specs for _m, _n, specs
+                                         in self.masters], self.tcycle)
+
+
+def analyse_columns(scan: NetworkScan,
+                    refined: bool) -> Optional[AnalyseColumns]:
+    """The :class:`AnalyseColumns` of ``scan``.  ``None`` (build the
+    network instead) when a ``T``, ``D``, ``J``, ``C`` or the TTR is not
+    a plain int (a float attribute, a cycle spec ``cycle_time`` rejects,
+    no TTR) or under the generic reference."""
     ttr = scan.ttr
     if type(ttr) is not int or analysis_mode() == "generic":
         return None
     cm: List[int] = []
     chm: List[int] = []
-    # per master with high-priority streams: (name, stream names, column)
     masters = []
     for master in scan.masters:
         longest = longest_high = 0
@@ -386,9 +403,17 @@ def _scan_payload(scan: NetworkScan, policy: str,
                               cm, chm, refined=refined)
     except ValueError as exc:
         raise ApiError(str(exc)) from exc
+    return AnalyseColumns(ttr, tc, tuple(masters))
+
+
+def _columns_payload(columns: AnalyseColumns, policy: str,
+                     refined: bool) -> Dict[str, Any]:
+    """:func:`_analysis_payload` from the columns: one whole-master
+    kernel run per master."""
+    tc = columns.tcycle
     schedulable = True
     streams = []
-    for master_name, names, specs in masters:
+    for master_name, names, specs in columns.masters:
         responses = _master_responses(policy, specs, tc)
         for name, (_t, d, _j), r in zip(names, specs, responses):
             ok = r is not None and r <= d
@@ -404,7 +429,7 @@ def _scan_payload(scan: NetworkScan, policy: str,
     return {
         "policy": policy,
         "refined": refined,
-        "ttr": ttr,
+        "ttr": columns.ttr,
         "tcycle": tc,
         "schedulable": schedulable,
         "streams": streams,
@@ -691,23 +716,26 @@ def keyed_network(request: AnalysisRequest) -> Tuple[NetworkScan, str]:
 
 
 def compute_result(request: AnalysisRequest,
-                   net: Union[NetworkScan, Network],
+                   net: Union[NetworkScan, Network, AnalyseColumns],
                    fingerprint: str) -> AnalysisResult:
     """The compute step: answer ``request`` over the scan (or network)
-    and fingerprint :func:`keyed_network` returned for it.  Never
-    consults a cache.
+    and fingerprint :func:`keyed_network` returned for it, or over the
+    :class:`AnalyseColumns` already read from that scan.  Never consults
+    a cache.
 
     An ``analyse`` over a scan whose rows are all int, outside the
-    generic reference, is answered from the rows and stream names
-    (:func:`_scan_payload`): ``Tdel`` and ``Tcycle`` from the ``C``
+    generic reference, is answered from its columns
+    (:func:`analyse_columns`): ``Tdel`` and ``Tcycle`` from the ``C``
     column, one whole-master kernel run per master, no objects.  Every
     other request builds the :class:`Network` from the scan once and
     takes the object path."""
+    if isinstance(net, NetworkScan) and request.op == "analyse":
+        net = analyse_columns(net, request.refined) or net
+    if isinstance(net, AnalyseColumns):
+        return _analyse_result(
+            _columns_payload(net, request.policy, request.refined),
+            fingerprint)
     if isinstance(net, NetworkScan):
-        if request.op == "analyse":
-            payload = _scan_payload(net, request.policy, request.refined)
-            if payload is not None:
-                return _analyse_result(payload, fingerprint)
         net = net.network()
     return _COMPUTE[request.op](request, net, fingerprint)
 

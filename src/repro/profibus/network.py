@@ -11,6 +11,7 @@ input to every analysis in :mod:`repro.profibus` and to the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import inf
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..perf.config import analysis_mode
@@ -116,8 +117,11 @@ class Network:
         addrs = [m.address for m in masters] + [s.address for s in slaves]
         if len(addrs) != len(set(addrs)):
             raise ValueError("duplicate station addresses")
-        if self.ttr is not None and self.ttr <= 0:
-            raise ValueError("ttr must be positive")
+        if self.ttr is not None:
+            if type(self.ttr) is not int and not -inf < self.ttr < inf:
+                raise ValueError(f"ttr must be finite, got {self.ttr!r}")
+            if self.ttr <= 0:
+                raise ValueError("ttr must be positive")
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items()

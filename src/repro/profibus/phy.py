@@ -24,6 +24,7 @@ Defaults follow the DIN 19245 recommendations for 500 kbit/s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 #: Bits per UART character on PROFIBUS (start + 8 data + parity + stop).
 BITS_PER_CHAR = 11
@@ -76,6 +77,9 @@ class PhyParameters:
     max_retry: int = 1
 
     def __post_init__(self) -> None:
+        for field_name, value in vars(self).items():
+            if type(value) is not int and not -inf < value < inf:
+                raise ValueError(f"{field_name} must be finite, got {value!r}")
         if self.baud_rate <= 0:
             raise ValueError("baud_rate must be positive")
         if self.tsdr_min < 0 or self.tsdr_max < self.tsdr_min:

@@ -48,6 +48,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
+from math import inf as _INF
 from numbers import Real
 from pathlib import Path
 from typing import Any, Dict, NamedTuple, Optional, Tuple, Union
@@ -111,11 +112,14 @@ def _kind(value: Any) -> str:
 
 
 def _number(value: Any, what: str, where: str) -> Any:
-    """``value`` if it is a real number and not a bool."""
-    if type(value) is int or (isinstance(value, Real)
-                              and not isinstance(value, bool)):
+    """``value`` if it is a finite real number and not a bool."""
+    if type(value) is int:
         return value
-    raise _bad(where, f"{what} must be a number, got {value!r}")
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise _bad(where, f"{what} must be a number, got {value!r}")
+    if not -_INF < value < _INF:  # NaN fails both comparisons
+        raise _bad(where, f"{what} must be finite, got {value!r}")
+    return value
 
 
 def _entries(value: Any, what: str, where: str) -> Any:

@@ -15,6 +15,7 @@ through the blocking terms of eq. (13)).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf
 from typing import Optional
 
 from ..core.task import Task
@@ -37,6 +38,13 @@ class MessageStream:
     C_bits: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for field_name in ("T", "D", "J", "C_bits"):
+            value = getattr(self, field_name)
+            # NaN fails both comparisons
+            if type(value) is not int and value is not None and not (
+                    -inf < value < inf):
+                raise ValueError(f"stream {self.name!r}: {field_name} "
+                                 f"must be finite, got {value!r}")
         if self.T <= 0:
             raise ValueError(f"stream {self.name!r}: T must be > 0")
         if self.D is None:

@@ -35,11 +35,26 @@ The ``result`` documents are byte-identical to what
 service adds transport metadata (``cached``, ``elapsed_ms``) strictly
 *outside* the result, so verdicts can be compared bit-exactly across
 transports (the service tests and the CI smoke job do exactly that).
+
+An envelope ``id`` holding ``NaN``, ``±Infinity`` or a literal that
+overflows a float (``1e400``) is a ``protocol`` error: the ``id`` is
+echoed back, and those values are not JSON.  Inside the request document
+such values reach the api's checks, which refuse them as
+``bad-request`` naming the field.
+
+The daemon answers analysis requests in pre-encoded form:
+:func:`encode_json` is each result's canonical bytes, stored once, and
+:func:`result_line` splices them into the response envelope byte for
+byte as :func:`encode` of :func:`result_response` would write it.
+:func:`spelling_digest` names a request line by its bytes as received,
+leaving out the envelope ``id``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from math import isfinite
 from typing import Any, Dict, Optional, Tuple
 
 from ..api import API_SCHEMA, OPS as ANALYSIS_OPS
@@ -57,11 +72,27 @@ class ProtocolError(ValueError):
     """An envelope the server cannot make sense of."""
 
 
+def encode_json(value: Any) -> bytes:
+    """``value`` as canonical JSON bytes: sorted keys, no spaces."""
+    return json.dumps(value, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
 def encode(doc: Dict[str, Any]) -> bytes:
     """One protocol message as one JSON line (canonical key order, so
     logs and goldens are stable)."""
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":"))
-            + "\n").encode("utf-8")
+    return encode_json(doc) + b"\n"
+
+
+def _finite(value: Any) -> bool:
+    """No ``NaN``/``±Infinity`` anywhere in ``value``."""
+    if type(value) is float:
+        return isfinite(value)
+    if type(value) is list:
+        return all(map(_finite, value))
+    if type(value) is dict:
+        return all(map(_finite, value.values()))
+    return True
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:
@@ -71,7 +102,26 @@ def decode_line(line: bytes) -> Dict[str, Any]:
         raise ProtocolError(f"unparseable message: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProtocolError("message must be a JSON object")
+    if "id" in doc and not _finite(doc["id"]):
+        raise ProtocolError("message id holds NaN or Infinity, which is "
+                            "not a JSON number")
     return doc
+
+
+def spelling_digest(line: bytes, id_json: bytes) -> bytes:
+    """The sha256 of a request line as received, without a leading
+    ``{"id":<id_json>,``: every sorted-key client (``ServiceClient``
+    included) writes the ``id`` first, so two requests that differ only
+    in their ``id`` share a digest.  A line without that prefix is
+    hashed whole.  Equal digests mean equal envelopes apart from the
+    ``id``: a JSON value ends where its text ends, so the bytes after the
+    prefix determine every other member.  A remainder starts (after any
+    whitespace) with a key's ``"`` and a whole object with ``{``, so the
+    two kinds never share bytes."""
+    head = b'{"id":' + id_json + b","
+    if line.startswith(head):
+        return hashlib.sha256(memoryview(line)[len(head):]).digest()
+    return hashlib.sha256(line).digest()
 
 
 def request_envelope(
@@ -136,6 +186,30 @@ def result_response(
         "cached": cached,
         "elapsed_ms": elapsed_ms,
     }
+
+
+_OP_JSON = {op: encode_json(op) for op in ALL_OPS}
+_SCHEMA_JSON = encode_json(SERVICE_SCHEMA)
+
+
+def result_line(
+    id_json: bytes,
+    op: str,
+    result_json: bytes,
+    cached: bool,
+    elapsed_ms: float,
+) -> bytes:
+    """``encode(result_response(id, op, result, cached, elapsed_ms))``
+    from the encoded ``id`` and result (:func:`encode_json`): the same
+    bytes, with no re-encoding of the result."""
+    return b"".join((
+        b'{"cached":', b"true" if cached else b"false",
+        b',"elapsed_ms":', repr(elapsed_ms).encode("ascii"),
+        b',"id":', id_json,
+        b',"ok":true,"op":', _OP_JSON[op],
+        b',"result":', result_json,
+        b',"schema":', _SCHEMA_JSON, b"}\n",
+    ))
 
 
 def error_response(

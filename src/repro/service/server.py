@@ -10,15 +10,21 @@ Architecture (the single-backend / multi-client proxy shape)::
 
 One :class:`AnalysisServer` owns **one** value-keyed
 :class:`repro.perf.cache.ResultCache`; every connected client is
-multiplexed over it.  A request is served in up to four steps, all but
-the last on the event loop:
+multiplexed over it.  The cache holds each result's canonical encoded
+bytes (:func:`repro.service.protocol.encode_json`), so a reply is the
+stored bytes spliced into the envelope
+(:func:`repro.service.protocol.result_line`), byte-identical to encoding
+the whole response, and no result is encoded twice.  A request is
+served in up to four steps:
 
-1. the envelope is parsed and the sha256 of the api request document,
-   as spelled (compact JSON, keys in arrival order), is looked up in a
-   small LRU that maps each spelling already seen to its **value key**.
-   If the spelling is known and its value key is still cached, the
-   stored result document is the answer: no request object and no
-   network is built.  This is what makes exact repeats cheap;
+1. the envelope is decoded, and the sha256 of the request line as
+   received, less a leading ``{"id":<id>,`` that every sorted-key client
+   writes (:func:`repro.service.protocol.spelling_digest`), is looked up
+   in a small LRU that maps each spelling already seen to its **value
+   key**.  If the spelling is known and its value key is still cached,
+   the stored bytes are the answer: no request object and no network is
+   built, and nothing is re-serialised.  This is what makes exact
+   repeats cheap, whatever their ``id``;
 2. otherwise the request is parsed and keyed through
    :func:`repro.api.keyed_network`: one validating pass over the
    network document
@@ -28,15 +34,21 @@ the last on the event loop:
    ``Network`` is built.  The spelling is recorded only now that the
    request has parsed and keyed;
 3. the shared cache is consulted under the value key; a hit returns the
-   stored result document.  Two clients spelling the same plant
-   differently meet here;
-4. a miss hands the parsed request, the scan and the fingerprint to
-   :func:`repro.api.compute_result` on the loop's default thread
-   executor, so the accept loop stays responsive while an analysis
-   runs, then populates the cache.  An all-int ``analyse`` is answered
-   from the scan's ``(T, D, J, C)`` rows; any other request builds its
-   ``Network`` from the scan there, once.  Nothing is parsed a second
-   time.
+   stored bytes.  Two clients spelling the same plant differently meet
+   here;
+4. a miss is computed by :func:`repro.api.compute_result` over the scan
+   and the fingerprint, and its encoded result populates the cache.  An
+   all-int ``analyse`` reads its columns and ``Tcycle`` once
+   (:func:`repro.api.analyse_columns`); when their kernel iteration
+   bound (:meth:`repro.api.AnalyseColumns.iteration_bound`) is at most
+   :data:`INLINE_ITERATIONS` it is answered right on the event loop,
+   where a thread hop would buy nothing under the GIL.  Everything else
+   (the other ops, an ``analyse`` with some master at ``U ≥ 1``, one
+   over the bound, one the columns decline) runs on the loop's default
+   thread executor, so a long analysis cannot stall the accept loop;
+   a non-``analyse`` request builds its ``Network`` from the scan
+   there, once.  Nothing is parsed a second time.  The ``stats`` op
+   counts both routes (``compute``).
 
 Each analysis request counts exactly one cache hit or one miss: a known
 spelling whose value key has been evicted counts its miss at step 1 and
@@ -51,15 +63,26 @@ complete and flush its response before connections close.
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import json
 import time
 from typing import Any, Dict, Optional, Tuple
 
 from .. import api
 from ..perf.cache import DEFAULT_CAPACITY, ResultCache
+from ..profibus.serialization import NetworkScan
 from . import protocol
 from .sessions import SessionRegistry, SessionStats
+
+#: The largest kernel iteration bound
+#: (:meth:`repro.api.AnalyseColumns.iteration_bound`) of an ``analyse``
+#: miss computed on the event loop itself.  Every perfbench daemon-mix
+#: document of seeds 1-10 bounds at most 2,714 (p99 below 1,150).  On a
+#: 2-CPU x86 container (Python 3.11), columns hill-climbed toward the
+#: most counted iterations and the longest compute under this bound
+#: took at most 0.53 ms (EDF, 5 streams, bound 3,882, 157 iterations);
+#: the kernels never counted more than a sixth of the bound there.  At
+#: the costliest rate seen, 3.4 µs per counted iteration, a bound met
+#: exactly would block the loop for about 14 ms.
+INLINE_ITERATIONS = 4096
 
 
 class AnalysisServer:
@@ -78,6 +101,8 @@ class AnalysisServer:
         #: (an LRU of keys, not results; its own counters go unreported)
         self._spellings = ResultCache(cache_capacity)
         self.sessions = SessionRegistry()
+        #: how many misses computed on the loop and on the executor
+        self._computed = {"inline": 0, "executor": 0}
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping = asyncio.Event()
         self._client_tasks: set = set()
@@ -159,8 +184,7 @@ class AnalysisServer:
                     break  # client closed its end
                 # In-flight work completes even if shutdown arrives now:
                 # the stop event is only consulted between requests.
-                response = await self._dispatch(session, line)
-                writer.write(protocol.encode(response))
+                writer.write(await self._dispatch(session, line))
                 await writer.drain()
         except ConnectionError:
             pass  # client vanished mid-write; its stats stay recorded
@@ -174,8 +198,7 @@ class AnalysisServer:
                 pass
 
     # -- dispatch --------------------------------------------------------
-    async def _dispatch(self, session: SessionStats,
-                        line: bytes) -> Dict[str, Any]:
+    async def _dispatch(self, session: SessionStats, line: bytes) -> bytes:
         request_id: Any = None
         op: Optional[str] = None
         try:
@@ -185,37 +208,33 @@ class AnalysisServer:
         except protocol.ProtocolError as exc:
             session.note_request(op or "?")
             session.note_error()
-            return protocol.error_response(request_id, op, "protocol",
-                                           str(exc))
+            return protocol.encode(protocol.error_response(
+                request_id, op, "protocol", str(exc)))
         session.note_request(op)
         try:
             if op == "ping":
                 session.note_ok()
-                return protocol.result_response(
-                    request_id, op, protocol.ping_result(), False, 0.0
-                )
+                return protocol.encode(protocol.result_response(
+                    request_id, op, protocol.ping_result(), False, 0.0))
             if op == "stats":
                 session.note_ok()
-                return protocol.result_response(
-                    request_id, op, self.stats_doc(), False, 0.0
-                )
+                return protocol.encode(protocol.result_response(
+                    request_id, op, self.stats_doc(), False, 0.0))
             if op == "shutdown":
                 session.note_ok()
                 self._stopping.set()
-                return protocol.result_response(
-                    request_id, op, {"stopping": True}, False, 0.0
-                )
+                return protocol.encode(protocol.result_response(
+                    request_id, op, {"stopping": True}, False, 0.0))
             return await self._serve_analysis(session, op, request_id,
-                                              request_doc)
+                                              request_doc, line)
         except api.ApiError as exc:
             session.note_error()
-            return protocol.error_response(request_id, op, "bad-request",
-                                           str(exc))
+            return protocol.encode(protocol.error_response(
+                request_id, op, "bad-request", str(exc)))
         except Exception as exc:  # noqa: BLE001 — a fault must not kill
             session.note_error()   # the daemon, only the one response
-            return protocol.error_response(
-                request_id, op, "internal", f"{type(exc).__name__}: {exc}"
-            )
+            return protocol.encode(protocol.error_response(
+                request_id, op, "internal", f"{type(exc).__name__}: {exc}"))
 
     async def _serve_analysis(
         self,
@@ -223,30 +242,48 @@ class AnalysisServer:
         op: str,
         request_id: Any,
         request_doc: Dict[str, Any],
-    ) -> Dict[str, Any]:
+        line: bytes,
+    ) -> bytes:
         start = time.perf_counter()
-        spelling = hashlib.sha256(json.dumps(
-            request_doc, separators=(",", ":")).encode("utf-8")).hexdigest()
+        id_json = protocol.encode_json(request_id)
+        spelling = protocol.spelling_digest(line, id_json)
         known, key = self._spellings.get(spelling)
-        hit, result_doc = self.cache.get(key) if known else (False, None)
+        hit, result_json = self.cache.get(key) if known else (False, None)
         if not hit:
             request = api.AnalysisRequest.from_dict(request_doc)
             scan, fingerprint = api.keyed_network(request)
             if not known:
                 key = request.cache_key(fingerprint)
                 self._spellings.put(spelling, key)
-                hit, result_doc = self.cache.get(key)
+                hit, result_json = self.cache.get(key)
             if not hit:
-                loop = asyncio.get_event_loop()
-                result = await loop.run_in_executor(
-                    None, api.compute_result, request, scan, fingerprint
-                )
-                result_doc = result.to_dict()
-                self.cache.put(key, result_doc)
+                result = await self._compute(request, scan, fingerprint)
+                result_json = protocol.encode_json(result.to_dict())
+                self.cache.put(key, result_json)
         session.note_ok(cached=hit, counts_cache=True)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return protocol.result_response(request_id, op, result_doc, hit,
-                                        round(elapsed_ms, 3))
+        return protocol.result_line(id_json, op, result_json, hit,
+                                    round(elapsed_ms, 3))
+
+    async def _compute(self, request: api.AnalysisRequest,
+                       scan: NetworkScan,
+                       fingerprint: str) -> api.AnalysisResult:
+        """A miss's answer: inline when it is an all-int ``analyse``
+        whose iteration bound is at most :data:`INLINE_ITERATIONS`, on
+        the default executor otherwise (including ``U ≥ 1``, where the
+        bound does not exist)."""
+        net: Any = scan
+        if request.op == "analyse":
+            columns = api.analyse_columns(scan, request.refined)
+            if columns is not None:
+                net = columns
+                bound = columns.iteration_bound(request.policy)
+                if bound is not None and bound <= INLINE_ITERATIONS:
+                    self._computed["inline"] += 1
+                    return api.compute_result(request, columns, fingerprint)
+        self._computed["executor"] += 1
+        return await asyncio.get_running_loop().run_in_executor(
+            None, api.compute_result, request, net, fingerprint)
 
     # -- statistics ------------------------------------------------------
     def stats_doc(self) -> Dict[str, Any]:
@@ -259,5 +296,6 @@ class AnalysisServer:
                 "port": self.port,
             },
             "cache": self.cache.snapshot(),
+            "compute": dict(self._computed),
             "sessions": self.sessions.snapshot(),
         }

@@ -140,6 +140,14 @@ def _variant_doc():
     ).to_dict()
 
 
+def _sweep_doc(ttr=None):
+    """A request that always computes on the executor."""
+    return api.AnalysisRequest(
+        op="sweep", network=network_to_dict(factory_cell_network()),
+        ttr=ttr, sweep_param="deadline-scale", sweep_values=(1.0,),
+    ).to_dict()
+
+
 # ---------------------------------------------------------------------------
 # the acceptance test: concurrent clients, shared cache, offline parity
 # ---------------------------------------------------------------------------
@@ -366,8 +374,10 @@ class TestErrors:
 class TestShutdown:
     def test_shutdown_completes_in_flight_request(self, monkeypatch):
         """A request already computing when ``shutdown`` arrives still
-        gets its (correct) response before the connection closes."""
-        base = _base_doc()
+        gets its (correct) response before the connection closes.  A
+        sweep, because only executor work can be parked: a small
+        ``analyse`` miss computes on the event loop itself."""
+        base = _sweep_doc()
         offline = api.execute(api.AnalysisRequest.from_dict(base)).to_dict()
 
         compute_started = threading.Event()
@@ -386,7 +396,7 @@ class TestShutdown:
         with ServerThread() as srv:
             worker = threading.Thread(
                 target=lambda: reply_box.update(
-                    reply=ServiceClient(*srv.address).analyse(base)))
+                    reply=ServiceClient(*srv.address).sweep(base)))
             worker.start()
             assert compute_started.wait(timeout=20)
             with srv.client() as control:
@@ -440,9 +450,9 @@ class TestOneParsePerRequest:
         return counts
 
     @staticmethod
-    def _analyse(client, doc, counts):
+    def _send(client, doc, counts):
         counts.update(parse=0, fingerprint=0)
-        reply = client.analyse(doc)
+        reply = client.request(doc["op"], doc)
         return reply, dict(counts)
 
     def test_miss_repeat_and_respelled_twin(self, counts):
@@ -454,9 +464,9 @@ class TestOneParsePerRequest:
                 stream.setdefault("J", 0)  # default made explicit
         with ServerThread() as srv:
             with srv.client() as c:
-                miss, miss_counts = self._analyse(c, base, counts)
-                repeat, repeat_counts = self._analyse(c, base, counts)
-                twin_hit, twin_counts = self._analyse(c, twin, counts)
+                miss, miss_counts = self._send(c, base, counts)
+                repeat, repeat_counts = self._send(c, base, counts)
+                twin_hit, twin_counts = self._send(c, twin, counts)
                 stats = c.stats()
         assert (miss.cached, miss_counts) == (
             False, {"parse": 1, "fingerprint": 1})
@@ -472,8 +482,9 @@ class TestOneParsePerRequest:
                                                    monkeypatch):
         """With ``cache_capacity=1``, two concurrent misses finishing out
         of order leave the later spelling known while its value key has
-        been evicted: that request parses once and counts one miss."""
-        first, second = _base_doc(), _variant_doc()
+        been evicted: that request parses once and counts one miss.
+        Sweeps, so that both misses park on the executor."""
+        first, second = _sweep_doc(), _sweep_doc(ttr=50_000)
         offline = api.execute_request_doc(second)
         gates = {None: threading.Event(), 50_000: threading.Event()}
         started = {ttr: threading.Event() for ttr in gates}
@@ -492,7 +503,7 @@ class TestOneParsePerRequest:
         with ServerThread(cache_capacity=1) as srv:
             def send(doc, ttr):
                 with srv.client() as client:
-                    replies[ttr] = client.analyse(doc)
+                    replies[ttr] = client.sweep(doc)
 
             workers = []
             for doc, ttr in ((first, None), (second, 50_000)):
@@ -512,8 +523,8 @@ class TestOneParsePerRequest:
             assert [r.cached for r in (replies[None], replies[50_000])] == [
                 False, False]
             with srv.client() as c:
-                evicted, evicted_counts = self._analyse(c, second, counts)
-                repeat, repeat_counts = self._analyse(c, second, counts)
+                evicted, evicted_counts = self._send(c, second, counts)
+                repeat, repeat_counts = self._send(c, second, counts)
                 stats = c.stats()
         assert (evicted.cached, evicted_counts) == (
             False, {"parse": 1, "fingerprint": 1})
@@ -524,6 +535,29 @@ class TestOneParsePerRequest:
         # four analysis requests: three misses, one hit, nothing counted twice
         assert (cache["hits"], cache["misses"]) == (1, 3)
         assert cache["evictions"] == 2
+
+    def test_known_spelling_with_evicted_value_key_inline(self, counts):
+        """The same case in sequence: an ``analyse`` miss computes on
+        the event loop, the cache drops its entry, and the known
+        spelling parses once, counts one miss and computes inline
+        again; its repeat is a hit."""
+        doc = _base_doc()
+        offline = api.execute_request_doc(doc)
+        with ServerThread() as srv:
+            with srv.client() as c:
+                miss, miss_counts = self._send(c, doc, counts)
+                srv.server.cache.clear()
+                evicted, evicted_counts = self._send(c, doc, counts)
+                repeat, repeat_counts = self._send(c, doc, counts)
+                stats = c.stats()
+        for reply, seen in ((miss, miss_counts), (evicted, evicted_counts)):
+            assert (reply.cached, seen) == (
+                False, {"parse": 1, "fingerprint": 1})
+        assert (repeat.cached, repeat_counts) == (
+            True, {"parse": 0, "fingerprint": 0})
+        assert miss.result == evicted.result == repeat.result == offline
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (1, 2)
+        assert stats["compute"] == {"inline": 2, "executor": 0}
 
 
 class TestStatsDoc:
