@@ -12,10 +12,17 @@ scenario × policy pair:
   monitoring rows against the offline rows **byte-for-byte** (the
   serialised row documents must be equal as JSON bytes),
 * repeat through the ``monitor`` op of the ``repro.api`` facade
-  in-process, which must agree byte-for-byte too,
+  in-process, once with the columnar ``trace/v2`` document and once
+  with the row-wise ``trace/v1`` document of the same run: both results
+  must agree byte-for-byte, and their rows with the offline rows,
+* send both documents to the real daemon (``repro-cli serve --port
+  0``, one process for the whole run): both replies must be
+  byte-identical to the in-process result, and the second document must
+  be a cache hit (one run, one cache entry, whichever schema carried
+  it),
 * finally check the degradation path: a deliberately truncated
   recorder must yield no positively-``sound`` row and a non-zero
-  ``repro-cli monitor`` exit code.
+  ``repro-cli monitor`` exit code, then stop the daemon (exit code 0).
 
 Exits nonzero with a message on the first violated expectation.
 """
@@ -27,12 +34,21 @@ import tempfile
 from pathlib import Path
 
 from repro import api
-from repro.monitor import monitor_trace, trace_doc, trace_from_doc, validation_row_doc
+from repro.monitor import (
+    event_to_doc,
+    monitor_trace,
+    trace_doc,
+    trace_from_doc,
+    validation_row_doc,
+)
+from repro.profibus import network_to_dict
 from repro.scenarios import (
     factory_cell_network,
     paper_illustration_network,
     single_master_network,
 )
+from repro.schemas import TRACE_SCHEMA_V1
+from repro.service import ServiceClient
 from repro.sim import BusTrace, TokenBusConfig, validate_network
 from repro.sim.validate import _POLICY_TO_SIM
 
@@ -54,6 +70,17 @@ def row_bytes(row_docs):
     return json.dumps(row_docs, sort_keys=True).encode()
 
 
+def canonical(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def v1_doc(tracer, horizon):
+    """The row-wise ``trace/v1`` document of a recorded run."""
+    return {"schema": TRACE_SCHEMA_V1, "format": "native",
+            "horizon": horizon, "dropped": tracer.dropped,
+            "events": [event_to_doc(e) for e in tracer.events]}
+
+
 def cli(args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "repro.cli", *args],
@@ -61,7 +88,7 @@ def cli(args, **kwargs):
     )
 
 
-def check_pair(workdir, scenario, policy):
+def check_pair(workdir, daemon, scenario, policy):
     net = SCENARIOS[scenario]()
     horizon = int(HORIZON_MS * net.phy.baud_rate / 1000)
 
@@ -100,16 +127,37 @@ def check_pair(workdir, scenario, policy):
         fail(f"monitor exit code {out.returncode} disagrees with the "
              f"verdicts for {scenario}/{policy}")
 
-    # Same question through the api facade, in-process.
-    result = api.monitor_check(net, trace_doc(tracer, horizon=horizon),
-                               policy=policy)
-    api_rows = row_bytes(result.payload["report"]["rows"])
+    # Same question through the api facade, in-process, as a v2 and
+    # as a v1 document of the same run.
+    docs = {"v2": trace_doc(tracer, horizon=horizon),
+            "v1": v1_doc(tracer, horizon)}
+    results = {name: api.monitor_check(net, doc, policy=policy)
+               for name, doc in docs.items()}
+    v1_result, v2_result = (canonical(results[name].to_dict())
+                            for name in ("v1", "v2"))
+    if v1_result != v2_result:
+        fail(f"api monitor results of the v1 and the v2 document differ "
+             f"for {scenario}/{policy}")
+    api_rows = row_bytes(results["v2"].payload["report"]["rows"])
     if api_rows != ref_rows:
         fail(f"api monitor rows differ from offline validation for "
              f"{scenario}/{policy}")
+
+    # Both documents through the daemon: one cache entry for the run.
+    for cached, (name, doc) in enumerate(sorted(docs.items())):
+        request = api.AnalysisRequest(
+            op="monitor", network=network_to_dict(net), policy=policy,
+            trace=doc).to_dict()
+        reply = daemon.monitor(request)
+        if canonical(reply.result) != v2_result:
+            fail(f"daemon monitor result of the {name} document differs "
+                 f"from repro.api for {scenario}/{policy}")
+        if reply.cached is not bool(cached):
+            fail(f"daemon: the {name} document of {scenario}/{policy} "
+                 f"should{'' if cached else ' not'} be a cache hit")
     print(f"monitor smoke: {scenario}/{policy}: "
           f"{len(ref.rows)} rows byte-identical across "
-          f"offline/CLI/api paths")
+          f"offline/CLI/api/daemon paths and v1/v2 documents")
 
 
 def check_degradation(workdir):
@@ -141,11 +189,30 @@ def check_degradation(workdir):
 
 
 def main():
-    with tempfile.TemporaryDirectory() as workdir:
-        for scenario in sorted(SCENARIOS):
-            for policy in ("fcfs", "dm", "edf"):
-                check_pair(workdir, scenario, policy)
-        check_degradation(workdir)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        banner = proc.stdout.readline().strip()
+        if not banner.startswith("listening on "):
+            fail(f"unexpected server banner {banner!r}")
+        host, _, port = banner.removeprefix("listening on ").rpartition(":")
+        with ServiceClient(host, int(port)) as daemon:
+            with tempfile.TemporaryDirectory() as workdir:
+                for scenario in sorted(SCENARIOS):
+                    for policy in ("fcfs", "dm", "edf"):
+                        check_pair(workdir, daemon, scenario, policy)
+                check_degradation(workdir)
+            daemon.shutdown()
+        if proc.wait(timeout=30) != 0:
+            fail(f"daemon exited with {proc.returncode}")
+    finally:
+        if proc.poll() is None:
+            proc.terminate()
+            proc.wait(timeout=10)
     print("monitor smoke: OK")
 
 

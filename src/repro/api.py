@@ -12,9 +12,9 @@ questions about a network document:
   much headroom remains after it does (seeded on
   :mod:`repro.core.sensitivity`);
 * **monitor** — *does this recorded frame log respect the analytic
-  bounds?* — a ``profibus-rt/trace/v1`` trace document checked by
-  :mod:`repro.monitor`, answered as a ``profibus-rt/monitor/v1``
-  report.
+  bounds?* — a trace document (``profibus-rt/trace/v2``, or the
+  row-wise ``profibus-rt/trace/v1``) checked by :mod:`repro.monitor`,
+  answered as a ``profibus-rt/monitor/v1`` report.
 
 This module gives those questions one typed request/response shape:
 frozen :class:`AnalysisRequest` / :class:`AnalysisResult` dataclasses
@@ -52,9 +52,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isfinite
 from numbers import Real
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional,
+                    Tuple, Union)
 
 from .perf.batch import (
     _master_responses,
@@ -74,6 +76,9 @@ from .profibus.network import Master, Network
 from .profibus.serialization import NetworkScan, ScenarioFormatError
 from .profibus.timing import tcycle_of_cycles
 from .schemas import API_SCHEMA
+
+if TYPE_CHECKING:  # the monitor (and the simulator it loads) stays lazy
+    from .monitor.trace_io import IngestedTrace
 
 OPS = ("analyse", "sweep", "admission", "monitor")
 POLICIES = ("fcfs", "dm", "edf")
@@ -116,8 +121,8 @@ class AnalysisRequest:
     admission_master: Optional[int] = None
     #: admission only: the candidate stream document
     admission_stream: Optional[Dict[str, Any]] = None
-    #: monitor only: the recorded frame log, as a
-    #: ``profibus-rt/trace/v1`` document (:mod:`repro.monitor.trace_io`)
+    #: monitor only: the recorded frame log, as a trace document
+    #: (``profibus-rt/trace/v2`` or ``/v1``, :mod:`repro.monitor.trace_io`)
     trace: Optional[Dict[str, Any]] = None
     #: monitor only: ignore responses of releases before this time (bit
     #: times) — the steady-state filter of ``TokenBusConfig.stats_after``
@@ -211,19 +216,35 @@ class AnalysisRequest:
             "sweep_values": list(self.sweep_values),
             "admission_master": self.admission_master,
             "admission_stream": self.admission_stream,
-            # a digest stands in for the (potentially huge) event list;
-            # canonical JSON, so value-equal traces collide by design
+            # a digest stands in for the (potentially huge) event
+            # columns; taken over the ingested trace, so value-equal
+            # traces collide by design, whichever schema carried them
             "trace_digest": self.trace_digest(),
             "stats_after": self.stats_after,
         }, sort_keys=True, separators=(",", ":"))
 
     def trace_digest(self) -> Optional[str]:
-        """Content hash of the trace document (``None`` without one)."""
-        if self.trace is None:
+        """Content hash of a ``monitor`` request's trace (``None`` for
+        the other ops): the sha256 of the canonical ``trace/v2``
+        document of :attr:`ingested_trace`, header fields included, so
+        the v1 and the v2 document of one run share a digest.  Raises
+        :class:`ApiError` for a malformed trace."""
+        if self.op != "monitor":
             return None
-        canonical = json.dumps(self.trace, sort_keys=True,
+        canonical = json.dumps(self.ingested_trace.to_doc(), sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    @cached_property
+    def ingested_trace(self) -> "IngestedTrace":
+        """The ``trace`` document ingested, once per request: the cache
+        key's digest and the monitor check share it."""
+        from .monitor.trace_io import TraceFormatError, trace_from_doc
+
+        try:
+            return trace_from_doc(self.trace)
+        except TraceFormatError as exc:
+            raise ApiError(f"bad trace document: {exc}") from exc
 
     # -- schema-versioned transport forms --------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -656,15 +677,10 @@ def _compute_monitor(request: AnalysisRequest, net: Network,
                      fingerprint: str) -> AnalysisResult:
     from .monitor import TraceFormatError
     from .monitor import engine as monitor_engine
-    from .monitor.trace_io import trace_from_doc
 
     try:
-        ingested = trace_from_doc(request.trace)
-    except TraceFormatError as exc:
-        raise ApiError(f"bad trace document: {exc}") from exc
-    try:
         report = monitor_engine.monitor_trace(
-            net, ingested, request.policy,
+            net, request.ingested_trace, request.policy,
             refined=request.refined, stats_after=request.stats_after,
         )
     except TraceFormatError as exc:
@@ -826,9 +842,9 @@ def monitor_check(
     stats_after: int = 0,
     cache: Optional[ResultCache] = None,
 ) -> AnalysisResult:
-    """Does this recorded frame log (a ``profibus-rt/trace/v1``
-    document) respect the analytic bounds?  The payload carries the full
-    ``profibus-rt/monitor/v1`` report."""
+    """Does this recorded frame log (a ``profibus-rt/trace/v2`` or
+    ``/v1`` document) respect the analytic bounds?  The payload carries
+    the full ``profibus-rt/monitor/v1`` report."""
     return execute(
         AnalysisRequest(op="monitor", network=_network_doc(network),
                         policy=policy, ttr=ttr, refined=refined,

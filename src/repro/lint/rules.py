@@ -14,7 +14,9 @@ only checks dynamically:
   explicit ``random.Random`` parameters.
 * **REP003 schema-registry** — every ``profibus-rt/<name>/v<k>``
   string literal must come from :mod:`repro.schemas`; the registry
-  itself must be duplicate-free and documented in ``PERF.md``.
+  itself must be duplicate-free (one current version per family, plus
+  older versions only as ``<CONSTANT>_V<k>``) and documented in
+  ``PERF.md``.
 
 Pickle safety of pool submissions is a whole-program property and
 lives in the flow layer (REP013, :mod:`repro.lint.flow`).
@@ -30,6 +32,10 @@ from .engine import FileContext, Finding, ProjectContext, Rule
 
 SCHEMA_LITERAL_RE = re.compile(
     r"profibus-rt/[a-z0-9][a-z0-9-]*(?:/[a-z0-9][a-z0-9-]*)*/v\d+")
+
+#: A registry constant ``<CONSTANT>_V<k>``: version ``k`` of the family
+#: of the current ``<CONSTANT>``, older than it and still read.
+OLDER_VERSION_RE = re.compile(r"(?P<current>\w+_SCHEMA)_V(?P<version>\d+)")
 
 
 # --------------------------------------------------------------- REP001
@@ -181,7 +187,10 @@ class SchemaRegistryRule(Rule):
         else:
             try:
                 from .. import schemas as _schemas
-                registry = dict(_schemas.SCHEMAS)
+                registry = {
+                    name: value for name, value in vars(_schemas).items()
+                    if isinstance(value, str)
+                    and SCHEMA_LITERAL_RE.fullmatch(value)}
             except Exception:  # pragma: no cover - repro.schemas ships
                 registry = {}
         project._rep003_registry = registry
@@ -233,6 +242,24 @@ class SchemaRegistryRule(Rule):
                        f"unknown schema literal {value!r}: not in the "
                        "repro.schemas registry")
 
+    @staticmethod
+    def _older_version_problem(value: str, current: str, version: int,
+                               values: Dict[str, str]) -> Optional[str]:
+        """What is wrong with ``value`` as version ``version`` of the
+        family of the registry constant ``current`` (``None``: nothing)."""
+        if current not in values:
+            return f"names no registry constant {current}"
+        family, _, tag = value.rpartition("/")
+        current_family, _, current_tag = values[current].rpartition("/")
+        if family != current_family:
+            return f"is not of {current}'s family {current_family!r}"
+        if tag != f"v{version}":
+            return f"is not version v{version}"
+        if version >= int(current_tag[1:]):
+            return (f"is not older than {current} = {values[current]!r}; "
+                    "versions move only in the current constant")
+        return None
+
     def finalize(self, project: ProjectContext) -> Iterable[Finding]:
         parsed = project.module_ast(self.REGISTRY_MODULE)
         if parsed is None:
@@ -243,7 +270,18 @@ class SchemaRegistryRule(Rule):
         display = project.display_for(path)
         families: Dict[str, Tuple[str, str, int]] = {}
         entries = list(self._registry_assignments(tree))
+        values = {name: value for name, value, _ in entries}
         for name, value, line in entries:
+            older = OLDER_VERSION_RE.fullmatch(name)
+            if older is not None:
+                problem = self._older_version_problem(
+                    value, older["current"], int(older["version"]), values)
+                if problem is not None:
+                    yield Finding(
+                        rule=self.rule_id, path=display, line=line, col=0,
+                        message=f"registry constant {name} = {value!r} "
+                                f"{problem}")
+                continue
             family = value.rpartition("/")[0]
             prior = families.get(family)
             if prior is not None and prior[1] != value:

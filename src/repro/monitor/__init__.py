@@ -10,8 +10,9 @@ reality**: timestamped frame logs, ingested in two formats
   as JSONL, and
 * a simple external CSV/JSONL shape for foreign logs,
 
-both schema-tagged ``profibus-rt/trace/v1``
-(:mod:`repro.monitor.trace_io`).  The :class:`TraceMonitor` engine
+both schema-tagged ``profibus-rt/trace/v1``, and carried to the
+``monitor`` op as a columnar ``profibus-rt/trace/v2`` document (the
+row-wise v1 document is still read; :mod:`repro.monitor.trace_io`).  The :class:`TraceMonitor` engine
 consumes events *incrementally* — file, pipe, or live ``stdin`` —
 reconstructs per-stream observed response times, per-master
 token-rotation statistics and pending-request ages, and checks them

@@ -1,10 +1,28 @@
-"""Trace ingestion and export: the ``profibus-rt/trace/v1`` formats.
+"""Trace ingestion and export: the ``profibus-rt/trace`` formats.
 
-One schema tag, three physical shapes, one in-memory form
-(:class:`IngestedTrace`, a list of :class:`repro.sim.trace.BusEvent`
-plus window metadata):
+One in-memory form (:class:`IngestedTrace`, a list of
+:class:`repro.sim.trace.BusEvent` plus window metadata), one
+transportable document and three file shapes.
 
-**Native JSONL** — what :func:`write_trace_jsonl` exports from a
+**Trace documents** (``profibus-rt/trace/v2``) — what :func:`trace_doc`
+and :meth:`IngestedTrace.to_doc` write, and what the ``monitor`` op of
+:mod:`repro.api` carries: the window metadata, then one list per event
+field, in :class:`BusEvent` field order::
+
+    {"schema": "profibus-rt/trace/v2", "format": "native",
+     "horizon": 200000, "dropped": 0,
+     "columns": {"time": [0, 40], "kind": ["release", "token_arrival"],
+                 "master": ["M1", "M1"], "stream": ["axis", ""],
+                 "high_priority": [true, true], "value": [0, 0]}}
+
+All six columns are required and of one length.  :func:`trace_from_doc`
+also reads the row-wise ``profibus-rt/trace/v1`` document (an
+``events`` list of the event objects below in place of ``columns``),
+and a v2 document is accepted exactly when the v1 document of the same
+rows would be, with the same error text.
+
+**Native JSONL** (``profibus-rt/trace/v1``) — what
+:func:`write_trace_jsonl` exports from a
 :class:`~repro.sim.trace.BusTrace`: a header line carrying the schema
 tag, the recording horizon and the dropped-event count, then one JSON
 object per event::
@@ -38,26 +56,33 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, TextIO, Union
 
-from ..schemas import TRACE_SCHEMA
+from ..schemas import TRACE_SCHEMA, TRACE_SCHEMA_V1
 from ..sim.trace import EVENT_KINDS, BusEvent, BusTrace
 
-#: physical shapes a ``profibus-rt/trace/v1`` document can arrive in
+#: where an ingested trace came from (a document's ``format`` field)
 FORMAT_NATIVE = "native"
 FORMAT_JSONL = "external-jsonl"
 FORMAT_CSV = "external-csv"
 FORMATS = (FORMAT_NATIVE, FORMAT_JSONL, FORMAT_CSV)
 
-#: the ``trace/v1`` event keys — also :class:`BusEvent`'s field order
+#: the ``trace/v1`` event keys and ``trace/v2`` column names — also
+#: :class:`BusEvent`'s field order
 _EVENT_KEYS = ("time", "kind", "master", "stream", "high_priority", "value")
 _REQUIRED_KEYS = ("time", "kind", "master")
 _EVENT_KEY_SET = frozenset(_EVENT_KEYS)
 _KIND_SET = frozenset(EVENT_KINDS)
-#: builds a :class:`BusEvent` from its six fields in order — cheaper than
-#: calling the class, on the one allocation every ingested event costs
-_new_event = BusEvent._make
+#: the document keys besides the body, shared by v1 and v2
+_HEADER_KEYS = ("schema", "format", "horizon", "dropped")
+#: schema tag -> the key of the document body it names
+_BODY_KEY = {TRACE_SCHEMA: "columns", TRACE_SCHEMA_V1: "events"}
+#: builds a :class:`BusEvent` from a 6-tuple of its fields in order —
+#: ``BusEvent._make`` without its Python-level length check, on the one
+#: allocation every ingested event costs
+_new_event = partial(tuple.__new__, BusEvent)
 
 
 class TraceFormatError(ValueError):
@@ -82,14 +107,14 @@ class IngestedTrace:
         return self.dropped > 0
 
     def to_doc(self) -> Dict[str, Any]:
-        """The transportable ``profibus-rt/trace/v1`` document (what the
+        """The transportable ``profibus-rt/trace/v2`` document (what the
         ``monitor`` op of :mod:`repro.api` carries)."""
         return {
             "schema": TRACE_SCHEMA,
             "format": self.source_format,
             "horizon": self.horizon,
             "dropped": self.dropped,
-            "events": _event_docs(self.events),
+            "columns": _event_columns(self.events),
         }
 
 
@@ -108,6 +133,59 @@ def _event_docs(events: Iterable[BusEvent]) -> List[Dict[str, Any]]:
 
 def event_to_doc(event: BusEvent) -> Dict[str, Any]:
     return _event_docs((event,))[0]
+
+
+def _event_columns(events: Iterable[BusEvent]) -> Dict[str, List[Any]]:
+    """The ``trace/v2`` columns of ``events``: one transpose,
+    ``zip(*events)``, and no object per event."""
+    columns = list(zip(*events)) or [()] * len(_EVENT_KEYS)
+    return dict(zip(_EVENT_KEYS, map(list, columns)))
+
+
+def _only(column: List[Any], kind: type) -> bool:
+    """Is every cell of ``column`` exactly of type ``kind``?"""
+    return {*map(type, column)} <= {kind}
+
+
+def _column_events(columns: Any) -> List[BusEvent]:
+    """The events of a ``trace/v2`` ``columns`` object.  Column shape
+    faults have their own messages.  The cells are checked a column at
+    a time, one linear pass each; if a check fails, the rows are walked
+    through :func:`event_from_doc` as the event objects of the v1
+    document, which accepts what v1 accepts (subclasses of the exact
+    types) and raises v1's text for the first bad event."""
+    if not isinstance(columns, dict):
+        raise TraceFormatError("trace 'columns' must be an object")
+    unknown = set(columns) - _EVENT_KEY_SET
+    if unknown:
+        raise TraceFormatError(
+            f"unknown trace column(s) {sorted(unknown)}; "
+            f"required: {list(_EVENT_KEYS)}"
+        )
+    missing = [k for k in _EVENT_KEYS if k not in columns]
+    if missing:
+        raise TraceFormatError(
+            f"trace missing column(s) {missing}; "
+            f"required: {list(_EVENT_KEYS)}"
+        )
+    cells = [columns[k] for k in _EVENT_KEYS]
+    for key, column in zip(_EVENT_KEYS, cells):
+        if not isinstance(column, list):
+            raise TraceFormatError(f"trace column {key!r} must be a list")
+    if len(set(map(len, cells))) > 1:
+        lengths = ", ".join(
+            f"{key} {len(column)}" for key, column in zip(_EVENT_KEYS, cells))
+        raise TraceFormatError(
+            f"trace columns must have one length, got {lengths}")
+    time, kind, master, stream, high, value = cells
+    if (_only(time, int) and _only(kind, str) and _KIND_SET.issuperset(kind)
+            and _only(master, str) and all(master) and _only(stream, str)
+            and _only(high, bool) and _only(value, int)):
+        return list(map(_new_event, zip(*cells)))
+    return [
+        event_from_doc(dict(zip(_EVENT_KEYS, row)), "trace event #", i)
+        for i, row in enumerate(zip(*cells))
+    ]
 
 
 def _int_field(doc: Dict[str, Any], key: str, where: str) -> int:
@@ -204,10 +282,10 @@ def trace_doc(
     trace: BusTrace,
     horizon: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """The ``profibus-rt/trace/v1`` document for a recorded
+    """The ``profibus-rt/trace/v2`` document for a recorded
     :class:`BusTrace` (what the ``monitor`` op transports)."""
     return IngestedTrace(
-        events=list(trace.events),
+        events=trace.events,
         horizon=horizon,
         dropped=trace.dropped,
         source_format=FORMAT_NATIVE,
@@ -215,16 +293,19 @@ def trace_doc(
 
 
 def trace_from_doc(doc: Dict[str, Any]) -> IngestedTrace:
-    """Parse a transportable trace document (the inverse of
-    :meth:`IngestedTrace.to_doc`)."""
+    """Parse a transportable trace document, ``profibus-rt/trace/v2``
+    (the inverse of :meth:`IngestedTrace.to_doc`) or the row-wise
+    ``profibus-rt/trace/v1``."""
     if not isinstance(doc, dict):
         raise TraceFormatError("trace must be a JSON object")
-    if doc.get("schema") != TRACE_SCHEMA:
+    schema = doc.get("schema")
+    body = _BODY_KEY.get(schema) if isinstance(schema, str) else None
+    if body is None:
         raise TraceFormatError(
-            f"unsupported trace schema {doc.get('schema')!r}; "
-            f"this build speaks {TRACE_SCHEMA}"
+            f"unsupported trace schema {schema!r}; "
+            f"this build reads {TRACE_SCHEMA} and {TRACE_SCHEMA_V1}"
         )
-    allowed = {"schema", "format", "horizon", "dropped", "events"}
+    allowed = {*_HEADER_KEYS, body}
     unknown = set(doc) - allowed
     if unknown:
         raise TraceFormatError(
@@ -243,13 +324,16 @@ def trace_from_doc(doc: Dict[str, Any]) -> IngestedTrace:
     dropped = doc.get("dropped", 0)
     if isinstance(dropped, bool) or not isinstance(dropped, int) or dropped < 0:
         raise TraceFormatError("trace 'dropped' must be a non-negative integer")
-    events_doc = doc.get("events")
-    if not isinstance(events_doc, list):
-        raise TraceFormatError("trace 'events' must be a list")
-    events = [
-        event_from_doc(e, "trace event #", i)
-        for i, e in enumerate(events_doc)
-    ]
+    if body == "columns":
+        events = _column_events(doc.get("columns"))
+    else:
+        events_doc = doc.get("events")
+        if not isinstance(events_doc, list):
+            raise TraceFormatError("trace 'events' must be a list")
+        events = [
+            event_from_doc(e, "trace event #", i)
+            for i, e in enumerate(events_doc)
+        ]
     return IngestedTrace(events=events, horizon=horizon, dropped=dropped,
                          source_format=fmt)
 
@@ -266,7 +350,7 @@ def write_trace_jsonl(
     deterministic key order, so two exports of the same run are
     byte-identical."""
     header = {
-        "schema": TRACE_SCHEMA,
+        "schema": TRACE_SCHEMA_V1,
         "format": FORMAT_NATIVE,
         "horizon": horizon,
         "dropped": trace.dropped,
@@ -297,10 +381,10 @@ def parse_header_line(line: str) -> Optional[Dict[str, Any]]:
         raise TraceFormatError("trace line must be a JSON object")
     if "schema" not in doc:
         return None
-    if doc["schema"] != TRACE_SCHEMA:
+    if doc["schema"] != TRACE_SCHEMA_V1:
         raise TraceFormatError(
             f"unsupported trace schema {doc['schema']!r}; "
-            f"this build speaks {TRACE_SCHEMA}"
+            f"trace files speak {TRACE_SCHEMA_V1}"
         )
     horizon = doc.get("horizon")
     if horizon is not None and (isinstance(horizon, bool)
@@ -410,7 +494,7 @@ def read_trace(
     fmt: str = "auto",
 ) -> IngestedTrace:
     """Ingest a trace file (or open text stream) in any of the
-    ``profibus-rt/trace/v1`` shapes.  ``fmt`` is ``"auto"`` (sniff from
+    ``profibus-rt/trace/v1`` file shapes.  ``fmt`` is ``"auto"`` (sniff from
     the first line), ``"jsonl"`` (native or external JSONL), or
     ``"csv"``."""
     if fmt not in ("auto", "jsonl", "csv"):

@@ -14,7 +14,11 @@ failure.
 
 Bumping a version is a deliberate act: change the constant here, update
 the producers/consumers, document the new shape in ``PERF.md``, and the
-lint pass keeps every mention coherent.
+lint pass keeps every mention coherent.  A family whose older version
+is still read keeps that tag as ``<CONSTANT>_V<k>`` beside the current
+constant (``TRACE_SCHEMA_V1`` beside ``TRACE_SCHEMA``); ``REP003``
+accepts such a constant only at a version older than the current one,
+and :data:`SCHEMAS` lists current versions only.
 """
 
 from __future__ import annotations
@@ -55,11 +59,16 @@ LINT_SCHEMA = "profibus-rt/lint/v3"
 #: (:mod:`repro.lint.graph`) — byte-deterministic for a given tree.
 CALLGRAPH_SCHEMA = "profibus-rt/callgraph/v1"
 
-#: Timestamped frame-log documents the trace monitor ingests — the
-#: native :class:`repro.sim.trace.BusTrace` event stream exported as
-#: JSONL *and* the simple external CSV/JSONL shape for foreign logs
-#: both carry this tag (:mod:`repro.monitor.trace_io`).
-TRACE_SCHEMA = "profibus-rt/trace/v1"
+#: Transportable trace documents (the ``trace`` of a ``monitor``
+#: request): one list per :class:`repro.sim.trace.BusEvent` field under
+#: ``columns`` (:mod:`repro.monitor.trace_io`).
+TRACE_SCHEMA = "profibus-rt/trace/v2"
+
+#: The row-wise trace shape, still read: documents holding an
+#: ``events`` list of event objects, and every trace *file* — the native
+#: JSONL export of a :class:`repro.sim.trace.BusTrace` (its header line
+#: carries this tag) and the external CSV/JSONL shape for foreign logs.
+TRACE_SCHEMA_V1 = "profibus-rt/trace/v1"
 
 #: Streaming online bound-checking reports of the trace monitor
 #: (:mod:`repro.monitor.report`).

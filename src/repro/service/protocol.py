@@ -40,7 +40,8 @@ An envelope ``id`` holding ``NaN``, ``±Infinity`` or a literal that
 overflows a float (``1e400``) is a ``protocol`` error: the ``id`` is
 echoed back, and those values are not JSON.  Inside the request document
 such values reach the api's checks, which refuse them as
-``bad-request`` naming the field.
+``bad-request`` naming the field.  :func:`encode` never writes them: a
+message holding one raises ``ValueError`` before anything is sent.
 
 The daemon answers analysis requests in pre-encoded form:
 :func:`encode_json` is each result's canonical bytes, stored once, and
@@ -73,9 +74,11 @@ class ProtocolError(ValueError):
 
 
 def encode_json(value: Any) -> bytes:
-    """``value`` as canonical JSON bytes: sorted keys, no spaces."""
-    return json.dumps(value, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    """``value`` as canonical JSON bytes: sorted keys, no spaces.  A
+    ``NaN`` or ``±Infinity`` anywhere in ``value`` raises ``ValueError``
+    (they are not JSON)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False).encode("utf-8")
 
 
 def encode(doc: Dict[str, Any]) -> bytes:

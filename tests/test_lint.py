@@ -34,7 +34,13 @@ from repro.lint import (
     render_text,
     run_lint,
 )
-from repro.schemas import FAMILIES, LINT_SCHEMA, SCHEMAS, schema_family
+from repro.schemas import (
+    FAMILIES,
+    LINT_SCHEMA,
+    SCHEMAS,
+    TRACE_SCHEMA_V1,
+    schema_family,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -281,6 +287,45 @@ def test_registry_divergent_duplicate_is_flagged(tmp_path):
            'B_SCHEMA = "profibus-rt/api/v2"\n')
     result = run_lint([tmp_path], rule_ids=["REP003"])
     assert any("divergent versions" in f.message for f in result.findings)
+
+
+def test_registry_older_version_constant_is_accepted(tmp_path):
+    _write(tmp_path, "repro/schemas.py",
+           'A_SCHEMA = "profibus-rt/api/v3"\n'
+           'A_SCHEMA_V1 = "profibus-rt/api/v1"\n'
+           'A_SCHEMA_V2 = "profibus-rt/api/v2"\n')
+    assert run_lint([tmp_path], rule_ids=["REP003"]).findings == []
+
+
+@pytest.mark.parametrize("constant, problem", [
+    ('A_SCHEMA_V3 = "profibus-rt/api/v3"',
+     "is not older than A_SCHEMA = 'profibus-rt/api/v2'; versions move "
+     "only in the current constant"),
+    ('A_SCHEMA_V1 = "profibus-rt/api/v0"', "is not version v1"),
+    ('A_SCHEMA_V1 = "profibus-rt/fuzz/v1"',
+     "is not of A_SCHEMA's family 'profibus-rt/api'"),
+    ('B_SCHEMA_V1 = "profibus-rt/api/v1"',
+     "names no registry constant B_SCHEMA"),
+], ids=["newer", "wrong-version", "other-family", "no-current"])
+def test_registry_bad_older_version_constant_is_flagged(tmp_path, constant,
+                                                        problem):
+    _write(tmp_path, "repro/schemas.py",
+           'A_SCHEMA = "profibus-rt/api/v2"\n' + constant + "\n")
+    result = run_lint([tmp_path], rule_ids=["REP003"])
+    name, _, value = constant.partition(" = ")
+    assert [f.message for f in result.findings] == [
+        f"registry constant {name} = {value[1:-1]!r} {problem}"]
+
+
+def test_older_version_literal_names_its_registry_constant(tmp_path):
+    # no repro/schemas.py in the linted tree: the installed registry,
+    # older-version constants included, is the reference
+    _write(tmp_path, "repro/anywhere.py", f"TAG = {TRACE_SCHEMA_V1!r}\n")
+    result = run_lint([tmp_path], rule_ids=["REP003"])
+    assert [f.message for f in result.findings] == [
+        f"schema literal {TRACE_SCHEMA_V1!r} duplicates registry "
+        "constant repro.schemas.TRACE_SCHEMA_V1; import the constant "
+        "instead of restating the string"]
 
 
 def test_registry_undocumented_entry_is_flagged(tmp_path):

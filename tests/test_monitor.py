@@ -30,7 +30,7 @@ from repro.monitor import (
     validation_row_doc,
     write_trace_jsonl,
 )
-from repro.schemas import MONITOR_SCHEMA, TRACE_SCHEMA
+from repro.schemas import MONITOR_SCHEMA, TRACE_SCHEMA, TRACE_SCHEMA_V1
 from repro.sim import (
     CYCLE_END,
     CYCLE_START,
@@ -165,7 +165,7 @@ class TestTraceIngestion:
         write_trace_jsonl(tracer, b, horizon=HORIZON)
         assert a.getvalue() == b.getvalue()
         header = json.loads(a.getvalue().splitlines()[0])
-        assert header["schema"] == TRACE_SCHEMA
+        assert header["schema"] == TRACE_SCHEMA_V1
         assert header["dropped"] == 0
 
     def test_external_jsonl_without_header(self):
@@ -450,7 +450,7 @@ class TestMonitorApi:
 
         req = api.AnalysisRequest(
             op="monitor", network=network_to_dict(single_master),
-            trace={"schema": TRACE_SCHEMA, "events": [{"time": 0}]},
+            trace={"schema": TRACE_SCHEMA_V1, "events": [{"time": 0}]},
         )
         with pytest.raises(api.ApiError, match="bad trace document"):
             api.execute(req)

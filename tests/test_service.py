@@ -12,6 +12,7 @@ import pytest
 from repro import api
 from repro.profibus import network_to_dict
 from repro.scenarios import factory_cell_network
+from repro.schemas import TRACE_SCHEMA_V1
 from repro.service import (
     AnalysisServer,
     ProtocolError,
@@ -31,6 +32,12 @@ class TestProtocol:
         line = protocol.encode(doc)
         assert line.endswith(b"\n") and line.count(b"\n") == 1
         assert protocol.decode_line(line) == doc
+
+    def test_encode_refuses_nan_and_infinity(self):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                protocol.encode(protocol.request_envelope(
+                    "analyse", {"sweep_values": [1.0, value]}, 1))
 
     def test_decode_rejects_non_json(self):
         with pytest.raises(ProtocolError, match="unparseable"):
@@ -125,6 +132,40 @@ class ServerThread:
 
     def client(self, timeout=30.0):
         return ServiceClient(*self.address, timeout=timeout)
+
+
+def _cell_trace():
+    """The factory cell and the ``trace/v2`` document of a 20 ms
+    ``ap-dm`` run of it."""
+    from repro.monitor import trace_doc
+    from repro.sim import BusTrace, TokenBusConfig, simulate_token_bus
+
+    cell = factory_cell_network()
+    horizon = 20 * cell.phy.baud_rate // 1000
+    recorder = BusTrace()
+    simulate_token_bus(cell, horizon,
+                       config=TokenBusConfig(policy="ap-dm", tracer=recorder))
+    return cell, trace_doc(recorder, horizon=horizon)
+
+
+def _v1_trace(trace):
+    """The row-wise ``trace/v1`` document of a ``trace/v2`` one."""
+    columns = trace["columns"]
+    doc = {k: v for k, v in trace.items() if k != "columns"}
+    doc.update(schema=TRACE_SCHEMA_V1, events=[
+        dict(zip(columns, row)) for row in zip(*columns.values())])
+    return doc
+
+
+def _reverse_columns(trace):
+    for column in trace["columns"].values():
+        column.reverse()
+
+
+def _monitor_doc(cell, trace):
+    return {"schema": api.API_SCHEMA, "op": "monitor",
+            "network": network_to_dict(cell), "policy": "dm",
+            "trace": trace}
 
 
 def _base_doc():
@@ -234,6 +275,19 @@ class TestConcurrentClients:
                 reply = c2.analyse(respelled)  # ...same value key
         assert reply.cached is True
 
+    def test_v1_and_v2_trace_of_one_run_share_a_cache_entry(self):
+        cell, trace = _cell_trace()
+        v2 = _monitor_doc(cell, trace)
+        v1 = _monitor_doc(cell, _v1_trace(trace))
+        with ServerThread() as srv:
+            with srv.client() as c:
+                first = c.monitor(v2)
+                second = c.monitor(v1)
+                stats = c.stats()
+        assert (first.cached, second.cached) == (False, True)
+        assert first.result == second.result == api.execute_request_doc(v1)
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (1, 1)
+
 
 # ---------------------------------------------------------------------------
 # error handling and graceful shutdown
@@ -254,27 +308,35 @@ class TestErrors:
             assert session["errors"] == 1
 
     def test_out_of_order_trace_is_a_bad_request(self):
-        from repro.monitor import trace_doc
-        from repro.sim import BusTrace, TokenBusConfig, simulate_token_bus
-
-        cell = factory_cell_network()
-        recorder = BusTrace()
-        simulate_token_bus(cell, 20 * cell.phy.baud_rate // 1000,
-                           config=TokenBusConfig(policy="ap-dm",
-                                                 tracer=recorder))
-        trace = trace_doc(recorder)
-        trace["events"].reverse()
-        request = {"schema": api.API_SCHEMA, "op": "monitor",
-                   "network": network_to_dict(cell), "policy": "dm",
-                   "trace": trace}
+        cell, trace = _cell_trace()
+        _reverse_columns(trace)
+        request = _monitor_doc(cell, trace)
         with ServerThread() as srv:
             with srv.client() as c:
                 with pytest.raises(ServiceError) as exc_info:
                     c.monitor(request)
                 assert exc_info.value.error_type == "bad-request"
                 assert "must arrive in time order" in str(exc_info.value)
-                trace["events"].reverse()
+                _reverse_columns(trace)
                 assert c.monitor(request).result["op"] == "monitor"
+
+    def test_malformed_trace_is_a_bad_request(self):
+        cell, trace = _cell_trace()
+        trace["columns"]["time"][3] = 1.5
+        v1 = _v1_trace(trace)
+        with ServerThread() as srv:
+            with srv.client() as c:
+                for doc in (trace, v1):
+                    with pytest.raises(ServiceError) as exc_info:
+                        c.monitor(_monitor_doc(cell, doc))
+                    assert exc_info.value.error_type == "bad-request"
+                    assert str(exc_info.value) == (
+                        "bad-request: bad trace document: trace event #3: "
+                        "'time' must be an integer (bit times), got 1.5 — "
+                        "convert foreign timestamps before ingesting")
+                stats = c.stats()
+            assert stats["sessions"]["sessions"]["client-1"]["errors"] == 2
+            assert stats["cache"]["misses"] == 0
 
     def test_retired_mode_key_is_a_bad_request(self):
         with ServerThread() as srv:
@@ -348,17 +410,44 @@ class TestErrors:
         ("deadline-scale", [True]),
     ], ids=["scale-inf", "ttr-string", "scale-true"])
     def test_bad_sweep_value_is_a_bad_request(self, param, values):
+        """Sent as raw lines off a bare socket: the reference client
+        refuses to write the ``Infinity`` token (not JSON) at all, and
+        the server must still answer a client that does."""
         doc = dict(_base_doc(), op="sweep", sweep_param=param,
                    sweep_values=values)
         with ServerThread() as srv:
-            with srv.client() as c:
-                with pytest.raises(ServiceError) as exc_info:
-                    c.request("sweep", doc)
-                assert exc_info.value.error_type == "bad-request"
-                assert "sweep_values" in str(exc_info.value)
+            with socket.create_connection(srv.address, timeout=30) as sock:
+                replies = sock.makefile("rb")
+
+                def exchange(op, request):
+                    line = json.dumps(protocol.request_envelope(op, request,
+                                                                1))
+                    sock.sendall(line.encode() + b"\n")
+                    return line, json.loads(replies.readline())
+
+                line, error = exchange("sweep", doc)
+                assert ("Infinity" in line) == (values == [float("inf")])
+                assert error["ok"] is False
+                assert error["error"]["type"] == "bad-request"
+                assert "sweep_values" in error["error"]["message"]
                 # the same session keeps serving well-formed requests
+                _, reply = exchange("analyse", _base_doc())
+                assert reply["result"] == api.execute_request_doc(_base_doc())
+
+    def test_client_refuses_non_json_numbers_before_sending(self):
+        doc = dict(_base_doc(), op="sweep", sweep_param="deadline-scale",
+                   sweep_values=[float("inf")])
+        with ServerThread() as srv:
+            with srv.client() as c:
+                with pytest.raises(ValueError, match="not JSON compliant"):
+                    c.request("sweep", doc)
                 reply = c.analyse(_base_doc())
                 assert reply.result == api.execute_request_doc(_base_doc())
+                stats = c.stats()
+            # the refused request never reached the server
+            session = stats["sessions"]["sessions"]["client-1"]
+            assert session["ops"] == {"analyse": 1, "stats": 1}
+            assert session["errors"] == 0
 
     def test_unparseable_line_reports_protocol_error(self):
         with ServerThread() as srv:

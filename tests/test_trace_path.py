@@ -1,14 +1,19 @@
 """The trace path end to end: simulate → export → ingest → check.
 
-Three contracts are pinned here:
+Four contracts are pinned here:
 
 * the simulator's output is bit-for-bit what it was before the event
   loop, the bus events and the MAC state machine were made cheaper —
-  sha256 digests of the canonical ``trace/v1`` document and of every
-  :class:`~repro.sim.token.TokenBusResult` statistic;
+  sha256 digests of the canonical ``trace/v1`` document built from the
+  recorded events and of every :class:`~repro.sim.token.TokenBusResult`
+  statistic — and the ``trace/v2`` export of those events is pinned
+  beside them;
 * ingestion refuses every malformed event with exactly the same
-  :class:`TraceFormatError` text on every path (trace document, native
-  and external JSONL, CSV), naming the event or its line/row;
+  :class:`TraceFormatError` text on every path (v1 and v2 trace
+  documents, native and external JSONL, CSV), naming the event or its
+  line/row;
+* the v1 and the v2 document of one run ingest to the same events and
+  check to the same monitor report;
 * the monitor refuses an event earlier than the one before it (the
   time-order contract), on the api, CLI-file and follow paths.
 """
@@ -22,6 +27,7 @@ from random import Random
 import pytest
 
 from repro import api
+from repro.fuzz import generate_instance
 from repro.gen.network_gen import network_with_ttr_headroom, random_network
 from repro.monitor import (
     TraceFormatError,
@@ -35,7 +41,7 @@ from repro.monitor import (
 from repro.profibus.serialization import network_to_dict
 from repro.profibus.timing import longest_cycle
 from repro.scenarios import factory_cell_network
-from repro.schemas import TRACE_SCHEMA
+from repro.schemas import TRACE_SCHEMA, TRACE_SCHEMA_V1
 from repro.sim import (
     RELEASE,
     TOKEN_ARRIVAL,
@@ -49,6 +55,32 @@ from repro.sim import (
 def _sha(doc) -> str:
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _v1_doc(recorder, horizon):
+    """The ``trace/v1`` document of a recorded run: one event object per
+    event (:func:`event_to_doc`), under the v2 export's header."""
+    return {"schema": TRACE_SCHEMA_V1, "format": "native",
+            "horizon": horizon, "dropped": recorder.dropped,
+            "events": [event_to_doc(e) for e in recorder.events]}
+
+
+def _v1_twin(doc):
+    """The ``trace/v1`` document holding the rows of a ``trace/v2``
+    document's columns, cell for cell (malformed cells included)."""
+    columns = doc["columns"]
+    twin = {k: v for k, v in doc.items() if k != "columns"}
+    twin["schema"] = TRACE_SCHEMA_V1
+    twin["events"] = [dict(zip(columns, row))
+                      for row in zip(*columns.values())]
+    return twin
+
+
+def _v2_doc(events):
+    """A ``trace/v2`` document whose columns hold ``events`` (event
+    objects with all six keys, malformed cells included)."""
+    return {"schema": TRACE_SCHEMA, "columns": {
+        key: [e[key] for e in events] for key in BusEvent._fields}}
 
 
 def _ring():
@@ -105,14 +137,34 @@ PINNED = {
         "e0c432723a357a26e6cd3e58537e1ffc72af7e0ada10149c12cc4e81f0f86e29"),
 }
 
+#: sha256 of the trace/v2 document (``trace_doc``) of each pinned run
+PINNED_V2 = {
+    "cell-stock-fcfs":
+        "121107f4a5dee6bf4d05f7e77a8592631508d6d95e873e74d521b87e43dea877",
+    "cell-ap-dm":
+        "57b00aa50cf3b5e43f1a93dc431c34f23e4ed67e5aa8c5b5f975f98c8d02e01b",
+    "cell-ap-edf":
+        "57b00aa50cf3b5e43f1a93dc431c34f23e4ed67e5aa8c5b5f975f98c8d02e01b",
+    "ring-ap-dm":
+        "54d1c797baa08566761fd0f9f1d9bedfb051c835446233fb91e6470aaab0a75e",
+    "cell-stress-ap-edf":
+        "05d9b5eb6a09d894aa6037b63cdb088dfc50cb7f80bd6058f37a11ca74be195d",
+}
+
+
+def _pinned_trace(case):
+    """``(network, horizon, recorder, result)`` of a pinned run."""
+    net, horizon, config = _pinned_run(case)
+    recorder = BusTrace()
+    result = simulate_token_bus(
+        net, horizon, config=TokenBusConfig(tracer=recorder, **config))
+    return net, horizon, recorder, result
+
 
 class TestSimulatorPinned:
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_trace_and_statistics_unchanged(self, case):
-        net, horizon, config = _pinned_run(case)
-        recorder = BusTrace()
-        result = simulate_token_bus(
-            net, horizon, config=TokenBusConfig(tracer=recorder, **config))
+        _, horizon, recorder, result = _pinned_trace(case)
         stats = {
             "horizon": result.horizon,
             "events": result.events,
@@ -122,8 +174,9 @@ class TestSimulatorPinned:
                         for k, v in result.masters.items()},
         }
         assert (len(recorder.events), result.events,
-                _sha(trace_doc(recorder, horizon=horizon)),
+                _sha(_v1_doc(recorder, horizon)),
                 _sha(stats)) == PINNED[case]
+        assert _sha(trace_doc(recorder, horizon=horizon)) == PINNED_V2[case]
 
     def test_stress_case_reaches_every_branch(self):
         net, horizon, config = _pinned_run("cell-stress-ap-edf")
@@ -233,11 +286,11 @@ class TestIngestErrorParity:
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_same_text_on_every_path(self, name):
         bad, text, csv_case = MALFORMED[name]
-        header = json.dumps({"schema": TRACE_SCHEMA, "format": "native",
+        header = json.dumps({"schema": TRACE_SCHEMA_V1, "format": "native",
                              "horizon": 10, "dropped": 0})
         good, wrong = json.dumps(_GOOD), json.dumps(bad)
         assert _error(lambda: trace_from_doc(
-            {"schema": TRACE_SCHEMA, "events": [_GOOD, bad]}
+            {"schema": TRACE_SCHEMA_V1, "events": [_GOOD, bad]}
         )) == f"trace event #1: {text}"
         assert _error(lambda: read_trace(_lines(header, good, wrong))) \
             == f"trace line 3: {text}"
@@ -270,28 +323,211 @@ class TestIngestErrorParity:
         for doc in variants:
             event = event_from_doc(doc)
             assert event == plain and type(event) is BusEvent
-            ingested = trace_from_doc({"schema": TRACE_SCHEMA,
+            ingested = trace_from_doc({"schema": TRACE_SCHEMA_V1,
                                        "events": [doc]})
             assert ingested.events == [plain]
+            events = trace_from_doc(_v2_doc([doc, doc])).events
+            assert events == [plain, plain]
+            assert all(type(e) is BusEvent for e in events)
 
     def test_defaulted_keys_ingest(self):
         event = event_from_doc({"time": 1, "kind": "release", "master": "M"})
         assert event == BusEvent(1, RELEASE, "M", "", True, 0)
 
 
+#: the malformed events a v2 cell can spell: all six keys, one bad value
+#: (the others are column-shape faults in a v2 document)
+CELL_CASES = sorted(name for name, (bad, _, _) in MALFORMED.items()
+                    if isinstance(bad, dict) and bad.keys() == _GOOD.keys())
+
+_COLUMNS = "['time', 'kind', 'master', 'stream', 'high_priority', 'value']"
+
+
+def _good_columns():
+    return _v2_doc([_GOOD])["columns"]
+
+
+#: name → (columns object or a function of the good columns, message)
+COLUMN_SHAPES = {
+    "not-object": ([_GOOD], "trace 'columns' must be an object"),
+    "missing-column": (
+        lambda c: c.pop("value"),
+        f"trace missing column(s) ['value']; required: {_COLUMNS}"),
+    "extra-column": (
+        lambda c: c.update(color=["red"]),
+        f"unknown trace column(s) ['color']; required: {_COLUMNS}"),
+    "non-list-column": (
+        lambda c: c.update(stream="s0"),
+        "trace column 'stream' must be a list"),
+    "short-column": (
+        lambda c: c["kind"].clear(),
+        "trace columns must have one length, got time 1, kind 0, "
+        "master 1, stream 1, high_priority 1, value 1"),
+}
+
+
+class TestColumnIngest:
+    def test_cell_cases_cover_every_value_check(self):
+        assert CELL_CASES == [
+            "bool-time", "bool-value", "empty-master", "float-time",
+            "float-value", "non-bool-high", "non-str-master",
+            "non-str-stream", "unknown-kind"]
+
+    @pytest.mark.parametrize("name", CELL_CASES)
+    def test_malformed_cell_gives_the_v1_text(self, name):
+        bad, text, _ = MALFORMED[name]
+        doc = _v2_doc([_GOOD, _GOOD, bad, _GOOD])
+        assert _error(lambda: trace_from_doc(doc)) \
+            == _error(lambda: trace_from_doc(_v1_twin(doc))) \
+            == f"trace event #2: {text}"
+
+    def test_first_bad_row_wins_across_columns(self):
+        doc = _v2_doc([_GOOD, dict(_GOOD, value=2.5),
+                       dict(_GOOD, kind="frame")])
+        assert _error(lambda: trace_from_doc(doc)) \
+            == _error(lambda: trace_from_doc(_v1_twin(doc))) \
+            == ("trace event #1: 'value' must be an integer (bit times), "
+                "got 2.5" + _FOREIGN)
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_SHAPES))
+    def test_column_shape_faults(self, name):
+        fault, text = COLUMN_SHAPES[name]
+        columns = _good_columns()
+        if callable(fault):
+            fault(columns)
+        else:
+            columns = fault
+        assert _error(lambda: trace_from_doc(
+            {"schema": TRACE_SCHEMA, "columns": columns})) == text
+
+    def test_body_key_follows_the_schema(self):
+        assert _error(lambda: trace_from_doc(
+            {"schema": TRACE_SCHEMA, "events": [_GOOD]})) == (
+            "unknown trace key(s) ['events']; allowed: "
+            "['columns', 'dropped', 'format', 'horizon', 'schema']")
+        assert _error(lambda: trace_from_doc(
+            {"schema": TRACE_SCHEMA_V1, "columns": _good_columns()})) == (
+            "unknown trace key(s) ['columns']; allowed: "
+            "['dropped', 'events', 'format', 'horizon', 'schema']")
+        assert _error(lambda: trace_from_doc({"schema": TRACE_SCHEMA})) \
+            == "trace 'columns' must be an object"
+
+    def test_empty_columns_ingest_to_no_events(self):
+        doc = trace_doc(BusTrace())
+        assert doc["columns"] == {key: [] for key in BusEvent._fields}
+        assert trace_from_doc(doc).events == []
+
+    def test_unhashable_schema_is_refused(self):
+        assert _error(lambda: trace_from_doc({"schema": [TRACE_SCHEMA]})) \
+            == (f"unsupported trace schema [{TRACE_SCHEMA!r}]; this build "
+                f"reads {TRACE_SCHEMA} and {TRACE_SCHEMA_V1}")
+
+
+# ------------------------------------------------------ v1/v2 equivalence
+
+_MONITOR_POLICY = {"stock-fcfs": "fcfs", "ap-dm": "dm", "ap-edf": "edf"}
+
+
+def _canonical(result) -> str:
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
+def _same_checks(net, v1, v2, policy, stats_after=0):
+    """The two documents ingest to equal traces, key the same cache
+    entry, and check to byte-identical monitor results."""
+    v1, v2 = json.loads(json.dumps(v1)), json.loads(json.dumps(v2))
+    assert trace_from_doc(v1) == trace_from_doc(v2)
+    requests = [api.AnalysisRequest(
+        op="monitor", network=network_to_dict(net), policy=policy,
+        trace=doc, stats_after=stats_after) for doc in (v1, v2)]
+    assert requests[0].cache_key("fp") == requests[1].cache_key("fp")
+    one, two = map(api.execute, requests)
+    assert _canonical(one) == _canonical(two)
+    return one
+
+
+class TestV1V2Equivalence:
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_runs(self, case):
+        net, horizon, recorder, _ = _pinned_trace(case)
+        config = _pinned_run(case)[2]
+        v1, v2 = _v1_doc(recorder, horizon), trace_doc(recorder,
+                                                       horizon=horizon)
+        assert _v1_twin(v2) == v1
+        assert trace_from_doc(v2).events == recorder.events
+        result = _same_checks(net, v1, v2, _MONITOR_POLICY[config["policy"]],
+                              config.get("stats_after", 0))
+        assert result.payload["report"]["detail"]["events"] \
+            == len(recorder.events)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_trace_replay_instances(self, index):
+        net = generate_instance(7, "trace-replay", index)
+        sim_policy = ("stock-fcfs", "ap-dm", "ap-edf")[index]
+        policy = _MONITOR_POLICY[sim_policy]
+        horizon = 300_000
+        recorder = BusTrace(max_events=50_000)
+        simulate_token_bus(net, horizon, config=TokenBusConfig(
+            policy=sim_policy, tracer=recorder))
+        assert recorder.events
+        _same_checks(net, _v1_doc(recorder, horizon),
+                     trace_doc(recorder, horizon=horizon), policy)
+
+    def _cell_log(self):
+        cell = factory_cell_network()
+        recorder = BusTrace()
+        simulate_token_bus(cell, 20 * cell.phy.baud_rate // 1000,
+                           config=TokenBusConfig(policy="ap-dm",
+                                                 tracer=recorder))
+        return cell, recorder.events
+
+    def test_external_jsonl_log(self):
+        cell, events = self._cell_log()
+        # a foreign logger leaves defaulted keys out
+        objects = [{k: v for k, v in event_to_doc(e).items()
+                    if (k, v) not in (("stream", ""), ("high_priority", True),
+                                      ("value", 0))} for e in events]
+        ingested = read_trace(_lines(*map(json.dumps, objects)))
+        assert ingested.source_format == "external-jsonl"
+        assert ingested.events == events
+        v1 = {"schema": TRACE_SCHEMA_V1, "format": "external-jsonl",
+              "events": objects}
+        _same_checks(cell, v1, ingested.to_doc(), "dm")
+
+    def test_external_csv_log(self):
+        cell, events = self._cell_log()
+        rows = [",".join(str(int(v) if type(v) is bool else v) for v in e)
+                for e in events]
+        ingested = read_trace(_lines(_CSV_HEADER, *rows))
+        assert ingested.source_format == "external-csv"
+        assert ingested.events == events
+        v1 = {"schema": TRACE_SCHEMA_V1, "format": "external-csv",
+              "events": [event_to_doc(e) for e in events]}
+        _same_checks(cell, v1, ingested.to_doc(), "dm")
+
+
 # --------------------------------------------------------- time order
 
-def _reversed_cell_trace():
-    """A factory-cell ``ap-dm`` trace document, events in reverse."""
+def _reverse(doc):
+    """Reverse the events of a v1 or v2 trace document in place."""
+    lists = doc["columns"].values() if "columns" in doc else [doc["events"]]
+    for rows in lists:
+        rows.reverse()
+
+
+def _reversed_cell_trace(schema=TRACE_SCHEMA_V1):
+    """A factory-cell ``ap-dm`` trace document of ``schema``, events in
+    reverse."""
     cell = factory_cell_network()
     horizon = 50 * cell.phy.baud_rate // 1000
     recorder = BusTrace()
     simulate_token_bus(cell, horizon,
                        config=TokenBusConfig(policy="ap-dm", tracer=recorder))
-    doc = trace_doc(recorder, horizon=horizon)
-    events = doc["events"]
-    doc["events"] = events[::-1]
-    return cell, doc, events[-1]["time"], events[-2]["time"]
+    doc = (_v1_doc(recorder, horizon) if schema == TRACE_SCHEMA_V1
+           else trace_doc(recorder, horizon=horizon))
+    _reverse(doc)
+    events = recorder.events
+    return cell, doc, events[-1].time, events[-2].time
 
 
 class TestTimeOrder:
@@ -310,6 +546,16 @@ class TestTimeOrder:
 
     def test_api_refuses_a_reversed_trace(self):
         cell, doc, first, second = _reversed_cell_trace()
+        assert first > second
+        with pytest.raises(api.ApiError) as exc_info:
+            api.monitor_check(cell, doc, policy="dm")
+        assert str(exc_info.value) == (
+            f"bad trace document: trace event #1: time {second} is earlier "
+            f"than the previous event's time {first}; events must arrive "
+            f"in time order")
+
+    def test_api_refuses_a_reversed_trace_v2(self):
+        cell, doc, first, second = _reversed_cell_trace(TRACE_SCHEMA)
         assert first > second
         with pytest.raises(api.ApiError) as exc_info:
             api.monitor_check(cell, doc, policy="dm")
@@ -351,6 +597,13 @@ class TestTimeOrder:
     def test_in_order_trace_still_checks(self):
         cell, doc, _, _ = _reversed_cell_trace()
         doc["events"] = doc["events"][::-1]
+        result = api.monitor_check(cell, doc, policy="dm")
+        masters = result.payload["report"]["masters"]
+        assert all(m["max_trr"] > 0 for m in masters.values())
+
+    def test_in_order_trace_still_checks_v2(self):
+        cell, doc, _, _ = _reversed_cell_trace(TRACE_SCHEMA)
+        _reverse(doc)
         result = api.monitor_check(cell, doc, policy="dm")
         masters = result.payload["report"]["masters"]
         assert all(m["max_trr"] > 0 for m in masters.values())
