@@ -18,23 +18,22 @@ row-wise ``trace/v1`` document of the same events (one event object
 each), which ``trace_from_doc`` still reads.  Each stage keeps its
 fastest time per case over ``--passes`` passes, with the garbage
 collector off; the sums are divided by the number of events.  The
-document sizes are those of ``json.dumps``.  Run from the repository
-root (``perfbench`` is imported from there):
+document sizes are those of ``json.dumps``.  The script puts its
+checkout's ``src/`` and root (for ``perfbench``) first on ``sys.path``,
+so it times the tree it sits in, from any directory:
 
-    PYTHONPATH=src:. python scripts/trace_stages.py --seed 1 --passes 5
+    python scripts/trace_stages.py --seed 1 --passes 5
 """
 
 import argparse
 import gc
 import json
 import sys
+from pathlib import Path
 from time import perf_counter
 
-from perfbench.workloads import SIM_POLICY, TRACE_MAX_EVENTS, trace_cases
-from repro.monitor import monitor_trace, trace_doc, trace_from_doc
-from repro.monitor.trace_io import _event_docs
-from repro.schemas import TRACE_SCHEMA_V1
-from repro.sim import BusTrace, TokenBusConfig, simulate_token_bus
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 DOC_STAGES = ("export", "dumps", "loads", "ingest")
 FORMATS = ("v1", "v2")
@@ -42,18 +41,23 @@ FORMATS = ("v1", "v2")
 
 def v1_doc(recorder, horizon):
     """The ``trace/v1`` document of a recorded run."""
+    from repro.monitor.trace_io import _event_docs
+    from repro.schemas import TRACE_SCHEMA_V1
+
     return {"schema": TRACE_SCHEMA_V1, "format": "native",
             "horizon": horizon, "dropped": recorder.dropped,
             "events": _event_docs(recorder.events)}
-
-
-EXPORT = {"v1": v1_doc, "v2": trace_doc}
 
 
 def stage_times(seed: int, passes: int):
     """``(events, {stage: best seconds summed over the cases},
     {format: document bytes})``; the document stages are keyed
     ``(stage, format)``."""
+    from perfbench.workloads import SIM_POLICY, TRACE_MAX_EVENTS, trace_cases
+    from repro.monitor import monitor_trace, trace_doc, trace_from_doc
+    from repro.sim import BusTrace, TokenBusConfig, simulate_token_bus
+
+    export = {"v1": v1_doc, "v2": trace_doc}
     cases = trace_cases(seed)
     nets = [case.network() for case in cases]
     stages = ["simulate", "check"] + [
@@ -80,7 +84,7 @@ def stage_times(seed: int, passes: int):
                 events += len(recorder.events)
                 for fmt in FORMATS:
                     marks = [perf_counter()]
-                    doc = EXPORT[fmt](recorder, case.horizon)
+                    doc = export[fmt](recorder, case.horizon)
                     marks.append(perf_counter())
                     text = json.dumps(doc)
                     marks.append(perf_counter())

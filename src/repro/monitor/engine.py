@@ -1,11 +1,13 @@
 """Online bound checking: replay a frame log against the analytic bounds.
 
 :class:`TraceMonitor` is the incremental core.  It runs the eq. 11/16/17
-response-time analysis **once** at construction, then consumes
-:class:`~repro.sim.trace.BusEvent` records one at a time — from a file,
-a pipe, or a live ``stdin`` follow — reconstructing exactly the
-statistics :func:`repro.sim.validate.validate_network` reads off the
-in-process simulator:
+response-time analysis **once** at construction, then consumes events
+in order — the ``(time, kind, master, stream)`` columns of an ingested
+trace in one loop (:meth:`TraceMonitor.feed_columns`), or
+:class:`~repro.sim.trace.BusEvent` records from a file, a pipe, or a
+live ``stdin`` follow, which go through that same loop — reconstructing
+exactly the statistics :func:`repro.sim.validate.validate_network`
+reads off the in-process simulator:
 
 * per-stream worst observed response (``release`` → matching
   ``cycle_end``, FIFO within a stream — exact for FCFS, and for DM/EDF
@@ -31,7 +33,7 @@ matter what was dropped).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, List, Optional, Sequence
 
 from ..profibus.network import Network
 from ..profibus.ttr import analyse
@@ -120,65 +122,89 @@ class TraceMonitor:
     # ------------------------------------------------------------- feeding
 
     def feed(self, event: BusEvent) -> None:
-        """Ingest one event.  Events must arrive in time order (equal
-        times are fine): the reconstruction pairs each cycle end with
-        the releases before it, so an event earlier than the previous
-        one raises :class:`TraceFormatError` and is not counted."""
+        """Ingest one event (see :meth:`feed_columns`)."""
         time, kind, master, stream, _high, _value = event
-        last = self._last_time
-        if last is not None and time < last:
-            raise TraceFormatError(
-                f"trace event #{self._events}: time {time} is earlier "
-                f"than the previous event's time {last}; events must "
-                f"arrive in time order"
-            )
-        self._events += 1
-        self._last_time = time
-        if kind == TOKEN_ARRIVAL:
-            om = self._masters.get(master)
-            if om is None:
-                om = self._masters[master] = _ObservedMaster()
-                self._unanalysed.setdefault(f"master:{master}", 0)
-                self._unanalysed[f"master:{master}"] += 1
-            om.token_visits += 1
-            if om.last_arrival is not None:
-                trr = time - om.last_arrival
-                om.sum_trr += trr
-                if trr > om.max_trr:
-                    om.max_trr = trr
-            om.last_arrival = time
-            return
-        if kind == CYCLE_START or not stream:
-            # cycle starts carry no statistics (the response is measured
-            # release → cycle END); stream-less ends are token/background
-            # cycles with nothing to pair
-            return
-        key = stream_key(master, stream)
-        obs = self._streams.get(key)
-        if obs is None:
-            # low-priority or foreign stream: tallied so the report can
-            # say what the log contained, but no bound row exists
-            self._unanalysed[key] = self._unanalysed.get(key, 0) + 1
-            return
-        if kind == RELEASE:
-            obs.pending.append(time)
-            if time >= self.stats_after:
-                obs.released += 1
-        elif kind == CYCLE_END:
-            if obs.pending:
-                release = obs.pending.popleft()
-                if release >= self.stats_after:
-                    response = time - release
-                    obs.completed += 1
-                    obs.sum_response += response
-                    if response > obs.max_response:
-                        obs.max_response = response
-            else:
-                obs.unmatched_ends += 1
+        self.feed_columns((time,), (kind,), (master,), (stream,))
 
     def feed_all(self, events: Iterable[BusEvent]) -> None:
-        for event in events:
-            self.feed(event)
+        """Ingest a sequence of events (see :meth:`feed_columns`)."""
+        columns = list(zip(*events))
+        if columns:
+            self.feed_columns(*columns[:4])
+
+    def feed_columns(self, time: Sequence[int], kind: Sequence[str],
+                     master: Sequence[str], stream: Sequence[str]) -> None:
+        """Ingest events given as the ``time``, ``kind``, ``master`` and
+        ``stream`` columns of a trace (the other two fields carry no
+        statistic the monitor reads).  Events must arrive in time order
+        (equal times are fine): the reconstruction pairs each cycle end
+        with the releases before it, so an event earlier than the
+        previous one raises :class:`TraceFormatError`; the events before
+        it stay counted, it and the rest are not."""
+        masters = self._masters
+        streams = self._streams
+        stats_after = self.stats_after
+        seen = self._events
+        last = self._last_time
+        if last is None and time:
+            last = time[0]
+        try:
+            for t, k, m, s in zip(time, kind, master, stream):
+                if t < last:
+                    raise TraceFormatError(
+                        f"trace event #{seen}: time {t} is earlier "
+                        f"than the previous event's time {last}; events "
+                        f"must arrive in time order"
+                    )
+                seen += 1
+                last = t
+                if k == TOKEN_ARRIVAL:
+                    om = masters.get(m)
+                    if om is None:
+                        om = masters[m] = _ObservedMaster()
+                        self._tally(f"master:{m}")
+                    om.token_visits += 1
+                    previous = om.last_arrival
+                    if previous is not None:
+                        trr = t - previous
+                        om.sum_trr += trr
+                        if trr > om.max_trr:
+                            om.max_trr = trr
+                    om.last_arrival = t
+                    continue
+                if k == CYCLE_START or not s:
+                    # cycle starts carry no statistics (the response is
+                    # measured release → cycle END); stream-less ends
+                    # are token/background cycles with nothing to pair
+                    continue
+                key = stream_key(m, s)
+                obs = streams.get(key)
+                if obs is None:
+                    # low-priority or foreign stream: tallied so the
+                    # report can say what the log contained, but no
+                    # bound row exists
+                    self._tally(key)
+                elif k == RELEASE:
+                    obs.pending.append(t)
+                    if t >= stats_after:
+                        obs.released += 1
+                elif k == CYCLE_END:
+                    if obs.pending:
+                        release = obs.pending.popleft()
+                        if release >= stats_after:
+                            response = t - release
+                            obs.completed += 1
+                            obs.sum_response += response
+                            if response > obs.max_response:
+                                obs.max_response = response
+                    else:
+                        obs.unmatched_ends += 1
+        finally:
+            self._events = seen
+            self._last_time = last
+
+    def _tally(self, key: str) -> None:
+        self._unanalysed[key] = self._unanalysed.get(key, 0) + 1
 
     def note_dropped(self, count: int) -> None:
         """Record that the log lost ``count`` events (a recorder that hit
@@ -283,12 +309,11 @@ def monitor_events(
 ) -> MonitorReport:
     """One-shot convenience: feed a whole event sequence, return the
     final snapshot."""
-    mon = TraceMonitor(network, policy, refined=refined,
-                       stats_after=stats_after, source_format=source_format)
-    if dropped:
-        mon.note_dropped(dropped)
-    mon.feed_all(events)
-    return mon.report(horizon=horizon)
+    return monitor_trace(
+        network,
+        IngestedTrace.from_events(events, horizon=horizon, dropped=dropped,
+                                  source_format=source_format),
+        policy, refined=refined, stats_after=stats_after)
 
 
 def monitor_trace(
@@ -300,17 +325,18 @@ def monitor_trace(
     horizon: Optional[int] = None,
 ) -> MonitorReport:
     """One-shot convenience over an :class:`IngestedTrace` (carries its
-    own horizon/dropped metadata; an explicit ``horizon`` wins)."""
-    return monitor_events(
-        network,
-        trace.events,
-        policy,
-        refined=refined,
-        stats_after=stats_after,
-        horizon=horizon if horizon is not None else trace.horizon,
-        dropped=trace.dropped,
-        source_format=trace.source_format,
-    )
+    own horizon/dropped metadata; an explicit ``horizon`` wins): its
+    columns are fed as they are, with no event tuple built."""
+    mon = TraceMonitor(network, policy, refined=refined,
+                       stats_after=stats_after,
+                       source_format=trace.source_format)
+    if trace.dropped:
+        mon.note_dropped(trace.dropped)
+    columns = trace.columns
+    mon.feed_columns(columns["time"], columns["kind"], columns["master"],
+                     columns["stream"])
+    return mon.report(horizon=horizon if horizon is not None
+                      else trace.horizon)
 
 
 def observed_worst_responses(events: Iterable[BusEvent]) -> Dict[str, int]:

@@ -1,8 +1,11 @@
 """Trace ingestion and export: the ``profibus-rt/trace`` formats.
 
-One in-memory form (:class:`IngestedTrace`, a list of
-:class:`repro.sim.trace.BusEvent` plus window metadata), one
-transportable document and three file shapes.
+One in-memory form (:class:`IngestedTrace`: the six checked
+``trace/v2`` columns plus window metadata, with the
+:class:`repro.sim.trace.BusEvent` rows as a derived view), one
+transportable document and three file shapes.  A ``trace/v2`` document
+is ingested as the columns it carries; the row-wise shapes (the v1
+document, JSONL, CSV) are checked event by event and transposed once.
 
 **Trace documents** (``profibus-rt/trace/v2``) — what :func:`trace_doc`
 and :meth:`IngestedTrace.to_doc` write, and what the ``monitor`` op of
@@ -56,7 +59,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, TextIO, Union
 
@@ -89,11 +92,17 @@ class TraceFormatError(ValueError):
     """A trace document/file the ingester refuses to guess about."""
 
 
+def _empty_columns() -> Dict[str, List[Any]]:
+    return {key: [] for key in _EVENT_KEYS}
+
+
 @dataclass
 class IngestedTrace:
     """One ingested frame log, whichever shape it arrived in."""
 
-    events: List[BusEvent] = field(default_factory=list)
+    #: the ``trace/v2`` columns, checked: one list per :class:`BusEvent`
+    #: field, keyed (and ordered) by field name, all of one length
+    columns: Dict[str, List[Any]] = field(default_factory=_empty_columns)
     #: end of the observation window (bit times); ``None`` when the log
     #: does not say — consumers fall back to the last event time
     horizon: Optional[int] = None
@@ -102,19 +111,38 @@ class IngestedTrace:
     dropped: int = 0
     source_format: str = FORMAT_NATIVE
 
+    @classmethod
+    def from_events(cls, events: Iterable[BusEvent],
+                    horizon: Optional[int] = None, dropped: int = 0,
+                    source_format: str = FORMAT_NATIVE) -> "IngestedTrace":
+        """The trace of checked events: one transpose,
+        ``zip(*events)``, and no object per event."""
+        columns = list(zip(*events)) or [()] * len(_EVENT_KEYS)
+        return cls(dict(zip(_EVENT_KEYS, map(list, columns))), horizon,
+                   dropped, source_format)
+
+    @cached_property
+    def events(self) -> List[BusEvent]:
+        """The rows of :attr:`columns` as :class:`BusEvent` tuples, for
+        callers that want events; built on first use, then kept (the
+        columns are not to be changed afterwards)."""
+        columns = self.columns
+        return list(map(_new_event, zip(*[columns[k] for k in _EVENT_KEYS])))
+
     @property
     def truncated(self) -> bool:
         return self.dropped > 0
 
     def to_doc(self) -> Dict[str, Any]:
         """The transportable ``profibus-rt/trace/v2`` document (what the
-        ``monitor`` op of :mod:`repro.api` carries)."""
+        ``monitor`` op of :mod:`repro.api` carries).  Its ``columns``
+        are this trace's own lists, not copies."""
         return {
             "schema": TRACE_SCHEMA,
             "format": self.source_format,
             "horizon": self.horizon,
             "dropped": self.dropped,
-            "columns": _event_columns(self.events),
+            "columns": dict(self.columns),
         }
 
 
@@ -135,20 +163,14 @@ def event_to_doc(event: BusEvent) -> Dict[str, Any]:
     return _event_docs((event,))[0]
 
 
-def _event_columns(events: Iterable[BusEvent]) -> Dict[str, List[Any]]:
-    """The ``trace/v2`` columns of ``events``: one transpose,
-    ``zip(*events)``, and no object per event."""
-    columns = list(zip(*events)) or [()] * len(_EVENT_KEYS)
-    return dict(zip(_EVENT_KEYS, map(list, columns)))
-
-
 def _only(column: List[Any], kind: type) -> bool:
     """Is every cell of ``column`` exactly of type ``kind``?"""
     return {*map(type, column)} <= {kind}
 
 
-def _column_events(columns: Any) -> List[BusEvent]:
-    """The events of a ``trace/v2`` ``columns`` object.  Column shape
+def _checked_columns(columns: Any) -> Dict[str, List[Any]]:
+    """The checked columns of a ``trace/v2`` ``columns`` object, copied
+    (the trace does not share the document's lists).  Column shape
     faults have their own messages.  The cells are checked a column at
     a time, one linear pass each; if a check fails, the rows are walked
     through :func:`event_from_doc` as the event objects of the v1
@@ -181,11 +203,11 @@ def _column_events(columns: Any) -> List[BusEvent]:
     if (_only(time, int) and _only(kind, str) and _KIND_SET.issuperset(kind)
             and _only(master, str) and all(master) and _only(stream, str)
             and _only(high, bool) and _only(value, int)):
-        return list(map(_new_event, zip(*cells)))
-    return [
+        return dict(zip(_EVENT_KEYS, map(list, cells)))
+    return IngestedTrace.from_events(
         event_from_doc(dict(zip(_EVENT_KEYS, row)), "trace event #", i)
         for i, row in enumerate(zip(*cells))
-    ]
+    ).columns
 
 
 def _int_field(doc: Dict[str, Any], key: str, where: str) -> int:
@@ -284,8 +306,8 @@ def trace_doc(
 ) -> Dict[str, Any]:
     """The ``profibus-rt/trace/v2`` document for a recorded
     :class:`BusTrace` (what the ``monitor`` op transports)."""
-    return IngestedTrace(
-        events=trace.events,
+    return IngestedTrace.from_events(
+        trace.events,
         horizon=horizon,
         dropped=trace.dropped,
         source_format=FORMAT_NATIVE,
@@ -325,17 +347,15 @@ def trace_from_doc(doc: Dict[str, Any]) -> IngestedTrace:
     if isinstance(dropped, bool) or not isinstance(dropped, int) or dropped < 0:
         raise TraceFormatError("trace 'dropped' must be a non-negative integer")
     if body == "columns":
-        events = _column_events(doc.get("columns"))
-    else:
-        events_doc = doc.get("events")
-        if not isinstance(events_doc, list):
-            raise TraceFormatError("trace 'events' must be a list")
-        events = [
-            event_from_doc(e, "trace event #", i)
-            for i, e in enumerate(events_doc)
-        ]
-    return IngestedTrace(events=events, horizon=horizon, dropped=dropped,
-                         source_format=fmt)
+        return IngestedTrace(_checked_columns(doc.get("columns")), horizon,
+                             dropped, fmt)
+    events_doc = doc.get("events")
+    if not isinstance(events_doc, list):
+        raise TraceFormatError("trace 'events' must be a list")
+    return IngestedTrace.from_events(
+        [event_from_doc(e, "trace event #", i)
+         for i, e in enumerate(events_doc)],
+        horizon=horizon, dropped=dropped, source_format=fmt)
 
 
 # ------------------------------------------------------------ native export
@@ -413,7 +433,8 @@ def parse_event_line(line: str, where: str = "trace line",
 
 
 def _read_jsonl(lines: Iterable[str]) -> IngestedTrace:
-    trace = IngestedTrace(source_format=FORMAT_JSONL)
+    meta: Dict[str, Any] = {"source_format": FORMAT_JSONL}
+    events: List[BusEvent] = []
     for i, raw in enumerate(lines):
         line = raw.strip()
         if not line:
@@ -421,12 +442,12 @@ def _read_jsonl(lines: Iterable[str]) -> IngestedTrace:
         if i == 0:
             header = parse_header_line(line)
             if header is not None:
-                trace.horizon = header["horizon"]
-                trace.dropped = header["dropped"]
-                trace.source_format = FORMAT_NATIVE
+                meta = {"horizon": header["horizon"],
+                        "dropped": header["dropped"],
+                        "source_format": FORMAT_NATIVE}
                 continue
-        trace.events.append(parse_event_line(line, "trace line ", i + 1))
-    return trace
+        events.append(parse_event_line(line, "trace line ", i + 1))
+    return IngestedTrace.from_events(events, **meta)
 
 
 _CSV_BOOL = {"1": True, "0": False, "true": True, "false": False,
@@ -447,7 +468,7 @@ def _read_csv(lines: Iterable[str]) -> IngestedTrace:
     missing = [k for k in _REQUIRED_KEYS if k not in fields]
     if missing:
         raise TraceFormatError(f"CSV trace missing column(s) {missing}")
-    trace = IngestedTrace(source_format=FORMAT_CSV)
+    events: List[BusEvent] = []
     for row_no, row in enumerate(reader, start=2):
         doc: Dict[str, Any] = {}
         for key, value in row.items():
@@ -473,8 +494,8 @@ def _read_csv(lines: Iterable[str]) -> IngestedTrace:
                     )
             else:
                 doc[key] = value
-        trace.events.append(event_from_doc(doc, "CSV row ", row_no))
-    return trace
+        events.append(event_from_doc(doc, "CSV row ", row_no))
+    return IngestedTrace.from_events(events, source_format=FORMAT_CSV)
 
 
 def _sniff_format(first_line: str) -> str:

@@ -31,8 +31,11 @@ served in up to four steps:
    (:func:`repro.profibus.serialization.scan_network`) whose canonical
    document is hashed directly into the fingerprint, from which the
    value key (fingerprint + analysis coordinates) follows.  No
-   ``Network`` is built.  The spelling is recorded only now that the
-   request has parsed and keyed;
+   ``Network`` is built.  A ``monitor`` request is keyed on the
+   loop's default thread executor: its value key hashes the whole
+   ingested trace (:meth:`repro.api.AnalysisRequest.trace_digest`),
+   which would hold up every other client for as long.  The spelling
+   is recorded only now that the request has parsed and keyed;
 3. the shared cache is consulted under the value key; a hit returns the
    stored bytes.  Two clients spelling the same plant differently meet
    here;
@@ -83,6 +86,19 @@ from .sessions import SessionRegistry, SessionStats
 #: the costliest rate seen, 3.4 µs per counted iteration, a bound met
 #: exactly would block the loop for about 14 ms.
 INLINE_ITERATIONS = 4096
+
+
+def _key_request(
+    request_doc: Dict[str, Any], known_key: Optional[str],
+) -> Tuple[api.AnalysisRequest, NetworkScan, str, str]:
+    """Step 2 of a miss: ``(request, scan, fingerprint, value key)``.
+    The value key is computed only when the spelling did not already
+    name one (``known_key``)."""
+    request = api.AnalysisRequest.from_dict(request_doc)
+    scan, fingerprint = api.keyed_network(request)
+    key = known_key if known_key is not None else request.cache_key(
+        fingerprint)
+    return request, scan, fingerprint, key
 
 
 class AnalysisServer:
@@ -250,10 +266,15 @@ class AnalysisServer:
         known, key = self._spellings.get(spelling)
         hit, result_json = self.cache.get(key) if known else (False, None)
         if not hit:
-            request = api.AnalysisRequest.from_dict(request_doc)
-            scan, fingerprint = api.keyed_network(request)
+            known_key = key if known else None
+            if op == "monitor":
+                request, scan, fingerprint, key = await (
+                    asyncio.get_running_loop().run_in_executor(
+                        None, _key_request, request_doc, known_key))
+            else:
+                request, scan, fingerprint, key = _key_request(
+                    request_doc, known_key)
             if not known:
-                key = request.cache_key(fingerprint)
                 self._spellings.put(spelling, key)
                 hit, result_json = self.cache.get(key)
             if not hit:

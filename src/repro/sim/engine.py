@@ -1,11 +1,18 @@
 """A small discrete-event simulation kernel.
 
 Deliberately minimal but real: a binary-heap calendar with stable
-ordering, cancellation, and a bounded run loop.  Both simulators in this
-package (the PROFIBUS token bus and the uniprocessor scheduler
-validation harness) run on top of it.  :meth:`Simulator.run_until` is
-the hot loop of every traced run: it pops, skips cancelled entries and
-fires in one pass over the heap, with no method call per event.
+ordering, cancellation, and a bounded run loop.  The PROFIBUS token-bus
+simulator runs on top of it (the uniprocessor harness in
+:mod:`repro.sim.uniproc` is job-driven and keeps its own ready heap).
+:meth:`Simulator.run_until` is the hot loop of every traced run: it
+pops, skips cancelled entries and fires in one pass over the heap, with
+no method call per event.
+
+Not every event passes through the calendar.  A callback that would
+post the next event of its own chain may ask :meth:`Simulator.advance`
+first: when that event would be the next to fire anyway, the clock
+moves to it, it is counted like any fired event, and the caller runs it
+in its own loop.  The token bus fires idle token visits this way.
 
 Determinism contract: two events at the same timestamp fire in
 ``(time, priority, sequence)`` order, where ``sequence`` is the
@@ -65,6 +72,11 @@ class Simulator:
         self._seq = itertools.count()
         self.now: Any = 0
         self._events_fired = 0
+        # the running run_until's horizon and event budget (the value
+        # of ``_events_fired`` at which its guard trips); a budget of 0
+        # outside run_until makes advance() refuse
+        self._horizon: Any = 0
+        self._budget = 0
 
     @property
     def events_fired(self) -> int:
@@ -121,6 +133,27 @@ class Simulator:
             return True
         return False
 
+    def advance(self, time: Any) -> bool:
+        """Fire an event at ``time`` in the caller's own loop rather than
+        through the calendar, when that changes nothing: inside
+        :meth:`run_until`, ``now ≤ time ≤ horizon``, the guard's budget
+        is not spent, and every calendar entry is strictly later than
+        ``time`` — so the entry :meth:`post` would make is the next one
+        popped, whatever its priority.  Then the clock moves to
+        ``time``, the event counts in :attr:`events_fired` and toward
+        ``max_events``, and the caller runs it; on ``False`` the caller
+        posts it as usual.  Skipping a post only renumbers the
+        sequence, which orders nothing but same-time, same-priority
+        entries."""
+        heap = self._heap
+        if (time > self._horizon or time < self.now
+                or self._events_fired >= self._budget
+                or (heap and heap[0][_TIME] <= time)):
+            return False
+        self.now = time
+        self._events_fired += 1
+        return True
+
     def run_until(self, horizon: Any, max_events: int = 50_000_000) -> None:
         """Run events with ``time <= horizon`` (inclusive).
 
@@ -129,26 +162,32 @@ class Simulator:
         :meth:`peek_time`/:meth:`step` call pair per event).
         ``max_events`` is a runaway guard: exceeding it raises rather
         than silently spinning (e.g. a zero-length cycle loop bug).
+        Events a callback fires through :meth:`advance` count toward it.
         """
         heap = self._heap
         heappop = heapq.heappop
-        fired = 0
-        while heap:
-            time, _, _, callback, cancelled = heap[0]
-            if cancelled:
+        budget = self._events_fired + max_events
+        self._horizon = horizon
+        self._budget = budget
+        try:
+            while heap:
+                time, _, _, callback, cancelled = heap[0]
+                if cancelled:
+                    heappop(heap)
+                    continue
+                if time > horizon:
+                    break
                 heappop(heap)
-                continue
-            if time > horizon:
-                break
-            heappop(heap)
-            self.now = time
-            self._events_fired += 1
-            callback()
-            fired += 1
-            if fired > max_events:
-                raise RuntimeError(
-                    f"simulation exceeded {max_events} events before t={horizon}"
-                )
+                self.now = time
+                self._events_fired += 1
+                callback()
+                if self._events_fired > budget:
+                    raise RuntimeError(
+                        f"simulation exceeded {max_events} events before "
+                        f"t={horizon}"
+                    )
+        finally:
+            self._budget = 0
         self.now = horizon
 
     def run_all(self, max_events: int = 50_000_000) -> None:

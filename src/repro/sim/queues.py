@@ -40,6 +40,10 @@ class _HeapQueue:
 
     def __init__(self) -> None:
         self._heap: List[tuple] = []
+        #: the list holding the queued entries (heap order): truthy
+        #: while a request is queued, testable without a Python-level
+        #: ``__bool__`` call
+        self.queued = self._heap
         self._count = itertools.count()
 
     def key(self, req: Request):  # pragma: no cover - abstract
@@ -117,6 +121,9 @@ class StackQueue:
             raise ValueError("stack depth must be >= 1")
         self.depth = depth
         self._fifo: List[Request] = []
+        #: the list of staged requests (FIFO order): truthy while one is
+        #: staged, testable without a Python-level ``__bool__`` call
+        self.queued = self._fifo
 
     @property
     def free(self) -> int:

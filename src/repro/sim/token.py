@@ -38,7 +38,8 @@ from ..profibus.gap import gap_cycle_bits
 from ..profibus.network import Master, Network
 from .engine import PRIO_MAC, PRIO_RELEASE, Simulator
 from .queues import FCFSQueue, Request, StackQueue, make_queue
-from .trace import CYCLE_END, CYCLE_START, RELEASE, TOKEN_ARRIVAL, BusEvent
+from .trace import (CYCLE_END, CYCLE_START, RELEASE, TOKEN_ARRIVAL, BusEvent,
+                    BusTrace)
 from .traffic import ReleasePattern, TrafficConfig, synchronous_offsets
 
 
@@ -155,6 +156,18 @@ class TokenBusResult:
         return max((m.max_trr for m in self.masters.values()), default=0)
 
 
+class _StreamRun:
+    """What a run looks up about one stream, bound once at setup: its
+    statistics, and the length of an error-free cycle (``None`` when
+    the stream's length is given, so every cycle costs it)."""
+
+    __slots__ = ("stats", "nominal_bits")
+
+    def __init__(self, stats: StreamStats, nominal_bits: Optional[int]):
+        self.stats = stats
+        self.nominal_bits = nominal_bits
+
+
 class _MasterState:
     """Run-time state of one master station."""
 
@@ -174,10 +187,15 @@ class _MasterState:
         else:
             raise ValueError(f"unknown master policy {policy!r}")
         #: the queue the MAC sends high-priority cycles from (the FCFS
-        #: outgoing queue, or the AP architecture's stack): truthy while
-        #: a request is ready, ``mac_high.pop()`` takes it
+        #: outgoing queue, or the AP architecture's stack);
+        #: ``mac_high.pop()`` takes the next request
         self.mac_high = self.high_queue if self.stack is None else self.stack
+        #: ``mac_high``'s list of requests: truthy while one is ready
+        self.staged = self.mac_high.queued
         self.low_queue = FCFSQueue()
+        self.name = master.name
+        #: stream name → :class:`_StreamRun`, bound once at setup
+        self.runs: Dict[str, _StreamRun] = {}
         #: request whose message cycle is on the wire right now — still
         #: pending if the horizon cuts the cycle short
         self.in_flight: Optional[Request] = None
@@ -254,7 +272,7 @@ class TokenBusConfig:
     warm_start: bool = True
     #: Optional :class:`repro.sim.trace.BusTrace` recording every token
     #: arrival and message cycle (see that module for the timeline view).
-    tracer: Optional[object] = None
+    tracer: Optional[BusTrace] = None
     #: Gap update factor G: every G-th token visit a master issues one
     #: FDL-Request-Status poll (worst case: unanswered), scheduled out of
     #: remaining token-holding time like low-priority traffic.  ``None``
@@ -300,10 +318,17 @@ def simulate_token_bus(
 
     stream_stats: Dict[str, StreamStats] = {}
     seq_counter = [0]
-    record = config.tracer.record if config.tracer is not None else None
-    # ``_make`` from the six fields in order: cheaper than calling the
-    # class, the one allocation each traced event costs
-    new_event = BusEvent._make
+    stats_after = config.stats_after
+    # The recorder is appended to inline (BusTrace.record's bound check
+    # without its call); an event is built from its six fields in order
+    # by ``tuple.__new__``, the one allocation each traced event costs.
+    tracer = config.tracer
+    traced = tracer is not None
+    if traced:
+        trace_events = tracer.events
+        trace_append = trace_events.append
+        trace_cap = tracer.max_events
+    new_event = partial(tuple.__new__, BusEvent)
 
     def _stats_for(master: Master, stream) -> StreamStats:
         key = stream_key(master.name, stream.name)
@@ -316,44 +341,44 @@ def simulate_token_bus(
             )
         return stream_stats[key]
 
-    # --- schedule all releases lazily (one pending event per stream) ----
+    # --- releases: one pending event per stream --------------------------
     def _schedule_releases(master: Master, stream) -> None:
-        pattern = traffic.pattern_for(master.name, stream.name)
-        it = pattern.releases(horizon)
+        """Bind the stream's run record and release handler once; the
+        handler posts itself for the stream's next release."""
+        it = traffic.pattern_for(master.name, stream.name).releases(horizon)
         state = by_name[master.name]
-        _stats_for(master, stream)  # materialise stats even if never sent
+        stats = _stats_for(master, stream)  # materialised even if never sent
+        nominal = (attempt_time(stream.spec, phy)
+                   if config.error_rate and stream.C_bits is None else None)
+        state.runs.setdefault(stream.name, _StreamRun(stats, nominal))
+        name, master_name = stream.name, master.name
+        D, high = stream.D, stream.high_priority
         cycle_bits = stream.cycle_bits(phy)
+        queue = state.enqueue_high if high else state.low_queue.push
 
-        def fire_next():
-            try:
-                t = next(it)
-            except StopIteration:
-                return
-            def on_release(t=t):
-                seq_counter[0] += 1
-                req = Request(
-                    stream_name=stream.name,
-                    master=master.name,
-                    release=t,
-                    deadline=t + stream.D,
-                    rel_deadline=stream.D,
-                    cycle_bits=cycle_bits,
-                    high_priority=stream.high_priority,
-                    seq=seq_counter[0],
-                )
-                if t >= config.stats_after:
-                    _stats_for(master, stream).released += 1
-                if record is not None:
-                    record(new_event((t, RELEASE, master.name, stream.name,
-                                      stream.high_priority, 0)))
-                if stream.high_priority:
-                    state.enqueue_high(req)
+        def on_release() -> None:
+            t = sim.now
+            seq_counter[0] += 1
+            req = Request(stream_name=name, master=master_name, release=t,
+                          deadline=t + D, rel_deadline=D,
+                          cycle_bits=cycle_bits, high_priority=high,
+                          seq=seq_counter[0])
+            if t >= stats_after:
+                stats.released += 1
+            if traced:
+                if len(trace_events) < trace_cap:
+                    trace_append(new_event((t, RELEASE, master_name, name,
+                                            high, 0)))
                 else:
-                    state.low_queue.push(req)
-                fire_next()
-            sim.post(t, on_release, priority=PRIO_RELEASE)
+                    tracer.dropped += 1
+            queue(req)
+            t = next(it, None)
+            if t is not None:
+                sim.post(t, on_release, priority=PRIO_RELEASE)
 
-        fire_next()
+        t = next(it, None)
+        if t is not None:
+            sim.post(t, on_release, priority=PRIO_RELEASE)
 
     for m in network.masters:
         for s in m.streams:
@@ -366,49 +391,69 @@ def simulate_token_bus(
     # on_token_arrival (TTH, the one unconditional high cycle) →
     # high_loop → after_high (gap poll) → low_loop → token pass.  A
     # message cycle ends by calling the phase it was sent from.
+    error_rate = config.error_rate
+
     def cycle_length(req: Optional[Request], state: _MasterState) -> int:
         if req is None:
             # synthetic background low-priority cycle
             return state.low_always_pending
-        if config.error_rate and rng.random() >= config.error_rate:
+        if error_rate and rng.random() >= error_rate:
             # error-free cycle: nominal single attempt, if derivable
-            stream = state.master.stream(req.stream_name)
-            if stream.C_bits is None:
-                return attempt_time(stream.spec, phy)
+            nominal = state.runs[req.stream_name].nominal_bits
+            if nominal is not None:
+                return nominal
         return req.cycle_bits
 
     gap_factor = config.gap_update_factor
 
     def on_token_arrival(idx: int) -> None:
-        state = states[idx]
-        now = sim.now
-        trr = now - state.last_token_arrival
-        state.last_token_arrival = now
-        st = state.stats
-        st.token_visits += 1
-        if state.seen_token:
-            st.sum_trr += trr
-            if trr > st.max_trr:
-                st.max_trr = trr
-        state.seen_token = True
-        if gap_factor:
-            state.visits_since_gap += 1
-            if state.visits_since_gap >= gap_factor:
-                state.gap_poll_due = True
-        if record is not None:
-            record(new_event((now, TOKEN_ARRIVAL, state.master.name, "",
-                              True, trr)))
-        tth_expire = now + ttr - trr  # may be in the past (late token)
-        # one high-priority cycle even on a late token; with none
-        # pending the high loop has nothing to send either
-        if state.mac_high:
-            transmit(idx, tth_expire, state.mac_high.pop(), high_loop)
-        else:
-            after_high(idx, tth_expire)
+        """The token reaches master ``idx``.  An idle visit (nothing
+        staged, and the token late or nothing else ready) passes the
+        token straight on; when the successor's arrival is the next
+        event (:meth:`Simulator.advance`), this loop runs that visit
+        too, instead of posting it."""
+        while True:
+            state = states[idx]
+            now = sim.now
+            trr = now - state.last_token_arrival
+            state.last_token_arrival = now
+            st = state.stats
+            st.token_visits += 1
+            if state.seen_token:
+                st.sum_trr += trr
+                if trr > st.max_trr:
+                    st.max_trr = trr
+            state.seen_token = True
+            if gap_factor:
+                state.visits_since_gap += 1
+                if state.visits_since_gap >= gap_factor:
+                    state.gap_poll_due = True
+            if traced:
+                if len(trace_events) < trace_cap:
+                    trace_append(new_event((now, TOKEN_ARRIVAL, state.name,
+                                            "", True, trr)))
+                else:
+                    tracer.dropped += 1
+            tth_expire = now + ttr - trr  # may be in the past (late token)
+            # one high-priority cycle even on a late token
+            if state.staged:
+                transmit(idx, tth_expire, state.mac_high.pop(), high_loop)
+                return
+            # with none staged the high loop has nothing to send either
+            if now < tth_expire and (state.gap_poll_due
+                                     or state.low_queue.queued
+                                     or state.low_always_pending is not None):
+                after_high(idx, tth_expire)
+                return
+            now += token_pass
+            idx = successor[idx]
+            if not sim.advance(now):
+                sim.post(now, arrive[idx], priority=PRIO_MAC)
+                return
 
     def high_loop(idx: int, tth_expire: int) -> None:
         state = states[idx]
-        if sim.now < tth_expire and state.mac_high:
+        if sim.now < tth_expire and state.staged:
             transmit(idx, tth_expire, state.mac_high.pop(), high_loop)
         else:
             after_high(idx, tth_expire)
@@ -433,15 +478,17 @@ def simulate_token_bus(
         state = states[idx]
         now = sim.now
         # queued lows, or a synthetic background one always ready
-        if now < tth_expire and (state.low_queue
+        if now < tth_expire and (state.low_queue.queued
                                  or state.low_always_pending is not None):
             transmit(idx, tth_expire, state.pop_low(), low_loop)
         else:
-            sim.post(now + token_pass, pass_token[idx], priority=PRIO_MAC)
+            sim.post(now + token_pass, arrive[successor[idx]],
+                     priority=PRIO_MAC)
 
-    #: ``pass_token[i]`` delivers the token to master ``i``'s successor
-    pass_token = [partial(on_token_arrival, (i + 1) % len(states))
-                  for i in range(len(states))]
+    #: ``successor[i]`` is the master the token goes to from master
+    #: ``i``; ``arrive[i]`` delivers the token to master ``i``
+    successor = [(i + 1) % len(states) for i in range(len(states))]
+    arrive = [partial(on_token_arrival, i) for i in range(len(states))]
 
     def note_overrun(state: _MasterState, start: int, done: int,
                      tth_expire: int) -> None:
@@ -461,23 +508,28 @@ def simulate_token_bus(
         dur = cycle_length(req, state)
         done = start + dur
         note_overrun(state, start, done, tth_expire)
-        if record is not None:
-            record(new_event((start, CYCLE_START, state.master.name,
-                              req.stream_name if req else "",
-                              req.high_priority if req else False, dur)))
+        stream = req.stream_name if req else ""
+        high = req.high_priority if req else False
+        if traced:
+            if len(trace_events) < trace_cap:
+                trace_append(new_event((start, CYCLE_START, state.name,
+                                        stream, high, dur)))
+            else:
+                tracer.dropped += 1
 
         def on_complete():
             state.in_flight = None
-            if record is not None:
-                record(new_event((sim.now, CYCLE_END, state.master.name,
-                                  req.stream_name if req else "",
-                                  req.high_priority if req else False, dur)))
+            now = sim.now
+            if traced:
+                if len(trace_events) < trace_cap:
+                    trace_append(new_event((now, CYCLE_END, state.name,
+                                            stream, high, dur)))
+                else:
+                    tracer.dropped += 1
             if req is not None:
-                master = state.master
-                stream = master.stream(req.stream_name)
-                if req.release >= config.stats_after:
-                    _stats_for(master, stream).record(sim.now - req.release)
-                if req.high_priority:
+                if req.release >= stats_after:
+                    state.runs[stream].stats.record(now - req.release)
+                if high:
                     state.stats.high_sent += 1
                     state.high_cycle_done()
                 else:
@@ -498,10 +550,9 @@ def simulate_token_bus(
     # complete.  Record them with their age so bounds can be checked
     # against the response they are already guaranteed to exceed.
     def note_pending(req: Optional[Request]) -> None:
-        if req is None or req.release < config.stats_after:
+        if req is None or req.release < stats_after:
             return
-        master = by_name[req.master].master
-        _stats_for(master, master.stream(req.stream_name)).note_pending(
+        by_name[req.master].runs[req.stream_name].stats.note_pending(
             horizon - req.release
         )
 

@@ -55,7 +55,11 @@ class BusEvent(NamedTuple):
 
 @dataclass
 class BusTrace:
-    """Recorder passed to the simulator via ``TokenBusConfig.tracer``."""
+    """Recorder passed to the simulator via ``TokenBusConfig.tracer``.
+
+    The simulator appends to :attr:`events` itself, with :meth:`record`'s
+    bound check inlined (no call per event), so ``max_events`` and
+    ``dropped`` mean the same on both paths."""
 
     max_events: int = 100_000
     events: List[BusEvent] = field(default_factory=list)

@@ -128,8 +128,8 @@ class TestMonitoringParity:
     def test_incremental_feeding_equals_one_shot(self, factory_cell):
         _, tracer = _traced_validate(factory_cell, "dm")
         one_shot = monitor_trace(
-            factory_cell, IngestedTrace(events=list(tracer.events),
-                                        horizon=HORIZON), "dm",
+            factory_cell, IngestedTrace.from_events(list(tracer.events),
+                                                   horizon=HORIZON), "dm",
         )
         mon = TraceMonitor(factory_cell, "dm")
         for event in tracer.events[:100]:
@@ -296,7 +296,8 @@ class TestDegradedVerdicts:
         events = [BusEvent(time=0, kind=CYCLE_END, master="cell",
                            stream="axis-setpoint")] + list(tracer.events)
         report = monitor_trace(
-            factory_cell, IngestedTrace(events=events, horizon=HORIZON), "dm",
+            factory_cell,
+            IngestedTrace.from_events(events, horizon=HORIZON), "dm",
         )
         assert report.detail["unmatched_cycle_ends"] == 1
         assert report.row("cell/axis-setpoint").degraded
@@ -306,8 +307,8 @@ class TestDegradedVerdicts:
     def test_unanalysed_streams_reported_not_checked(self, factory_cell):
         _, tracer = _traced_validate(factory_cell, "dm")
         report = monitor_trace(
-            factory_cell, IngestedTrace(events=list(tracer.events),
-                                        horizon=HORIZON), "dm",
+            factory_cell, IngestedTrace.from_events(list(tracer.events),
+                                                   horizon=HORIZON), "dm",
         )
         # the factory cell has a low-priority stream; its cycles appear
         # in the log but get no bound row
@@ -323,8 +324,8 @@ class TestMasterVerdicts:
     def test_sound_masters(self, factory_cell):
         _, tracer = _traced_validate(factory_cell, "dm")
         report = monitor_trace(
-            factory_cell, IngestedTrace(events=list(tracer.events),
-                                        horizon=HORIZON), "dm",
+            factory_cell, IngestedTrace.from_events(list(tracer.events),
+                                                   horizon=HORIZON), "dm",
         )
         assert set(report.masters) == {m.name for m in factory_cell.masters}
         for m in report.masters.values():
@@ -365,8 +366,8 @@ class TestMonitorReport:
     def test_schema_tagged_roundtrip(self, single_master):
         _, tracer = _traced_validate(single_master, "dm")
         report = monitor_trace(
-            single_master, IngestedTrace(events=list(tracer.events),
-                                         horizon=HORIZON), "dm",
+            single_master, IngestedTrace.from_events(list(tracer.events),
+                                                    horizon=HORIZON), "dm",
         )
         doc = report.to_dict()
         assert doc["schema"] == MONITOR_SCHEMA

@@ -5,6 +5,7 @@ bound, and non-finite numbers refused with typed errors."""
 
 import json
 import socket
+import threading
 import time
 from pathlib import Path
 
@@ -24,7 +25,8 @@ from repro.schemas import API_SCHEMA, SERVICE_SCHEMA
 from repro.service import protocol
 from repro.service.server import INLINE_ITERATIONS
 
-from test_service import ServerThread, _base_doc, _sweep_doc
+from test_service import (ServerThread, _base_doc, _cell_trace,
+                          _monitor_doc, _sweep_doc)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -267,6 +269,58 @@ class TestRouting:
         for doc, reply in zip(docs, replies):
             assert reply.result == api.execute_request_doc(doc)
             assert reply.result["schedulable"] is False
+
+
+class TestMonitorKeying:
+    def test_ping_is_answered_while_a_monitor_request_is_keyed(
+            self, monkeypatch):
+        """Keying a ``monitor`` request ingests and hashes its whole
+        trace, on the executor: another client's ``ping`` is answered
+        while it is parked there, and neither reply changes."""
+        doc = _monitor_doc(*_cell_trace())
+        offline = api.execute_request_doc(doc)
+        keying, release = threading.Event(), threading.Event()
+        real_cache_key = api.AnalysisRequest.cache_key
+
+        def parked_cache_key(request, fingerprint):
+            if request.op == "monitor":
+                keying.set()
+                assert release.wait(timeout=20), "test never released keying"
+            return real_cache_key(request, fingerprint)
+
+        ping = protocol.encode(protocol.request_envelope("ping", None, 1))
+        replies = {}
+        with ServerThread() as srv:
+            idle = RawConnection(srv)
+            try:
+                before = idle.send(ping)
+                monkeypatch.setattr(api.AnalysisRequest, "cache_key",
+                                    parked_cache_key)
+
+                def send_monitor():
+                    conn = RawConnection(srv)
+                    try:
+                        replies["monitor"] = conn.send(_raw_line(doc, 2))
+                    finally:
+                        conn.close()
+
+                worker = threading.Thread(target=send_monitor)
+                worker.start()
+                assert keying.wait(timeout=20)
+                during = idle.send(ping)
+                assert "monitor" not in replies
+                release.set()
+                worker.join(timeout=20)
+                assert not worker.is_alive()
+            finally:
+                release.set()
+                idle.close()
+        assert during == before
+        assert _strict_json(during)["result"]["pong"] is True
+        reply = _strict_json(replies["monitor"])
+        assert reply["cached"] is False
+        assert replies["monitor"] == protocol.encode(protocol.result_response(
+            2, "monitor", offline, False, reply["elapsed_ms"]))
 
 
 # ---------------------------------------------------------------------------

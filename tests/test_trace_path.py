@@ -30,10 +30,13 @@ from repro import api
 from repro.fuzz import generate_instance
 from repro.gen.network_gen import network_with_ttr_headroom, random_network
 from repro.monitor import (
+    IngestedTrace,
     TraceFormatError,
     TraceMonitor,
     event_from_doc,
     event_to_doc,
+    monitor_events,
+    monitor_trace,
     read_trace,
     trace_doc,
     trace_from_doc,
@@ -93,12 +96,41 @@ def _ring():
     return network_with_ttr_headroom(net, headroom=2.0)
 
 
+#: a factory-cell horizon that ends inside the message cycle starting
+#: at t = 150087 (1059 bit times long)
+_CUT_HORIZON = 150_616
+
+#: trace bound of the pinned runs whose recorder fills up
+_RECORDER_CAP = {"ring-truncated-ap-dm": 300}
+
+
 def _pinned_run(case):
     cell = factory_cell_network()
     horizon = 200 * cell.phy.baud_rate // 1000
-    if case == "ring-ap-dm":
+    if case.startswith("ring-"):
         net = _ring()
-        return net, 200 * net.phy.baud_rate // 1000, {"policy": "ap-dm"}
+        config = {"policy": "ap-dm"}
+        if case == "ring-errors-ap-edf":
+            config = {"policy": "ap-edf", "error_rate": 0.25, "seed": 11}
+        return net, 200 * net.phy.baud_rate // 1000, config
+    if case == "cell-gap-lap-stock-fcfs":
+        # gap polls beside one master whose low traffic never runs out
+        first = cell.masters[0]
+        return cell, horizon, {
+            "policy": "stock-fcfs", "gap_update_factor": 3,
+            "low_always_pending": {
+                first.name: longest_cycle(first, cell.phy)},
+        }
+    if case == "cell-cold-ap-dm":
+        return cell, horizon, {"policy": "ap-dm", "warm_start": False,
+                               "stats_after": horizon // 4}
+    if case == "cell-stack2-ap-edf":
+        lap = {m.name: longest_cycle(m, cell.phy) for m in cell.masters}
+        return cell, horizon, {"policy": "ap-edf", "stack_depth": 2,
+                               "trace_responses": True,
+                               "low_always_pending": lap}
+    if case == "cell-cut-stock-fcfs":
+        return cell, _CUT_HORIZON, {"policy": "stock-fcfs"}
     if case == "cell-stress-ap-edf":
         # background lows, gap polls, line errors, a steady-state filter
         # and per-response recording: every branch of the MAC loop
@@ -137,6 +169,39 @@ PINNED = {
         "e0c432723a357a26e6cd3e58537e1ffc72af7e0ada10149c12cc4e81f0f86e29"),
 }
 
+#: The branches the runs above leave out: gap polls beside an
+#: always-pending low master, line errors, a cold start with a
+#: steady-state filter, a two-deep stack, a full recorder and a horizon
+#: inside a message cycle.  Same tuple as :data:`PINNED`, recorded at
+#: commit 18f4283, before idle token visits were fired outside the
+#: calendar.
+PINNED.update({
+    "cell-gap-lap-stock-fcfs": (
+        1008, 974,
+        "94542ed5947b39213907696faf8b08b257eecca28175634a79473f140c369ba5",
+        "0c5a1dff4dd3d31f857f12e94f2837270ac3bdf179ed4287980b24a37ccffb87"),
+    "ring-errors-ap-edf": (
+        934, 885,
+        "b19888adb0c3529b99657105f7f7469102e72ec29e4c9d00c2e4ecd0dbf6d7a4",
+        "d3efa7dfe557bcec737780b6e5fca9815097262b0b8d5d33d727b2ee4c5bc513"),
+    "cell-cold-ap-dm": (
+        3059, 3029,
+        "e875a8f3b51618f07fe27d075c98782fdfdb8ed1fa467bfaa0a848010e05dc3e",
+        "c9e821d432af4f7ebed4993e04a5f69b64eb8993f8eacd99f484f1f7bb9b5a04"),
+    "cell-stack2-ap-edf": (
+        907, 659,
+        "af76daca1e7fa0f9c8723637e18574d95cc7f638beaaff2dd26e34323bf9a169",
+        "3117014b4d5af595bb06a3e4d8e03ea5f5633d6a1f998f7e1cedfc16bbc6a8c0"),
+    "ring-truncated-ap-dm": (
+        300, 755,
+        "6a61c033d9dd7c68c2aa2057ce7aa2eb7470b41b2ac8ef82ab4ca713023295ed",
+        "3793b1267197225d792d592541dda452ee56821d35f6571ba03bb383d1aa9a2d"),
+    "cell-cut-stock-fcfs": (
+        1502, 1483,
+        "809675d8386e26fbc73884e0cc455d6adba2d57e6b1e6275da3d8e6b571a091f",
+        "5d472e8a05d2ee2091ce3086f039795d3167b6ce072c8909bdf3953b44545e65"),
+})
+
 #: sha256 of the trace/v2 document (``trace_doc``) of each pinned run
 PINNED_V2 = {
     "cell-stock-fcfs":
@@ -149,13 +214,25 @@ PINNED_V2 = {
         "54d1c797baa08566761fd0f9f1d9bedfb051c835446233fb91e6470aaab0a75e",
     "cell-stress-ap-edf":
         "05d9b5eb6a09d894aa6037b63cdb088dfc50cb7f80bd6058f37a11ca74be195d",
+    "cell-gap-lap-stock-fcfs":
+        "0e65143ffa1841ae5d30f6e4c4dfd4c8c4248a728a4f6d0b9f2a8ffa704abb77",
+    "ring-errors-ap-edf":
+        "a7103731c1501cee4b9cee1469fc38ed05435ecd228246ca891f152c31065eab",
+    "cell-cold-ap-dm":
+        "648ddb26afe16eab74f7f3c4c043124cc3ca5ea8cfe2a073a591c4bdb4a766dc",
+    "cell-stack2-ap-edf":
+        "d0d02e936aea205630c6dc46a925c69485d96481d80a75b90045ba607add2fd3",
+    "ring-truncated-ap-dm":
+        "d010505f7ba6203d719dd76ee7e9ab3ffce23c6570a3a6fed9be01a2c79ff9e7",
+    "cell-cut-stock-fcfs":
+        "ac21f9fb9a8107b637bf9154c00d8c96412f477930fbeaf70c77c9d3900d91ab",
 }
 
 
 def _pinned_trace(case):
     """``(network, horizon, recorder, result)`` of a pinned run."""
     net, horizon, config = _pinned_run(case)
-    recorder = BusTrace()
+    recorder = BusTrace(max_events=_RECORDER_CAP.get(case, 100_000))
     result = simulate_token_bus(
         net, horizon, config=TokenBusConfig(tracer=recorder, **config))
     return net, horizon, recorder, result
@@ -184,6 +261,33 @@ class TestSimulatorPinned:
                                     config=TokenBusConfig(**config))
         for ms in result.masters.values():
             assert ms.gap_polls and ms.low_sent and ms.tth_overruns
+
+    def test_branch_cases_reach_their_branch(self):
+        def run(case):
+            return _pinned_trace(case)[2:]
+
+        _, result = run("cell-gap-lap-stock-fcfs")
+        first = factory_cell_network().masters[0].name
+        assert result.masters[first].gap_polls
+        assert result.masters[first].low_sent > result.masters[first].gap_polls
+        recorder, _ = run("ring-errors-ap-edf")
+        lengths = {}
+        for e in recorder.events:
+            if e.kind == "cycle_start" and e.stream:
+                lengths.setdefault(e.stream, set()).add(e.value)
+        # some cycles cost the nominal attempt, others the worst case
+        assert any(len(values) > 1 for values in lengths.values())
+        _, result = run("cell-stack2-ap-edf")
+        assert max(m.max_pending_high for m in result.masters.values()) > 2
+        assert all(s.responses is not None for s in result.streams.values())
+        recorder, _ = run("ring-truncated-ap-dm")
+        assert len(recorder.events) == 300 and recorder.dropped
+        recorder, result = run("cell-cut-stock-fcfs")
+        last = recorder.events[-1]
+        assert last.kind == "cycle_start"
+        assert last.time < _CUT_HORIZON < last.time + last.value
+        # the request on the wire counts as unfinished
+        assert result.stream(last.master, last.stream).unfinished
 
 
 class TestBusEvent:
@@ -446,6 +550,15 @@ def _same_checks(net, v1, v2, policy, stats_after=0):
     return one
 
 
+def _cell_log():
+    """The factory cell and the events of a 20 ms ``ap-dm`` run."""
+    cell = factory_cell_network()
+    recorder = BusTrace()
+    simulate_token_bus(cell, 20 * cell.phy.baud_rate // 1000,
+                       config=TokenBusConfig(policy="ap-dm", tracer=recorder))
+    return cell, recorder.events
+
+
 class TestV1V2Equivalence:
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_pinned_runs(self, case):
@@ -473,16 +586,8 @@ class TestV1V2Equivalence:
         _same_checks(net, _v1_doc(recorder, horizon),
                      trace_doc(recorder, horizon=horizon), policy)
 
-    def _cell_log(self):
-        cell = factory_cell_network()
-        recorder = BusTrace()
-        simulate_token_bus(cell, 20 * cell.phy.baud_rate // 1000,
-                           config=TokenBusConfig(policy="ap-dm",
-                                                 tracer=recorder))
-        return cell, recorder.events
-
     def test_external_jsonl_log(self):
-        cell, events = self._cell_log()
+        cell, events = _cell_log()
         # a foreign logger leaves defaulted keys out
         objects = [{k: v for k, v in event_to_doc(e).items()
                     if (k, v) not in (("stream", ""), ("high_priority", True),
@@ -495,7 +600,7 @@ class TestV1V2Equivalence:
         _same_checks(cell, v1, ingested.to_doc(), "dm")
 
     def test_external_csv_log(self):
-        cell, events = self._cell_log()
+        cell, events = _cell_log()
         rows = [",".join(str(int(v) if type(v) is bool else v) for v in e)
                 for e in events]
         ingested = read_trace(_lines(_CSV_HEADER, *rows))
@@ -504,6 +609,165 @@ class TestV1V2Equivalence:
         v1 = {"schema": TRACE_SCHEMA_V1, "format": "external-csv",
               "events": [event_to_doc(e) for e in events]}
         _same_checks(cell, v1, ingested.to_doc(), "dm")
+
+
+# ----------------------------------------------------- monitor routes
+
+#: the three ways into the monitor's reconstruction
+ROUTES = ("feed", "feed_all", "columns")
+
+
+def _fed(net, policy, ingested, route, stats_after=0):
+    """A monitor that took ``ingested`` by ``route``, and the
+    :class:`TraceFormatError` text it raised (``None`` if none)."""
+    mon = TraceMonitor(net, policy, stats_after=stats_after,
+                       source_format=ingested.source_format)
+    mon.note_dropped(ingested.dropped)
+    try:
+        if route == "feed":
+            for event in ingested.events:
+                mon.feed(event)
+        elif route == "feed_all":
+            mon.feed_all(iter(ingested.events))  # any iterable of events
+        else:
+            columns = ingested.columns
+            mon.feed_columns(columns["time"], columns["kind"],
+                             columns["master"], columns["stream"])
+    except TraceFormatError as exc:
+        return mon, str(exc)
+    return mon, None
+
+
+def _route_outcomes(net, policy, ingested, stats_after=0):
+    """Per route: the error text, ``events_seen`` and the canonical
+    report over the trace's horizon."""
+    outcomes = []
+    for route in ROUTES:
+        mon, error = _fed(net, policy, ingested, route, stats_after)
+        outcomes.append((error, mon.events_seen, json.dumps(
+            mon.report(horizon=ingested.horizon).to_dict(), sort_keys=True)))
+    return outcomes
+
+
+def _assert_routes_agree(net, policy, ingested, stats_after=0):
+    outcomes = _route_outcomes(net, policy, ingested, stats_after)
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    error, seen, report = outcomes[0]
+    assert error is None and seen == len(ingested.events)
+    # the one-shot helpers take the columns route
+    assert json.dumps(monitor_trace(net, ingested, policy,
+                                    stats_after=stats_after).to_dict(),
+                      sort_keys=True) == report
+    assert json.dumps(monitor_events(
+        net, ingested.events, policy, stats_after=stats_after,
+        horizon=ingested.horizon, dropped=ingested.dropped,
+        source_format=ingested.source_format).to_dict(),
+        sort_keys=True) == report
+
+
+def _swapped(ingested, at):
+    """``ingested`` with events ``at`` and ``at + 1`` swapped (their
+    times must differ, so the later one now comes first)."""
+    events = list(ingested.events)
+    assert events[at].time < events[at + 1].time
+    events[at], events[at + 1] = events[at + 1], events[at]
+    return IngestedTrace.from_events(events, horizon=ingested.horizon,
+                                     dropped=ingested.dropped)
+
+
+class TestMonitorRoutes:
+    """Feeding events one at a time, through ``feed_all`` and as the
+    ingested columns is one reconstruction: equal reports, equal
+    refusals."""
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_runs(self, case):
+        net, horizon, recorder, _ = _pinned_trace(case)
+        config = _pinned_run(case)[2]
+        ingested = trace_from_doc(json.loads(json.dumps(
+            trace_doc(recorder, horizon=horizon))))
+        _assert_routes_agree(net, _MONITOR_POLICY[config["policy"]],
+                             ingested, config.get("stats_after", 0))
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_trace_replay_instances(self, index):
+        net = generate_instance(7, "trace-replay", index)
+        sim_policy = ("stock-fcfs", "ap-dm", "ap-edf")[index]
+        recorder = BusTrace(max_events=50_000)
+        simulate_token_bus(net, 300_000, config=TokenBusConfig(
+            policy=sim_policy, tracer=recorder))
+        ingested = trace_from_doc(trace_doc(recorder, horizon=300_000))
+        _assert_routes_agree(net, _MONITOR_POLICY[sim_policy], ingested)
+
+    def test_external_logs(self):
+        cell, events = _cell_log()
+        jsonl = read_trace(_lines(*(json.dumps(event_to_doc(e))
+                                    for e in events)))
+        rows = [",".join(str(int(v) if type(v) is bool else v) for v in e)
+                for e in events]
+        csv_log = read_trace(_lines(_CSV_HEADER, *rows))
+        assert (jsonl.source_format, csv_log.source_format) == (
+            "external-jsonl", "external-csv")
+        for ingested in (jsonl, csv_log):
+            _assert_routes_agree(cell, "dm", ingested)
+
+    @pytest.mark.parametrize("at", [0, 1, 517])
+    def test_out_of_order_event_is_refused_alike(self, at):
+        net, horizon, recorder, _ = _pinned_trace("ring-ap-dm")
+        ingested = IngestedTrace.from_events(recorder.events,
+                                             horizon=horizon)
+        while ingested.events[at].time == ingested.events[at + 1].time:
+            at += 1
+        swapped = _swapped(ingested, at)
+        later, earlier = swapped.events[at], swapped.events[at + 1]
+        outcomes = _route_outcomes(net, "dm", swapped)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        error, seen, _ = outcomes[0]
+        assert error == (
+            f"trace event #{at + 1}: time {earlier.time} is earlier than "
+            f"the previous event's time {later.time}; events must arrive "
+            f"in time order")
+        # the events before the refused one stay counted
+        assert seen == at + 1
+
+    def test_a_fresh_monitor_takes_an_empty_feed(self, single_master):
+        for route in ROUTES:
+            mon, error = _fed(single_master, "dm", IngestedTrace(), route)
+            assert (error, mon.events_seen) == (None, 0)
+            assert mon.report().detail["horizon"] == 0
+
+
+class TestIngestedColumns:
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_events_view_is_the_recorded_tuples(self, case):
+        """A v2 document's ingested events are the :class:`BusEvent`
+        tuples of its rows: the recorded events, whose v1 document is
+        the pinned one."""
+        _, horizon, recorder, _ = _pinned_trace(case)
+        doc = json.loads(json.dumps(trace_doc(recorder, horizon=horizon)))
+        ingested = trace_from_doc(doc)
+        assert ingested.columns == doc["columns"]
+        assert ingested.events == recorder.events
+        assert all(type(e) is BusEvent for e in ingested.events)
+        view = {"schema": TRACE_SCHEMA_V1, "format": "native",
+                "horizon": horizon, "dropped": ingested.dropped,
+                "events": [event_to_doc(e) for e in ingested.events]}
+        assert _sha(view) == PINNED[case][2]
+
+    def test_columns_are_the_trace_own(self):
+        doc = IngestedTrace.from_events(_cell_log()[1]).to_doc()
+        ingested = trace_from_doc(doc)
+        assert ingested.columns == doc["columns"]
+        assert all(ingested.columns[k] is not doc["columns"][k]
+                   for k in BusEvent._fields)
+
+    def test_to_doc_writes_the_columns_as_they_are(self):
+        _, events = _cell_log()
+        ingested = IngestedTrace.from_events(events, horizon=7)
+        doc = ingested.to_doc()
+        assert all(doc["columns"][k] is ingested.columns[k]
+                   for k in BusEvent._fields)
+        assert trace_from_doc(doc) == ingested
 
 
 # --------------------------------------------------------- time order
