@@ -582,7 +582,9 @@ def _tightening_limit_on(net: Network, policy: str, refined: bool,
     factor 1, and :func:`repro.profibus.sweep.scaled_deadline` is
     monotone in the factor, so that probe's column dominates every
     later probe's and serves each one with the same DM order; a probe
-    with a new order runs its own column."""
+    with a new order runs its own column.  EDF probes share one busy
+    period per master (the kernel's ``busy`` memo: ``L`` reads no
+    deadline)."""
     from .core.sensitivity import smallest_feasible_factor
 
     if base is None:
@@ -594,6 +596,7 @@ def _tightening_limit_on(net: Network, policy: str, refined: bool,
         tc = base[0]
         masters = [specs for specs in base[1] if specs]
         runs: dict = {}
+        busy: dict = {}
 
         def feasible(factor: Fraction) -> bool:
             for k, specs in enumerate(masters):
@@ -602,7 +605,7 @@ def _tightening_limit_on(net: Network, policy: str, refined: bool,
                     responses = dm_order_responses([scaled], tc, runs)[0]
                     ok = fold_column(scaled, responses)[0]
                 else:
-                    ok = master_partial(policy, scaled, tc)[0]
+                    ok = master_partial(policy, scaled, tc, busy)[0]
                 if not ok:
                     masters.insert(0, masters.pop(k))
                     return False

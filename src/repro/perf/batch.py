@@ -136,14 +136,8 @@ def combine_partials(index: int, policy: str, tcycle: int,
             worst_r = r
         if slack is not None and (worst_slack is None or slack < worst_slack):
             worst_slack = slack
-    return BatchResult(
-        index=index,
-        policy=policy,
-        schedulable=schedulable,
-        worst_response=worst_r,
-        worst_slack=worst_slack if schedulable else None,
-        tcycle=tcycle,
-    )
+    return _row((index, policy, schedulable, worst_r,
+                 worst_slack if schedulable else None, tcycle))
 
 
 def _fold_responses(index, policy, tcycle, pairs) -> BatchResult:
@@ -173,15 +167,18 @@ def spec_columns(network: Network, ttr: Optional[int] = None,
     return tc, columns
 
 
-def _master_responses(policy: str, specs: tuple, tc: int) -> list:
+def _master_responses(policy: str, specs: tuple, tc: int,
+                      busy: Optional[dict] = None) -> list:
     """Per-stream responses of one master's ``(T, D, J)`` column at
-    ``Tcycle = tc`` (``None`` = unschedulable; EDF may exceed ``D``)."""
+    ``Tcycle = tc`` (``None`` = unschedulable; EDF may exceed ``D``).
+    ``busy`` is the EDF kernel's per-call busy-period memo."""
     if policy == "fcfs":
         return [len(specs) * tc] * len(specs)
     if policy == "dm":
         return kernels.dm_master_response_times(specs, tc)
     check_policy(policy)  # edf is the one known policy left
-    return [r for r, _a in kernels.edf_master_response_times(specs, tc)]
+    return [r for r, _a in kernels.edf_master_response_times(specs, tc, 4,
+                                                             busy)]
 
 
 def fold_column(specs: tuple, responses: Sequence[Optional[int]]) -> Partial:
@@ -189,9 +186,25 @@ def fold_column(specs: tuple, responses: Sequence[Optional[int]]) -> Partial:
     return fold_pairs((r, d) for (_t, d, _j), r in zip(specs, responses))
 
 
-def master_partial(policy: str, specs: tuple, tc: int) -> Partial:
-    """The :data:`Partial` of one master column at one ``Tcycle``."""
-    return fold_column(specs, _master_responses(policy, specs, tc))
+def fcfs_partial(specs: tuple, tc: int) -> Partial:
+    """The FCFS :data:`Partial` of one column in closed form: eq. (11)
+    gives every stream ``R = n·tc``, so the fold of the column is
+    ``(n·tc ≤ min D, n·tc, min D − n·tc)``."""
+    if not specs:
+        return True, None, None
+    r = len(specs) * tc
+    tightest = min([d for _t, d, _j in specs])
+    return r <= tightest, r, tightest - r
+
+
+def master_partial(policy: str, specs: tuple, tc: int,
+                   busy: Optional[dict] = None) -> Partial:
+    """The :data:`Partial` of one master column at one ``Tcycle``
+    (FCFS in closed form, :func:`fcfs_partial`); ``busy`` is the EDF
+    kernel's per-call busy-period memo."""
+    if policy == "fcfs":
+        return fcfs_partial(specs, tc)
+    return fold_column(specs, _master_responses(policy, specs, tc, busy))
 
 
 def dm_order_key(specs: tuple, tc: int) -> tuple:
@@ -200,7 +213,7 @@ def dm_order_key(specs: tuple, tc: int) -> tuple:
     :func:`dm_order_responses`)."""
     deadlines = [d for _t, d, _j in specs]
     # a stable sort of the indices by D is the kernel's (D, i) order
-    return (tuple((t, j) for t, _d, j in specs),
+    return (tuple([(t, j) for t, _d, j in specs]),
             tuple(sorted(range(len(specs)), key=deadlines.__getitem__)),
             tc)
 

@@ -144,66 +144,30 @@ def np_start(
 # every iterate, which tasks are in scope (``D_j <= a + D_i``) and the
 # deadline-bounded interference caps.  edf_master_response_times sorts
 # the interference set by deadline once per master, so each offset
-# reduces to a prefix slice and a tight min/sum loop.
-
-
-def edf_np_response_at(
-    task_C: int,
-    own: int,
-    B: int,
-    interferers: Sequence[Tuple[int, int, int, int]],
-    a: int,
-    limit: int,
-) -> int:
-    """Eq. (9) at one offset: iterate
-    ``L ← B + own + Σ min(1+⌊(L+J)/T⌋, cap)·C`` from the generic seed
-    (one application of the map to 0).  Returns ``r(a)`` exactly as the
-    generic path does — including the overshoot value when the iteration
-    escapes ``limit``."""
-    base = B + own
-    x = base
-    for C, T, J, cap in interferers:
-        by_time = 1 + J // T
-        x += (by_time if by_time < cap else cap) * C
-    for it in range(1, MAX_ITER + 1):
-        total = base
-        for C, T, J, cap in interferers:
-            by_time = 1 + (x + J) // T
-            total += (by_time if by_time < cap else cap) * C
-        if total == x:
-            break
-        x = total
-        if total > limit:
-            break
-    else:
-        raise DivergedError(
-            f"fixed-point iteration did not settle after {MAX_ITER} iterations",
-            x,
-        )
-    _counters.fast += it
-    r = task_C + x - a
-    return r if r > task_C else task_C
+# reduces to one pass over a prefix of it and a tight min/sum loop.
 
 
 def candidate_offsets(specs: Sequence[Tuple[int, int, int]], D_i: int,
                       horizon: int) -> List[int]:
     """Array mirror of :func:`repro.core.edf_rta._candidate_offsets`:
-    the eq. (8)/(10) scan set over ``(T, D, J)`` stream specs."""
+    the eq. (8)/(10) scan set over ``(T, D, J)`` stream specs.  Each
+    stream's scan starts at its first point ``Dⱼ − Dᵢ + k·Tⱼ ≥ 0``: a
+    point below 0 adds nothing, and neither does its jitter shift."""
     points = {0}
     for T, D, J in specs:
-        base = D - D_i
-        k = 0
-        while True:
-            a = base + k * T
-            if a > horizon:
-                break
-            if a >= 0:
+        a = D - D_i
+        if a < 0:
+            a %= T
+        if J:
+            while a <= horizon:
                 points.add(a)
-            if J:
-                aj = a - J
-                if 0 <= aj <= horizon:
-                    points.add(aj)
-            k += 1
+                if a >= J:
+                    points.add(a - J)
+                a += T
+        else:
+            while a <= horizon:
+                points.add(a)
+                a += T
     return sorted(points)
 
 
@@ -298,7 +262,7 @@ def dm_master_response_times(
 
 def edf_master_response_times(
     specs: Sequence[Tuple[int, int, int]], tc: int,
-    limit_factor: int = 4,
+    limit_factor: int = 4, busy: Optional[dict] = None,
 ) -> List[Tuple[Optional[int], Optional[int]]]:
     """Eqs. (17)–(18) for one master, entirely over integer arrays.
 
@@ -306,52 +270,111 @@ def edf_master_response_times(
     ``preemptive=False, blocking_subtract_one=False`` on the staged
     ``C = tc`` token task set.  Returns ``(R, critical_a)`` per stream
     in declaration order (``R = None`` when utilisation exceeds 1).
+
+    Each offset ``a`` solves eq. (9),
+    ``x ← B + own + Σ min(1+⌊(x+Jⱼ)/Tⱼ⌋, capⱼ)·tc``, from the generic
+    seed (one application of the map to 0) up to
+    ``limit_factor·(L + D + J) + tc``, and ``r(a) = max(tc, tc + x − a)``
+    (the overshoot value when the iteration escapes the limit).  Every
+    message costs ``tc``, so a solve sums instance counts and multiplies
+    once.
+
+    ``busy`` is an optional per-call memo ``(tc, (T, J) column) → L``.
+    The float utilisation guard and the blocked busy period ``L`` read
+    no deadline, so columns that differ only in ``D`` (the points of a
+    deadline-scale sweep, the probes of a tightening bisection) share
+    one run, except in the ``U ≈ 1`` hyperperiod branch, whose ``L``
+    adds ``max D`` and is never stored.  ``L`` is never below
+    ``tc > 0``; the memo stores ``-1`` for a column over ``U = 1``.
     """
     n = len(specs)
-    utils = 0.0  # lint: disable=REP001 — utilisation guard seam
-    for T, _D, _J in specs:
-        utils += tc / T  # lint: disable=REP001 — utilisation guard seam
-    # lint: disable=REP001 — utilisation guard seam (same epsilons as
-    # the generic path; gates only, never rounds a response value)
-    if utils > 1.0 + 1e-12:
-        return [(None, None)] * n
-    entries_j = tuple((tc, T, J) for T, _D, J in specs)
-    # b_seed = blocking_from(all tasks, subtract_one=False) = tc (> 0).
-    if utils > 1.0 - 1e-12:  # lint: disable=REP001 — utilisation guard seam
-        # U == 1: blocking-seeded busy period never drains; scan one
-        # hyperperiod past the plain busy period (mirrors the generic
-        # branch, hyperperiod = lcm of the integer periods).
-        L0 = busy_period(entries_j, 0)
-        H = 1
+    key = L = None
+    if busy is not None:
+        key = (tc, tuple([(T, J) for T, _D, J in specs]))
+        L = busy.get(key)
+    if L is None:
+        utils = 0.0  # lint: disable=REP001 — utilisation guard seam
         for T, _D, _J in specs:
-            H = H * T // gcd(H, T)
-        L = L0 + H + max(D for _T, D, _J in specs)
-    else:
-        L = busy_period(entries_j, tc)
-    max_d = max(D for _T, D, _J in specs)
-    sorted_entries = sorted(
-        ((D, tc, T, J), i) for i, (T, D, J) in enumerate(specs)
+            utils += tc / T  # lint: disable=REP001 — utilisation guard seam
+        # lint: disable=REP001 — utilisation guard seam (same epsilons as
+        # the generic path; gates only, never rounds a response value)
+        if utils > 1.0 + 1e-12:
+            L = -1
+        elif utils > 1.0 - 1e-12:  # lint: disable=REP001 — guard seam
+            # U == 1: blocking-seeded busy period never drains; scan one
+            # hyperperiod past the plain busy period (mirrors the
+            # generic branch, hyperperiod = lcm of the integer periods).
+            H = 1
+            for T, _D, _J in specs:
+                H = H * T // gcd(H, T)
+            L = (busy_period(tuple((tc, T, J) for T, _D, J in specs), 0)
+                 + H + max(D for _T, D, _J in specs))
+            key = None
+        else:
+            # b_seed = blocking_from(all tasks, subtract_one=False) = tc
+            L = busy_period(tuple((tc, T, J) for T, _D, J in specs), tc)
+        if key is not None:
+            busy[key] = L
+    if L < 0:
+        return [(None, None)] * n
+    max_d = max([D for _T, D, _J in specs])
+    # (D, T, J, seed count 1 + ⌊J/T⌋) by deadline; the order among
+    # equal deadlines changes no sum
+    by_deadline = sorted(
+        [((D, T, J, 1 + J // T), i) for i, (T, D, J) in enumerate(specs)]
     )
     out: List[Tuple[Optional[int], Optional[int]]] = []
+    iterations = 0
     for i in range(n):
         T, D, J = specs[i]
         limit = limit_factor * (L + D + J) + tc
-        others = [e for e, idx in sorted_entries if idx != i]
+        others = [e for e, idx in by_deadline if idx != i]
+        # best is the largest r(a) − tc = max(0, x − a) so far, best_a
+        # the first offset that reached it
         best = 0
         best_a = 0
         for a in candidate_offsets(specs, D, L):
             dl = a + D
+            # the offset's scope, its caps and the seed's counts
             scope = []
-            for Dj, Cj, Tj, Jj in others:
+            count = 0
+            for Dj, Tj, Jj, first in others:
                 if Dj > dl:
                     break
-                scope.append((Cj, Tj, Jj, 1 + (dl - Dj + Jj) // Tj))
-            B = tc if max_d > dl else 0
-            own = ((a + J) // T) * tc
-            r = edf_np_response_at(tc, own, B, scope, a, limit)
+                cap = 1 + (dl - Dj + Jj) // Tj
+                scope.append((Tj, Jj, cap))
+                count += first if first < cap else cap
+            base = ((a + J) // T) * tc
+            if max_d > dl:
+                base += tc
+            x = base + count * tc
+            it = 1
+            if scope:  # else the seed is the fixed point
+                while True:
+                    count = 0
+                    for Tj, Jj, cap in scope:
+                        k = 1 + (x + Jj) // Tj
+                        count += k if k < cap else cap
+                    total = base + count * tc
+                    if total == x:
+                        break
+                    x = total
+                    if total > limit:
+                        break
+                    if it == MAX_ITER:
+                        _counters.fast += iterations
+                        raise DivergedError(
+                            f"fixed-point iteration did not settle after "
+                            f"{MAX_ITER} iterations",
+                            x,
+                        )
+                    it += 1
+            iterations += it
+            r = x - a
             if r > best:
                 best, best_a = r, a
-        out.append((best, best_a))
+        out.append((best + tc, best_a))
+    _counters.fast += iterations
     return out
 
 
@@ -381,9 +404,10 @@ def iteration_bound(policy: str,
       ``(K+1)·(n + Σᵢ (⌊K·tc/Tᵢ⌋ + ⌊Jᵢ/Tᵢ⌋ + 2))``;
     * EDF solves one busy period and, per stream, at most
       ``1 + Σⱼ 2·(⌊K·tc/Tⱼ⌋ + 1)`` offsets:
-      ``(K+1)·(1 + n·(1 + Σⱼ 2·(⌊K·tc/Tⱼ⌋ + 1)))``, plus the offset
-      scan's steps below ``a = 0``, at most ``n·Σⱼ ⌊(Dmax − Dⱼ)/Tⱼ⌋``
-      (uncounted, but they are loop work all the same).
+      ``(K+1)·(1 + n·(1 + Σⱼ 2·(⌊K·tc/Tⱼ⌋ + 1)))``, plus
+      ``n·Σⱼ ⌊(Dmax − Dⱼ)/Tⱼ⌋``, which once counted the offset scan's
+      steps below ``a = 0`` (:func:`candidate_offsets` now jumps over
+      them; the term only keeps the bound conservative).
 
     ``U`` and ``Σ (Tⱼ+Jⱼ)/Tⱼ`` are summed in fixed point with
     :data:`_BOUND_BITS` fractional bits, every term rounded up, so ``K``

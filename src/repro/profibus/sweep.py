@@ -25,8 +25,11 @@ hence ``Tdel`` and the ring latency, do not change with the line speed.
 The deadline-scale and baud sweeps fold each distinct
 ``(policy, master column)`` once into a per-master partial
 (:func:`repro.perf.batch.fold_pairs`), and each point combines its
-masters' partials (:func:`repro.perf.batch.combine_partials`).  DM
-deadlines enter eq. (16) only through the priority order and the final
+masters' partials (:func:`repro.perf.batch.combine_partials`).  FCFS
+folds in closed form (every response is ``n·Tcycle``).  EDF runs its
+kernel once per distinct column, and columns that differ only in ``D``
+share one busy period (the kernel's ``busy`` memo).  DM deadlines
+enter eq. (16) only through the priority order and the final
 ``R ≤ D`` verdict, so the DM kernel runs once per priority-order group
 of a master's columns, on the group's elementwise-max deadlines
 (:func:`repro.perf.batch.dm_order_responses`, which argues why that
@@ -44,15 +47,17 @@ import csv
 import dataclasses
 import io
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from ..perf import kernels
 from ..perf.batch import (
     BatchResult,
     analyse_many,
     combine_partials,
     dm_order_responses,
-    fold_column,
-    master_partial,
+    fcfs_partial,
+    fold_pairs,
     spec_columns,
     summarise_columns,
 )
@@ -162,10 +167,13 @@ def scaled_deadline(D: int, T: int, factor: float) -> int:
     :func:`_rescale_network` (truncation shifted E5 acceptance curves by
     an off-by-one deadline tightening on fine factor grids); the
     product is compared with ``T`` before it is converted, so a factor
-    too large for ``int(round(...))`` (``D·f`` overflowing to ``inf``)
+    too large for ``round(...)`` (``D·f`` overflowing to ``inf``)
     yields ``T``."""
     x = D * factor
-    return T if x >= T else max(1, int(round(x)))
+    if x >= T:
+        return T
+    d = round(x)
+    return d if d > 1 else 1
 
 
 def _scale_deadlines(network: Network, factor: float) -> Network:
@@ -185,37 +193,58 @@ def scale_column(specs: tuple, factor: float) -> tuple:
     return tuple((t, scaled_deadline(d, t, factor), j) for t, d, j in specs)
 
 
-def scale_columns(columns: Sequence[tuple], factor: float) -> List[tuple]:
-    """Per-master ``(T, D, J)`` columns with only ``D`` rewritten."""
-    return [scale_column(specs, factor) for specs in columns]
+def _master_points(specs: tuple, factors: Sequence[float]) -> tuple:
+    """``(column per grid point, {column: its D vector})`` of one
+    master: each stream's deadline is scaled over the whole grid once
+    (:func:`scaled_deadline`), and points whose D vectors agree share
+    one column."""
+    ts = [t for t, _d, _j in specs]
+    js = [j for _t, _d, j in specs]
+    grid = [[scaled_deadline(d, t, f) for f in factors]
+            for t, d, _j in specs]
+    columns: dict = {}
+    points = []
+    for ds in zip(*grid):
+        column = columns.get(ds)
+        if column is None:
+            column = columns[ds] = tuple(zip(ts, ds, js))
+        points.append(column)
+    return points, {column: ds for ds, column in columns.items()}
 
 
-def _column_partials(policies: Sequence[str], tc: int,
-                     columns: Iterable[tuple]) -> dict:
-    """``(policy, column) → Partial`` for every distinct non-empty
-    master column at one ``Tcycle``: DM through one kernel run per
-    order group (:func:`repro.perf.batch.dm_order_responses`), FCFS and
-    EDF through one kernel run per column."""
-    distinct = [c for c in dict.fromkeys(columns) if c]
-    partials: dict = {}
-    for policy in dict.fromkeys(policies):
-        if policy == "dm":
-            values = dm_order_responses(distinct, tc, {})
-            for specs, responses in zip(distinct, values):
-                partials["dm", specs] = fold_column(specs, responses)
-        else:
-            for specs in distinct:
-                partials[policy, specs] = master_partial(policy, specs, tc)
-    return partials
+def _distinct_partials(policy: str, tc: int, deadlines: dict) -> dict:
+    """``column → Partial`` at one ``Tcycle`` for every column of
+    ``deadlines`` (``column → its D vector``): FCFS in closed form
+    (:func:`repro.perf.batch.fcfs_partial`), DM through one kernel run
+    per order group (:func:`repro.perf.batch.dm_order_responses`), EDF
+    through one kernel run per column sharing one busy-period memo."""
+    if policy == "fcfs":
+        return {c: fcfs_partial(c, tc) for c in deadlines}
+    if policy == "dm":
+        values = dm_order_responses(list(deadlines), tc, {})
+        return {c: fold_pairs(zip(responses, ds))
+                for (c, ds), responses in zip(deadlines.items(), values)}
+    busy: dict = {}
+    edf = kernels.edf_master_response_times
+    return {c: fold_pairs(zip([r for r, _a in edf(c, tc, 4, busy)], ds))
+            for c, ds in deadlines.items()}
 
 
-def _point_row(parameter: str, value, policy: str, tc: int,
-               columns: Sequence[tuple], partials: dict) -> SweepRow:
-    """One grid point's row: its masters' partial folds combined."""
-    b = combine_partials(0, policy, tc, (
-        partials[policy, specs] for specs in columns if specs))
-    return SweepRow(parameter, value, policy, b.schedulable,
-                    b.worst_response, b.worst_slack, tc)
+def _combined_rows(parameter: str, values: Sequence, policies: Sequence[str],
+                   tc: int, masters: Sequence[list],
+                   partials: dict) -> List[SweepRow]:
+    """One row per (grid point, policy): the point's per-master
+    partials (``masters[m][k]`` is master ``m``'s column at point
+    ``k``) combined."""
+    rows = []
+    for k, value in enumerate(values):
+        for policy in policies:
+            table = partials[policy]
+            b = combine_partials(0, policy, tc,
+                                 [table[points[k]] for points in masters])
+            rows.append(SweepRow(parameter, value, policy, b.schedulable,
+                                 b.worst_response, b.worst_slack, tc))
+    return rows
 
 
 def deadline_scale_sweep(
@@ -226,15 +255,16 @@ def deadline_scale_sweep(
     """Scale every deadline by each factor (clamped to ``[1, T]``).
 
     Scaling moves only ``D``: ``Tcycle``, ``C`` and the ``(T, J)``
-    columns stay those of ``network``.  So ``Tcycle`` is computed once
-    and each grid point rewrites the D column of the base
-    ``(T, D, J)`` columns.  Every distinct ``(policy, master column)``
-    of the call is folded once into a per-master partial, and each
-    point combines its masters' partials.  EDF runs its kernel once per
-    distinct column; DM once per DM order group of each master's scaled
-    columns, however many factors share the order.  Networks the column
-    path declines (non-int attributes, the generic reference) are scaled
-    and analysed as objects through :func:`analyse_many`."""
+    columns stay those of ``network``.  So ``Tcycle`` is computed once,
+    and each master's stream deadlines are scaled over the whole grid
+    once.  Every distinct ``(policy, master column)`` of the call is
+    folded once into a per-master partial, and each point combines its
+    masters' partials.  FCFS folds in closed form; EDF runs its kernel
+    once per distinct column and its busy period once per master; DM
+    runs once per DM order group of the call's columns, however many
+    factors share the order.  Networks the column path declines
+    (non-int attributes, the generic reference) are scaled and analysed
+    as objects through :func:`analyse_many`."""
     factors = list(factors)
     for factor in factors:
         if not factor > 0:
@@ -251,11 +281,17 @@ def deadline_scale_sweep(
         ]
         return _grid_rows("deadline_scale", entries, policies)
     tc, columns = base
-    scaled = [scale_columns(columns, factor) for factor in factors]
-    partials = _column_partials(
-        policies, tc, (specs for point in scaled for specs in point))
-    return [_point_row("deadline_scale", factor, policy, tc, point, partials)
-            for factor, point in zip(factors, scaled) for policy in policies]
+    masters = []
+    deadlines: dict = {}  # every distinct column of the call → D vector
+    for specs in columns:
+        if specs:
+            points, distinct = _master_points(specs, factors)
+            masters.append(points)
+            deadlines.update(distinct)
+    partials = {policy: _distinct_partials(policy, tc, deadlines)
+                for policy in dict.fromkeys(policies)}
+    return _combined_rows("deadline_scale", factors, policies, tc, masters,
+                          partials)
 
 
 def _rescaled(value, scale: float) -> int:
@@ -352,10 +388,15 @@ def baud_sweep(
                         for policy in policies)
             continue
         tc = ttr + lateness
-        partials = _column_partials(policies, tc, columns)
-        rows.extend(_point_row("baud", baud, policy, tc, columns, partials)
-                    for policy in policies)
+        deadlines = {c: tuple([d for _t, d, _j in c]) for c in columns if c}
+        partials = {policy: _distinct_partials(policy, tc, deadlines)
+                    for policy in dict.fromkeys(policies)}
+        rows += _combined_rows("baud", (baud,), policies, tc,
+                               [[c] for c in columns if c], partials)
     return rows
+
+
+_CSV_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:
@@ -367,8 +408,6 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     handoff."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    fields = [f.name for f in dataclasses.fields(SweepRow)]
-    writer.writerow(fields)
-    for row in rows:
-        writer.writerow([getattr(row, f) for f in fields])
+    writer.writerow(_CSV_FIELDS)
+    writer.writerows(map(attrgetter(*_CSV_FIELDS), rows))
     return out.getvalue()

@@ -342,6 +342,10 @@ def simulate_token_bus(
         return stream_stats[key]
 
     # --- releases: one pending event per stream --------------------------
+    #: every stream's release handler; a handler posts itself for its
+    #: stream's next release through this list, not through its own cell
+    releases: List[Callable[[], None]] = []
+
     def _schedule_releases(master: Master, stream) -> None:
         """Bind the stream's run record and release handler once; the
         handler posts itself for the stream's next release."""
@@ -355,6 +359,7 @@ def simulate_token_bus(
         D, high = stream.D, stream.high_priority
         cycle_bits = stream.cycle_bits(phy)
         queue = state.enqueue_high if high else state.low_queue.push
+        handler = len(releases)
 
         def on_release() -> None:
             t = sim.now
@@ -374,8 +379,9 @@ def simulate_token_bus(
             queue(req)
             t = next(it, None)
             if t is not None:
-                sim.post(t, on_release, priority=PRIO_RELEASE)
+                sim.post(t, releases[handler], priority=PRIO_RELEASE)
 
+        releases.append(on_release)
         t = next(it, None)
         if t is not None:
             sim.post(t, on_release, priority=PRIO_RELEASE)
@@ -564,9 +570,16 @@ def simulate_token_bus(
                 for req in queue.items():
                     note_pending(req)
 
-    return TokenBusResult(
+    result = TokenBusResult(
         horizon=horizon,
         streams=stream_stats,
         masters={st.master.name: st.stats for st in states},
         events=sim.events_fired,
     )
+    # The MAC closures reach each other, the calendar (and through it
+    # every pending callback) and the caller's recorder through this
+    # frame's cells.  Unbinding the names that close those cycles lets
+    # reference counting free the run's state as soon as the caller
+    # drops the result and the recorder, with no cyclic collection.
+    sim = releases = arrive = high_loop = low_loop = None
+    return result

@@ -199,6 +199,204 @@ class TestKernelPrimitives:
                 )
                 assert generic == arrays
 
+    def test_candidate_offsets_match_generic_past_the_period(self):
+        """Deadlines beyond the period and offsets bases far below 0:
+        each stream's scan starts at its first point at or above 0."""
+        from repro.core.edf_rta import _candidate_offsets
+
+        rng = random.Random(65)
+        for _ in range(300):
+            specs = [(rng.randint(1, 40), rng.randint(1, 120),
+                      rng.choice((0, 0, rng.randint(1, 90))))
+                     for _ in range(rng.randint(1, 5))]
+            ts = build([(1, t, d, j) for t, d, j in specs])
+            for idx in range(len(specs)):
+                horizon = rng.randint(0, 150)
+                assert kernels.candidate_offsets(
+                    specs, specs[idx][1], horizon) == \
+                    _candidate_offsets(ts, ts[idx], horizon)
+
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _token_edf(specs, tc):
+    """The generic reference for one ``(T, D, J)`` column at
+    ``C = tc``: :func:`repro.core.edf_rta.edf_response_time` on the
+    staged token task set, as ``profibus.edf`` runs it."""
+    from repro.core.edf_rta import edf_response_time
+    from repro.profibus.stream import MessageStream
+
+    ts = TaskSet(MessageStream(f"s{i}", T=t, D=d, J=j).as_token_task(tc)
+                 for i, (t, d, j) in enumerate(specs))
+    out = []
+    for task in ts:
+        rt = edf_response_time(ts, task, preemptive=False,
+                               blocking_subtract_one=False)
+        out.append((rt.value, rt.critical_a))
+    return out
+
+
+def _solve_iterations(specs, tc, limit_factor=4):
+    """``(L, (R, critical a) per stream, iterations per offset solve)``
+    of the EDF kernel as it stood before its eq. (9) solve was inlined:
+    a per-offset scope of ``(C, T, J, cap)`` entries, iterated from the
+    generic seed.  A test oracle for the inlined kernel's counts."""
+    utils = sum(tc / t for t, _d, _j in specs)
+    if utils > 1.0 + 1e-12:
+        return None, [(None, None)] * len(specs), []
+    entries = tuple((tc, t, j) for t, _d, j in specs)
+    if utils > 1.0 - 1e-12:
+        hyper = 1
+        for t, _d, _j in specs:
+            hyper = hyper * t // math.gcd(hyper, t)
+        L = (kernels.busy_period(entries, 0) + hyper
+             + max(d for _t, d, _j in specs))
+    else:
+        L = kernels.busy_period(entries, tc)
+    max_d = max(d for _t, d, _j in specs)
+    ranked = sorted(((d, tc, t, j), i) for i, (t, d, j) in enumerate(specs))
+    values, solves = [], []
+    for i, (T, D, J) in enumerate(specs):
+        limit = limit_factor * (L + D + J) + tc
+        others = [e for e, idx in ranked if idx != i]
+        best = best_a = 0
+        for a in kernels.candidate_offsets(specs, D, L):
+            dl = a + D
+            scope = [(c, t, j, 1 + (dl - d + j) // t)
+                     for d, c, t, j in others if d <= dl]
+            base = (tc if max_d > dl else 0) + ((a + J) // T) * tc
+            x = base + sum(min(1 + j // t, cap) * c
+                           for c, t, j, cap in scope)
+            it = 0
+            while True:
+                it += 1
+                total = base + sum(min(1 + (x + j) // t, cap) * c
+                                   for c, t, j, cap in scope)
+                if total == x:
+                    break
+                x = total
+                if total > limit:
+                    break
+            solves.append(it)
+            r = max(tc + x - a, tc)
+            if r > best:
+                best, best_a = r, a
+        values.append((best, best_a))
+    return L, values, solves
+
+
+def _edf_columns():
+    """``(tc, column)`` pairs: every master of the corpus networks, the
+    factory cell and twelve instances per fuzz family, each at its own
+    deadlines and at three deadline-scale factors, plus the U = 1
+    hyperperiod branch, columns over U = 1 and near saturation."""
+    from repro.corpus import load_corpus
+    from repro.fuzz import FAMILIES, generate_instance
+    from repro.perf.batch import spec_columns
+    from repro.profibus.sweep import scale_column
+    from repro.scenarios import factory_cell_network
+
+    nets = [entry.network() for entry in load_corpus(CORPUS_DIR)]
+    nets.append(factory_cell_network())
+    nets += [generate_instance(0, family, index)
+             for family in sorted(FAMILIES) for index in range(12)]
+    out = []
+    for net in nets:
+        base = spec_columns(net)
+        if base is None:
+            continue
+        tc, columns = base
+        for specs in columns:
+            if specs:
+                out += [(tc, specs)] + [(tc, scale_column(specs, f))
+                                        for f in (0.3, 0.7, 1.5)]
+    # U = 1 exactly (the hyperperiod branch; with jitter its plain busy
+    # period diverges, see test_u_one_with_jitter_diverges)
+    out += [(100, ((200, 150, 0), (400, 400, 0), (400, 90, 0))),
+            (100, ((200, 200, 0), (200, 130, 0)))]
+    # over U = 1, and near saturation
+    out += [(100, ((150, 150, 0), (200, 200, 0))),
+            (10, ((20, 19, 0), (30, 25, 4), (61, 61, 0))),
+            (997, ((1_994, 1_500, 0), (2_993, 2_993, 100)))]
+    return out
+
+
+class TestEdfKernel:
+    """The lean EDF kernel against the generic reference, the solve
+    counts of the kernel it replaced, and its per-call busy-period
+    memo."""
+
+    @pytest.fixture(scope="class")
+    def columns(self):
+        return _edf_columns()
+
+    def test_matches_generic_reference(self, columns):
+        for tc, specs in columns:
+            if max(t for t, _d, _j in specs) > 2 ** 32:
+                # probe:wide-values: the kernel is checked against the
+                # pre-inlining oracle below; the generic climb over
+                # 2^32-scale periods takes seconds per column
+                continue
+            assert kernels.edf_master_response_times(specs, tc) == \
+                _token_edf(specs, tc), (tc, specs)
+
+    def test_iterations_per_solve_are_unchanged(self, columns):
+        from repro.perf.stats import counters
+
+        for tc, specs in columns:
+            before = counters.fast
+            L, values, solves = _solve_iterations(specs, tc)
+            busy = counters.fast - before
+            before = counters.fast
+            assert kernels.edf_master_response_times(specs, tc) == values
+            assert counters.fast - before == busy + sum(solves), specs
+            # a memo hit skips the busy period and nothing else
+            memo = {}
+            kernels.edf_master_response_times(specs, tc, 4, memo)
+            before = counters.fast
+            assert kernels.edf_master_response_times(specs, tc, 4, memo) \
+                == values
+            hit = counters.fast - before
+            shared = L is not None and sum(tc / t for t, _d, _j in specs) \
+                <= 1.0 - 1e-12
+            assert hit == sum(solves) + (0 if shared else busy), specs
+
+    def test_memo_is_shared_only_by_deadline_free_inputs(self, columns):
+        """One memo across every column of a call: the U = 1 branch
+        (whose ``L`` reads ``max D``) is never stored, and columns that
+        differ in ``(T, J)`` or ``tc`` never share an entry."""
+        memo = {}
+        for tc, specs in columns:
+            for cycle in (tc, 2 * tc):
+                assert kernels.edf_master_response_times(
+                    specs, cycle, 4, memo) == \
+                    kernels.edf_master_response_times(specs, cycle)
+        for hyper in (((200, 150, 0), (400, 400, 0), (400, 90, 0)),
+                      ((200, 200, 0), (200, 130, 0))):
+            assert (100, tuple((t, j) for t, _d, j in hyper)) not in memo
+        assert all(L == -1 or L >= tc for (tc, _tj), L in memo.items())
+
+    def test_u_one_with_jitter_diverges(self):
+        specs = ((200, 200, 30), (400, 250, 0), (400, 400, 120))
+        memo = {}
+        with pytest.raises(kernels.DivergedError):
+            kernels.edf_master_response_times(specs, 100, 4, memo)
+        assert memo == {}
+
+    def test_fcfs_closed_form_is_the_fold(self, columns):
+        from repro.perf.batch import fcfs_partial, fold_column, master_partial
+
+        # n·tc exactly at, just under and just over the tightest D
+        edges = [(1_000, ((5_000, 2_000, 0), (7_000, 3_000, 0))),
+                 (1_000, ((5_000, 2_001, 0), (7_000, 3_000, 0))),
+                 (1_000, ((5_000, 1_999, 0), (7_000, 3_000, 0))),
+                 (1_000, ())]
+        for tc, specs in columns + edges:
+            fold = fold_column(specs, [len(specs) * tc] * len(specs))
+            assert fcfs_partial(specs, tc) == fold
+            assert master_partial("fcfs", specs, tc) == fold
+
 
 class TestConfigToggle:
     def test_context_manager_restores(self):

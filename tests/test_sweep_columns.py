@@ -12,7 +12,8 @@ replaced:
 * row for row against the pre-change construction (a scaled or
   ``with_ttr`` ``Network`` per point through ``_grid_rows``) and against
   the generic reference, over every fuzz family, the corpus, the factory
-  cell and hand-built edge cases;
+  cell and hand-built edge cases; deadline-scale rows and tightening
+  limits also with the EDF kernel's busy-period memo dropped;
 * the two bisections against their old predicates, for both ``Tdel``
   bounds and all three policies;
 * call counts: cycle lengths are derived a number of times independent
@@ -21,7 +22,9 @@ replaced:
 * no analysis writes anything onto the model objects.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -106,10 +109,65 @@ def _ttr_grid(network):
     return grid + [ring + 2.6]
 
 
-def _corpus_networks():
+@lru_cache(maxsize=None)
+def _instance(family, index):
+    """Fuzz instance ``index`` of ``family`` (seed 0), generated once per
+    session and shared by every class below: no analysis writes to a
+    network (:class:`TestModelObjectsUntouched`, which builds its own)."""
+    return generate_instance(0, family, index)
+
+
+@lru_cache(maxsize=None)
+def _corpus_and_cell():
     nets = [entry.network() for entry in load_corpus(REPO_CORPUS)]
     nets.append(factory_cell_network())
-    return nets
+    return tuple(nets)
+
+
+def _corpus_networks():
+    """The corpus networks and the factory cell, loaded once."""
+    return list(_corpus_and_cell())
+
+
+@contextmanager
+def _no_busy_memo():
+    """Every EDF kernel run solves its own busy period: the kernel's
+    per-call ``busy`` memo is dropped."""
+    real = kernels.edf_master_response_times
+
+    def plain(specs, tc, limit_factor=4, busy=None):
+        return real(specs, tc, limit_factor)
+
+    kernels.edf_master_response_times = plain
+    try:
+        yield
+    finally:
+        kernels.edf_master_response_times = real
+
+
+#: (search, network id, policy, refined) → (network, outcome)
+_SEARCHES: dict = {}
+
+
+def _search(fn, net, policy, refined):
+    """``_outcome(fn, net, policy, refined)`` of a headroom search, run
+    once per session: the bisection-parity and headroom-oracle classes
+    hold the same searches on the same networks to different oracles.
+    The entry keeps its network alive, so its id is never reused."""
+    key = (fn, id(net), policy, refined)
+    if key not in _SEARCHES:
+        _SEARCHES[key] = (net, _outcome(fn, net, policy, refined))
+    return _SEARCHES[key][1]
+
+
+def _scale_columns(columns, factor):
+    """Every master's ``(T, D, J)`` column with only ``D`` scaled."""
+    return [sweep.scale_column(specs, factor) for specs in columns]
+
+
+def _memo_free_rows(network, factors, policies=POLICIES):
+    with _no_busy_memo():
+        return sweep.deadline_scale_sweep(network, factors, policies)
 
 
 def _hand_built():
@@ -168,27 +226,43 @@ class TestScaledDeadline:
         assert sweep.scaled_deadline(30_000, 50_000, 10 ** 400) == 50_000
 
 
+def _same_rows(rows, reference):
+    """Equal rows and byte-equal CSV."""
+    return (rows == reference
+            and sweep.rows_to_csv(rows) == sweep.rows_to_csv(reference))
+
+
 class TestSweepParity:
+    """Column-path rows, with the EDF busy-period memo and without it,
+    against the object path and the generic reference."""
+
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_fuzz_family(self, family):
         for index in range(50):
-            net = generate_instance(0, family, index)
+            net = _instance(family, index)
             rows = sweep.deadline_scale_sweep(net, FACTORS)
-            assert rows == _legacy_rows(net, FACTORS), (family, index)
+            legacy = _legacy_rows(net, FACTORS)
+            assert _same_rows(rows, legacy), (family, index)
+            assert _same_rows(_memo_free_rows(net, FACTORS), legacy), \
+                (family, index)
             if index % 10 == 0:
                 assert rows == _generic_rows(net, FACTORS), (family, index)
 
     def test_corpus_and_factory_cell(self):
         for net in _corpus_networks():
             rows = sweep.deadline_scale_sweep(net, FACTORS)
-            assert rows == _legacy_rows(net, FACTORS)
+            legacy = _legacy_rows(net, FACTORS)
+            assert _same_rows(rows, legacy)
+            assert _same_rows(_memo_free_rows(net, FACTORS), legacy)
             assert rows == _generic_rows(net, FACTORS)
 
     def test_hand_built_edge_cases(self):
         net = _hand_built()
         assert spec_columns(net)[1][1] == ()  # the all-low master
         rows = sweep.deadline_scale_sweep(net, FACTORS)
-        assert rows == _legacy_rows(net, FACTORS)
+        legacy = _legacy_rows(net, FACTORS)
+        assert _same_rows(rows, legacy)
+        assert _same_rows(_memo_free_rows(net, FACTORS), legacy)
         assert rows == _generic_rows(net, FACTORS)
 
     def test_non_int_stream_takes_the_object_path(self, monkeypatch):
@@ -228,7 +302,7 @@ class TestSweepParity:
 
 
 def _bisection_networks():
-    nets = [generate_instance(0, family, index)
+    nets = [_instance(family, index)
             for family in sorted(FAMILIES) for index in range(0, 50, 10)]
     nets += _corpus_networks()
     nets += [_hand_built(), _non_int()]
@@ -276,10 +350,13 @@ class TestBisectionParity:
     def test_deadline_tightening_limit(self, refined):
         for net in _bisection_networks():
             for policy in POLICIES:
-                got = _outcome(api._deadline_tightening_limit, net, policy,
-                               refined)
+                got = _search(api._deadline_tightening_limit, net, policy,
+                              refined)
                 assert got == _outcome(_legacy_tightening_limit, net,
                                        policy, refined), (policy, net)
+                with _no_busy_memo():
+                    assert got == _outcome(api._deadline_tightening_limit,
+                                           net, policy, refined)
                 with analysis_mode_set("generic"):
                     assert got == _outcome(api._deadline_tightening_limit,
                                            net, policy, refined)
@@ -287,7 +364,7 @@ class TestBisectionParity:
     @pytest.mark.parametrize("refined", [False, True])
     def test_max_feasible_ttr(self, refined):
         nets = _bisection_networks()
-        got = [[_outcome(ttr.max_feasible_ttr, net, policy, refined=refined)
+        got = [[_search(ttr.max_feasible_ttr, net, policy, refined)
                 for policy in POLICIES] for net in nets]
         old = [[_outcome(_legacy_max_feasible_ttr, net, policy,
                          refined=refined)
@@ -308,7 +385,7 @@ class TestTtrSweepParity:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_fuzz_family(self, family):
         for index in range(50):
-            net = generate_instance(0, family, index)
+            net = _instance(family, index)
             grid = _ttr_grid(net)
             rows = sweep.ttr_sweep(net, grid)
             assert rows == _legacy_ttr_rows(net, grid), (family, index)
@@ -366,7 +443,7 @@ class TestCallCounts:
 
     @pytest.mark.parametrize("net", [
         factory_cell_network(),
-        generate_instance(0, "multi-master-ring", 3),
+        _instance("multi-master-ring", 3),
         _hand_built(),
     ], ids=["factory-cell", "multi-master-ring", "hand-built"])
     def test_sweep_point_costs(self, net, monkeypatch):
@@ -378,9 +455,9 @@ class TestCallCounts:
                              ("edf", "edf_master_response_times")):
             real = getattr(kernels, name)
 
-            def counted(specs, tc, _policy=policy, _real=real):
+            def counted(specs, tc, *args, _policy=policy, _real=real):
                 kernel_calls.append((_policy, specs))
-                return _real(specs, tc)
+                return _real(specs, tc, *args)
 
             monkeypatch.setattr(kernels, name, counted)
         sweep.deadline_scale_sweep(net, GRID[:1])
@@ -395,8 +472,7 @@ class TestCallCounts:
         # most one per (master, DM order group), fewer than columns
         tc, columns = spec_columns(net)
         scaled = [(m, specs) for factor in GRID
-                  for m, specs in enumerate(sweep.scale_columns(columns,
-                                                                factor))
+                  for m, specs in enumerate(_scale_columns(columns, factor))
                   if specs]
         edf = [specs for policy, specs in kernel_calls if policy == "edf"]
         dm = [specs for policy, specs in kernel_calls if policy == "dm"]
@@ -488,7 +564,7 @@ class TestModelObjectsUntouched:
 
     @pytest.mark.parametrize("net", [
         factory_cell_network(),
-        generate_instance(0, "jitter-heavy", 0),
+        generate_instance(0, "jitter-heavy", 0),  # fresh: its vars are read
         _hand_built(),
     ], ids=["factory-cell", "jitter-heavy", "hand-built"])
     def test_vars_unchanged(self, net):
@@ -516,7 +592,7 @@ class TestModelObjectsUntouched:
 
 
 def _fuzz_networks(per_family):
-    return [generate_instance(0, family, index)
+    return [_instance(family, index)
             for family in sorted(FAMILIES) for index in range(per_family)]
 
 
@@ -593,7 +669,7 @@ class TestBoundedWork:
     @staticmethod
     def _check(net, factors=GRID):
         tc, columns = spec_columns(net)
-        points = [sweep.scale_columns(columns, f) for f in factors]
+        points = [_scale_columns(columns, f) for f in factors]
 
         def each_point():
             for point in points:
@@ -613,7 +689,7 @@ class TestBoundedWork:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_fuzz_family(self, family):
         for index in range(20):
-            self._check(generate_instance(0, family, index))
+            self._check(_instance(family, index))
 
     def test_corpus_and_factory_cell(self):
         for net in _corpus_networks():
@@ -663,7 +739,7 @@ def _legacy_column_tightening(net, policy, refined):
     tc, columns = spec_columns(net, refined=refined)
 
     def feasible(factor):
-        scaled = sweep.scale_columns(columns, float(factor))
+        scaled = _scale_columns(columns, float(factor))
         return summarise_columns(policy, tc, scaled).schedulable
 
     limit = smallest_feasible_factor(feasible,
@@ -676,16 +752,15 @@ class TestHeadroomOracles:
     @pytest.mark.parametrize("policy", ["dm", "edf"])
     def test_master_wise_max_feasible_ttr(self, policy, refined):
         for net in _oracle_networks():
-            assert _outcome(ttr.max_feasible_ttr, net, policy,
-                            refined=refined) == \
+            assert _search(ttr.max_feasible_ttr, net, policy, refined) == \
                 _outcome(_legacy_column_max_ttr, net, policy, refined), net
 
     @pytest.mark.parametrize("refined", [False, True])
     @pytest.mark.parametrize("policy", POLICIES)
     def test_deadline_tightening_limit(self, policy, refined):
         for net in _oracle_networks():
-            assert _outcome(api._deadline_tightening_limit, net, policy,
-                            refined) == \
+            assert _search(api._deadline_tightening_limit, net, policy,
+                           refined) == \
                 _outcome(_legacy_column_tightening, net, policy,
                          refined), net
 
@@ -709,7 +784,7 @@ class TestBaudSweepParity:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_fuzz_family(self, family):
         for index in range(30):
-            net = generate_instance(0, family, index)
+            net = _instance(family, index)
             grid = BAUDS + (net.phy.baud_rate,)
             assert sweep.baud_sweep(net, grid) == \
                 _legacy_baud_rows(net, grid), (family, index)

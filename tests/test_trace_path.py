@@ -7,7 +7,7 @@ Four contracts are pinned here:
   sha256 digests of the canonical ``trace/v1`` document built from the
   recorded events and of every :class:`~repro.sim.token.TokenBusResult`
   statistic — and the ``trace/v2`` export of those events is pinned
-  beside them;
+  beside them; a run leaves no reference cycle behind;
 * ingestion refuses every malformed event with exactly the same
   :class:`TraceFormatError` text on every path (v1 and v2 trace
   documents, native and external JSONL, CSV), naming the event or its
@@ -19,9 +19,11 @@ Four contracts are pinned here:
 """
 
 import dataclasses
+import gc
 import hashlib
 import io
 import json
+import weakref
 from random import Random
 
 import pytest
@@ -288,6 +290,28 @@ class TestSimulatorPinned:
         assert last.time < _CUT_HORIZON < last.time + last.value
         # the request on the wire counts as unfinished
         assert result.stream(last.master, last.stream).unfinished
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_run_leaves_no_reference_cycle(self, case):
+        """The run's state (MAC closures, calendar, recorder) is freed
+        by reference counting: with the collector off, the recorder dies
+        as soon as the caller drops it and the result, and a collection
+        afterwards finds nothing."""
+        net, horizon, config = _pinned_run(case)
+        gc.collect()
+        gc.disable()
+        try:
+            recorder = BusTrace(max_events=_RECORDER_CAP.get(case, 100_000))
+            result = simulate_token_bus(
+                net, horizon,
+                config=TokenBusConfig(tracer=recorder, **config))
+            alive = weakref.ref(recorder)
+            assert result.events and recorder.events
+            del recorder, result
+            assert alive() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBusEvent:
