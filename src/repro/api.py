@@ -34,10 +34,19 @@ recompute-always behaviour the benchmarks and differential oracles
 require.  :func:`execute_cached` runs in two steps that the service
 calls one by one: :func:`keyed_network` makes one validating pass over
 the network document and hashes its canonical form, and
-:func:`compute_result` answers a miss over that same pass — an
-``analyse`` straight from its int rows, anything else over the
-:class:`~repro.profibus.network.Network` built from it once — so no
+:func:`compute_result` answers a miss over that same pass, so no
 request reads its network document twice.
+
+One analyse route.  An ``analyse`` payload has one builder,
+:func:`_analysis_payload`: straight from the scan's int rows when
+:func:`analyse_columns` takes them, else ``ttr.analyse`` over the
+:class:`~repro.profibus.network.Network` built from the scan (the
+generic reference, non-int documents).  An admission's ``before`` and
+``after`` are that payload of the scan and of the scan with the
+candidate joined (:func:`_admit_stream`, under the model's own rules),
+so the only network an admission builds is the joined one, for an
+admitted stream's headroom searches.  A sweep or a monitor check builds
+its network from the scan once.
 
 The old call signatures (``repro.profibus.ttr.analyse``,
 ``repro.perf.batch.analyse_many``, the sweep functions) remain as the
@@ -72,8 +81,9 @@ from .profibus import serialization as serialization_mod
 from .profibus import sweep as sweep_mod
 from .profibus import ttr as ttr_mod
 from .profibus.cycle import token_pass_time
-from .profibus.network import Master, Network
-from .profibus.serialization import NetworkScan, ScenarioFormatError
+from .profibus.network import Network, check_master, check_network
+from .profibus.serialization import (NetworkScan, ScannedMaster,
+                                     ScenarioFormatError)
 from .profibus.timing import tcycle_of_cycles
 from .schemas import API_SCHEMA
 
@@ -343,32 +353,6 @@ class AnalysisResult:
 
 # ---------------------------------------------------------------- compute
 
-def _analysis_payload(net: Network, policy: str,
-                      refined: bool) -> Dict[str, Any]:
-    try:
-        res = ttr_mod.analyse(net, policy, refined=refined)
-    except ValueError as exc:
-        raise ApiError(str(exc)) from exc
-    return {
-        "policy": policy,
-        "refined": refined,
-        "ttr": res.ttr,
-        "tcycle": res.tcycle,
-        "schedulable": res.schedulable,
-        "streams": [
-            {
-                "master": sr.master,
-                "stream": sr.stream.name,
-                "R": sr.R,
-                "D": sr.stream.D,
-                "schedulable": sr.schedulable,
-                "slack": sr.slack,
-            }
-            for sr in res.per_stream
-        ],
-    }
-
-
 class AnalyseColumns(NamedTuple):
     """What an all-int ``analyse`` reads of its scan, derived once: the
     TTR, eqs. (13)/(14)'s ``Tcycle`` from the ``C`` column and, per
@@ -427,50 +411,40 @@ def analyse_columns(scan: NetworkScan,
     return AnalyseColumns(ttr, tc, tuple(masters))
 
 
-def _columns_payload(columns: AnalyseColumns, policy: str,
-                     refined: bool) -> Dict[str, Any]:
-    """:func:`_analysis_payload` from the columns: one whole-master
-    kernel run per master."""
-    tc = columns.tcycle
+def _analysis_payload(scan: Union[NetworkScan, AnalyseColumns], policy: str,
+                      refined: bool) -> Dict[str, Any]:
+    """The ``analyse`` payload of ``scan`` (or of the
+    :class:`AnalyseColumns` already read from it).  When
+    :func:`analyse_columns` takes the scan: one whole-master kernel run
+    per master, no objects.  Otherwise ``ttr.analyse`` over the network
+    built from the scan: the generic reference, and the documents the
+    columns decline."""
+    columns = (scan if isinstance(scan, AnalyseColumns)
+               else analyse_columns(scan, refined))
+    if columns is None:
+        try:
+            res = ttr_mod.analyse(scan.network(), policy, refined=refined)
+        except ValueError as exc:
+            raise ApiError(str(exc)) from exc
+        ttr, tc = res.ttr, res.tcycle
+        rows = [(sr.master, sr.stream.name, sr.R, sr.stream.D)
+                for sr in res.per_stream]
+    else:
+        ttr, tc = columns.ttr, columns.tcycle
+        rows = [(master, name, r, d)
+                for master, names, specs in columns.masters
+                for name, (_t, d, _j), r
+                in zip(names, specs, _master_responses(policy, specs, tc))]
     schedulable = True
     streams = []
-    for master_name, names, specs in columns.masters:
-        responses = _master_responses(policy, specs, tc)
-        for name, (_t, d, _j), r in zip(names, specs, responses):
-            ok = r is not None and r <= d
-            schedulable = schedulable and ok
-            streams.append({
-                "master": master_name,
-                "stream": name,
-                "R": r,
-                "D": d,
-                "schedulable": ok,
-                "slack": None if r is None else d - r,
-            })
-    return {
-        "policy": policy,
-        "refined": refined,
-        "ttr": columns.ttr,
-        "tcycle": tc,
-        "schedulable": schedulable,
-        "streams": streams,
-    }
-
-
-def _compute_analyse(request: AnalysisRequest, net: Network,
-                     fingerprint: str) -> AnalysisResult:
-    payload = _analysis_payload(net, request.policy, request.refined)
-    return _analyse_result(payload, fingerprint)
-
-
-def _analyse_result(payload: Dict[str, Any],
-                    fingerprint: str) -> AnalysisResult:
-    return AnalysisResult(
-        op="analyse",
-        fingerprint=fingerprint,
-        schedulable=payload["schedulable"],
-        payload=payload,
-    )
+    for master, name, r, d in rows:
+        ok = r is not None and r <= d
+        schedulable = schedulable and ok
+        streams.append({"master": master, "stream": name, "R": r, "D": d,
+                        "schedulable": ok,
+                        "slack": None if r is None else d - r})
+    return {"policy": policy, "refined": refined, "ttr": ttr, "tcycle": tc,
+            "schedulable": schedulable, "streams": streams}
 
 
 def _compute_sweep(request: AnalysisRequest, net: Network,
@@ -522,36 +496,42 @@ def _compute_sweep(request: AnalysisRequest, net: Network,
     )
 
 
-def _admit_stream(net: Network, address: int,
-                  stream_doc: Dict[str, Any]) -> Network:
-    """The candidate network: ``stream_doc`` joined to the master at
-    ``address`` (or a fresh master appended to the logical ring)."""
+def _admit_stream(scan: NetworkScan, address: int,
+                  stream_doc: Dict[str, Any]) -> NetworkScan:
+    """The candidate network's scan: ``stream_doc`` joined to the master
+    at ``address`` (or a fresh master appended to the logical ring),
+    under the rules the document scan applies."""
     try:
-        stream = serialization_mod._stream_from(stream_doc, net.phy)
+        name, row, cycle, doc = serialization_mod._scan_stream(
+            stream_doc, scan.phy, {})
     except ScenarioFormatError as exc:
         raise ApiError(f"bad admission stream: {exc}") from exc
-    masters: List[Master] = []
-    joined = False
-    for m in net.masters:
+    masters = list(scan.masters)
+    docs = list(scan.doc["masters"])
+    for k, m in enumerate(masters):
         if m.address == address:
-            if any(s.name == stream.name for s in m.streams):
+            if name in m.names:
                 raise ApiError(
-                    f"master {address} already has a stream named "
-                    f"{stream.name!r}"
+                    f"master {address} already has a stream named {name!r}"
                 )
-            m = m.with_streams(m.streams + (stream,))
-            joined = True
-        masters.append(m)
-    if not joined:
+            masters[k] = m._replace(names=m.names + (name,),
+                                    rows=m.rows + (row,),
+                                    cycles=m.cycles + (cycle,))
+            docs[k] = {**docs[k], "streams": docs[k]["streams"] + [doc]}
+            break
+    else:
         try:
-            masters.append(Master(address=address, streams=(stream,)))
+            check_master(address, (name,))
+            check_network([m.address for m in masters] + [address],
+                          [a for a, _n in scan.slaves], scan.ttr)
         except ValueError as exc:
             raise ApiError(str(exc)) from exc
-    try:
-        return Network(masters=tuple(masters), slaves=net.slaves,
-                       phy=net.phy, ttr=net.ttr)
-    except ValueError as exc:
-        raise ApiError(str(exc)) from exc
+        masters.append(ScannedMaster(address, f"M{address}", (name,),
+                                     (row,), (cycle,)))
+        docs.append({"address": address, "name": f"M{address}",
+                     "streams": [doc]})
+    return dataclasses.replace(scan, masters=tuple(masters),
+                               doc={**scan.doc, "masters": docs})
 
 
 def _deadline_tightening_limit(net: Network, policy: str,
@@ -633,12 +613,12 @@ def _headroom(net: Network, policy: str, refined: bool) -> Dict[str, Any]:
     }
 
 
-def _compute_admission(request: AnalysisRequest, net: Network,
+def _compute_admission(request: AnalysisRequest, scan: NetworkScan,
                        fingerprint: str) -> AnalysisResult:
-    before = _analysis_payload(net, request.policy, request.refined)
-    after_net = _admit_stream(net, request.admission_master,
-                              request.admission_stream)
-    after = _analysis_payload(after_net, request.policy, request.refined)
+    before = _analysis_payload(scan, request.policy, request.refined)
+    joined = _admit_stream(scan, request.admission_master,
+                           request.admission_stream)
+    after = _analysis_payload(joined, request.policy, request.refined)
     admitted = bool(after["schedulable"])
     ok_before = {
         (row["master"], row["stream"])
@@ -651,12 +631,11 @@ def _compute_admission(request: AnalysisRequest, net: Network,
         if not row["schedulable"] and (row["master"], row["stream"])
         in ok_before
     ]
-    headroom: Dict[str, Any] = {
-        "max_feasible_ttr": None,
-        "deadline_tightening_limit": None,
-    }
+    headroom: Dict[str, Any] = {"max_feasible_ttr": None,
+                                "deadline_tightening_limit": None}
     if admitted:
-        headroom = _headroom(after_net, request.policy, request.refined)
+        headroom = _headroom(joined.network(), request.policy,
+                             request.refined)
     payload = {
         "policy": request.policy,
         "refined": request.refined,
@@ -668,12 +647,8 @@ def _compute_admission(request: AnalysisRequest, net: Network,
         "broken_streams": broken,
         "headroom": headroom,
     }
-    return AnalysisResult(
-        op="admission",
-        fingerprint=fingerprint,
-        schedulable=admitted,
-        payload=payload,
-    )
+    return AnalysisResult(op="admission", fingerprint=fingerprint,
+                          schedulable=admitted, payload=payload)
 
 
 def _compute_monitor(request: AnalysisRequest, net: Network,
@@ -708,12 +683,7 @@ def _compute_monitor(request: AnalysisRequest, net: Network,
     )
 
 
-_COMPUTE = {
-    "analyse": _compute_analyse,
-    "sweep": _compute_sweep,
-    "admission": _compute_admission,
-    "monitor": _compute_monitor,
-}
+_COMPUTE = {"sweep": _compute_sweep, "monitor": _compute_monitor}
 
 
 # ------------------------------------------------------------- entrypoint
@@ -735,28 +705,21 @@ def keyed_network(request: AnalysisRequest) -> Tuple[NetworkScan, str]:
 
 
 def compute_result(request: AnalysisRequest,
-                   net: Union[NetworkScan, Network, AnalyseColumns],
+                   scan: Union[NetworkScan, AnalyseColumns],
                    fingerprint: str) -> AnalysisResult:
-    """The compute step: answer ``request`` over the scan (or network)
-    and fingerprint :func:`keyed_network` returned for it, or over the
-    :class:`AnalyseColumns` already read from that scan.  Never consults
-    a cache.
-
-    An ``analyse`` over a scan whose rows are all int, outside the
-    generic reference, is answered from its columns
-    (:func:`analyse_columns`): ``Tdel`` and ``Tcycle`` from the ``C``
-    column, one whole-master kernel run per master, no objects.  Every
-    other request builds the :class:`Network` from the scan once and
-    takes the object path."""
-    if isinstance(net, NetworkScan) and request.op == "analyse":
-        net = analyse_columns(net, request.refined) or net
-    if isinstance(net, AnalyseColumns):
-        return _analyse_result(
-            _columns_payload(net, request.policy, request.refined),
-            fingerprint)
-    if isinstance(net, NetworkScan):
-        net = net.network()
-    return _COMPUTE[request.op](request, net, fingerprint)
+    """The compute step: answer ``request`` over the scan and
+    fingerprint :func:`keyed_network` returned for it, or over the
+    :class:`AnalyseColumns` already read from that scan (the daemon's
+    inline ``analyse``), by the one analyse route the module docstring
+    describes.  Never consults a cache."""
+    if request.op == "analyse":
+        payload = _analysis_payload(scan, request.policy, request.refined)
+        return AnalysisResult(op="analyse", fingerprint=fingerprint,
+                              schedulable=payload["schedulable"],
+                              payload=payload)
+    if request.op == "admission":
+        return _compute_admission(request, scan, fingerprint)
+    return _COMPUTE[request.op](request, scan.network(), fingerprint)
 
 
 def execute_cached(

@@ -525,8 +525,7 @@ def _cmd_corpus_check(args) -> int:
     from .corpus import store
 
     try:
-        report = store.check_corpus(args.dir, entry_ids=args.entry or None,
-                                    workers=args.workers)
+        report = store.check_corpus(args.dir, entry_ids=args.entry or None)
     except ValueError as exc:
         raise SystemExit(str(exc))
     for line in report.format_lines(verbose=args.verbose):
@@ -734,16 +733,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = csub.add_parser(
         "check",
-        help="recompute every golden section and compare bit-exactly",
+        help="recompute every golden section, entry by entry in this "
+             "process, and compare bit-exactly",
     )
     add_corpus_dir(cp)
     cp.add_argument("--entry", nargs="*", default=None, metavar="ID",
                     help="restrict to these entry ids")
     cp.add_argument("--verbose", action="store_true",
                     help="print the first diverging value per mismatch")
-    cp.add_argument("--workers", type=int, default=1,
-                    help="process-pool size for the per-entry oracle "
-                         "recomputation (default: serial)")
     cp.set_defaults(func=_cmd_corpus_check)
 
     cp = csub.add_parser(
@@ -752,9 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_corpus_dir(cp)
     cp.add_argument("--entry", nargs="*", default=None, metavar="ID")
-    cp.add_argument("--workers", type=int, default=1,
-                    help="process-pool size for the per-entry oracle "
-                         "recomputation (default: serial)")
     # diff IS check with the divergence details always on
     cp.set_defaults(func=_cmd_corpus_check, verbose=True)
 

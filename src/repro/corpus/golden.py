@@ -118,12 +118,11 @@ def _analysis_rows(network: Network, policy: str,
     }
 
 
-def _batch_rows(network: Network, policies: Sequence[str],
-                mode: Optional[str] = None) -> List[List[Any]]:
+def _batch_rows(network: Network, policies: Sequence[str]) -> List[List[Any]]:
     return [
         [r.index, r.policy, r.schedulable, r.worst_response, r.worst_slack,
          r.tcycle]
-        for r in batch_mod.analyse_many([network], policies, mode=mode)
+        for r in batch_mod.analyse_many([network], policies)
     ]
 
 
@@ -153,13 +152,15 @@ def _compute_analysis(network: Network, config: Dict[str, Any]) -> Dict[str, Any
     # exact ``_analysis_rows`` shape, so the three mode documents stay
     # directly comparable (the kernel-equivalence oracle below relies
     # on that).
+    with analysis_mode_set("vectorized"):
+        batch = _batch_rows(network, policies)
     out["modes"]["vectorized"] = {
         "base": {p: vector_mod.response_rows(network, p) for p in policies},
         "probe": {
             p: vector_mod.response_rows(network, p, ttr=config["ttr_probe"])
             for p in policies
         },
-        "batch": _batch_rows(network, policies, mode="vectorized"),
+        "batch": batch,
     }
     return out
 

@@ -532,41 +532,19 @@ class CheckReport:
         return lines
 
 
-def _check_entry_job(
-    job: Tuple[str, Dict[str, Any], Dict[str, Any], Dict[str, Any]],
-    fail_fast: bool,
-) -> EntryResult:
-    """Recheck one entry — module-level and picklable, so
-    :func:`repro.perf.batch.pooled_imap` can ship it to pool workers
-    (everything in the job is the entry's own JSON-ready documents)."""
-    entry_id, network_doc, config, golden = job
-    return EntryResult(
-        entry_id,
-        check_network_golden(network_doc, config, golden,
-                             fail_fast=fail_fast),
-    )
-
-
 def check_corpus(
     directory: Union[str, Path] = DEFAULT_CORPUS_DIR,
     entry_ids: Optional[Sequence[str]] = None,
     fail_fast: bool = False,
     stop_on_first_failure: bool = False,
-    workers: Optional[int] = 1,
 ) -> CheckReport:
-    """Recompute every entry's golden sections and compare bit-exactly.
+    """Recompute every entry's golden sections and compare bit-exactly,
+    in entry order, in this process.
 
     ``fail_fast`` short-circuits *within* an entry at its first
     mismatching section; ``stop_on_first_failure`` additionally stops
     at the first failing entry (the mutation harness uses both — one
     killing entry is enough evidence).
-
-    ``workers`` spreads the per-entry recomputation over the shared
-    :func:`repro.perf.batch.pooled_imap` engine (``1`` = serial
-    in-process, ``None`` = cpu count).  Results come back in entry
-    order either way, and the entries are independent, so the report is
-    identical to a serial run.  The mutation harness must stay serial:
-    its in-process monkeypatches do not reach spawned pool workers.
     """
     entries = load_corpus(directory)
     if entry_ids is not None:
@@ -575,16 +553,10 @@ def check_corpus(
         if unknown:
             raise ValueError(f"unknown corpus entry id(s) {sorted(unknown)}")
         entries = [e for e in entries if e.entry_id in wanted]
-    from functools import partial
-
-    from ..perf.batch import pooled_imap
-
-    jobs = [(e.entry_id, e.network_doc, e.config, e.golden) for e in entries]
     results: List[EntryResult] = []
-    # chunksize=1: a corpus is tens of entries, each seconds of work —
-    # per-entry scheduling beats pickling amortisation here
-    for result in pooled_imap(partial(_check_entry_job, fail_fast=fail_fast),
-                              jobs, workers=workers, chunksize=1):
+    for e in entries:
+        result = EntryResult(e.entry_id, check_network_golden(
+            e.network_doc, e.config, e.golden, fail_fast=fail_fast))
         results.append(result)
         if not result.ok and stop_on_first_failure:
             break

@@ -54,6 +54,7 @@ from typing import (
 )
 
 from ..perf.batch import analyse_many, pooled_imap
+from ..perf.config import analysis_mode_set
 from ..profibus.network import Network
 from ..schemas import FUZZ_CHECKPOINT_SCHEMA as _CHECKPOINT_SCHEMA
 from .families import FAMILIES, family_rng, generate_instance
@@ -204,7 +205,8 @@ def _sweep_factor(seed: int, family: str, index: int) -> float:
 
 def _batch_rows(networks: Sequence[Network], policies: Sequence[str],
                 mode: str):
-    return analyse_many(networks, policies, mode=mode)
+    with analysis_mode_set(mode):
+        return analyse_many(networks, policies)
 
 
 def _outcome_doc(oracle: str, outcome: OracleOutcome,

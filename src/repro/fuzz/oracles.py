@@ -253,7 +253,8 @@ def check_kernel_equivalence(
         )
         return OracleOutcome(STATUS_FAIL, f"batch summaries diverge: {diff}")
     try:
-        vec_batch = analyse_many([network], policies, mode="vectorized")
+        with analysis_mode_set("vectorized"):
+            vec_batch = analyse_many([network], policies)
     except Exception as exc:  # noqa: BLE001 - any engine defect counts
         return OracleOutcome(
             STATUS_FAIL,

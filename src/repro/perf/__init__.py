@@ -16,8 +16,7 @@ without changing a single reported number:
 * :mod:`repro.perf.batch` — batch drivers: the in-process analysis
   grid drivers (``analyse_many``, ``acceptance_curve``) plus a reusable
   chunked process-pool map (``pooled_map``/``pooled_imap``, the engine
-  under the fuzzing campaigns' per-instance oracles and the corpus
-  check).
+  under the fuzzing campaigns' per-instance oracles).
 
 Submodules are imported lazily: ``repro.core`` imports
 ``repro.perf.stats`` for the iteration tallies, while ``batch``

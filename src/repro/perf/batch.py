@@ -9,12 +9,13 @@ layer one engine:
   in-process pass.  Under the default ``fast`` mode a grid of at least
   :data:`VECTOR_MIN_STREAMS` streams goes through the numpy SoA engine
   of :mod:`repro.perf.vector` and a smaller one through the scalar
-  kernels; an explicit ``mode`` forces its engine at every size;
+  kernels; an ``analysis_mode_set`` scope forces its engine at every
+  size;
 * :func:`pooled_map` / :func:`pooled_imap` — chunked process-pool map
-  for heavy per-item work (the fuzz soundness simulations, the corpus
-  check): workers inherit the caller's analysis mode and report their
-  fixed-point iteration counts back into the parent's tallies, fast /
-  generic / vectorized separately;
+  for heavy per-item work (the fuzz soundness simulations): workers
+  inherit the caller's analysis mode and report their fixed-point
+  iteration counts back into the parent's tallies, fast / generic /
+  vectorized separately;
 * :func:`generate_networks` — reproducible workload generation threading
   one :class:`random.Random` end-to-end (no global ``random`` state);
 * :func:`acceptance_curve` — the E5 experiment (fraction of random
@@ -50,7 +51,7 @@ from ..profibus.timing import tcycle as compute_tcycle
 from ..profibus.timing import tdel
 from ..profibus.ttr import analyse, check_policy
 from . import kernels
-from .config import analysis_mode, analysis_mode_set
+from .config import analysis_mode, analysis_mode_set, scoped_analysis_mode
 from .stats import counters
 
 DEFAULT_POLICIES: Tuple[str, ...] = ("fcfs", "dm", "edf")
@@ -459,20 +460,19 @@ def _grid_streams(networks: Sequence[Network]) -> int:
 def analyse_many(
     networks: Sequence[Network],
     policies: Sequence[str] = DEFAULT_POLICIES,
-    mode: Optional[str] = None,
 ) -> List[BatchResult]:
     """Analyse every (network, policy) pair in this process.
 
-    ``mode`` forces an engine for this call (``generic``/``fast``/
-    ``vectorized``); under ``vectorized`` the whole grid runs through
-    the SoA batch kernels of :mod:`repro.perf.vector` — same results
-    bit for bit, every network's lanes advancing together.  With no
-    ``mode`` the process-wide mode applies, except that under ``fast`` a
-    grid of at least :data:`VECTOR_MIN_STREAMS` streams takes the SoA
-    engine too when numpy is importable.  Without numpy, ``vectorized``
-    analyses network by network on the scalar kernels, as ``fast``
-    does.  Results come back ordered by (network index, policy
-    position) regardless of the engine.  Every network must carry a
+    An :func:`~repro.perf.config.analysis_mode_set` scope picks the
+    engine (``generic``/``fast``/``vectorized``); under ``vectorized``
+    the whole grid runs through the SoA batch kernels of
+    :mod:`repro.perf.vector` — same results bit for bit, every network's
+    lanes advancing together.  Outside every scope a grid of at least
+    :data:`VECTOR_MIN_STREAMS` streams takes the SoA engine and a
+    smaller one the ``fast`` scalar kernels.  Without numpy,
+    ``vectorized`` analyses network by network on the scalar kernels,
+    as ``fast`` does.  Results come back ordered by (network index,
+    policy position) regardless of the engine.  Every network must carry a
     TTR at or above its ring latency — pre-filter rows that do not (as
     the sweep drivers do).
     """
@@ -480,10 +480,10 @@ def analyse_many(
     for policy in policies:
         check_policy(policy)
     networks = list(networks)
-    if mode is None:
-        mode = analysis_mode()
-        if mode == "fast" and _grid_streams(networks) >= VECTOR_MIN_STREAMS:
-            mode = "vectorized"  # network by network without numpy
+    mode = scoped_analysis_mode()
+    if mode is None:  # network by network without numpy
+        mode = ("vectorized" if _grid_streams(networks) >= VECTOR_MIN_STREAMS
+                else "fast")
     with analysis_mode_set(mode):
         if mode == "vectorized":
             return _vector_rows(networks, policies)

@@ -10,12 +10,12 @@ Three modes drive the same analyses to bit-identical values:
     The whole-master integer kernels of :mod:`repro.perf.kernels`; no
     analysis result is cached on the model objects.  Bit-identical to
     ``generic``
-    (property-tested), so **on by default**.  Inside
-    :func:`repro.perf.batch.analyse_many` called without a ``mode``, a
-    grid of at least :data:`repro.perf.batch.VECTOR_MIN_STREAMS` streams
-    runs on the ``vectorized`` engine instead (same rows bit for bit);
-    smaller grids stay on the scalar kernels, so they never pay for
-    ``import numpy``.
+    (property-tested), so **on by default**.  Outside every
+    :func:`analysis_mode_set` scope, :func:`repro.perf.batch.analyse_many`
+    runs a grid of at least :data:`repro.perf.batch.VECTOR_MIN_STREAMS`
+    streams on the ``vectorized`` engine instead (same rows bit for
+    bit); smaller grids stay on the scalar kernels, so they never pay
+    for ``import numpy``.  A scoped ``fast`` keeps every grid scalar.
 ``vectorized``
     The structure-of-arrays batch kernels of
     :mod:`repro.perf.vector`: whole batches of networks advance their
@@ -56,6 +56,12 @@ _override: ContextVar[Optional[str]] = ContextVar("analysis_mode",
 def analysis_mode() -> str:
     """The active analysis mode (``generic``/``fast``/``vectorized``)."""
     return _override.get() or "fast"
+
+
+def scoped_analysis_mode() -> Optional[str]:
+    """The mode of the innermost :func:`analysis_mode_set` scope
+    (``None`` outside every scope, where the ``fast`` default holds)."""
+    return _override.get()
 
 
 @contextmanager

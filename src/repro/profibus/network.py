@@ -20,6 +20,36 @@ from .phy import PhyParameters
 from .stream import MessageStream
 
 
+# The model's rules, one copy each: the dataclasses below, the document
+# scan (:mod:`repro.profibus.serialization`) and an admission candidate's
+# join (:mod:`repro.api`) all call these.
+
+def check_address(address: int) -> None:
+    if not 0 <= address <= 126:
+        raise ValueError("PROFIBUS addresses are 0..126")
+
+
+def check_master(address: int, names: Sequence[str]) -> None:
+    check_address(address)
+    if len(names) != len(set(names)):
+        raise ValueError(f"master {address}: duplicate stream names")
+
+
+def check_network(masters: Sequence[int], slaves: Sequence[int],
+                  ttr: Optional[int]) -> None:
+    """The :class:`Network` rules over its station addresses and TTR."""
+    if not masters:
+        raise ValueError("a network needs at least one master")
+    addrs = [*masters, *slaves]
+    if len(addrs) != len(set(addrs)):
+        raise ValueError("duplicate station addresses")
+    if ttr is not None:
+        if type(ttr) is not int and not -inf < ttr < inf:
+            raise ValueError(f"ttr must be finite, got {ttr!r}")
+        if ttr <= 0:
+            raise ValueError("ttr must be positive")
+
+
 @dataclass(frozen=True)
 class Master:
     """A master station and its message streams."""
@@ -29,13 +59,9 @@ class Master:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if not 0 <= self.address <= 126:
-            raise ValueError("PROFIBUS addresses are 0..126")
         streams = tuple(self.streams)
         object.__setattr__(self, "streams", streams)
-        names = [s.name for s in streams]
-        if len(names) != len(set(names)):
-            raise ValueError(f"master {self.address}: duplicate stream names")
+        check_master(self.address, [s.name for s in streams])
         if not self.name:
             object.__setattr__(self, "name", f"M{self.address}")
 
@@ -86,8 +112,7 @@ class Slave:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if not 0 <= self.address <= 126:
-            raise ValueError("PROFIBUS addresses are 0..126")
+        check_address(self.address)
         if not self.name:
             object.__setattr__(self, "name", f"S{self.address}")
 
@@ -112,16 +137,8 @@ class Network:
         slaves = tuple(self.slaves)
         object.__setattr__(self, "masters", masters)
         object.__setattr__(self, "slaves", slaves)
-        if not masters:
-            raise ValueError("a network needs at least one master")
-        addrs = [m.address for m in masters] + [s.address for s in slaves]
-        if len(addrs) != len(set(addrs)):
-            raise ValueError("duplicate station addresses")
-        if self.ttr is not None:
-            if type(self.ttr) is not int and not -inf < self.ttr < inf:
-                raise ValueError(f"ttr must be finite, got {self.ttr!r}")
-            if self.ttr <= 0:
-                raise ValueError("ttr must be positive")
+        check_network([m.address for m in masters],
+                      [s.address for s in slaves], self.ttr)
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items()

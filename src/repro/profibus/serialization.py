@@ -27,8 +27,10 @@ number must be a real number and not a bool, ``high_priority`` and
 strings, and every container the type the format shows.
 
 One pass, one validator.  :func:`scan_network` walks a document once
-and applies every rule of the format and of the object model, with the
-model's own messages; each fault raises :class:`ScenarioFormatError`.
+and applies every rule of the format and of the object model; the
+model's rules are the ``check_*`` functions of
+:mod:`repro.profibus.stream` and :mod:`repro.profibus.network` that the
+objects themselves call.  Each fault raises :class:`ScenarioFormatError`.
 It yields a :class:`NetworkScan`: the canonical document (the
 ``fingerprint/v1`` form :func:`network_to_dict` gives, hashed directly),
 per master its name, stream names and ``(T, D, J, high_priority, C)``
@@ -39,7 +41,8 @@ table that lives for the one call, one entry per distinct cycle spec.
 :meth:`NetworkScan.network`, which builds the objects from its output.
 The analysis service keys a request from the scan alone and builds the
 :class:`Network` lazily, only for the work the rows cannot answer
-(:func:`repro.api.compute_result`).
+(:func:`repro.api.compute_result`); an admission joins its candidate
+stream to the scan.
 """
 
 from __future__ import annotations
@@ -55,9 +58,10 @@ from typing import Any, Dict, NamedTuple, Optional, Tuple, Union
 
 from . import cycle as cycle_mod
 from .cycle import MessageCycleSpec
-from .network import Master, Network, Slave
+from .network import (Master, Network, Slave, check_address, check_master,
+                      check_network)
 from .phy import PhyParameters
-from .stream import MessageStream
+from .stream import MessageStream, check_stream
 
 
 class ScenarioFormatError(ValueError):
@@ -235,8 +239,9 @@ def _scan_stream(obj: Any, phy: PhyParameters, cycles: Dict[tuple, tuple]):
 
     ``cycles`` is the caller's cycle-spec key → ``(spec, C or None,
     canonical cycle document)`` table.  Per-stream work is the hot loop
-    of the key step, so the checks run inline and a message is only
-    formatted for a fault."""
+    of the key step, so the format checks run inline, the model's rules
+    are one :func:`check_stream` call, and a message is only formatted
+    for a fault."""
     if type(obj) is not dict:
         obj = _object(obj, "stream entry")
     if not obj.keys() <= _STREAM_KEYS or "name" not in obj or "T" not in obj:
@@ -265,15 +270,10 @@ def _scan_stream(obj: Any, phy: PhyParameters, cycles: Dict[tuple, tuple]):
     if c_bits is not None and type(c_bits) is not int:
         _number(c_bits, "C_bits", f"stream {name!r}")
     key = _cycle_key(obj["cycle"], name) if "cycle" in obj else _DEFAULT_CYCLE
-    # the MessageStream rules, with its messages
-    if t <= 0:
-        raise _bad(f"stream {name!r}", f"stream {name!r}: T must be > 0")
-    if d <= 0:
-        raise _bad(f"stream {name!r}", f"stream {name!r}: D must be > 0")
-    if j < 0:
-        raise _bad(f"stream {name!r}", f"stream {name!r}: J must be >= 0")
-    if c_bits is not None and c_bits <= 0:
-        raise _bad(f"stream {name!r}", f"stream {name!r}: C_bits must be > 0")
+    try:
+        check_stream(name, t, d, j, c_bits)
+    except ValueError as exc:
+        raise _bad(f"stream {name!r}", str(exc)) from exc
     entry = cycles.get(key)
     if entry is None:
         spec = MessageCycleSpec(*key)
@@ -315,11 +315,10 @@ def _scan_master(obj: Any, phy: PhyParameters,
     streams = [_scan_stream(entry, phy, cycles) for entry in
                _entries(obj.get("streams", []), "streams", "master")]
     names, rows, specs, docs = zip(*streams) if streams else ((),) * 4
-    # the Master rules, with its messages
-    if not 0 <= address <= 126:
-        raise _bad("master", "PROFIBUS addresses are 0..126")
-    if len(names) != len(set(names)):
-        raise _bad("master", f"master {address}: duplicate stream names")
+    try:
+        check_master(address, names)
+    except ValueError as exc:
+        raise _bad("master", str(exc)) from exc
     if not name:
         name = f"M{address}"
     return (ScannedMaster(address, name, names, rows, specs),
@@ -337,8 +336,10 @@ def _scan_slave(obj: Any) -> Tuple[Any, str]:
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise _bad("slave", f"name must be a string, got {_kind(name)}")
-    if not 0 <= address <= 126:
-        raise _bad("slave", "PROFIBUS addresses are 0..126")
+    try:
+        check_address(address)
+    except ValueError as exc:
+        raise _bad("slave", str(exc)) from exc
     return address, name or f"S{address}"
 
 
@@ -360,14 +361,11 @@ def scan_network(doc: Any) -> NetworkScan:
     ttr = doc.get("ttr")
     if ttr is not None:
         _number(ttr, "ttr", "scenario")
-    # the Network rules, with its messages
-    if not scanned:
-        raise _bad("scenario", "a network needs at least one master")
-    addresses = [m.address for m, _doc in scanned] + [a for a, _n in slaves]
-    if len(addresses) != len(set(addresses)):
-        raise _bad("scenario", "duplicate station addresses")
-    if ttr is not None and ttr <= 0:
-        raise _bad("scenario", "ttr must be positive")
+    try:
+        check_network([m.address for m, _doc in scanned],
+                      [a for a, _n in slaves], ttr)
+    except ValueError as exc:
+        raise _bad("scenario", str(exc)) from exc
     canonical: Dict[str, Any] = {
         "phy": {name: getattr(phy, name) for name in _PHY_FIELDS},
         "masters": [master_doc for _m, master_doc in scanned],
@@ -378,13 +376,6 @@ def scan_network(doc: Any) -> NetworkScan:
         canonical["slaves"] = [{"address": a, "name": n} for a, n in slaves]
     return NetworkScan(canonical, phy, ttr,
                        tuple(m for m, _doc in scanned), slaves)
-
-
-def _stream_from(obj: Any, phy: PhyParameters) -> MessageStream:
-    """One stream document, checked by the pass's rules, as a
-    :class:`MessageStream` (an admission candidate)."""
-    name, row, cycle, _doc = _scan_stream(obj, phy, {})
-    return _stream_of(name, row, cycle)
 
 
 def network_from_dict(doc: Dict[str, Any]) -> Network:

@@ -23,6 +23,20 @@ from .cycle import MessageCycleSpec, cycle_time
 from .phy import PhyParameters
 
 
+def check_stream(name: str, T, D, J, C_bits) -> None:
+    """The :class:`MessageStream` rules over its finite attributes
+    (``D`` already defaulted to ``T``): the model, the document scan and
+    an admission candidate all apply this one copy."""
+    if T <= 0:
+        raise ValueError(f"stream {name!r}: T must be > 0")
+    if D <= 0:
+        raise ValueError(f"stream {name!r}: D must be > 0")
+    if J < 0:
+        raise ValueError(f"stream {name!r}: J must be >= 0")
+    if C_bits is not None and C_bits <= 0:
+        raise ValueError(f"stream {name!r}: C_bits must be > 0")
+
+
 @dataclass(frozen=True)
 class MessageStream:
     """One message stream of a master station."""
@@ -45,16 +59,9 @@ class MessageStream:
                     -inf < value < inf):
                 raise ValueError(f"stream {self.name!r}: {field_name} "
                                  f"must be finite, got {value!r}")
-        if self.T <= 0:
-            raise ValueError(f"stream {self.name!r}: T must be > 0")
         if self.D is None:
             object.__setattr__(self, "D", self.T)
-        if self.D <= 0:
-            raise ValueError(f"stream {self.name!r}: D must be > 0")
-        if self.J < 0:
-            raise ValueError(f"stream {self.name!r}: J must be >= 0")
-        if self.C_bits is not None and self.C_bits <= 0:
-            raise ValueError(f"stream {self.name!r}: C_bits must be > 0")
+        check_stream(self.name, self.T, self.D, self.J, self.C_bits)
 
     def cycle_bits(self, phy: PhyParameters) -> int:
         """Worst-case message-cycle length ``Ch`` in bit times."""

@@ -48,9 +48,12 @@ served in up to four steps:
    where a thread hop would buy nothing under the GIL.  Everything else
    (the other ops, an ``analyse`` with some master at ``U ≥ 1``, one
    over the bound, one the columns decline) runs on the loop's default
-   thread executor, so a long analysis cannot stall the accept loop;
-   a non-``analyse`` request builds its ``Network`` from the scan
-   there, once.  Nothing is parsed a second time.  The ``stats`` op
+   thread executor, so a long analysis cannot stall the accept loop.
+   There a sweep or a monitor check builds its ``Network`` from the
+   scan, once; an admission joins its candidate stream to the scan,
+   answers ``before`` and ``after`` as an ``analyse`` would, and builds
+   the joined ``Network`` only for an admitted stream's headroom
+   searches.  Nothing is parsed a second time.  The ``stats`` op
    counts both routes (``compute``).
 
 Each analysis request counts exactly one cache hit or one miss: a known

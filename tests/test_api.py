@@ -3,13 +3,18 @@ cache under it."""
 
 import dataclasses
 import json
+import re
 
 import pytest
 
 from repro import api
 from repro.api import AnalysisRequest, AnalysisResult, ApiError
+from repro.fuzz import FAMILIES, generate_instance
 from repro.perf.cache import ResultCache
+from repro.perf.config import analysis_mode_set
 from repro.profibus import analyse, network_to_dict
+from repro.profibus.network import Master, Network
+from repro.profibus.serialization import NetworkScan, scan_network
 from repro.scenarios import factory_cell_network
 
 
@@ -283,6 +288,155 @@ class TestAdmission:
         dup = dict(self.STREAM, name="io-scan-a")
         with pytest.raises(ApiError, match="already has a stream"):
             api.admission_check(factory_cell_network(), 2, dup)
+
+
+def _joined_doc(doc, address, stream):
+    """``doc`` with ``stream`` appended to the master at ``address``, or
+    to a fresh master there at the end of the ring."""
+    doc = json.loads(json.dumps(doc))
+    for master in doc["masters"]:
+        if master["address"] == address:
+            master["streams"].append(stream)
+            break
+    else:
+        doc["masters"].append({"address": address, "streams": [stream]})
+    return doc
+
+
+def _answer(fn):
+    """``fn()`` as JSON, or the text of the :class:`ApiError` it raises."""
+    try:
+        return json.dumps(fn())
+    except ApiError as exc:
+        return f"ApiError: {exc}"
+
+
+def _admission_cases():
+    """``(document, policy, address, stream)`` over the factory cell and
+    two instances per fuzz family: a light and a heavy candidate, each
+    joining the first master and a fresh address."""
+    nets = [factory_cell_network()] + [
+        generate_instance(0, family, index)
+        for family in sorted(FAMILIES) for index in range(2)]
+    cases = []
+    for k, net in enumerate(nets):
+        doc = network_to_dict(net)
+        taken = {m.address for m in net.masters} | {
+            s.address for s in net.slaves}
+        fresh = min(set(range(127)) - taken)
+        period = 4 * net.masters[0].streams[0].T
+        light = {"name": "candidate", "T": period, "D": period,
+                 "cycle": {"req_payload": 4, "resp_payload": 4}}
+        heavy = {"name": "candidate", "T": 3_000, "D": 1_000,
+                 "cycle": {"req_payload": 64, "resp_payload": 64}}
+        for address in (net.masters[0].address, fresh):
+            for stream in (light, heavy):
+                cases.append((doc, ("fcfs", "dm", "edf")[len(cases) % 3],
+                              address, stream))
+    return cases
+
+
+class TestAdmissionRoute:
+    """An admission's ``before`` and ``after`` are the ``analyse``
+    payloads of the original and the joined document, its faults read
+    as before, and it builds at most one network: the joined one, for an
+    admitted stream's headroom searches."""
+
+    @pytest.mark.parametrize("mode", ["fast", "generic"])
+    def test_before_and_after_are_analyse_payloads(self, mode):
+        seen = set()
+        with analysis_mode_set(mode):
+            for doc, policy, address, stream in _admission_cases():
+                joined = _joined_doc(doc, address, stream)
+                admission = _answer(lambda: api.admission_check(
+                    doc, address, stream, policy=policy).payload)
+                before, after = (_answer(lambda d=d: api.analyse_network(
+                    d, policy=policy).payload) for d in (doc, joined))
+                assert api._admit_stream(scan_network(doc), address,
+                                         stream).doc == \
+                    scan_network(joined).doc
+                if admission.startswith("ApiError"):
+                    # a fresh master can lift the ring latency past the
+                    # TTR: the joined document's analysis fails alike
+                    assert admission == after != before
+                    seen.add("error")
+                    continue
+                payload = json.loads(admission)
+                assert json.dumps(payload["before"]) == before
+                assert json.dumps(payload["after"]) == after
+                seen.add(payload["admitted"])
+        assert seen == {True, False, "error"}
+
+    @pytest.mark.parametrize("mode", ["fast", "generic"])
+    @pytest.mark.parametrize("address, stream, message", [
+        (2, {"name": "io-scan-a", "T": 120_000},
+         "master 2 already has a stream named 'io-scan-a'"),
+        (127, {"name": "new", "T": 120_000},
+         "PROFIBUS addresses are 0..126"),
+        (-1, {"name": "new", "T": 120_000},
+         "PROFIBUS addresses are 0..126"),
+        (None, {"name": "new", "T": 120_000},
+         "duplicate station addresses"),
+        (2, {"name": "new", "T": 0},
+         "bad admission stream: bad stream 'new': stream 'new': "
+         "T must be > 0"),
+        (9, {"name": "new", "T": 120_000, "C_bits": -3},
+         "bad admission stream: bad stream 'new': stream 'new': "
+         "C_bits must be > 0"),
+        (2, {"name": "new", "T": 120_000, "dealine": 5},
+         "bad admission stream: unknown key(s) ['dealine'] in stream "
+         "'new'; allowed: ['C_bits', 'D', 'J', 'T', 'cycle', "
+         "'high_priority', 'name']"),
+        (2, {"T": 120_000}, "bad admission stream: missing key(s) "
+                            "['name'] in stream '?'"),
+    ], ids=["duplicate-name", "address-127", "address-negative",
+            "slave-address", "zero-period", "negative-c-bits",
+            "unknown-key", "no-name"])
+    def test_faults_read_as_before(self, mode, address, stream, message):
+        net = factory_cell_network()
+        if address is None:
+            address = net.slaves[0].address
+        with analysis_mode_set(mode), pytest.raises(ApiError) as info:
+            api.admission_check(net, address, stream)
+        assert str(info.value) == message
+
+    def test_model_rules_give_the_join_its_messages(self):
+        net = factory_cell_network()
+        with pytest.raises(ValueError) as info:
+            Master(address=127)
+        with pytest.raises(ApiError, match=re.escape(str(info.value))):
+            api.admission_check(net, 127, {"name": "new", "T": 120_000})
+        with pytest.raises(ValueError) as info:
+            Network(masters=net.masters + (Master(net.slaves[0].address),),
+                    slaves=net.slaves)
+        with pytest.raises(ApiError, match=re.escape(str(info.value))):
+            api.admission_check(net, net.slaves[0].address,
+                                {"name": "new", "T": 120_000})
+
+    def test_networks_built(self, monkeypatch):
+        built = []
+        real = NetworkScan.network
+
+        def network(scan):
+            built.append(scan)
+            return real(scan)
+
+        monkeypatch.setattr(NetworkScan, "network", network)
+        doc = _net_doc()
+        light = {"name": "new", "T": 120_000, "D": 60_000}
+        heavy = {"name": "hog", "T": 20_000, "D": 4_000,
+                 "cycle": {"req_payload": 128, "resp_payload": 128}}
+        api.analyse_network(doc)
+        assert built == []
+        assert api.admission_check(doc, 1, heavy).payload["admitted"] is False
+        assert built == []
+        with pytest.raises(ApiError):
+            api.admission_check(doc, 2, dict(light, name="io-scan-a"))
+        assert built == []
+        assert api.admission_check(doc, 2, light).payload["admitted"] is True
+        (joined,) = built
+        assert [m.names[-1] for m in joined.masters if m.address == 2] \
+            == ["new"]
 
 
 class TestCaching:

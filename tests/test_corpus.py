@@ -177,27 +177,6 @@ class TestShippedCorpus:
 
 # ------------------------------------------------------ mutation strength
 
-class TestPooledCheck:
-    """``corpus check --workers N``: entries are independent, so the
-    pooled report must be identical to the serial one (the container
-    may only have one core — equality, not wall-clock, is the test)."""
-
-    IDS = ("probe:event-order", "scenario:single-master")
-
-    def test_pooled_report_matches_serial(self):
-        serial = check_corpus(REPO_CORPUS, entry_ids=self.IDS)
-        pooled = check_corpus(REPO_CORPUS, entry_ids=self.IDS, workers=2)
-        assert pooled.ok
-        assert pooled.results == serial.results
-        assert pooled.format_lines(verbose=True) == \
-            serial.format_lines(verbose=True)
-
-    def test_pooled_check_cli(self, capsys):
-        assert main(["corpus", "check", "--dir", str(REPO_CORPUS),
-                     "--entry", "probe:event-order", "--workers", "2"]) == 0
-        assert "1/1 entries bit-exact" in capsys.readouterr().out
-
-
 class TestMutationStrength:
     def test_all_mutants_killed(self):
         from repro.perf import vector

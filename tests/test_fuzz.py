@@ -321,6 +321,36 @@ class TestPerMasterRegime:
         assert out.status == "ok"
 
 
+class TestKnownUnsoundCounterexample:
+    """seed-0 ``trace-replay`` #1952 of a 2000-budget campaign, shrunk:
+    one master at TTR 94 (ring latency 93), a high stream with
+    T = D = 3011 and a low stream with T = D = 24058, both on default
+    cycles (C = 432).  Every policy bounds the high stream at 526
+    (= Tcycle), and the simulated run observes 938.  Pinned as an
+    expected failure until the analysis or the simulator is mended; no
+    bound is changed here."""
+
+    SHRUNK = {
+        "masters": [{"address": 1, "name": "M1", "streams": [
+            {"name": "m0s0", "T": 3011, "D": 3011, "cycle": {}},
+            {"name": "m0low0", "T": 24058, "D": 24058, "cycle": {},
+             "high_priority": False},
+        ]}],
+        "phy": {"baud_rate": 500000, "max_retry": 1, "tid1": 37,
+                "tid2": 60, "tsdr_max": 60, "tsdr_min": 11, "tsl": 100},
+        "ttr": 94,
+    }
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="observed 938 > bound 526")
+    @pytest.mark.parametrize("policy", ["fcfs", "dm", "edf"])
+    def test_bound_holds(self, policy):
+        net = network_from_dict(self.SHRUNK)
+        assert net.ring_latency() == 93
+        out = check_soundness(net, policy)
+        assert out.status == "ok", out.detail
+
+
 class TestHorizonAutoExtension:
     """The `incomplete`-verdict skip is now a geometric retry: a horizon
     that starts too short (capped) must be extended until the simulation

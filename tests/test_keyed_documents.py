@@ -22,6 +22,7 @@ from repro.fuzz import FAMILIES, generate_instance
 from repro.perf.config import analysis_mode_set
 from repro.profibus import cycle as cycle_mod
 from repro.profibus import serialization
+from repro.profibus import ttr as ttr_mod
 from repro.profibus import stream as stream_mod
 from repro.profibus.serialization import (
     ScenarioFormatError,
@@ -127,7 +128,8 @@ def _outcome(fn):
 
 
 def _object_path(request):
-    """Parse with ``network_from_dict`` and analyse the built network."""
+    """Parse with ``network_from_dict`` and answer the ``analyse``
+    request with ``ttr.analyse`` over the built network."""
     def run():
         try:
             net = network_from_dict(request.network)
@@ -135,8 +137,23 @@ def _object_path(request):
             raise api.ApiError(f"bad network document: {exc}") from exc
         if request.ttr is not None:
             net = net.with_ttr(request.ttr)
-        return json.dumps(api.compute_result(
-            request, net, net.fingerprint()).to_dict())
+        try:
+            res = ttr_mod.analyse(net, request.policy,
+                                  refined=request.refined)
+        except ValueError as exc:
+            raise api.ApiError(str(exc)) from exc
+        payload = {
+            "policy": request.policy, "refined": request.refined,
+            "ttr": res.ttr, "tcycle": res.tcycle,
+            "schedulable": res.schedulable,
+            "streams": [{"master": sr.master, "stream": sr.stream.name,
+                         "R": sr.R, "D": sr.stream.D,
+                         "schedulable": sr.schedulable, "slack": sr.slack}
+                        for sr in res.per_stream],
+        }
+        return json.dumps(api.AnalysisResult(
+            op="analyse", fingerprint=net.fingerprint(),
+            schedulable=res.schedulable, payload=payload).to_dict())
     return _outcome(run)
 
 

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
 
@@ -25,6 +26,13 @@ from repro.perf.batch import (
 from repro.perf.config import analysis_mode_set
 from repro.perf.stats import counters
 from repro.profibus import analyse
+
+
+def _analyse_many_in(mode, *args):
+    """``analyse_many(*args)`` inside an ``analysis_mode_set(mode)``
+    scope (none for ``None``)."""
+    with analysis_mode_set(mode) if mode else nullcontext():
+        return analyse_many(*args)
 
 
 def small_workload(n=10, seed=3):
@@ -78,12 +86,12 @@ class TestEngineDispatch:
         before = counters.vectorized
         rows = analyse_many(large_workload())
         assert (counters.vectorized > before) == vector.numpy_available()
-        assert rows == analyse_many(large_workload(), mode="generic")
-        assert rows == analyse_many(large_workload(), mode="fast")
+        assert rows == _analyse_many_in("generic", large_workload())
+        assert rows == _analyse_many_in("fast", large_workload())
 
     def test_explicit_fast_stays_scalar_on_large_grid(self):
         before = counters.vectorized
-        analyse_many(large_workload(), mode="fast")
+        _analyse_many_in("fast", large_workload())
         assert counters.vectorized == before
 
     def test_small_grid_stays_scalar(self, monkeypatch):
@@ -125,7 +133,7 @@ class TestEngineDispatch:
         nets = [net] * (1 if size == "small"
                         else -(-VECTOR_MIN_STREAMS // _grid_streams([net])))
         with pytest.raises(ValueError) as info:
-            analyse_many(nets, ("dm", "lifo"), mode=mode)
+            _analyse_many_in(mode, nets, ("dm", "lifo"))
         assert str(info.value) == (
             "unknown policy 'lifo'; pick from ['dm', 'edf', 'fcfs']"
         )
@@ -167,7 +175,7 @@ class TestBatchResultRows:
         nets = small_workload(n=10, seed=11)
         for k in fallback_at:
             nets[k] = _with_float_jitter(nets[k])
-        rows = {mode: analyse_many(nets, mode=mode)
+        rows = {mode: _analyse_many_in(mode, nets)
                 for mode in ("generic", "fast", "vectorized")}
         assert rows["vectorized"] == rows["generic"] == rows["fast"]
         assert [(r.index, r.policy) for r in rows["vectorized"]] == [

@@ -59,6 +59,13 @@ requires_numpy = pytest.mark.skipif(
 POLICIES = ("fcfs", "dm", "edf")
 
 
+def _analyse_many_in(mode, *args):
+    """``analyse_many(*args)`` inside an ``analysis_mode_set(mode)``
+    scope."""
+    with analysis_mode_set(mode):
+        return analyse_many(*args)
+
+
 def _mixed_workload(n=30, seed="vectest"):
     nets = list(generate_networks(n, seed=seed))
     nets += generate_networks(n // 2, seed=f"{seed}-tight",
@@ -301,7 +308,7 @@ class TestPackErrors:
         for mode in ("generic", "fast", "vectorized"):
             fresh, _ = self._with_bad_stream(UNFRAMABLE[case])
             with pytest.raises(ValueError) as got:
-                analyse_many([fresh], POLICIES, mode=mode)
+                _analyse_many_in(mode, [fresh], POLICIES)
             assert str(got.value) == message, mode
 
     def test_failed_key_is_not_kept(self, monkeypatch):
@@ -635,9 +642,9 @@ class TestDeadlineOrderStaging:
         with pytest.raises(vector._VectorRangeError):
             pack.deadline_order()
         before = counters.vectorized
-        rows = analyse_many(nets, POLICIES, mode="vectorized")
+        rows = _analyse_many_in("vectorized", nets, POLICIES)
         assert counters.vectorized == before  # no lane ran
-        assert rows == analyse_many(nets, POLICIES, mode="generic")
+        assert rows == _analyse_many_in("generic", nets, POLICIES)
         fresh = pack_networks(nets)
         for policy in ("dm", "edf"):
             with pytest.raises(vector._VectorRangeError):
@@ -651,14 +658,14 @@ class TestDeadlineOrderStaging:
         from repro.perf import batch
 
         nets = _huge_deadline_nets()
-        want = analyse_many(nets, POLICIES, mode="generic")
+        want = _analyse_many_in("generic", nets, POLICIES)
         pack = pack_networks(nets)
         ceiling = pack.n_masters * (max(pack.stream_D) + 1) + 1
         monkeypatch.setattr(vector, "_SAFE_TOTAL", ceiling)
         with pytest.raises(vector._VectorRangeError):
             vector._edf_flat_np(pack)
         before = counters.vectorized
-        assert analyse_many(nets, ("dm",), mode="vectorized") \
+        assert _analyse_many_in("vectorized", nets, ("dm",)) \
             == [row for row in want if row.policy == "dm"]
         dm_iterations = counters.vectorized - before
         assert dm_iterations > 0  # DM stays on its lanes
@@ -671,7 +678,7 @@ class TestDeadlineOrderStaging:
 
         monkeypatch.setattr(batch, "_analyse_one", spy)
         before = counters.vectorized
-        rows = analyse_many(nets, POLICIES, mode="vectorized")
+        rows = _analyse_many_in("vectorized", nets, POLICIES)
         assert counters.vectorized - before >= dm_iterations
         assert calls == [(i, "edf") for i in range(len(nets))]
         assert rows == want
@@ -682,9 +689,9 @@ class TestDeadlineOrderStaging:
         # every combination (deadline key, offset key, lane bounds);
         # whichever trips, the rows stay the generic ones
         nets = _mixed_workload(8, seed="guards")
-        want = analyse_many(nets, POLICIES, mode="generic")
+        want = _analyse_many_in("generic", nets, POLICIES)
         monkeypatch.setattr(vector, "_SAFE_TOTAL", 1 << shift)
-        assert analyse_many(nets, POLICIES, mode="vectorized") == want
+        assert _analyse_many_in("vectorized", nets, POLICIES) == want
 
     @given(st.lists(
         st.tuples(
@@ -714,11 +721,11 @@ class TestDeadlineOrderStaging:
 
 def _assert_batch_modes_equal():
     nets = _mixed_workload(30, seed="threeway")
-    generic = analyse_many(nets, POLICIES, mode="generic")
-    fast = analyse_many(nets, POLICIES, mode="fast")
+    generic = _analyse_many_in("generic", nets, POLICIES)
+    fast = _analyse_many_in("fast", nets, POLICIES)
     assert fast == generic
-    vec = analyse_many(_mixed_workload(30, seed="threeway"), POLICIES,
-                       mode="vectorized")
+    vec = _analyse_many_in("vectorized",
+                           _mixed_workload(30, seed="threeway"), POLICIES)
     assert vec == generic
 
 
@@ -748,8 +755,8 @@ class TestThreeModeEquality:
     @requires_numpy
     def test_vectorized_iterations_counted(self):
         counters.reset()
-        analyse_many(_mixed_workload(6, seed="count"), POLICIES,
-                     mode="vectorized")
+        _analyse_many_in("vectorized", _mixed_workload(6, seed="count"),
+                         POLICIES)
         snap = counters.snapshot()
         assert snap["vectorized"] > 0
         assert snap["total"] >= snap["vectorized"]
@@ -760,8 +767,8 @@ class TestThreeModeEquality:
         streams = [replace(s, T=float(s.T)) for s in m0.streams]
         broken = replace(net, masters=(m0.with_streams(streams),)
                          + net.masters[1:])
-        rows = analyse_many([broken], POLICIES, mode="vectorized")
-        assert rows == analyse_many([broken], POLICIES, mode="generic")
+        rows = _analyse_many_in("vectorized", [broken], POLICIES)
+        assert rows == _analyse_many_in("generic", [broken], POLICIES)
 
 
 class TestWithoutNumpy:
@@ -814,6 +821,6 @@ class TestWithoutNumpy:
 
         monkeypatch.setattr(vector, "pack_networks", spy)
         nets = _mixed_workload(12, seed="nopack")
-        rows = analyse_many(nets, POLICIES, mode="vectorized")
+        rows = _analyse_many_in("vectorized", nets, POLICIES)
         assert packs == []
-        assert rows == analyse_many(nets, POLICIES, mode="generic")
+        assert rows == _analyse_many_in("generic", nets, POLICIES)
