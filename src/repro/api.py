@@ -37,16 +37,15 @@ the network document and hashes its canonical form, and
 :func:`compute_result` answers a miss over that same pass, so no
 request reads its network document twice.
 
-One analyse route.  An ``analyse`` payload has one builder,
-:func:`_analysis_payload`: straight from the scan's int rows when
-:func:`analyse_columns` takes them, else ``ttr.analyse`` over the
-:class:`~repro.profibus.network.Network` built from the scan (the
-generic reference, non-int documents).  An admission's ``before`` and
+One column reader.  Every op but ``monitor`` reads the scan's
+:class:`~repro.profibus.timing.Columns` (``Tdel`` from its ``C``
+column, the ``(T, D, J)`` columns) and builds no ``Network``; one is
+built for a monitor check, and from each scan the reader declines (the
+generic reference, non-int documents).  An ``analyse`` payload has one
+builder, :func:`_analysis_payload`.  An admission's ``before`` and
 ``after`` are that payload of the scan and of the scan with the
 candidate joined (:func:`_admit_stream`, under the model's own rules),
-so the only network an admission builds is the joined one, for an
-admitted stream's headroom searches.  A sweep or a monitor check builds
-its network from the scan once.
+and its headroom searches read the joined columns ``after`` read.
 
 The old call signatures (``repro.profibus.ttr.analyse``,
 ``repro.perf.batch.analyse_many``, the sweep functions) remain as the
@@ -64,27 +63,23 @@ from fractions import Fraction
 from functools import cached_property
 from math import isfinite
 from numbers import Real
-from typing import (TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional,
-                    Tuple, Union)
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
+from .perf import kernels
 from .perf.batch import (
     _master_responses,
     dm_order_responses,
     fold_column,
     master_partial,
-    spec_columns,
 )
 from .perf.cache import ResultCache
-from .perf.kernels import iteration_bound
-from .perf.config import analysis_mode
 from .profibus import serialization as serialization_mod
 from .profibus import sweep as sweep_mod
 from .profibus import ttr as ttr_mod
-from .profibus.cycle import token_pass_time
 from .profibus.network import Network, check_master, check_network
 from .profibus.serialization import (NetworkScan, ScannedMaster,
                                      ScenarioFormatError)
-from .profibus.timing import tcycle_of_cycles
+from .profibus.timing import Columns, columns_or_network
 from .schemas import API_SCHEMA
 
 if TYPE_CHECKING:  # the monitor (and the simulator it loads) stays lazy
@@ -353,86 +348,39 @@ class AnalysisResult:
 
 # ---------------------------------------------------------------- compute
 
-class AnalyseColumns(NamedTuple):
-    """What an all-int ``analyse`` reads of its scan, derived once: the
-    TTR, eqs. (13)/(14)'s ``Tcycle`` from the ``C`` column and, per
-    master with high-priority streams, ``(master name, stream names,
-    (T, D, J) column)``.  The daemon bounds a miss's kernel work from it
-    (:meth:`iteration_bound`) and :func:`compute_result` answers from
-    it, so ``Tcycle`` is not derived twice."""
-
-    ttr: int
-    tcycle: int
-    masters: Tuple[Tuple[str, List[str], tuple], ...]
-
-    def iteration_bound(self, policy: str) -> Optional[int]:
-        """:func:`repro.perf.kernels.iteration_bound` over every master
-        column (``None``: some master's ``U ≥ 1``)."""
-        return iteration_bound(policy, [specs for _m, _n, specs
-                                         in self.masters], self.tcycle)
-
-
-def analyse_columns(scan: NetworkScan,
-                    refined: bool) -> Optional[AnalyseColumns]:
-    """The :class:`AnalyseColumns` of ``scan``.  ``None`` (build the
-    network instead) when a ``T``, ``D``, ``J``, ``C`` or the TTR is not
-    a plain int (a float attribute, a cycle spec ``cycle_time`` rejects,
-    no TTR) or under the generic reference."""
-    ttr = scan.ttr
-    if type(ttr) is not int or analysis_mode() == "generic":
-        return None
-    cm: List[int] = []
-    chm: List[int] = []
-    masters = []
-    for master in scan.masters:
-        longest = longest_high = 0
-        names = []
-        specs = []
-        for name, (t, d, j, high, c) in zip(master.names, master.rows):
-            if (type(t) is not int or type(d) is not int
-                    or type(j) is not int or type(c) is not int):
-                return None
-            if c > longest:
-                longest = c
-            if high:
-                if c > longest_high:
-                    longest_high = c
-                names.append(name)
-                specs.append((t, d, j))
-        cm.append(longest)
-        chm.append(longest_high)
-        if specs:
-            masters.append((master.name, names, tuple(specs)))
+def _tcycle(columns: Columns) -> int:
+    """Eq. (14) at the network's own TTR, or the request's fault."""
     try:
-        tc = tcycle_of_cycles(ttr, len(cm) * token_pass_time(scan.phy),
-                              cm, chm, refined=refined)
+        return columns.tcycle()
     except ValueError as exc:
         raise ApiError(str(exc)) from exc
-    return AnalyseColumns(ttr, tc, tuple(masters))
 
 
-def _analysis_payload(scan: Union[NetworkScan, AnalyseColumns], policy: str,
-                      refined: bool) -> Dict[str, Any]:
-    """The ``analyse`` payload of ``scan`` (or of the
-    :class:`AnalyseColumns` already read from it).  When
-    :func:`analyse_columns` takes the scan: one whole-master kernel run
-    per master, no objects.  Otherwise ``ttr.analyse`` over the network
-    built from the scan: the generic reference, and the documents the
-    columns decline."""
-    columns = (scan if isinstance(scan, AnalyseColumns)
-               else analyse_columns(scan, refined))
-    if columns is None:
+def iteration_bound(columns: Columns, policy: str) -> Optional[int]:
+    """:func:`repro.perf.kernels.iteration_bound` of an ``analyse`` over
+    ``columns``: the daemon's inline-or-executor test."""
+    return kernels.iteration_bound(policy, columns.specs, _tcycle(columns))
+
+
+def _analysis_payload(source: Union[NetworkScan, Columns, Network],
+                      policy: str, refined: bool) -> Dict[str, Any]:
+    """The ``analyse`` payload of a scan (or of what
+    :func:`~repro.profibus.timing.columns_or_network` made of one): one
+    kernel run per master column, or ``ttr.analyse`` where the reader
+    declines."""
+    source = columns_or_network(source, refined)
+    if isinstance(source, Network):
         try:
-            res = ttr_mod.analyse(scan.network(), policy, refined=refined)
+            res = ttr_mod.analyse(source, policy, refined=refined)
         except ValueError as exc:
             raise ApiError(str(exc)) from exc
         ttr, tc = res.ttr, res.tcycle
         rows = [(sr.master, sr.stream.name, sr.R, sr.stream.D)
                 for sr in res.per_stream]
     else:
-        ttr, tc = columns.ttr, columns.tcycle
+        ttr, tc = source.ttr, _tcycle(source)
         rows = [(master, name, r, d)
-                for master, names, specs in columns.masters
+                for (master, names), specs in zip(source.names, source.specs)
                 for name, (_t, d, _j), r
                 in zip(names, specs, _master_responses(policy, specs, tc))]
     schedulable = True
@@ -447,22 +395,22 @@ def _analysis_payload(scan: Union[NetworkScan, AnalyseColumns], policy: str,
             "schedulable": schedulable, "streams": streams}
 
 
-def _compute_sweep(request: AnalysisRequest, net: Network,
+def _compute_sweep(request: AnalysisRequest, scan: NetworkScan,
                    fingerprint: str) -> AnalysisResult:
     policies = request.policies
     try:
         if request.sweep_param == "ttr":
-            rows = sweep_mod.ttr_sweep(net, request.sweep_values,
+            rows = sweep_mod.ttr_sweep(scan, request.sweep_values,
                                        policies=policies)
         elif request.sweep_param == "deadline-scale":
             rows = sweep_mod.deadline_scale_sweep(
-                net, request.sweep_values, policies=policies
+                scan, request.sweep_values, policies=policies
             )
         else:
             values = ([int(v) for v in request.sweep_values]
                       if request.sweep_values else None)
             rows = sweep_mod.baud_sweep(
-                net, values if values is not None
+                scan, values if values is not None
                 else sweep_mod.STANDARD_BAUD_RATES,
                 policies=policies,
             )
@@ -534,22 +482,15 @@ def _admit_stream(scan: NetworkScan, address: int,
                                doc={**scan.doc, "masters": docs})
 
 
-def _deadline_tightening_limit(net: Network, policy: str,
-                               refined: bool) -> Optional[float]:
+def _tightening_limit(source: Union[Columns, Network], policy: str,
+                      refined: bool) -> Optional[float]:
     """Smallest factor every deadline can be scaled down to with the
     network still schedulable — the sensitivity-analysis headroom
     figure, through the same monotone bisection the core's critical
     scaling factor uses.  ``None`` when the network is not schedulable
-    even unscaled (the bisection's infeasible-at-upper case)."""
-    return _tightening_limit_on(net, policy, refined,
-                                spec_columns(net, refined=refined))
-
-
-def _tightening_limit_on(net: Network, policy: str, refined: bool,
-                         base: Optional[tuple]) -> Optional[float]:
-    """:func:`_deadline_tightening_limit` over ``base``, the network's
-    ``spec_columns`` at its own TTR (``None``: declined, a scaled
-    network analysed per probe).
+    even unscaled (the bisection's infeasible-at-upper case).
+    ``source`` is the network's :class:`Columns`, or the network itself
+    when the reader declined it (a scaled network analysed per probe).
 
     ``Tcycle`` and the ``(T, J)`` columns do not move with the
     deadlines: each probe rewrites only the D columns (see
@@ -567,14 +508,14 @@ def _tightening_limit_on(net: Network, policy: str, refined: bool,
     deadline)."""
     from .core.sensitivity import smallest_feasible_factor
 
-    if base is None:
+    if isinstance(source, Network):
         def feasible(factor: Fraction) -> bool:
-            scaled = sweep_mod._scale_deadlines(net, float(factor))
+            scaled = sweep_mod._scale_deadlines(source, float(factor))
             return ttr_mod.analyse(scaled, policy,
                                    refined=refined).schedulable
     else:
-        tc = base[0]
-        masters = [specs for specs in base[1] if specs]
+        tc = source.tcycle()
+        masters = list(source.specs)
         runs: dict = {}
         busy: dict = {}
 
@@ -595,30 +536,38 @@ def _tightening_limit_on(net: Network, policy: str, refined: bool,
     return None if limit is None else float(limit)
 
 
-def _headroom(net: Network, policy: str, refined: bool) -> Dict[str, Any]:
+def _headroom(source: Union[Columns, Network], policy: str,
+              refined: bool) -> Dict[str, Any]:
     """Max feasible TTR and deadline-tightening limit of a schedulable
-    network.  Both searches share one ``spec_columns`` read at the ring
-    latency: the tightening's ``Tcycle`` at the network's own TTR is
-    that read's ``Tcycle − ring latency + TTR``."""
-    ring = net.ring_latency()
-    base = spec_columns(net, ring, refined=refined)
-    max_ttr = ttr_mod.max_feasible_ttr_on(net, policy, refined, base)
-    if base is not None:
-        tc = base[0] - ring + net.require_ttr()
-        base = (tc, base[1]) if type(tc) is int else None
+    network, both searched over one read of it: its :class:`Columns`,
+    or the network when the reader declined it."""
     return {
-        "max_feasible_ttr": max_ttr,
-        "deadline_tightening_limit": _tightening_limit_on(
-            net, policy, refined, base),
+        "max_feasible_ttr": ttr_mod.max_feasible_ttr(source, policy,
+                                                     refined),
+        "deadline_tightening_limit": _tightening_limit(source, policy,
+                                                       refined),
     }
 
 
 def _compute_admission(request: AnalysisRequest, scan: NetworkScan,
                        fingerprint: str) -> AnalysisResult:
     before = _analysis_payload(scan, request.policy, request.refined)
-    joined = _admit_stream(scan, request.admission_master,
-                           request.admission_stream)
+    joined = columns_or_network(
+        _admit_stream(scan, request.admission_master,
+                      request.admission_stream), request.refined)
     after = _analysis_payload(joined, request.policy, request.refined)
+    headroom: Dict[str, Any] = {"max_feasible_ttr": None,
+                                "deadline_tightening_limit": None}
+    if after["schedulable"]:
+        headroom = _headroom(joined, request.policy, request.refined)
+    return _admission_result(request, fingerprint, before, after, headroom)
+
+
+def _admission_result(request: AnalysisRequest, fingerprint: str,
+                      before: Dict[str, Any], after: Dict[str, Any],
+                      headroom: Dict[str, Any]) -> AnalysisResult:
+    """The admission answer from its parts; a broken stream met its
+    deadline ``before`` and misses it ``after``."""
     admitted = bool(after["schedulable"])
     ok_before = {
         (row["master"], row["stream"])
@@ -631,11 +580,6 @@ def _compute_admission(request: AnalysisRequest, scan: NetworkScan,
         if not row["schedulable"] and (row["master"], row["stream"])
         in ok_before
     ]
-    headroom: Dict[str, Any] = {"max_feasible_ttr": None,
-                                "deadline_tightening_limit": None}
-    if admitted:
-        headroom = _headroom(joined.network(), request.policy,
-                             request.refined)
     payload = {
         "policy": request.policy,
         "refined": request.refined,
@@ -683,9 +627,6 @@ def _compute_monitor(request: AnalysisRequest, net: Network,
     )
 
 
-_COMPUTE = {"sweep": _compute_sweep, "monitor": _compute_monitor}
-
-
 # ------------------------------------------------------------- entrypoint
 
 def keyed_network(request: AnalysisRequest) -> Tuple[NetworkScan, str]:
@@ -705,13 +646,14 @@ def keyed_network(request: AnalysisRequest) -> Tuple[NetworkScan, str]:
 
 
 def compute_result(request: AnalysisRequest,
-                   scan: Union[NetworkScan, AnalyseColumns],
+                   scan: Union[NetworkScan, Columns],
                    fingerprint: str) -> AnalysisResult:
     """The compute step: answer ``request`` over the scan and
-    fingerprint :func:`keyed_network` returned for it, or over the
-    :class:`AnalyseColumns` already read from that scan (the daemon's
-    inline ``analyse``), by the one analyse route the module docstring
-    describes.  Never consults a cache."""
+    fingerprint :func:`keyed_network` returned for it, or, for an
+    ``analyse``, over the :class:`Columns` already read from that scan
+    (the daemon's inline route).  Every op but ``monitor`` reads the
+    scan's columns and builds a network only where the reader declines
+    them (see the module docstring).  Never consults a cache."""
     if request.op == "analyse":
         payload = _analysis_payload(scan, request.policy, request.refined)
         return AnalysisResult(op="analyse", fingerprint=fingerprint,
@@ -719,7 +661,9 @@ def compute_result(request: AnalysisRequest,
                               payload=payload)
     if request.op == "admission":
         return _compute_admission(request, scan, fingerprint)
-    return _COMPUTE[request.op](request, scan.network(), fingerprint)
+    if request.op == "sweep":
+        return _compute_sweep(request, scan, fingerprint)
+    return _compute_monitor(request, scan.network(), fingerprint)
 
 
 def execute_cached(

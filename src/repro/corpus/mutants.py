@@ -21,11 +21,11 @@ Catalogue (each entry names the layer it corrupts):
   elementwise-max deadlines, to every member column without the
   member's own ``R ≤ D`` verdict, so a deadline-scale sweep point
   reads responses its tighter deadlines reject.
-* ``dm-order-key-drops-order`` — ``perf.batch.dm_order_key`` leaves
-  the DM priority order out of the group key, so columns whose orders
-  differ share one kernel run made in the max column's order; killed by
-  the ``probe:dm-order`` entry, whose DM order flips between the sweep
-  factors.
+* ``dm-order-key-drops-order`` — ``perf.batch.dm_order`` gives every
+  column the same DM priority order, which drops the order out of the
+  group key, so columns whose orders differ share one kernel run made
+  in the max column's order; killed by the ``probe:dm-order`` entry,
+  whose DM order flips between the sweep factors.
 * ``fcfs-queue-undercount`` — eq. (11) with ``(nh−1)·Tcycle``.
 * ``edf-blocking-subtract-one`` — eqs. (17)–(18) with the ``C−1``
   blocking refinement the paper's transfer explicitly does not use.
@@ -152,11 +152,11 @@ def _dm_stale_cache():
 def _dm_order_key_drops_order():
     from ..perf import batch as batch_mod
 
-    def orderless_key(specs, tc):
+    def no_order(specs):
         # BUG: columns with different DM priority orders share a group
-        return (tuple((t, j) for t, _d, j in specs), tc)
+        return ()
 
-    return _patched((batch_mod, "dm_order_key", orderless_key))
+    return _patched((batch_mod, "dm_order", no_order))
 
 
 # ---------------------------------------------------- FCFS / EDF mutants

@@ -144,7 +144,7 @@ DM_ORDER_PROBE_HORIZON = 20_000
 def dm_order_probe_network() -> "Network":
     """A master that stays DM-schedulable at both sweep factors while
     its DM priority order flips between them — the canary for the DM
-    order-group key (:func:`repro.perf.batch.dm_order_key`).
+    order-group key (:func:`repro.perf.batch.dm_order`).
 
     ``drive`` has the tightest deadline at factor 0.7003 (its ``D`` is
     well below ``T``) but the loosest at 1.25, where every scaled

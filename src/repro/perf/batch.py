@@ -46,9 +46,8 @@ from typing import (
 )
 
 from ..gen.network_gen import random_network
-from ..profibus.network import Network, stream_specs
-from ..profibus.timing import tcycle as compute_tcycle
-from ..profibus.timing import tdel
+from ..profibus.network import Network
+from ..profibus.timing import network_columns, tdel
 from ..profibus.ttr import analyse, check_policy
 from . import kernels
 from .config import analysis_mode, analysis_mode_set, scoped_analysis_mode
@@ -141,33 +140,6 @@ def combine_partials(index: int, policy: str, tcycle: int,
                  worst_slack if schedulable else None, tcycle))
 
 
-def _fold_responses(index, policy, tcycle, pairs) -> BatchResult:
-    """Fold every stream's ``(response, deadline)`` pair of a network
-    into one BatchResult: the network as a single partial."""
-    return combine_partials(index, policy, tcycle, (fold_pairs(pairs),))
-
-
-def spec_columns(network: Network, ttr: Optional[int] = None,
-                 refined: bool = False) -> Optional[Tuple[int, List[tuple]]]:
-    """``(Tcycle, per-master (T, D, J) columns)`` — the input of
-    :func:`summarise_columns` — for the network at ``ttr`` (default: its
-    own TTR), or ``None`` when a master has non-int stream attributes,
-    the generic reference is active or ``Tcycle`` is not an int (the
-    caller then takes the full analysis path)."""
-    columns = []
-    for master in network.masters:
-        specs = stream_specs(master)
-        if specs is None:
-            return None
-        columns.append(specs)
-    if ttr is None:
-        ttr = network.require_ttr()
-    tc = compute_tcycle(network, ttr, refined=refined)
-    if type(tc) is not int:
-        return None
-    return tc, columns
-
-
 def _master_responses(policy: str, specs: tuple, tc: int,
                       busy: Optional[dict] = None) -> list:
     """Per-stream responses of one master's ``(T, D, J)`` column at
@@ -208,28 +180,26 @@ def master_partial(policy: str, specs: tuple, tc: int,
     return fold_column(specs, _master_responses(policy, specs, tc, busy))
 
 
-def dm_order_key(specs: tuple, tc: int) -> tuple:
-    """``((T, J) column, DM priority order, tc)`` — what the eq. (16)
-    kernel reads of a master column besides its deadlines (see
-    :func:`dm_order_responses`)."""
+def dm_order(specs: tuple) -> tuple:
+    """The DM priority order of a ``(T, D, J)`` column: its indices
+    sorted stably by ``D``, the kernel's ``(D, i)`` order."""
     deadlines = [d for _t, d, _j in specs]
-    # a stable sort of the indices by D is the kernel's (D, i) order
-    return (tuple([(t, j) for t, _d, j in specs]),
-            tuple(sorted(range(len(specs)), key=deadlines.__getitem__)),
-            tc)
+    return tuple(sorted(range(len(specs)), key=deadlines.__getitem__))
 
 
 def dm_order_responses(columns: Sequence[tuple], tc: int,
                        runs: dict) -> List[list]:
-    """DM responses of every ``(T, D, J)`` column in ``columns`` at one
-    ``tc``, one kernel run per **DM order group**.
+    """DM responses of every ``(T, D, J)`` column in ``columns`` — one
+    master's columns, which share its ``(T, J)`` column and differ only
+    in ``D`` — at one ``tc``, one kernel run per **DM order group**.
 
     Eq. (16) with ``C = tc`` reads a deadline in two places only: the
     priority order ``sorted(range(n), key=(D, i))`` and each stream's
     verdict.  Blocking, the level-i busy period, the instance count, the
     start-time recurrences and the float utilisation guard see only
-    ``(T, J)``, ``tc`` and the order.  So columns sharing a
-    :func:`dm_order_key` differ only in the verdicts, and the kernel
+    ``(T, J)``, ``tc`` and the order.  So columns sharing a key
+    ``((T, J) column, order, tc)`` (:func:`dm_order`) differ only in
+    the verdicts, and the kernel
     runs once per group on the group's **elementwise-max D column**:
 
     * the max column has the group's order.  If every member puts
@@ -270,8 +240,10 @@ def dm_order_responses(columns: Sequence[tuple], tc: int,
     """
     out: List[Optional[list]] = [None] * len(columns)
     pending: Dict[tuple, List[int]] = {}
+    # the (T, J) part of every key: built once per call
+    tj = tuple([(t, j) for t, _d, j in columns[0]]) if columns else ()
     for k, specs in enumerate(columns):
-        key = dm_order_key(specs, tc)
+        key = (tj, dm_order(specs), tc)
         run = runs.get(key)
         if run is not None and all(
                 d <= top for (_t, d, _j), top in zip(specs, run[0])):
@@ -315,14 +287,14 @@ def summarise_columns(policy: str, tc: int, columns: Sequence[tuple],
 
 
 def _analyse_one(index: int, network: Network, policy: str) -> BatchResult:
-    base = spec_columns(network)
-    if base is not None:
-        return summarise_columns(policy, base[0], base[1], index)
+    columns = network_columns(network)
+    if columns is not None:
+        return summarise_columns(policy, columns.tcycle(), columns.specs,
+                                 index)
     res = analyse(network, policy)
-    return _fold_responses(
-        index, policy, res.tcycle,
-        ((sr.R, sr.stream.D) for sr in res.per_stream),
-    )
+    # the network as a single partial
+    return combine_partials(index, policy, res.tcycle, (fold_pairs(
+        (sr.R, sr.stream.D) for sr in res.per_stream),))
 
 
 def _pooled_chunk(

@@ -30,8 +30,9 @@ The switch is an internal oracle seam, not a user knob: the corpus
 goldens, the fuzz oracles and perfbench's generic reference run the
 accelerated engines against the generic one on identical inputs.  On
 the analysis side one seam reads it,
-:func:`repro.profibus.network.stream_specs` (``None`` under
-``generic``, so no kernel runs); :mod:`repro.core` never does.
+:func:`repro.profibus.network.kernels_enabled`: ``stream_specs`` and
+the column reader ``timing.read_columns`` decline under ``generic``, so
+no kernel runs; :mod:`repro.core` never reads it.
 
 The process default is ``fast``.  A scoped override
 (:func:`analysis_mode_set`) lives in a context variable, so overlapping

@@ -203,20 +203,30 @@ class Network:
         return replace(self, ttr=ttr)
 
     def require_ttr(self) -> int:
-        if self.ttr is None:
-            raise ValueError(
-                "network.ttr is not set; call with_ttr() or derive one via repro.profibus.ttr"
-            )
-        return self.ttr
+        return require_ttr(self.ttr)
+
+
+def require_ttr(ttr: Optional[int]) -> int:
+    """``ttr``, or the canonical error for a network without one."""
+    if ttr is None:
+        raise ValueError(
+            "network.ttr is not set; call with_ttr() or derive one via repro.profibus.ttr"
+        )
+    return ttr
+
+
+def kernels_enabled() -> bool:
+    """``False`` under the ``generic`` reference, which calls no kernel:
+    the one place :mod:`repro.profibus` reads the analysis mode."""
+    return analysis_mode() != "generic"
 
 
 def stream_specs(master: Master) -> Optional[tuple]:
     """``(T, D, J)`` per high-priority stream when all are plain ints —
     the whole-master kernel input (see :mod:`repro.perf.kernels`) —
-    else ``None``; always ``None`` under the ``generic`` reference, so
-    that reference calls no kernel.  The one place :mod:`repro.profibus`
-    reads the analysis mode."""
-    if analysis_mode() == "generic":
+    else ``None``; always ``None`` under the ``generic`` reference
+    (:func:`kernels_enabled`), so that reference calls no kernel."""
+    if not kernels_enabled():
         return None
     specs = tuple((s.T, s.D, s.J) for s in master.high_streams)
     for t, d, j in specs:

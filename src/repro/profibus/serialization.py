@@ -62,6 +62,7 @@ from .network import (Master, Network, Slave, check_address, check_master,
                       check_network)
 from .phy import PhyParameters
 from .stream import MessageStream, check_stream
+from .timing import Columns, read_columns
 
 
 class ScenarioFormatError(ValueError):
@@ -182,6 +183,10 @@ class NetworkScan:
         """The scan of the same network at TTR ``ttr`` (a positive int,
         as :class:`repro.api.AnalysisRequest` checks it)."""
         return dataclasses.replace(self, ttr=ttr, doc={**self.doc, "ttr": ttr})
+
+    def columns(self, refined: bool = False) -> Optional[Columns]:
+        """:func:`~repro.profibus.timing.read_columns` of its rows."""
+        return read_columns(self.ttr, self.phy, self.masters, refined)
 
     def network(self) -> Network:
         """The :class:`Network` the document describes."""

@@ -13,11 +13,11 @@ each:
   (bit-time parameters are baud-invariant, deadlines in seconds are
   not, so this shows the minimum line speed for a plant).
 
-No sweep builds a network per point.  Each reads the base
-``(T, D, J)`` columns once (:func:`repro.perf.batch.spec_columns`) and
-rewrites one input per point: the TTR sweep sets
-``Tcycle = TTR + Tdel`` with ``Tdel`` derived once; the deadline-scale
-sweep keeps ``Tcycle`` and rewrites the D column
+No sweep builds a network per point.  Each reads the columns of a
+:class:`Network` (or of its document's scan, which then builds none)
+once (:func:`repro.profibus.timing.columns_or_network`) and rewrites
+one input per point: the TTR sweep sets ``Tcycle = TTR + Tdel``; the
+deadline-scale sweep keeps ``Tcycle`` and rewrites the D column
 (:func:`scaled_deadline` is the one scaling formula); the baud sweep
 rescales ``(T, D, J)`` and the TTR, since frame and timer bit counts,
 hence ``Tdel`` and the ring latency, do not change with the line speed.
@@ -33,7 +33,7 @@ enter eq. (16) only through the priority order and the final
 ``R ≤ D`` verdict, so the DM kernel runs once per priority-order group
 of a master's columns, on the group's elementwise-max deadlines
 (:func:`repro.perf.batch.dm_order_responses`, which argues why that
-is exact).  Networks the column path declines are built as networks
+is exact).  Networks the column reader declines are built as networks
 per point and evaluated through one in-process
 :func:`repro.perf.batch.analyse_many` call.
 
@@ -58,12 +58,11 @@ from ..perf.batch import (
     dm_order_responses,
     fcfs_partial,
     fold_pairs,
-    spec_columns,
     summarise_columns,
 )
-from .network import Master, Network
-from .phy import STANDARD_BAUD_RATES, PhyParameters
-from .stream import MessageStream
+from .network import Network, require_ttr
+from .phy import STANDARD_BAUD_RATES
+from .timing import Columns, columns_or_network
 from .ttr import check_policy
 
 DEFAULT_POLICIES = ("fcfs", "dm", "edf")
@@ -127,35 +126,33 @@ def ttr_sweep(
     """Analyse the network at each TTR (values below the ring latency
     are reported unschedulable rather than raising).
 
-    The TTR moves only ``Tcycle = TTR + Tdel``: ``Tdel`` and the
-    ``(T, D, J)`` columns are read once (:func:`spec_columns` at the
-    ring latency) and each grid point runs the kernels at its own
-    ``Tcycle``.  Networks the column path declines are analysed as
-    objects, one :meth:`Network.with_ttr` copy per point."""
-    ring = network.ring_latency()
+    The TTR moves only ``Tcycle = TTR + Tdel``: the columns are read
+    once and each grid point runs the kernels at its own ``Tcycle``.
+    Networks the column reader declines are analysed as objects, one
+    :meth:`Network.with_ttr` copy per point."""
     # Round — never truncate — float grid values, and judge
     # feasibility on the rounded TTR actually analysed.
     points = [(ttr, int(round(ttr))) for ttr in ttr_values]
-    base = None
-    if any(t >= ring for _ttr, t in points):
-        base = spec_columns(network, ring)
-    if base is None:
-        entries = [(ttr, network.with_ttr(t) if t >= ring else None)
+    source = columns_or_network(network)
+    if isinstance(source, Network):
+        ring = source.ring_latency()
+        entries = [(ttr, source.with_ttr(t) if t >= ring else None)
                    for ttr, t in points]
         return _grid_rows("ttr", entries, policies)
+    ring = source.ring
     policies = tuple(policies)
-    for policy in policies:
-        check_policy(policy)
-    tc_ring, columns = base
-    lateness = tc_ring - ring
+    if any(t >= ring for _ttr, t in points):
+        # an all-infeasible grid analyses nothing, as on the object path
+        for policy in policies:
+            check_policy(policy)
     rows: List[SweepRow] = []
     for ttr, t in points:
         for policy in policies:
             if t < ring:
                 rows.append(SweepRow("ttr", ttr, policy, False, None, None, 0))
                 continue
-            tc = t + lateness
-            b = summarise_columns(policy, tc, columns)
+            tc = t + source.lateness
+            b = summarise_columns(policy, tc, source.specs)
             rows.append(SweepRow("ttr", ttr, policy, b.schedulable,
                                  b.worst_response, b.worst_slack, tc))
     return rows
@@ -178,7 +175,7 @@ def scaled_deadline(D: int, T: int, factor: float) -> int:
 
 def _scale_deadlines(network: Network, factor: float) -> Network:
     """The network with every deadline scaled — the object path, for
-    networks :func:`repro.perf.batch.spec_columns` declines."""
+    networks the column reader declines."""
     masters = []
     for m in network.masters:
         streams = [s.with_deadline(scaled_deadline(s.D, s.T, factor))
@@ -212,18 +209,21 @@ def _master_points(specs: tuple, factors: Sequence[float]) -> tuple:
     return points, {column: ds for ds, column in columns.items()}
 
 
-def _distinct_partials(policy: str, tc: int, deadlines: dict) -> dict:
-    """``column → Partial`` at one ``Tcycle`` for every column of
-    ``deadlines`` (``column → its D vector``): FCFS in closed form
+def _distinct_partials(policy: str, tc: int, masters: Sequence[dict]
+                       ) -> dict:
+    """``column → Partial`` at one ``Tcycle`` for every column of each
+    master's ``column → its D vector`` dict: FCFS in closed form
     (:func:`repro.perf.batch.fcfs_partial`), DM through one kernel run
-    per order group (:func:`repro.perf.batch.dm_order_responses`), EDF
-    through one kernel run per column sharing one busy-period memo."""
+    per order group of a master's columns
+    (:func:`repro.perf.batch.dm_order_responses`), EDF through one
+    kernel run per column sharing one busy-period memo."""
+    if policy == "dm":
+        return {c: fold_pairs(zip(r, ds)) for deadlines in masters
+                for (c, ds), r in zip(deadlines.items(), dm_order_responses(
+                    list(deadlines), tc, {}))}
+    deadlines = {c: ds for columns in masters for c, ds in columns.items()}
     if policy == "fcfs":
         return {c: fcfs_partial(c, tc) for c in deadlines}
-    if policy == "dm":
-        values = dm_order_responses(list(deadlines), tc, {})
-        return {c: fold_pairs(zip(responses, ds))
-                for (c, ds), responses in zip(deadlines.items(), values)}
     busy: dict = {}
     edf = kernels.edf_master_response_times
     return {c: fold_pairs(zip([r for r, _a in edf(c, tc, 4, busy)], ds))
@@ -274,20 +274,19 @@ def deadline_scale_sweep(
     policies = tuple(policies)
     for policy in policies:
         check_policy(policy)
-    base = spec_columns(network)
-    if base is None:
+    source = columns_or_network(network)
+    if isinstance(source, Network):
         entries = [
-            (factor, _scale_deadlines(network, factor)) for factor in factors
+            (factor, _scale_deadlines(source, factor)) for factor in factors
         ]
         return _grid_rows("deadline_scale", entries, policies)
-    tc, columns = base
+    tc = source.tcycle()
     masters = []
-    deadlines: dict = {}  # every distinct column of the call → D vector
-    for specs in columns:
-        if specs:
-            points, distinct = _master_points(specs, factors)
-            masters.append(points)
-            deadlines.update(distinct)
+    deadlines = []  # per master: its distinct columns → D vector
+    for specs in source.specs:
+        points, distinct = _master_points(specs, factors)
+        masters.append(points)
+        deadlines.append(distinct)
     partials = {policy: _distinct_partials(policy, tc, deadlines)
                 for policy in dict.fromkeys(policies)}
     return _combined_rows("deadline_scale", factors, policies, tc, masters,
@@ -300,10 +299,9 @@ def _rescaled(value, scale: float) -> int:
     return max(1, int(round(value * scale)))
 
 
-def _rescaled_spec(stream: MessageStream, scale: float) -> tuple:
-    """The stream's ``(T, D, J)`` at another line speed."""
-    return (_rescaled(stream.T, scale), _rescaled(stream.D, scale),
-            int(round(stream.J * scale)))
+def _rescaled_spec(T, D, J, scale: float) -> tuple:
+    """A stream's ``(T, D, J)`` at another line speed."""
+    return _rescaled(T, scale), _rescaled(D, scale), int(round(J * scale))
 
 
 def _rescale_network(network: Network, baud: int) -> Network:
@@ -315,7 +313,7 @@ def _rescale_network(network: Network, baud: int) -> Network:
     for m in network.masters:
         streams = []
         for s in m.streams:
-            T, D, J = _rescaled_spec(s, scale)
+            T, D, J = _rescaled_spec(s.T, s.D, s.J, scale)
             streams.append(dataclasses.replace(s, T=T, D=D, J=J))
         masters.append(m.with_streams(streams))
     phy = dataclasses.replace(network.phy, baud_rate=baud)
@@ -327,18 +325,20 @@ def _rescale_network(network: Network, baud: int) -> Network:
     )
 
 
-def _rescale_columns(network: Network, scale: float):
-    """``(TTR, per-master high-priority (T, D, J) columns)`` of the
-    network at ``scale`` times its line speed — the numbers
-    :func:`_rescale_network` builds, in the order it computes them
-    (every stream, then the TTR), so an overflowing product raises
-    where it does there."""
-    columns = []
-    for m in network.masters:
-        specs = [(_rescaled_spec(s, scale), s.high_priority)
-                 for s in m.streams]
-        columns.append(tuple(spec for spec, high in specs if high))
-    return _rescaled(network.require_ttr(), scale), columns
+def _rescale_columns(columns: Columns, baud: int):
+    """``(TTR, high-priority (T, D, J) columns)`` at ``baud``: the
+    numbers and checks of :func:`_rescale_network`, in its order (every
+    stream, the PHY, then the TTR), so a bad value raises as there."""
+    scale = baud / columns.phy.baud_rate
+    specs = []
+    for _address, _name, _names, rows, _cycles in columns.masters:
+        rescaled = [(_rescaled_spec(t, d, j, scale), high)
+                    for t, d, j, high, _c in rows]
+        column = tuple([spec for spec, high in rescaled if high])
+        if column:
+            specs.append(column)
+    dataclasses.replace(columns.phy, baud_rate=baud)  # the PHY's checks
+    return _rescaled(require_ttr(columns.ttr), scale), specs
 
 
 def baud_sweep(
@@ -354,45 +354,40 @@ def baud_sweep(
     changing the line speed of a real plant does.
 
     Fixed bit counts mean ``Tdel`` and the ring latency do not move with
-    the baud rate.  So ``Tdel`` is read once (:func:`spec_columns` at
-    the ring latency) and each rate rescales only ``(T, D, J)`` and the
-    TTR, with ``Tcycle = TTR + Tdel``; the rows combine per-master
-    partial folds as :func:`deadline_scale_sweep` does.  Networks the
-    column path declines, and grids with a rate that is not positive
-    (the object path reports it), are rescaled and analysed as
-    networks.
+    the baud rate.  So the columns are read once and each rate rescales
+    only ``(T, D, J)`` and the TTR, with ``Tcycle = TTR + Tdel``; the
+    rows combine per-master partial folds as
+    :func:`deadline_scale_sweep` does.  Networks the column reader
+    declines are rescaled and analysed as networks.
     """
     bauds = list(baud_rates)
-    ring = network.ring_latency()
-    base = None
-    if bauds and all(baud > 0 for baud in bauds):
-        base = spec_columns(network, ring)
-    if base is None:
+    source = columns_or_network(network)
+    if isinstance(source, Network):
+        ring = source.ring_latency()
         entries = []
         for baud in bauds:
-            net = _rescale_network(network, baud)
+            net = _rescale_network(source, baud)
             entries.append((baud, net if net.ttr >= ring else None))
         return _grid_rows("baud", entries, policies)
-    lateness = base[0] - ring
-    points = [_rescale_columns(network, baud / network.phy.baud_rate)
-              for baud in bauds]
+    ring = source.ring
+    points = [_rescale_columns(source, baud) for baud in bauds]
     policies = tuple(policies)
-    if any(ttr >= ring for ttr, _columns in points):
+    if any(ttr >= ring for ttr, _specs in points):
         # an all-infeasible grid analyses nothing, as on the object path
         for policy in policies:
             check_policy(policy)
     rows: List[SweepRow] = []
-    for baud, (ttr, columns) in zip(bauds, points):
+    for baud, (ttr, specs) in zip(bauds, points):
         if ttr < ring:
             rows.extend(SweepRow("baud", baud, policy, False, None, None, 0)
                         for policy in policies)
             continue
-        tc = ttr + lateness
-        deadlines = {c: tuple([d for _t, d, _j in c]) for c in columns if c}
+        tc = ttr + source.lateness
+        deadlines = [{c: tuple([d for _t, d, _j in c])} for c in specs]
         partials = {policy: _distinct_partials(policy, tc, deadlines)
                     for policy in dict.fromkeys(policies)}
         rows += _combined_rows("baud", (baud,), policies, tc,
-                               [[c] for c in columns if c], partials)
+                               [[c] for c in specs], partials)
     return rows
 
 

@@ -23,6 +23,7 @@ from .fcfs import fcfs_analysis
 from .fcfs import max_feasible_ttr as fcfs_max_ttr
 from .network import Network
 from .results import NetworkAnalysis
+from .timing import columns_or_network
 
 _POLICIES: dict = {
     "fcfs": fcfs_analysis,
@@ -59,53 +60,30 @@ def schedulable_with_ttr(
 
 
 def max_feasible_ttr(
-    network: Network,
+    network,
     policy: str = "fcfs",
     refined: bool = False,
     hi: Optional[int] = None,
 ) -> Optional[int]:
     """Largest TTR (≥ ring latency) keeping ``policy`` schedulable.
 
-    Uses eq. (15) directly for FCFS; a search on the monotone
-    feasibility predicate for DM/EDF (:func:`max_feasible_ttr_on`).
-    Returns ``None`` when even the minimum TTR fails.
+    ``network`` is a :class:`Network`, its scan or the
+    :class:`~repro.profibus.timing.Columns` already read from either
+    (:func:`~repro.profibus.timing.columns_or_network`; columns carry
+    their ``Tdel``, so ``refined`` then goes unread).  Returns ``None``
+    when even the minimum TTR fails.  FCFS is eq. (15) in closed form,
+    ``⌊min D / nh⌋ − Tdel``; DM/EDF search the monotone feasibility
+    predicate.  Over columns, each probe runs the kernels at
+    ``Tcycle = TTR + Tdel``; over a network the reader declines, each
+    probe is a full analysis (FCFS:
+    :func:`repro.profibus.fcfs.max_feasible_ttr`).
 
-    ``Tdel`` and the ``(T, D, J)`` columns do not move with the TTR, so
-    the search reads them once (:func:`repro.perf.batch.spec_columns`
-    at the ring latency) and each probe runs the kernels at
-    ``Tcycle = TTR + Tdel``; networks the column path declines are
-    analysed in full per probe.
-    """
-    base = None
-    if policy != "fcfs":
-        check_policy(policy)
-        # perf.batch imports this module: bind its column reader late
-        from ..perf.batch import spec_columns
-
-        base = spec_columns(network, network.ring_latency(),
-                            refined=refined)
-    return max_feasible_ttr_on(network, policy, refined, base, hi)
-
-
-def max_feasible_ttr_on(
-    network: Network,
-    policy: str,
-    refined: bool,
-    base: Optional[tuple],
-    hi: Optional[int] = None,
-) -> Optional[int]:
-    """:func:`max_feasible_ttr` over ``base``, the network's
-    ``spec_columns(network, ring latency, refined)`` read (``None``:
-    declined, a full analysis per probe; FCFS reads neither) — the
-    entry point for callers that read the columns for more than this
-    search.
-
-    On the column path the search runs **master by master**.  Every
-    master is checked at the ring latency ``lo`` (the network is
-    rejected as before if one fails).  Then each master in turn costs
-    one probe when it is feasible at the current ``hi``; otherwise that
-    master alone is bisected in ``[lo, hi]`` and ``hi`` becomes its
-    largest feasible TTR.  The master likeliest to bind goes first
+    Over columns the search runs **master by master**.  Every master is
+    checked at the ring latency ``lo`` (the network is rejected if one
+    fails).  Then each master in turn costs one probe when it is
+    feasible at the current ``hi``; otherwise that master alone is
+    bisected in ``[lo, hi]`` and ``hi`` becomes its largest feasible
+    TTR.  The master likeliest to bind goes first
     (:func:`_binding_guess`), so the later ones mostly cost one probe.
     The result is the network bisection's: each
     master's verdict is monotone in ``tc``, so the largest TTR feasible
@@ -125,66 +103,50 @@ def max_feasible_ttr_on(
     the offset, which is above ``D``, so the stream's verdict is
     "infeasible" either way and the verdict stays monotone.
     """
-    ring = lo = network.ring_latency()
-    if policy == "fcfs":
-        closed = fcfs_max_ttr(network, refined=refined)
-        if closed is None or closed < ring:
-            return None
-        # eq. (15) is exact for FCFS, but keep the contract honest:
-        return closed
-    # perf.batch imports this module: bind its column evaluator late
-    from ..perf.batch import master_partial
+    check_policy(policy)
+    source = columns_or_network(network, refined)
+    if isinstance(source, Network):
+        ring = lo = source.ring_latency()
+        if policy == "fcfs":
+            closed = fcfs_max_ttr(source, refined=refined)
+            return None if closed is None or closed < ring else closed
+        deadlines = [s.D for m in source.masters for s in m.high_streams]
+        predicates = [lambda t: t >= ring and analyse(
+            source, policy, t, refined=refined).schedulable]
+    else:
+        ring = lo = source.ring
+        if policy == "fcfs":
+            best = min((d // len(specs) for specs in source.specs
+                        for _t, d, _j in specs), default=None)
+            if best is None or best - source.lateness < ring:
+                return None
+            return best - source.lateness
+        deadlines = [d for specs in source.specs for _t, d, _j in specs]
+        # perf.batch imports this module: bind its column evaluator late
+        from ..perf.batch import master_partial
 
+        predicates = [
+            lambda t, specs=specs: master_partial(
+                policy, specs, t + source.lateness)[0]
+            for specs in sorted(source.specs, key=_binding_guess)]
     if hi is None:
-        hi = max(
-            (s.D for m in network.masters for s in m.high_streams),
-            default=lo,
-        )
-        hi = max(hi, lo)
-    if base is None:
-        def feasible(t: int) -> bool:
-            return t >= ring and analyse(network, policy, t,
-                                         refined=refined).schedulable
-
+        hi = max(max(deadlines, default=lo), lo)
+    for feasible in predicates:
         if not feasible(lo):
-            return None
-        # Invariant: lo feasible. Grow hi until infeasible or proven
-        # maximal.
-        if feasible(hi):
-            return hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    lateness = base[0] - ring
-    # Any visiting order gives the same result.  Visit first the master
-    # likeliest to bind, so the masters after it tend to pass at the
-    # lowered hi in one probe.
-    columns = sorted((specs for specs in base[1] if specs),
-                     key=_binding_guess)
-
-    def master_feasible(specs: tuple, t: int) -> bool:
-        return master_partial(policy, specs, t + lateness)[0]
-
-    for specs in columns:
-        if not master_feasible(specs, lo):
             return None
     if hi <= lo:
         # the network search returns lo for any hi below it
         return lo
-    for specs in columns:
+    for feasible in predicates:
         if hi == lo:
-            break  # every master is feasible at lo
-        if master_feasible(specs, hi):
+            break  # feasible at lo
+        if feasible(hi):
             continue
-        # Invariant: this master is feasible at a, infeasible at b.
+        # Invariant: feasible at a, infeasible at b.
         a, b = lo, hi
         while b - a > 1:
             mid = (a + b) // 2
-            if master_feasible(specs, mid):
+            if feasible(mid):
                 a = mid
             else:
                 b = mid
@@ -194,7 +156,7 @@ def max_feasible_ttr_on(
 
 def _binding_guess(specs: tuple) -> int:
     """A rough Tcycle above which the master stops being schedulable —
-    only an ordering key for :func:`max_feasible_ttr_on`: a stream of
+    only an ordering key for :func:`max_feasible_ttr`: a stream of
     DM rank ``k`` waits about ``k + 2`` token cycles (blocking, ``k``
     higher-priority messages, its own)."""
     deadlines = sorted(d for _t, d, _j in specs)

@@ -41,20 +41,18 @@ served in up to four steps:
    here;
 4. a miss is computed by :func:`repro.api.compute_result` over the scan
    and the fingerprint, and its encoded result populates the cache.  An
-   all-int ``analyse`` reads its columns and ``Tcycle`` once
-   (:func:`repro.api.analyse_columns`); when their kernel iteration
-   bound (:meth:`repro.api.AnalyseColumns.iteration_bound`) is at most
-   :data:`INLINE_ITERATIONS` it is answered right on the event loop,
-   where a thread hop would buy nothing under the GIL.  Everything else
-   (the other ops, an ``analyse`` with some master at ``U ≥ 1``, one
-   over the bound, one the columns decline) runs on the loop's default
-   thread executor, so a long analysis cannot stall the accept loop.
-   There a sweep or a monitor check builds its ``Network`` from the
-   scan, once; an admission joins its candidate stream to the scan,
-   answers ``before`` and ``after`` as an ``analyse`` would, and builds
-   the joined ``Network`` only for an admitted stream's headroom
-   searches.  Nothing is parsed a second time.  The ``stats`` op
-   counts both routes (``compute``).
+   all-int ``analyse`` reads the scan's columns once
+   (:meth:`repro.profibus.serialization.NetworkScan.columns`); when
+   their kernel iteration bound (:func:`repro.api.iteration_bound`) is
+   at most :data:`INLINE_ITERATIONS` it is answered right on the event
+   loop, where a thread hop would buy nothing under the GIL.
+   Everything else (the other ops, an ``analyse`` with some master at
+   ``U ≥ 1``, one over the bound, one the columns decline) runs on the
+   loop's default thread executor, so a long analysis cannot stall the
+   accept loop.  There a sweep or an admission reads the scan's
+   columns too and builds no ``Network``; a monitor check, and any
+   scan the column reader declines, builds it once.  Nothing is parsed
+   a second time.  The ``stats`` op counts both routes (``compute``).
 
 Each analysis request counts exactly one cache hit or one miss: a known
 spelling whose value key has been evicted counts its miss at step 1 and
@@ -79,7 +77,7 @@ from . import protocol
 from .sessions import SessionRegistry, SessionStats
 
 #: The largest kernel iteration bound
-#: (:meth:`repro.api.AnalyseColumns.iteration_bound`) of an ``analyse``
+#: (:func:`repro.api.iteration_bound`) of an ``analyse``
 #: miss computed on the event loop itself.  Every perfbench daemon-mix
 #: document of seeds 1-10 bounds at most 2,714 (p99 below 1,150).  On a
 #: 2-CPU x86 container (Python 3.11), columns hill-climbed toward the
@@ -298,10 +296,10 @@ class AnalysisServer:
         bound does not exist)."""
         net: Any = scan
         if request.op == "analyse":
-            columns = api.analyse_columns(scan, request.refined)
+            columns = scan.columns(request.refined)
             if columns is not None:
                 net = columns
-                bound = columns.iteration_bound(request.policy)
+                bound = api.iteration_bound(columns, request.policy)
                 if bound is not None and bound <= INLINE_ITERATIONS:
                     self._computed["inline"] += 1
                     return api.compute_result(request, columns, fingerprint)

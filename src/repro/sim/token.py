@@ -272,6 +272,8 @@ class TokenBusConfig:
     warm_start: bool = True
     #: Optional :class:`repro.sim.trace.BusTrace` recording every token
     #: arrival and message cycle (see that module for the timeline view).
+    #: The simulator appends to ``events`` itself: a subclass overriding
+    #: ``record`` would be bypassed, so it is refused (``TypeError``).
     tracer: Optional[BusTrace] = None
     #: Gap update factor G: every G-th token visit a master issues one
     #: FDL-Request-Status poll (worst case: unanswered), scheduled out of
@@ -325,6 +327,9 @@ def simulate_token_bus(
     tracer = config.tracer
     traced = tracer is not None
     if traced:
+        if type(tracer).record is not BusTrace.record:
+            raise TypeError(f"{type(tracer).__name__} overrides BusTrace."
+                            "record, which the simulator bypasses")
         trace_events = tracer.events
         trace_append = trace_events.append
         trace_cap = tracer.max_events

@@ -433,10 +433,14 @@ class TestAdmissionRoute:
         with pytest.raises(ApiError):
             api.admission_check(doc, 2, dict(light, name="io-scan-a"))
         assert built == []
-        assert api.admission_check(doc, 2, light).payload["admitted"] is True
-        (joined,) = built
-        assert [m.names[-1] for m in joined.masters if m.address == 2] \
-            == ["new"]
+        admitted = api.admission_check(doc, 2, light).payload
+        assert admitted["admitted"] is True
+        assert admitted["headroom"]["max_feasible_ttr"] is not None
+        # the headroom searches read the joined scan's columns
+        assert built == []
+        joined = [row["stream"] for row in admitted["after"]["streams"]
+                  if row["master"] == "plc"]  # the master at address 2
+        assert joined[-1] == "new"
 
 
 class TestCaching:

@@ -293,8 +293,8 @@ def _edf_columns():
     hyperperiod branch, columns over U = 1 and near saturation."""
     from repro.corpus import load_corpus
     from repro.fuzz import FAMILIES, generate_instance
-    from repro.perf.batch import spec_columns
     from repro.profibus.sweep import scale_column
+    from repro.profibus.timing import network_columns
     from repro.scenarios import factory_cell_network
 
     nets = [entry.network() for entry in load_corpus(CORPUS_DIR)]
@@ -303,14 +303,13 @@ def _edf_columns():
              for family in sorted(FAMILIES) for index in range(12)]
     out = []
     for net in nets:
-        base = spec_columns(net)
-        if base is None:
+        columns = network_columns(net)
+        if columns is None:
             continue
-        tc, columns = base
-        for specs in columns:
-            if specs:
-                out += [(tc, specs)] + [(tc, scale_column(specs, f))
-                                        for f in (0.3, 0.7, 1.5)]
+        tc = columns.tcycle()
+        for specs in columns.specs:
+            out += [(tc, specs)] + [(tc, scale_column(specs, f))
+                                    for f in (0.3, 0.7, 1.5)]
     # U = 1 exactly (the hyperperiod branch; with jitter its plain busy
     # period diverges, see test_u_one_with_jitter_diverges)
     out += [(100, ((200, 150, 0), (400, 400, 0), (400, 90, 0))),

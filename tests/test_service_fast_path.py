@@ -172,16 +172,16 @@ class TestIterationBound:
     def test_counted_iterations_never_exceed_the_bound(self):
         checked = 0
         for label, doc in _bound_documents():
-            columns = api.analyse_columns(scan_network(doc), False)
+            columns = scan_network(doc).columns()
             if columns is None:
                 continue
             for policy in ("fcfs", "dm", "edf"):
-                bound = columns.iteration_bound(policy)
+                bound = api.iteration_bound(columns, policy)
                 if bound is None:
                     continue
                 counters.reset()
-                for _m, _names, specs in columns.masters:
-                    api._master_responses(policy, specs, columns.tcycle)
+                for specs in columns.specs:
+                    api._master_responses(policy, specs, columns.tcycle())
                 assert counters.fast <= bound, (label, policy)
                 checked += 1
         counters.reset()
@@ -243,9 +243,9 @@ class TestRouting:
     def test_near_saturation_edf_takes_the_executor(self):
         # tc = 110, U = 220/221
         doc = _edge_doc(100, 10, (221, 221))
-        columns = api.analyse_columns(scan_network(doc["network"]), False)
-        assert columns.tcycle == 110
-        assert columns.iteration_bound("edf") > INLINE_ITERATIONS
+        columns = scan_network(doc["network"]).columns()
+        assert columns.tcycle() == 110
+        assert api.iteration_bound(columns, "edf") > INLINE_ITERATIONS
         replies, compute = self._serve([doc])
         assert compute == {"inline": 0, "executor": 1}
         assert replies[0].result == api.execute_request_doc(doc)
@@ -258,10 +258,10 @@ class TestRouting:
         executor answers at once)."""
         tc = 1_000_300
         wide = _edge_doc(10**6, 300, (2 * tc - 1, 2 * tc + 1))
-        columns = api.analyse_columns(scan_network(wide["network"]), False)
-        assert columns.tcycle == tc
-        assert columns.iteration_bound("edf") is None
-        assert columns.iteration_bound("dm") is None
+        columns = scan_network(wide["network"]).columns()
+        assert columns.tcycle() == tc
+        assert api.iteration_bound(columns, "edf") is None
+        assert api.iteration_bound(columns, "dm") is None
         docs = [_edge_doc(100, 10, (219, 221), policy)
                 for policy in ("dm", "edf")]
         replies, compute = self._serve(docs)

@@ -3,11 +3,11 @@
 Scaling every deadline moves only ``D``: ``Tcycle``, ``C`` and the
 ``(T, J)`` columns stay those of the base network.  A TTR moves only
 ``Tcycle = TTR + Tdel``, and ``Tdel`` depends only on cycle lengths.  So
-``deadline_scale_sweep``, ``ttr_sweep``, ``api._deadline_tightening_limit``
+``deadline_scale_sweep``, ``ttr_sweep``, ``api._tightening_limit``
 and the DM/EDF ``ttr.max_feasible_ttr`` evaluate ``(T, D, J)`` columns
-read once per call instead of building and analysing a network per
-point.  These tests hold the column path to the object path it
-replaced:
+read once per call (``timing.network_columns``) instead of building and
+analysing a network per point.  These tests hold the column path to the
+object path it replaced:
 
 * row for row against the pre-change construction (a scaled or
   ``with_ttr`` ``Network`` per point through ``_grid_rows``) and against
@@ -17,8 +17,9 @@ replaced:
 * the two bisections against their old predicates, for both ``Tdel``
   bounds and all three policies;
 * call counts: cycle lengths are derived a number of times independent
-  of grid length and bisection depth, and a deadline-scale sweep runs
-  the kernels once per distinct ``(policy, column)``;
+  of grid length and bisection depth (and never from a scan, which
+  holds them), and a deadline-scale sweep runs the kernels once per
+  distinct ``(policy, column)``;
 * no analysis writes anything onto the model objects.
 """
 
@@ -36,10 +37,9 @@ from repro.corpus import load_corpus
 from repro.fuzz import FAMILIES, generate_instance
 from repro.perf import kernels
 from repro.perf.batch import (
-    dm_order_key,
+    dm_order,
     dm_order_responses,
     master_partial,
-    spec_columns,
     summarise_columns,
 )
 from repro.perf.stats import counters
@@ -51,6 +51,7 @@ from repro.profibus import stream as stream_mod
 from repro.profibus.phy import PhyParameters
 from repro.profibus.serialization import network_to_dict
 from repro.profibus.stream import MessageStream
+from repro.profibus.timing import columns_or_network, network_columns
 from repro.scenarios import factory_cell_network
 
 REPO_CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -160,6 +161,13 @@ def _search(fn, net, policy, refined):
     return _SEARCHES[key][1]
 
 
+def _tightening_limit(net, policy, refined):
+    """An admitted stream's deadline-tightening search over ``net``: its
+    columns, or the network itself where the reader declines them."""
+    return api._tightening_limit(columns_or_network(net, refined), policy,
+                                 refined)
+
+
 def _scale_columns(columns, factor):
     """Every master's ``(T, D, J)`` column with only ``D`` scaled."""
     return [sweep.scale_column(specs, factor) for specs in columns]
@@ -258,7 +266,9 @@ class TestSweepParity:
 
     def test_hand_built_edge_cases(self):
         net = _hand_built()
-        assert spec_columns(net)[1][1] == ()  # the all-low master
+        # the all-low master M2 has no column
+        assert [name for name, _streams in network_columns(net).names] \
+            == ["M1", "M3"]
         rows = sweep.deadline_scale_sweep(net, FACTORS)
         legacy = _legacy_rows(net, FACTORS)
         assert _same_rows(rows, legacy)
@@ -267,7 +277,7 @@ class TestSweepParity:
 
     def test_non_int_stream_takes_the_object_path(self, monkeypatch):
         net = _non_int()
-        assert spec_columns(net) is None
+        assert network_columns(net) is None
         calls = []
         scale = sweep._scale_deadlines
         monkeypatch.setattr(
@@ -350,15 +360,15 @@ class TestBisectionParity:
     def test_deadline_tightening_limit(self, refined):
         for net in _bisection_networks():
             for policy in POLICIES:
-                got = _search(api._deadline_tightening_limit, net, policy,
+                got = _search(_tightening_limit, net, policy,
                               refined)
                 assert got == _outcome(_legacy_tightening_limit, net,
                                        policy, refined), (policy, net)
                 with _no_busy_memo():
-                    assert got == _outcome(api._deadline_tightening_limit,
+                    assert got == _outcome(_tightening_limit,
                                            net, policy, refined)
                 with analysis_mode_set("generic"):
-                    assert got == _outcome(api._deadline_tightening_limit,
+                    assert got == _outcome(_tightening_limit,
                                            net, policy, refined)
 
     @pytest.mark.parametrize("refined", [False, True])
@@ -470,22 +480,25 @@ class TestCallCounts:
         assert scale_calls == []
         # EDF: one kernel call per distinct (master, column); DM: at
         # most one per (master, DM order group), fewer than columns
-        tc, columns = spec_columns(net)
+        columns = network_columns(net)
+        tc, columns = columns.tcycle(), columns.specs
         scaled = [(m, specs) for factor in GRID
                   for m, specs in enumerate(_scale_columns(columns, factor))
                   if specs]
         edf = [specs for policy, specs in kernel_calls if policy == "edf"]
         dm = [specs for policy, specs in kernel_calls if policy == "dm"]
         assert sorted(edf) == sorted({specs for _m, specs in scaled})
-        groups = {(m, dm_order_key(specs, tc)[1]) for m, specs in scaled}
+        groups = {(m, dm_order(specs)) for m, specs in scaled}
         assert 0 < len(dm) <= len(groups) < len(edf)
-        assert len({dm_order_key(specs, tc) for specs in dm}) == len(dm)
+        # one run per group: ((T, J) column, DM order) of the runs differ
+        assert len({(tuple((t, j) for t, _d, j in specs), dm_order(specs))
+                    for specs in dm}) == len(dm)
 
     def test_ttr_sweep_derives_cycles_once(self, monkeypatch):
         net = factory_cell_network()
         grid = _ttr_grid(net)
         calls = _count_cycle_time(monkeypatch)
-        spec_columns(net, net.ring_latency())
+        network_columns(net)
         one_tdel = len(calls)
         for points in (grid[1:2], grid):
             del calls[:]
@@ -498,7 +511,7 @@ class TestCallCounts:
         net = factory_cell_network()
         ring = net.ring_latency()
         calls = _count_cycle_time(monkeypatch)
-        spec_columns(net, ring, refined=refined)
+        network_columns(net, refined)
         one_tdel = len(calls)
         probes = []
 
@@ -520,6 +533,8 @@ class TestCallCounts:
     @pytest.mark.parametrize("policy", ["dm", "edf"])
     def test_admission_reads_tdel_once_for_both_searches(
             self, policy, refined, monkeypatch):
+        """Once: from the scan, which holds every ``C``.  An admission
+        derives no cycle length from a stream object."""
         net = factory_cell_network()
         stream = {"name": "joining", "T": 120_000, "D": 60_000}
         address = net.masters[0].address
@@ -530,22 +545,25 @@ class TestCallCounts:
         scan, fingerprint = api.keyed_network(request)
         after_net = api._admit_stream(scan, address, stream).network()
         calls = _count_cycle_time(monkeypatch)
-        spec_columns(after_net, after_net.ring_latency(), refined=refined)
-        one_read = len(calls)
-        del calls[:]
+        bits = []
+        real_bits = MessageStream.cycle_bits
+        monkeypatch.setattr(MessageStream, "cycle_bits",
+                            lambda s, phy: bits.append(s)
+                            or real_bits(s, phy))
         result = api.compute_result(request, scan, fingerprint)
+        assert calls == [] and bits == []
+        # a read of the joined network's objects would derive them
+        network_columns(after_net, refined)
+        assert len(calls) > 0 and len(bits) > 0
         headroom = result.payload["headroom"]
         assert result.payload["admitted"]
         assert headroom["max_feasible_ttr"] is not None
         assert headroom["deadline_tightening_limit"] is not None
-        # the before and after payloads read the scan's C column: only
-        # the searches' one read derives cycles from the streams
-        assert one_read > 0 and len(calls) == one_read
-        # and the shared read gives the separate searches' answers
+        # the shared read gives the separate searches' answers
         assert headroom["max_feasible_ttr"] == ttr.max_feasible_ttr(
             after_net, policy, refined=refined)
         assert headroom["deadline_tightening_limit"] == \
-            api._deadline_tightening_limit(after_net, policy, refined)
+            _tightening_limit(after_net, policy, refined)
 
 
 def _model_objects(net):
@@ -577,7 +595,9 @@ class TestModelObjectsUntouched:
         for policy in POLICIES:
             ttr.analyse(net, policy)
             ttr.max_feasible_ttr(net, policy)
-            api._headroom(net, policy, False)  # an admission's searches
+            # an admission's searches, over the columns and the objects
+            api._headroom(network_columns(net), policy, False)
+            api._headroom(net, policy, False)
         sweep.ttr_sweep(net, [ring, ring + 500, ring + 5_000])
         sweep.deadline_scale_sweep(net, GRID)
         sweep.baud_sweep(net)
@@ -661,7 +681,8 @@ class TestBoundedWork:
 
     @staticmethod
     def _check(net, factors=GRID):
-        tc, columns = spec_columns(net)
+        columns = network_columns(net)
+        tc, columns = columns.tcycle(), columns.specs
         points = [_scale_columns(columns, f) for f in factors]
 
         def each_point():
@@ -690,7 +711,8 @@ class TestBoundedWork:
 
     def test_instance_zero_failure_with_a_long_busy_period(self):
         net = _late_jitter_master()
-        tc, columns = spec_columns(net)
+        columns = network_columns(net)
+        tc, columns = columns.tcycle(), columns.specs
         (_hp, (T, _D, J)), = columns
         L = kernels.busy_period([(tc, t, j) for t, _d, j in columns[0]])
         assert -(-(L + J) // T) >= 100
@@ -705,11 +727,11 @@ def _legacy_column_max_ttr(net, policy, refined):
     """The network-wide bisection over ``summarise_columns`` that the
     master-wise search replaced (a test oracle only)."""
     ring = lo = net.ring_latency()
-    tc_ring, columns = spec_columns(net, ring, refined=refined)
+    columns = network_columns(net, refined)
 
     def feasible(t):
-        return summarise_columns(policy, t - ring + tc_ring,
-                                 columns).schedulable
+        return summarise_columns(policy, columns.tcycle(t),
+                                 columns.specs).schedulable
 
     if not feasible(lo):
         return None
@@ -729,7 +751,8 @@ def _legacy_column_max_ttr(net, policy, refined):
 def _legacy_column_tightening(net, policy, refined):
     """The all-masters deadline-tightening bisection over
     ``summarise_columns`` (a test oracle only)."""
-    tc, columns = spec_columns(net, refined=refined)
+    columns = network_columns(net, refined)
+    tc, columns = columns.tcycle(), columns.specs
 
     def feasible(factor):
         scaled = _scale_columns(columns, float(factor))
@@ -752,7 +775,7 @@ class TestHeadroomOracles:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_deadline_tightening_limit(self, policy, refined):
         for net in _oracle_networks():
-            assert _search(api._deadline_tightening_limit, net, policy,
+            assert _search(_tightening_limit, net, policy,
                            refined) == \
                 _outcome(_legacy_column_tightening, net, policy,
                          refined), net

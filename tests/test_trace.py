@@ -23,6 +23,31 @@ def _traced_run(net, horizon=200_000, policy="stock-fcfs"):
 
 
 class TestTraceRecording:
+    def test_a_recorder_overriding_record_is_refused(self, single_master):
+        """The simulator appends to ``events`` itself, so an override of
+        ``record`` would be skipped without a word."""
+
+        class Filtering(BusTrace):
+            def record(self, event):
+                if event.kind != TOKEN_ARRIVAL:
+                    super().record(event)
+
+        cfg = TokenBusConfig(policy="stock-fcfs", tracer=Filtering())
+        with pytest.raises(TypeError, match="Filtering overrides "
+                                            "BusTrace.record"):
+            simulate_token_bus(single_master, 200_000, config=cfg)
+        assert cfg.tracer.events == []
+
+    def test_a_subclass_keeping_record_still_traces(self, single_master):
+        class Tagged(BusTrace):
+            label = "run-1"
+
+        trace = Tagged()
+        cfg = TokenBusConfig(policy="stock-fcfs", tracer=trace)
+        result = simulate_token_bus(single_master, 200_000, config=cfg)
+        assert len(trace.token_arrivals("M1")) == \
+            result.masters["M1"].token_visits
+
     def test_records_token_arrivals(self, single_master):
         trace, result = _traced_run(single_master)
         arrivals = trace.token_arrivals("M1")
