@@ -39,8 +39,9 @@ Sections:
 Besides comparing recomputations against the frozen goldens,
 :func:`check_network_golden` enforces two **self-consistency oracles**
 that do not depend on the stored values at all: the fast and vectorized
-analysis modes must each agree with the generic one, and the scenario
-document must be a round-trip fixed point.  A counterexample promoted into the
+legs (the per-network kernels and the lanes) must each agree with the
+generic one, and the scenario document must be a round-trip fixed
+point.  A counterexample promoted into the
 corpus *before* its bug is fixed therefore keeps failing ``corpus
 check`` even though its goldens were recorded under the bug; once the
 fix lands, ``corpus record --update`` refreezes the corrected values.
@@ -118,11 +119,11 @@ def _analysis_rows(network: Network, policy: str,
     }
 
 
-def _batch_rows(network: Network, policies: Sequence[str]) -> List[List[Any]]:
+def _batch_rows(rows) -> List[List[Any]]:
     return [
         [r.index, r.policy, r.schedulable, r.worst_response, r.worst_slack,
          r.tcycle]
-        for r in batch_mod.analyse_many([network], policies)
+        for r in rows
     ]
 
 
@@ -146,22 +147,21 @@ def _compute_analysis(network: Network, config: Dict[str, Any]) -> Dict[str, Any
                 p: _analysis_rows(network, p, ttr=config["ttr_probe"])
                 for p in policies
             }
-            batch = _batch_rows(network, policies)
-        out["modes"][mode] = {"base": base, "probe": probe, "batch": batch}
+        out["modes"][mode] = {"base": base, "probe": probe}
     # Third leg: the SoA vector kernels.  ``response_rows`` returns the
     # exact ``_analysis_rows`` shape, so the three mode documents stay
     # directly comparable (the kernel-equivalence oracle below relies
     # on that).
-    with analysis_mode_set("vectorized"):
-        batch = _batch_rows(network, policies)
     out["modes"]["vectorized"] = {
         "base": {p: vector_mod.response_rows(network, p) for p in policies},
         "probe": {
             p: vector_mod.response_rows(network, p, ttr=config["ttr_probe"])
             for p in policies
         },
-        "batch": batch,
     }
+    # Each mode's batch summaries come from its own engine.
+    for engine, rows in batch_mod.engine_rows([network], policies):
+        out["modes"][engine]["batch"] = _batch_rows(rows)
     return out
 
 

@@ -5,10 +5,10 @@ A campaign is a pure function of ``(seed, budget, families, policies)``:
 1. generate ``budget`` networks, cycling the requested families, each a
    pure function of ``(seed, family, index)``;
 2. run the **kernel-equivalence oracle at scale**: the whole
-   (network × policy) grid goes through :func:`repro.perf.batch.analyse_many`
-   once per analysis mode — generic exact, fast scalar kernels, and the
-   structure-of-arrays vector kernels — in this process, and the three
-   row lists must be bit-identical;
+   (network × policy) grid goes through :func:`repro.perf.batch.engine_rows`
+   — generic exact, fast scalar kernels, and the structure-of-arrays
+   vector kernels — in this process, and the three row lists must be
+   bit-identical;
 3. run the **per-instance oracles** — **round-trip**, **sweep-scaling**
    (with a seeded scale factor) and **token-bus soundness** (soundness
    rotates through the policies so a budget-``n`` campaign simulates
@@ -49,12 +49,10 @@ from typing import (
     IO,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
-from ..perf.batch import analyse_many, pooled_imap
-from ..perf.config import analysis_mode_set
+from ..perf.batch import engine_rows, pooled_imap
 from ..profibus.network import Network
 from ..schemas import FUZZ_CHECKPOINT_SCHEMA as _CHECKPOINT_SCHEMA
 from .families import FAMILIES, family_rng, generate_instance
@@ -201,12 +199,6 @@ def _sweep_factor(seed: int, family: str, index: int) -> float:
     fine-grid regime where rounding vs truncation differ."""
     return round(family_rng(seed, family, index, salt="sweep")
                  .uniform(0.25, 1.75), 3)
-
-
-def _batch_rows(networks: Sequence[Network], policies: Sequence[str],
-                mode: str):
-    with analysis_mode_set(mode):
-        return analyse_many(networks, policies)
 
 
 def _outcome_doc(oracle: str, outcome: OracleOutcome,
@@ -396,16 +388,15 @@ def run_campaign(config: CampaignConfig = CampaignConfig()) -> CampaignResult:
         ]
         timings["generate_seconds"] = time.perf_counter() - t0
 
-        # -- oracle (b) at scale: one grid per mode ---------------------
+        # -- oracle (b) at scale: one grid per engine -------------------
         # Deterministic and cheap next to the simulations, so a resumed
         # campaign simply recomputes it.
         t0 = time.perf_counter()
-        generic_rows = _batch_rows(networks, config.policies, "generic")
-        fast_rows = _batch_rows(networks, config.policies, "fast")
-        vector_rows = _batch_rows(networks, config.policies, "vectorized")
+        grid = dict(engine_rows(networks, config.policies))
         mismatched = {
             g.index
-            for g, f, v in zip(generic_rows, fast_rows, vector_rows)
+            for g, f, v in zip(grid["generic"], grid["fast"],
+                               grid["vectorized"])
             if f != g or v != g
         }
         for (family, index), net in zip(pairs, networks):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from ..perf import vector
-from ..perf.batch import analyse_many
+from ..perf.batch import engine_rows
 from ..perf.config import analysis_mode_set
 from ..profibus import sweep as sweep_mod
 from ..profibus.network import Network
@@ -243,18 +243,16 @@ def check_kernel_equivalence(
                 f"[{vector.backend_name()} backend] "
                 f"per-stream R diverge: {diff}",
             )
-    with analysis_mode_set("fast"):
-        fast_batch = analyse_many([network], policies)
-    with analysis_mode_set("generic"):
-        generic_batch = analyse_many([network], policies)
+    legs = engine_rows([network], policies)
+    _, generic_batch = next(legs)
+    _, fast_batch = next(legs)
     if fast_batch != generic_batch:
         diff = next(
             (a, b) for a, b in zip(generic_batch, fast_batch) if a != b
         )
         return OracleOutcome(STATUS_FAIL, f"batch summaries diverge: {diff}")
     try:
-        with analysis_mode_set("vectorized"):
-            vec_batch = analyse_many([network], policies)
+        _, vec_batch = next(legs)
     except Exception as exc:  # noqa: BLE001 - any engine defect counts
         return OracleOutcome(
             STATUS_FAIL,

@@ -6,11 +6,13 @@ large grids with no cross-item dependencies.  This module gives that
 layer one engine:
 
 * :func:`analyse_many` — the (network × policy) analysis grid, in one
-  in-process pass.  Under the default ``fast`` mode a grid of at least
-  :data:`VECTOR_MIN_STREAMS` streams goes through the numpy SoA engine
-  of :mod:`repro.perf.vector` and a smaller one through the scalar
-  kernels; an ``analysis_mode_set`` scope forces its engine at every
-  size;
+  in-process pass.  It picks the engine from the grid alone: at least
+  :data:`VECTOR_MIN_STREAMS` streams go through the numpy lanes of
+  :mod:`repro.perf.vector` (:func:`lane_rows`) and a smaller grid
+  through the per-network scalar kernels (:func:`network_rows`); under
+  the ``generic`` reference every grid runs network by network on the
+  generic analyses.  :func:`engine_rows` runs one grid on all three for
+  the oracles;
 * :func:`pooled_map` / :func:`pooled_imap` — chunked process-pool map
   for heavy per-item work (the fuzz soundness simulations): workers
   inherit the caller's analysis mode and report their fixed-point
@@ -46,21 +48,21 @@ from typing import (
 )
 
 from ..gen.network_gen import random_network
-from ..profibus.network import Network
+from ..profibus.network import Network, kernels_enabled
 from ..profibus.timing import network_columns, tdel
 from ..profibus.ttr import analyse, check_policy
 from . import kernels
-from .config import analysis_mode, analysis_mode_set, scoped_analysis_mode
+from .config import analysis_mode, analysis_mode_set
 from .stats import counters
 
 DEFAULT_POLICIES: Tuple[str, ...] = ("fcfs", "dm", "edf")
 
 #: Smallest grid (streams summed over every master of every network)
-#: that :func:`analyse_many` sends through the SoA engine when the
-#: caller names no mode.  The engine needs ``import numpy`` once per
-#: process, 125–170 ms cold on a 2-CPU x86 container; the scalar
-#: kernels cost about 25 µs per stream for the three policies on the
-#: E5 3×3 shape and about 31 µs on a mix with 4–8-master rings.  A grid
+#: that :func:`analyse_many` sends through the SoA engine.  The engine
+#: needs ``import numpy`` once per process, 125–170 ms cold on a 2-CPU
+#: x86 container; the scalar kernels cost about 25 µs per stream for
+#: the three policies on the E5 3×3 shape and about 31 µs on a mix
+#: with 4–8-master rings.  A grid
 #: whose scalar run costs as much as the import, 150 ms / (25–31 µs),
 #: has 4800–6000 streams: below that a cold process (a one-shot CLI
 #: sweep, a service warm-up) would pay more for the import than the
@@ -302,8 +304,8 @@ def _pooled_chunk(
 ) -> Tuple[List[Any], int, int, int]:
     """Worker entry: run one chunk, return results + all three iteration
     tallies.  The counts travel back *separately* — a fast-mode worker
-    can still take generic fallbacks (non-int streams), a vectorized
-    worker still runs fast kernels for unpackable networks, and folding
+    can still take generic fallbacks (non-int streams), a lane grid
+    still runs fast kernels for unpackable networks, and folding
     one combined number into a single parent bucket used to credit those
     iterations to the wrong path."""
     fn, items, mode = payload
@@ -375,18 +377,38 @@ def _analyse_pair(job: Tuple[int, Network],
     return [_analyse_one(index, network, policy) for policy in policies]
 
 
-def _vector_rows(networks: List[Network],
-                 policies: Sequence[str]) -> List[BatchResult]:
-    """One SoA pack for the whole grid: every policy's lanes advance
-    over all networks at once.  Networks the lanes cannot take run
-    :func:`_analyse_one`: all of them without numpy (no pack is built),
-    the unpackable ones, and a policy's packed networks when its pass
-    could wrap int64."""
+def _checked(policies: Sequence[str]) -> Tuple[str, ...]:
+    policies = tuple(policies)
+    for policy in policies:
+        check_policy(policy)
+    return policies
+
+
+def network_rows(networks: Sequence[Network],
+                 policies: Sequence[str] = DEFAULT_POLICIES
+                 ) -> List[BatchResult]:
+    """The per-network engine: each network's column read once, then the
+    scalar kernels per policy (:func:`summarise_columns`), or the
+    generic analysis for a network the reader declines — every network
+    under the ``generic`` reference."""
+    policies = _checked(policies)
+    return [row for job in enumerate(networks)
+            for row in _analyse_pair(job, policies)]
+
+
+def lane_rows(networks: Sequence[Network],
+              policies: Sequence[str] = DEFAULT_POLICIES
+              ) -> List[BatchResult]:
+    """The lane engine: one SoA pack for the whole grid, and every
+    policy's lanes advance over all networks at once.  Networks the
+    lanes cannot take run :func:`_analyse_one`: all of them without
+    numpy (no pack is built), the unpackable ones, and a policy's packed
+    networks when its pass could wrap int64."""
     from . import vector
 
+    policies = _checked(policies)
     if not vector.numpy_available():
-        return [row for job in enumerate(networks)
-                for row in _analyse_pair(job, policies)]
+        return network_rows(networks, policies)
     pack = vector.pack_networks(networks)
     # Rows in (index, policy) order: each policy's rows fill every
     # len(policies)-th slot, and the fallback networks' rows are
@@ -435,32 +457,44 @@ def analyse_many(
 ) -> List[BatchResult]:
     """Analyse every (network, policy) pair in this process.
 
-    An :func:`~repro.perf.config.analysis_mode_set` scope picks the
-    engine (``generic``/``fast``/``vectorized``); under ``vectorized``
-    the whole grid runs through the SoA batch kernels of
-    :mod:`repro.perf.vector` — same results bit for bit, every network's
-    lanes advancing together.  Outside every scope a grid of at least
-    :data:`VECTOR_MIN_STREAMS` streams takes the SoA engine and a
-    smaller one the ``fast`` scalar kernels.  Without numpy,
-    ``vectorized`` analyses network by network on the scalar kernels,
-    as ``fast`` does.  Results come back ordered by (network index,
-    policy position) regardless of the engine.  Every network must carry a
-    TTR at or above its ring latency — pre-filter rows that do not (as
-    the sweep drivers do).
+    The grid picks the engine: at least :data:`VECTOR_MIN_STREAMS`
+    streams run on :func:`lane_rows`, every network's lanes advancing
+    together, and a smaller grid on :func:`network_rows`, so it never
+    pays for ``import numpy``.  Under the ``generic`` reference
+    (:func:`~repro.perf.config.analysis_mode_set`) every grid runs
+    network by network on the generic analyses.  The rows are the same
+    bit for bit on every engine, ordered by (network index, policy
+    position).  Every network must carry a TTR at or above its ring
+    latency — pre-filter rows that do not (as the sweep drivers do).
     """
-    policies = tuple(policies)
-    for policy in policies:
-        check_policy(policy)
     networks = list(networks)
-    mode = scoped_analysis_mode()
-    if mode is None:  # network by network without numpy
-        mode = ("vectorized" if _grid_streams(networks) >= VECTOR_MIN_STREAMS
-                else "fast")
-    with analysis_mode_set(mode):
-        if mode == "vectorized":
-            return _vector_rows(networks, policies)
-        return [row for job in enumerate(networks)
-                for row in _analyse_pair(job, policies)]
+    if kernels_enabled() and _grid_streams(networks) >= VECTOR_MIN_STREAMS:
+        return lane_rows(networks, policies)
+    return network_rows(networks, policies)
+
+
+def engine_rows(
+    networks: Sequence[Network],
+    policies: Sequence[str] = DEFAULT_POLICIES,
+) -> Iterator[Tuple[str, List[BatchResult]]]:
+    """Yield ``(engine, rows)`` for one grid on each engine in turn:
+    ``generic``, the reference (:func:`network_rows` under the
+    ``generic`` mode); ``fast``, the per-network kernels
+    (:func:`network_rows`); and ``vectorized``, the lanes
+    (:func:`lane_rows`) — whatever the grid size and the caller's
+    mode.  Each engine runs only when its rows are asked for, so an
+    oracle can stop at the first divergence and tell which engine
+    raised."""
+    networks = list(networks)
+    with analysis_mode_set("generic"):
+        rows = network_rows(networks, policies)
+    yield "generic", rows
+    with analysis_mode_set("fast"):
+        rows = network_rows(networks, policies)
+    yield "fast", rows
+    with analysis_mode_set("fast"):
+        rows = lane_rows(networks, policies)
+    yield "vectorized", rows
 
 
 def generate_networks(

@@ -1,34 +1,24 @@
-"""Analysis-mode selection (generic / fast / vectorized).
+"""Analysis-mode switch (generic / fast).
 
-Three modes drive the same analyses to bit-identical values:
+Two modes drive the same analyses to bit-identical values:
 
 ``generic``
     The exact reference path: the generic fixed-point drivers of
     :mod:`repro.core` over the object model.  Always available; it
     calls no kernel.
 ``fast``
-    The whole-master integer kernels of :mod:`repro.perf.kernels`; no
-    analysis result is cached on the model objects.  Bit-identical to
-    ``generic``
-    (property-tested), so **on by default**.  Outside every
-    :func:`analysis_mode_set` scope, :func:`repro.perf.batch.analyse_many`
-    runs a grid of at least :data:`repro.perf.batch.VECTOR_MIN_STREAMS`
-    streams on the ``vectorized`` engine instead (same rows bit for
-    bit); smaller grids stay on the scalar kernels, so they never pay
-    for ``import numpy``.  A scoped ``fast`` keeps every grid scalar.
-``vectorized``
-    The structure-of-arrays batch kernels of
-    :mod:`repro.perf.vector`: whole batches of networks advance their
-    fixed-point recurrences together, one instruction stream per sweep.
-    Scalar (non-batch) entry points under this mode use the fast
-    kernels — the vector engine engages at the batch driver
-    (:func:`repro.perf.batch.analyse_many`), at every grid size.  It
-    needs numpy: without it, and for every network the lanes cannot
-    take, the batch driver runs the fast kernels network by network.
+    The accelerated engines, **on by default**: the whole-master
+    integer kernels of :mod:`repro.perf.kernels` (no analysis result is
+    cached on the model objects) and, for a batch grid of at least
+    :data:`repro.perf.batch.VECTOR_MIN_STREAMS` streams, the numpy
+    lanes of :mod:`repro.perf.vector`.  The mode does not pick between
+    those two: :func:`repro.perf.batch.analyse_many` does, from the
+    grid size alone.
 
 The switch is an internal oracle seam, not a user knob: the corpus
 goldens, the fuzz oracles and perfbench's generic reference run the
-accelerated engines against the generic one on identical inputs.  On
+accelerated engines against the generic one on identical inputs
+(:func:`repro.perf.batch.engine_rows` runs a grid on all three).  On
 the analysis side one seam reads it,
 :func:`repro.profibus.network.kernels_enabled`: ``stream_specs`` and
 the column reader ``timing.read_columns`` decline under ``generic``, so
@@ -44,25 +34,17 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Optional
 
 #: The recognised analysis modes, in baseline-first order.
-ANALYSIS_MODES = ("generic", "fast", "vectorized")
+ANALYSIS_MODES = ("generic", "fast")
 
-#: The innermost :func:`analysis_mode_set` scope of the current context.
-_override: ContextVar[Optional[str]] = ContextVar("analysis_mode",
-                                                  default=None)
+#: The mode of the innermost :func:`analysis_mode_set` scope.
+_mode: ContextVar[str] = ContextVar("analysis_mode", default="fast")
 
 
 def analysis_mode() -> str:
-    """The active analysis mode (``generic``/``fast``/``vectorized``)."""
-    return _override.get() or "fast"
-
-
-def scoped_analysis_mode() -> Optional[str]:
-    """The mode of the innermost :func:`analysis_mode_set` scope
-    (``None`` outside every scope, where the ``fast`` default holds)."""
-    return _override.get()
+    """The active analysis mode (``generic``/``fast``)."""
+    return _mode.get()
 
 
 @contextmanager
@@ -72,8 +54,8 @@ def analysis_mode_set(mode: str):
         raise ValueError(
             f"unknown analysis mode {mode!r} (expected one of {ANALYSIS_MODES})"
         )
-    token = _override.set(mode)
+    token = _mode.set(mode)
     try:
         yield
     finally:
-        _override.reset(token)
+        _mode.reset(token)

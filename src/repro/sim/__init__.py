@@ -1,7 +1,7 @@
 """Discrete-event simulators: the PROFIBUS token bus (§3.1 pseudocode)
 and a uniprocessor scheduler used to validate the §2 analyses."""
 
-from .engine import EventHandle, Simulator
+from .engine import Simulator
 from .queues import DMQueue, EDFQueue, FCFSQueue, Request, StackQueue, make_queue
 from .trace import (
     CYCLE_END,
@@ -50,7 +50,6 @@ __all__ = [
     "TOKEN_ARRIVAL",
     "render_timeline",
     "EDFQueue",
-    "EventHandle",
     "FCFSQueue",
     "MasterStats",
     "ReleasePattern",

@@ -9,60 +9,35 @@ class TestScheduling:
     def test_fires_in_time_order(self):
         sim = Simulator()
         fired = []
-        sim.schedule(5, lambda: fired.append("b"))
-        sim.schedule(1, lambda: fired.append("a"))
-        sim.schedule(9, lambda: fired.append("c"))
-        sim.run_all()
+        sim.post(5, lambda: fired.append("b"))
+        sim.post(1, lambda: fired.append("a"))
+        sim.post(9, lambda: fired.append("c"))
+        sim.run_until(9)
         assert fired == ["a", "b", "c"]
         assert sim.now == 9
 
     def test_same_time_priority_order(self):
         sim = Simulator()
         fired = []
-        sim.schedule(3, lambda: fired.append("mac"), priority=PRIO_MAC)
-        sim.schedule(3, lambda: fired.append("release"), priority=PRIO_RELEASE)
-        sim.run_all()
+        sim.post(3, lambda: fired.append("mac"), priority=PRIO_MAC)
+        sim.post(3, lambda: fired.append("release"), priority=PRIO_RELEASE)
+        sim.run_until(3)
         assert fired == ["release", "mac"]
 
     def test_same_time_same_priority_fifo(self):
         sim = Simulator()
         fired = []
         for i in range(5):
-            sim.schedule(1, lambda i=i: fired.append(i))
-        sim.run_all()
+            sim.post(1, lambda i=i: fired.append(i))
+        sim.run_until(1)
         assert fired == [0, 1, 2, 3, 4]
 
     def test_schedule_in_past_rejected(self):
         sim = Simulator()
-        sim.schedule(5, lambda: None)
-        sim.step()
+        sim.post(5, lambda: None)
+        sim.run_until(5)
         with pytest.raises(ValueError):
-            sim.schedule(4, lambda: None)
-
-    def test_schedule_in_relative(self):
-        sim = Simulator()
-        out = []
-        sim.schedule(2, lambda: sim.schedule_in(3, lambda: out.append(sim.now)))
-        sim.run_all()
-        assert out == [5]
-
-
-class TestCancellation:
-    def test_cancelled_event_skipped(self):
-        sim = Simulator()
-        fired = []
-        h = sim.schedule(1, lambda: fired.append("x"))
-        h.cancel()
-        sim.run_all()
-        assert fired == []
-        assert h.cancelled
-
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        h = sim.schedule(1, lambda: None)
-        sim.schedule(7, lambda: None)
-        h.cancel()
-        assert sim.peek_time() == 7
+            sim.post(4, lambda: None)
 
 
 class TestRunUntil:
@@ -70,7 +45,7 @@ class TestRunUntil:
         sim = Simulator()
         fired = []
         for t in (1, 5, 10, 15):
-            sim.schedule(t, lambda t=t: fired.append(t))
+            sim.post(t, lambda t=t: fired.append(t))
         sim.run_until(10)
         assert fired == [1, 5, 10]
         assert sim.now == 10
@@ -78,7 +53,7 @@ class TestRunUntil:
     def test_horizon_inclusive(self):
         sim = Simulator()
         fired = []
-        sim.schedule(10, lambda: fired.append(1))
+        sim.post(10, lambda: fired.append(1))
         sim.run_until(10)
         assert fired == [1]
 
@@ -88,9 +63,9 @@ class TestRunUntil:
 
         def tick():
             count[0] += 1
-            sim.schedule_in(2, tick)
+            sim.post(sim.now + 2, tick)
 
-        sim.schedule(0, tick)
+        sim.post(0, tick)
         sim.run_until(10)
         assert count[0] == 6  # t = 0,2,4,6,8,10
 
@@ -98,17 +73,17 @@ class TestRunUntil:
         sim = Simulator()
 
         def loop():
-            sim.schedule(sim.now, loop)  # zero-delay self-reschedule
+            sim.post(sim.now, loop)  # zero-delay self-reschedule
 
-        sim.schedule(0, loop)
+        sim.post(0, loop)
         with pytest.raises(RuntimeError):
             sim.run_until(1, max_events=1000)
 
     def test_events_fired_counter(self):
         sim = Simulator()
         for t in range(5):
-            sim.schedule(t, lambda: None)
-        sim.run_all()
+            sim.post(t, lambda: None)
+        sim.run_until(4)
         assert sim.events_fired == 5
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.profibus import analyse, tdel, tdel_refined
 from repro.sim import validate_uniproc
-from repro.sim.engine import Simulator
 from repro.sim.trace import BusTrace, render_timeline
 
 
@@ -35,18 +34,6 @@ class TestRefinedAnalyses:
         assert analyse(net, "dm", refined=True).tcycle < analyse(
             net, "dm", refined=False
         ).tcycle
-
-
-class TestEngineRunAllGuard:
-    def test_run_all_max_events(self):
-        sim = Simulator()
-
-        def loop():
-            sim.schedule(sim.now + 1, loop)
-
-        sim.schedule(0, loop)
-        with pytest.raises(RuntimeError):
-            sim.run_all(max_events=100)
 
 
 class TestValidateUniprocJitter:

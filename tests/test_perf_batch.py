@@ -19,7 +19,10 @@ from repro.perf.batch import (
     _point_seed,
     acceptance_curve,
     analyse_many,
+    engine_rows,
     generate_networks,
+    lane_rows,
+    network_rows,
     pooled_imap,
     pooled_map,
 )
@@ -28,10 +31,15 @@ from repro.perf.stats import counters
 from repro.profibus import analyse
 
 
-def _analyse_many_in(mode, *args):
-    """``analyse_many(*args)`` inside an ``analysis_mode_set(mode)``
-    scope (none for ``None``)."""
-    with analysis_mode_set(mode) if mode else nullcontext():
+def _rows_on(engine, *args):
+    """The grid's rows on one engine: ``analyse_many(*args)`` by default
+    (``None``) or under the ``generic`` reference, the per-network
+    kernels (``fast``) or the lanes (``vectorized``) at any size."""
+    if engine == "fast":
+        return network_rows(*args)
+    if engine == "vectorized":
+        return lane_rows(*args)
+    with analysis_mode_set(engine) if engine else nullcontext():
         return analyse_many(*args)
 
 
@@ -86,12 +94,12 @@ class TestEngineDispatch:
         before = counters.vectorized
         rows = analyse_many(large_workload())
         assert (counters.vectorized > before) == vector.numpy_available()
-        assert rows == _analyse_many_in("generic", large_workload())
-        assert rows == _analyse_many_in("fast", large_workload())
+        assert rows == _rows_on("generic", large_workload())
+        assert rows == _rows_on("fast", large_workload())
 
     def test_explicit_fast_stays_scalar_on_large_grid(self):
         before = counters.vectorized
-        _analyse_many_in("fast", large_workload())
+        _rows_on("fast", large_workload())
         assert counters.vectorized == before
 
     def test_small_grid_stays_scalar(self, monkeypatch):
@@ -133,10 +141,79 @@ class TestEngineDispatch:
         nets = [net] * (1 if size == "small"
                         else -(-VECTOR_MIN_STREAMS // _grid_streams([net])))
         with pytest.raises(ValueError) as info:
-            _analyse_many_in(mode, nets, ("dm", "lifo"))
+            _rows_on(mode, nets, ("dm", "lifo"))
         assert str(info.value) == (
             "unknown policy 'lifo'; pick from ['dm', 'edf', 'fcfs']"
         )
+
+
+def _grid_of(streams):
+    """Networks holding exactly ``streams`` streams in all: copies of one
+    single-master network and a trimmed last one."""
+    net = generate_networks(1, seed="grid", n_masters=1,
+                            streams_per_master=10)[0]
+    master = net.masters[0]
+    full, rest = divmod(streams, len(master.streams))
+    nets = [net] * full
+    if rest:
+        nets.append(replace(net, masters=(
+            master.with_streams(master.streams[:rest]),)))
+    assert sum(len(m.streams) for n in nets for m in n.masters) == streams
+    return nets
+
+
+@pytest.fixture
+def packs(monkeypatch):
+    """Every ``vector.pack_networks`` call's network count, in order."""
+    from repro.perf import vector
+
+    calls = []
+    real = vector.pack_networks
+
+    def counting(networks, *args, **kwargs):
+        calls.append(len(networks))
+        return real(networks, *args, **kwargs)
+
+    monkeypatch.setattr(vector, "pack_networks", counting)
+    return calls
+
+
+class TestDispatchPacks:
+    """The grid picks the engine, and only ``generic`` overrides it."""
+
+    @pytest.mark.parametrize("scope", [None, "generic"])
+    def test_one_pack_from_the_threshold_up(self, packs, scope):
+        from repro.perf import vector
+
+        lanes = vector.numpy_available() and scope is None
+        rows = {}
+        for streams in (VECTOR_MIN_STREAMS - 1, VECTOR_MIN_STREAMS):
+            nets = _grid_of(streams)
+            packs.clear()
+            rows[streams] = _rows_on(scope, nets)
+            assert packs == ([len(nets)] if lanes
+                             and streams >= VECTOR_MIN_STREAMS else [])
+        # the networks both grids share get the same rows on either side
+        below, at = rows[VECTOR_MIN_STREAMS - 1], rows[VECTOR_MIN_STREAMS]
+        assert below[:-3] == at[:-3]
+
+    def test_engine_rows_pack_once_for_the_lane_leg(self, packs):
+        from repro.fuzz.families import FAMILIES, generate_instance
+        from repro.perf import vector
+
+        # the grid of a 700-instance campaign at seed 0: 5,371 streams
+        families = list(FAMILIES)
+        nets = [generate_instance(0, families[i % len(families)], i)
+                for i in range(700)]
+        assert _grid_streams(nets) >= VECTOR_MIN_STREAMS
+        seen, rows = [], {}
+        for engine, engine_grid in engine_rows(nets):
+            seen.append((engine, list(packs)))
+            rows[engine] = engine_grid
+        lane = [len(nets)] if vector.numpy_available() else []
+        assert seen == [("generic", []), ("fast", []), ("vectorized", lane)]
+        assert rows["generic"] == rows["fast"] == rows["vectorized"]
+        assert len(rows["generic"]) == 3 * len(nets)
 
 
 def _with_float_jitter(net):
@@ -175,7 +252,7 @@ class TestBatchResultRows:
         nets = small_workload(n=10, seed=11)
         for k in fallback_at:
             nets[k] = _with_float_jitter(nets[k])
-        rows = {mode: _analyse_many_in(mode, nets)
+        rows = {mode: _rows_on(mode, nets)
                 for mode in ("generic", "fast", "vectorized")}
         assert rows["vectorized"] == rows["generic"] == rows["fast"]
         assert [(r.index, r.policy) for r in rows["vectorized"]] == [

@@ -1,5 +1,5 @@
 """The SoA vector engine (`repro.perf.vector`) — packing, lane engine,
-and the three-mode bit-equality contract.
+and the three-engine bit-equality contract.
 
 Three properties carry the module:
 
@@ -12,9 +12,9 @@ Three properties carry the module:
   per-lane iteration — values, convergence flags *and* iteration
   counts — across thousands of random lane sets in all three recurrence
   kinds;
-* ``vectorized`` mode must be bit-identical to ``generic`` and ``fast``
-  through the public batch driver, with the numpy lanes and without
-  numpy, where every network takes the per-network scalar path.
+* the lane engine (``lane_rows``) must be bit-identical to the generic
+  reference and the per-network kernels, with the numpy lanes and
+  without numpy, where every network takes the per-network scalar path.
 
 Numpy-only tests skip cleanly on numpy-free machines; the numpy-free
 path is also exercised on numpy machines by patching the probe.
@@ -32,7 +32,12 @@ from hypothesis import strategies as st
 from repro.core.timeops import DivergedError
 from repro.corpus.mutants import run_mutation_harness
 from repro.perf import vector
-from repro.perf.batch import analyse_many, generate_networks
+from repro.perf.batch import (
+    analyse_many,
+    generate_networks,
+    lane_rows,
+    network_rows,
+)
 from repro.perf.config import analysis_mode_set
 from repro.perf.stats import counters
 from repro.perf.vector import (
@@ -59,10 +64,15 @@ requires_numpy = pytest.mark.skipif(
 POLICIES = ("fcfs", "dm", "edf")
 
 
-def _analyse_many_in(mode, *args):
-    """``analyse_many(*args)`` inside an ``analysis_mode_set(mode)``
-    scope."""
-    with analysis_mode_set(mode):
+def _rows_on(engine, *args):
+    """The grid's rows on one engine: ``analyse_many(*args)`` under the
+    ``generic`` reference, the per-network kernels (``fast``) or the
+    lanes (``vectorized``) at any size."""
+    if engine == "fast":
+        return network_rows(*args)
+    if engine == "vectorized":
+        return lane_rows(*args)
+    with analysis_mode_set(engine):
         return analyse_many(*args)
 
 
@@ -308,7 +318,7 @@ class TestPackErrors:
         for mode in ("generic", "fast", "vectorized"):
             fresh, _ = self._with_bad_stream(UNFRAMABLE[case])
             with pytest.raises(ValueError) as got:
-                _analyse_many_in(mode, [fresh], POLICIES)
+                _rows_on(mode, [fresh], POLICIES)
             assert str(got.value) == message, mode
 
     def test_failed_key_is_not_kept(self, monkeypatch):
@@ -642,9 +652,9 @@ class TestDeadlineOrderStaging:
         with pytest.raises(vector._VectorRangeError):
             pack.deadline_order()
         before = counters.vectorized
-        rows = _analyse_many_in("vectorized", nets, POLICIES)
+        rows = _rows_on("vectorized", nets, POLICIES)
         assert counters.vectorized == before  # no lane ran
-        assert rows == _analyse_many_in("generic", nets, POLICIES)
+        assert rows == _rows_on("generic", nets, POLICIES)
         fresh = pack_networks(nets)
         for policy in ("dm", "edf"):
             with pytest.raises(vector._VectorRangeError):
@@ -658,14 +668,14 @@ class TestDeadlineOrderStaging:
         from repro.perf import batch
 
         nets = _huge_deadline_nets()
-        want = _analyse_many_in("generic", nets, POLICIES)
+        want = _rows_on("generic", nets, POLICIES)
         pack = pack_networks(nets)
         ceiling = pack.n_masters * (max(pack.stream_D) + 1) + 1
         monkeypatch.setattr(vector, "_SAFE_TOTAL", ceiling)
         with pytest.raises(vector._VectorRangeError):
             vector._edf_flat_np(pack)
         before = counters.vectorized
-        assert _analyse_many_in("vectorized", nets, ("dm",)) \
+        assert _rows_on("vectorized", nets, ("dm",)) \
             == [row for row in want if row.policy == "dm"]
         dm_iterations = counters.vectorized - before
         assert dm_iterations > 0  # DM stays on its lanes
@@ -678,7 +688,7 @@ class TestDeadlineOrderStaging:
 
         monkeypatch.setattr(batch, "_analyse_one", spy)
         before = counters.vectorized
-        rows = _analyse_many_in("vectorized", nets, POLICIES)
+        rows = _rows_on("vectorized", nets, POLICIES)
         assert counters.vectorized - before >= dm_iterations
         assert calls == [(i, "edf") for i in range(len(nets))]
         assert rows == want
@@ -689,9 +699,9 @@ class TestDeadlineOrderStaging:
         # every combination (deadline key, offset key, lane bounds);
         # whichever trips, the rows stay the generic ones
         nets = _mixed_workload(8, seed="guards")
-        want = _analyse_many_in("generic", nets, POLICIES)
+        want = _rows_on("generic", nets, POLICIES)
         monkeypatch.setattr(vector, "_SAFE_TOTAL", 1 << shift)
-        assert _analyse_many_in("vectorized", nets, POLICIES) == want
+        assert _rows_on("vectorized", nets, POLICIES) == want
 
     @given(st.lists(
         st.tuples(
@@ -721,10 +731,10 @@ class TestDeadlineOrderStaging:
 
 def _assert_batch_modes_equal():
     nets = _mixed_workload(30, seed="threeway")
-    generic = _analyse_many_in("generic", nets, POLICIES)
-    fast = _analyse_many_in("fast", nets, POLICIES)
+    generic = _rows_on("generic", nets, POLICIES)
+    fast = _rows_on("fast", nets, POLICIES)
     assert fast == generic
-    vec = _analyse_many_in("vectorized",
+    vec = _rows_on("vectorized",
                            _mixed_workload(30, seed="threeway"), POLICIES)
     assert vec == generic
 
@@ -755,7 +765,7 @@ class TestThreeModeEquality:
     @requires_numpy
     def test_vectorized_iterations_counted(self):
         counters.reset()
-        _analyse_many_in("vectorized", _mixed_workload(6, seed="count"),
+        _rows_on("vectorized", _mixed_workload(6, seed="count"),
                          POLICIES)
         snap = counters.snapshot()
         assert snap["vectorized"] > 0
@@ -767,12 +777,12 @@ class TestThreeModeEquality:
         streams = [replace(s, T=float(s.T)) for s in m0.streams]
         broken = replace(net, masters=(m0.with_streams(streams),)
                          + net.masters[1:])
-        rows = _analyse_many_in("vectorized", [broken], POLICIES)
-        assert rows == _analyse_many_in("generic", [broken], POLICIES)
+        rows = _rows_on("vectorized", [broken], POLICIES)
+        assert rows == _rows_on("generic", [broken], POLICIES)
 
 
 class TestWithoutNumpy:
-    """With the probe reporting no numpy, ``vectorized`` builds no pack
+    """With the probe reporting no numpy, the lane engine builds no pack
     and runs the per-network scalar path: the same rows, no lane
     iterations, and the packing seam out of reach."""
 
@@ -821,6 +831,6 @@ class TestWithoutNumpy:
 
         monkeypatch.setattr(vector, "pack_networks", spy)
         nets = _mixed_workload(12, seed="nopack")
-        rows = _analyse_many_in("vectorized", nets, POLICIES)
+        rows = _rows_on("vectorized", nets, POLICIES)
         assert packs == []
-        assert rows == _analyse_many_in("generic", nets, POLICIES)
+        assert rows == _rows_on("generic", nets, POLICIES)
