@@ -17,20 +17,25 @@ fcfs/dm/edf) through each stage of the SoA engine, separately:
 Each stage keeps its fastest time per slice over ``--passes`` passes,
 with the garbage collector off; the sums are divided by the number of
 slices.  Exits 1 if the emitted rows of a slice differ from
-``analyse_many``'s rows on the same slice.  Run from the repository
-root (``perfbench`` is imported from there):
+``analyse_many``'s rows on the same slice.  The script puts its
+checkout's ``src/`` and root (for ``perfbench``) first on ``sys.path``,
+so it times the tree it sits in, from any directory:
 
-    PYTHONPATH=src:. python scripts/batch_stages.py --seed 1 --passes 5
+    python scripts/batch_stages.py --seed 1 --passes 5
 """
 
 import argparse
 import gc
 import pickle
 import sys
+from pathlib import Path
 from time import perf_counter
 
-from perfbench.workloads import BATCH_SLICE, POLICIES, batch_networks
-from repro.perf import batch, vector
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench.workloads import BATCH_SLICE, POLICIES, batch_networks  # noqa: E402
+from repro.perf import batch, vector  # noqa: E402
 
 STAGES = ("pack", "fcfs", "dm", "edf", "emit", "grid", "call")
 

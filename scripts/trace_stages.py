@@ -18,7 +18,10 @@ row-wise ``trace/v1`` document of the same events (one event object
 each), which ``trace_from_doc`` still reads.  Each stage keeps its
 fastest time per case over ``--passes`` passes, with the garbage
 collector off; the sums are divided by the number of events.  The
-document sizes are those of ``json.dumps``.  The script puts its
+document sizes are those of ``json.dumps``.  The script exits 1 if the
+monitor report the stages compose, from either document, differs from
+the one the whole benchmark call (``trace_check_call``) answers.  It
+puts its
 checkout's ``src/`` and root (for ``perfbench``) first on ``sys.path``,
 so it times the tree it sits in, from any directory:
 
@@ -103,6 +106,30 @@ def stage_times(seed: int, passes: int):
     return events, {stage: sum(times) for stage, times in best.items()}, size
 
 
+def differing_cases(seed: int):
+    """``(case, format)`` of every case whose staged monitor report, from
+    the ``format`` document, differs from the whole call's."""
+    from perfbench.workloads import (SIM_POLICY, TRACE_MAX_EVENTS,
+                                     trace_cases, trace_check_call)
+    from repro.monitor import monitor_trace, trace_doc, trace_from_doc
+    from repro.sim import BusTrace, TokenBusConfig, simulate_token_bus
+
+    export = {"v1": v1_doc, "v2": trace_doc}
+    differ = []
+    for i, case in enumerate(trace_cases(seed)):
+        whole = trace_check_call(case, case.network())[1]["payload"]["report"]
+        recorder = BusTrace(max_events=TRACE_MAX_EVENTS)
+        net = case.network()
+        simulate_token_bus(net, case.horizon, config=TokenBusConfig(
+            policy=SIM_POLICY[case.policy], tracer=recorder))
+        for fmt in FORMATS:
+            doc = json.loads(json.dumps(export[fmt](recorder, case.horizon)))
+            staged = monitor_trace(net, trace_from_doc(doc), case.policy)
+            if staged.to_dict() != whole:
+                differ.append((i, fmt))
+    return differ
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -127,7 +154,11 @@ def main() -> int:
           f"({events} events)")
     print(f"{'document':9s} {size['v1'] / events:12.1f} "
           f"{size['v2'] / events:12.1f}  bytes/event")
-    return 0
+    differ = differing_cases(args.seed)
+    for i, fmt in differ:
+        print(f"case {i}: the staged report from the {fmt} document "
+              "differs from the whole call's")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

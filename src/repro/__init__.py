@@ -11,9 +11,13 @@ Public surface:
 * :mod:`repro.gen` — workload generators;
 * :mod:`repro.scenarios` — reference networks for examples and benches.
 
-Subpackages are imported on first attribute access (``repro.sim``), so
-``import repro.api`` or the daemon loads only what it runs.
+Nothing is imported with the package: each subpackage loads on its
+first access (``repro.sim``), and each subpackage facade loads a
+submodule only when one of its names is first read (:mod:`repro._lazy`).
+``import repro.api`` or the daemon therefore loads only what it runs.
 """
+
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -21,10 +25,4 @@ _SUBPACKAGES = ("apsched", "core", "gen", "profibus", "scenarios", "sim")
 
 __all__ = [*_SUBPACKAGES, "__version__"]
 
-
-def __getattr__(name):
-    if name not in _SUBPACKAGES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return import_module(f".{name}", __name__)
+__getattr__ = lazy_exports(globals(), dict.fromkeys(_SUBPACKAGES))

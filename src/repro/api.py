@@ -597,8 +597,8 @@ def _admission_result(request: AnalysisRequest, fingerprint: str,
 
 def _compute_monitor(request: AnalysisRequest, net: Network,
                      fingerprint: str) -> AnalysisResult:
-    from .monitor import TraceFormatError
     from .monitor import engine as monitor_engine
+    from .monitor.trace_io import TraceFormatError
 
     try:
         report = monitor_engine.monitor_trace(

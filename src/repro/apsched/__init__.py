@@ -1,14 +1,17 @@
 """Application-process level architecture (§4): release jitter inherited
 from sender tasks and the end-to-end delay composition E = g+Q+C+d."""
 
-from .end_to_end import EndToEndReport, EndToEndRow, end_to_end_analysis
-from .jitter import TaskModel, derive_stream_jitter, sender_response_times
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EndToEndReport",
-    "EndToEndRow",
-    "TaskModel",
-    "derive_stream_jitter",
-    "end_to_end_analysis",
-    "sender_response_times",
-]
+_EXPORTS = {
+    "EndToEndReport": "end_to_end",
+    "EndToEndRow": "end_to_end",
+    "end_to_end_analysis": "end_to_end",
+    "TaskModel": "jitter",
+    "derive_stream_jitter": "jitter",
+    "sender_response_times": "jitter",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

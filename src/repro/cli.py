@@ -29,22 +29,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict
 
-from .profibus.timing import token_cycle_report
-from .profibus.ttr import ttr_advantage
-from .scenarios import (
-    factory_cell_network,
-    paper_illustration_network,
-    single_master_network,
-)
-from .sim.validate import validate_network
+#: ``--scenario`` choices, built by :func:`_scenario_network`
+_SCENARIOS = ("factory-cell", "paper-illustration", "single-master")
 
-_SCENARIOS: Dict[str, Callable] = {
-    "factory-cell": factory_cell_network,
-    "paper-illustration": lambda: paper_illustration_network().with_ttr(3000),
-    "single-master": single_master_network,
-}
+
+def _scenario_network(name: str):
+    from . import scenarios
+
+    if name == "factory-cell":
+        return scenarios.factory_cell_network()
+    if name == "paper-illustration":
+        return scenarios.paper_illustration_network().with_ttr(3000)
+    return scenarios.single_master_network()
 
 
 def _load_network(args):
@@ -71,7 +68,7 @@ def _load_network(args):
             raise SystemExit(
                 f"need --scenario or --file; scenarios: {sorted(_SCENARIOS)}"
             )
-        net = _SCENARIOS[scenario]()
+        net = _scenario_network(scenario)
     if getattr(args, "ttr", None):
         net = net.with_ttr(args.ttr)
     return net
@@ -99,6 +96,8 @@ def _cmd_analyse(args) -> int:
 
 
 def _cmd_ttr(args) -> int:
+    from .profibus.ttr import ttr_advantage
+
     net = _load_network(args)
     adv = ttr_advantage(net, refined=args.refined)
     phy = net.phy
@@ -112,6 +111,8 @@ def _cmd_ttr(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .sim.validate import validate_network
+
     net = _load_network(args)
     horizon = int(args.horizon_ms * net.phy.baud_rate / 1000)
     config = None
@@ -126,7 +127,7 @@ def _cmd_simulate(args) -> int:
         config = TokenBusConfig(policy=policy, tracer=tracer)
     report = validate_network(net, args.policy, horizon, config=config)
     if tracer is not None:
-        from .monitor import write_trace_jsonl
+        from .monitor.trace_io import write_trace_jsonl
 
         write_trace_jsonl(tracer, args.export_trace, horizon=horizon)
         print(f"wrote {args.export_trace} ({len(tracer.events)} events"
@@ -145,6 +146,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .profibus.timing import token_cycle_report
+
     net = _load_network(args)
     rep = token_cycle_report(net)
     phy = net.phy
@@ -231,7 +234,7 @@ def _cmd_monitor(args) -> int:
     import json as json_mod
 
     from . import api
-    from .monitor import TraceFormatError
+    from .monitor.trace_io import TraceFormatError
 
     net = _load_network(args)
 
@@ -270,7 +273,7 @@ def _cmd_monitor(args) -> int:
 
     # File mode: ingest the whole log, then route through the same typed
     # facade the service uses — one request, one result document.
-    from .monitor import read_trace
+    from .monitor.trace_io import read_trace
 
     try:
         if args.trace == "-":
@@ -320,7 +323,9 @@ def _cmd_bandwidth(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    from .fuzz import CampaignConfig, FAMILIES, run_campaign, write_report
+    from .fuzz.campaign import CampaignConfig, run_campaign
+    from .fuzz.families import FAMILIES
+    from .fuzz.report import write_report
 
     families = tuple(args.families) if args.families else tuple(FAMILIES)
     config = CampaignConfig(
@@ -384,7 +389,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from .lint import LintUsageError, render_json, render_text, run_lint
+    from .lint.report import render_json, render_text
+    from .lint.runner import LintUsageError, run_lint
 
     try:
         result = run_lint(
@@ -408,7 +414,7 @@ def _cmd_lint(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from .service import AnalysisServer
+    from .service.server import AnalysisServer
 
     if args.cache_capacity < 1:
         raise SystemExit("serve: --cache-capacity must be >= 1")

@@ -5,104 +5,62 @@ verbatim by :mod:`repro.profibus` with ``C → Tcycle`` — exactly the
 transfer the paper performs in §4.3.
 """
 
-from .blocking import blocking_from, edf_blocking_at, nonpreemptive_blocking
-from .busy_period import demand_horizon, synchronous_busy_period
-from .demand import dbf, dbf_with_jitter, deadline_points, processor_demand_test, qpa_test
-from .edf_nonpreemptive import george_test, pessimism_gap, zheng_shin_test
-from .edf_rta import edf_response_time, edf_rta
-from .priority import (
-    assign_audsley,
-    assign_deadline_monotonic,
-    assign_dj_monotonic,
-    assign_rate_monotonic,
-    priorities_are_dm,
-    priorities_are_rm,
-)
-from .results import AnalysisResult, FeasibilityResult, ResponseTime
-from .sensitivity import (
-    breakdown_utilization,
-    critical_scaling_factor,
-    largest_feasible_factor,
-    scale_execution_times,
-    smallest_feasible_factor,
-)
-from .rta_fixed import (
-    feasible_at_lowest_nonpreemptive,
-    nonpreemptive_response_time,
-    nonpreemptive_rta,
-    preemptive_response_time,
-    preemptive_response_time_arbitrary,
-    preemptive_rta,
-)
-from .task import Task, TaskSet, make_taskset
-from .timeops import (
-    DivergedError,
-    ceil_div,
-    fixed_point,
-    floor_div,
-    hyperperiod,
-    lcm_all,
-    pos,
-)
-from .utilization import (
-    UtilizationResult,
-    density_test,
-    edf_utilization_test,
-    hyperbolic_test,
-    liu_layland_bound,
-    rm_utilization_test,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AnalysisResult",
-    "DivergedError",
-    "FeasibilityResult",
-    "ResponseTime",
-    "Task",
-    "TaskSet",
-    "UtilizationResult",
-    "assign_audsley",
-    "assign_deadline_monotonic",
-    "assign_dj_monotonic",
-    "assign_rate_monotonic",
-    "blocking_from",
-    "breakdown_utilization",
-    "critical_scaling_factor",
-    "largest_feasible_factor",
-    "scale_execution_times",
-    "smallest_feasible_factor",
-    "ceil_div",
-    "dbf",
-    "dbf_with_jitter",
-    "deadline_points",
-    "demand_horizon",
-    "density_test",
-    "edf_blocking_at",
-    "edf_response_time",
-    "edf_rta",
-    "edf_utilization_test",
-    "feasible_at_lowest_nonpreemptive",
-    "fixed_point",
-    "floor_div",
-    "george_test",
-    "hyperbolic_test",
-    "hyperperiod",
-    "lcm_all",
-    "liu_layland_bound",
-    "make_taskset",
-    "nonpreemptive_blocking",
-    "nonpreemptive_response_time",
-    "nonpreemptive_rta",
-    "pessimism_gap",
-    "pos",
-    "preemptive_response_time",
-    "preemptive_response_time_arbitrary",
-    "preemptive_rta",
-    "priorities_are_dm",
-    "priorities_are_rm",
-    "processor_demand_test",
-    "qpa_test",
-    "rm_utilization_test",
-    "synchronous_busy_period",
-    "zheng_shin_test",
-]
+_EXPORTS = {
+    "blocking_from": "blocking",
+    "edf_blocking_at": "blocking",
+    "nonpreemptive_blocking": "blocking",
+    "demand_horizon": "busy_period",
+    "synchronous_busy_period": "busy_period",
+    "dbf": "demand",
+    "dbf_with_jitter": "demand",
+    "deadline_points": "demand",
+    "processor_demand_test": "demand",
+    "qpa_test": "demand",
+    "george_test": "edf_nonpreemptive",
+    "pessimism_gap": "edf_nonpreemptive",
+    "zheng_shin_test": "edf_nonpreemptive",
+    "edf_response_time": "edf_rta",
+    "edf_rta": "edf_rta",
+    "assign_audsley": "priority",
+    "assign_deadline_monotonic": "priority",
+    "assign_dj_monotonic": "priority",
+    "assign_rate_monotonic": "priority",
+    "priorities_are_dm": "priority",
+    "priorities_are_rm": "priority",
+    "AnalysisResult": "results",
+    "FeasibilityResult": "results",
+    "ResponseTime": "results",
+    "breakdown_utilization": "sensitivity",
+    "critical_scaling_factor": "sensitivity",
+    "largest_feasible_factor": "sensitivity",
+    "scale_execution_times": "sensitivity",
+    "smallest_feasible_factor": "sensitivity",
+    "feasible_at_lowest_nonpreemptive": "rta_fixed",
+    "nonpreemptive_response_time": "rta_fixed",
+    "nonpreemptive_rta": "rta_fixed",
+    "preemptive_response_time": "rta_fixed",
+    "preemptive_response_time_arbitrary": "rta_fixed",
+    "preemptive_rta": "rta_fixed",
+    "Task": "task",
+    "TaskSet": "task",
+    "make_taskset": "task",
+    "DivergedError": "timeops",
+    "ceil_div": "timeops",
+    "fixed_point": "timeops",
+    "floor_div": "timeops",
+    "hyperperiod": "timeops",
+    "lcm_all": "timeops",
+    "pos": "timeops",
+    "UtilizationResult": "utilization",
+    "density_test": "utilization",
+    "edf_utilization_test": "utilization",
+    "hyperbolic_test": "utilization",
+    "liu_layland_bound": "utilization",
+    "rm_utilization_test": "utilization",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

@@ -29,55 +29,36 @@ late-bound module seams the golden computation calls through, and
 asserts ``corpus check`` kills each one.
 """
 
-from .entry import (
-    CORPUS_SCHEMA,
-    GOLDEN_SECTIONS,
-    CorpusEntry,
-    canonical_json,
-    section_digest,
-    validate_entry_doc,
-)
-from .golden import check_network_golden, compute_golden, default_config
-from .mutants import MUTANTS, Mutant, MutationReport, run_mutation_harness
-from .store import (
-    DEFAULT_CORPUS_DIR,
-    CheckReport,
-    PromotionResult,
-    append_entry,
-    check_corpus,
-    load_corpus,
-    promote_counterexamples,
-    promote_report_doc,
-    record_network,
-    refreeze_corpus,
-    seed_entries,
-    write_seed_corpus,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CORPUS_SCHEMA",
-    "CheckReport",
-    "CorpusEntry",
-    "DEFAULT_CORPUS_DIR",
-    "GOLDEN_SECTIONS",
-    "MUTANTS",
-    "Mutant",
-    "MutationReport",
-    "PromotionResult",
-    "append_entry",
-    "canonical_json",
-    "check_corpus",
-    "check_network_golden",
-    "compute_golden",
-    "default_config",
-    "load_corpus",
-    "promote_counterexamples",
-    "promote_report_doc",
-    "record_network",
-    "refreeze_corpus",
-    "run_mutation_harness",
-    "section_digest",
-    "seed_entries",
-    "validate_entry_doc",
-    "write_seed_corpus",
-]
+_EXPORTS = {
+    "CORPUS_SCHEMA": "entry",
+    "GOLDEN_SECTIONS": "entry",
+    "CorpusEntry": "entry",
+    "canonical_json": "entry",
+    "section_digest": "entry",
+    "validate_entry_doc": "entry",
+    "check_network_golden": "golden",
+    "compute_golden": "golden",
+    "default_config": "golden",
+    "MUTANTS": "mutants",
+    "Mutant": "mutants",
+    "MutationReport": "mutants",
+    "run_mutation_harness": "mutants",
+    "DEFAULT_CORPUS_DIR": "store",
+    "CheckReport": "store",
+    "PromotionResult": "store",
+    "append_entry": "store",
+    "check_corpus": "store",
+    "load_corpus": "store",
+    "promote_counterexamples": "store",
+    "promote_report_doc": "store",
+    "record_network": "store",
+    "refreeze_corpus": "store",
+    "seed_entries": "store",
+    "write_seed_corpus": "store",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

@@ -28,58 +28,35 @@ in PERF.md, with per-(family × oracle) counters and a wall-clock phase
 breakdown).  Front end: ``repro-cli fuzz --budget 200 --seed 0``.
 """
 
-from .campaign import (
-    COUNTERS,
-    ORACLE_KERNEL,
-    ORACLE_ROUNDTRIP,
-    ORACLE_SOUNDNESS,
-    ORACLE_SWEEP,
-    ORACLES,
-    CampaignConfig,
-    CampaignResult,
-    CounterExample,
-    run_campaign,
-)
-from .families import FAMILIES, family_rng, generate_instance
-from .oracles import (
-    OracleOutcome,
-    check_kernel_equivalence,
-    check_roundtrip,
-    check_soundness,
-    check_sweep_scaling,
-    reference_scaled_deadlines,
-)
-from .report import (
-    FUZZ_SCHEMA,
-    report_to_dict,
-    validate_report_dict,
-    write_report,
-)
-from .shrink import shrink_network
+from .._lazy import lazy_exports
 
-__all__ = [
-    "COUNTERS",
-    "CampaignConfig",
-    "CampaignResult",
-    "CounterExample",
-    "FAMILIES",
-    "FUZZ_SCHEMA",
-    "ORACLES",
-    "ORACLE_KERNEL",
-    "ORACLE_ROUNDTRIP",
-    "ORACLE_SOUNDNESS",
-    "ORACLE_SWEEP",
-    "OracleOutcome",
-    "check_kernel_equivalence",
-    "check_roundtrip",
-    "check_soundness",
-    "check_sweep_scaling",
-    "family_rng",
-    "generate_instance",
-    "reference_scaled_deadlines",
-    "report_to_dict",
-    "run_campaign",
-    "shrink_network",
-    "validate_report_dict",
-    "write_report",
-]
+_EXPORTS = {
+    "COUNTERS": "campaign",
+    "ORACLE_KERNEL": "campaign",
+    "ORACLE_ROUNDTRIP": "campaign",
+    "ORACLE_SOUNDNESS": "campaign",
+    "ORACLE_SWEEP": "campaign",
+    "ORACLES": "campaign",
+    "CampaignConfig": "campaign",
+    "CampaignResult": "campaign",
+    "CounterExample": "campaign",
+    "run_campaign": "campaign",
+    "FAMILIES": "families",
+    "family_rng": "families",
+    "generate_instance": "families",
+    "OracleOutcome": "oracles",
+    "check_kernel_equivalence": "oracles",
+    "check_roundtrip": "oracles",
+    "check_soundness": "oracles",
+    "check_sweep_scaling": "oracles",
+    "reference_scaled_deadlines": "oracles",
+    "FUZZ_SCHEMA": "report",
+    "report_to_dict": "report",
+    "validate_report_dict": "report",
+    "write_report": "report",
+    "shrink_network": "shrink",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

@@ -1,16 +1,18 @@
 """Workload generators: UUniFast task sets and random PROFIBUS scenarios."""
 
-from .network_gen import network_with_ttr_headroom, random_network, random_stream
-from .taskset import log_uniform_period, random_taskset, scale_to_utilization
-from .uunifast import uunifast, uunifast_discard
+from .._lazy import lazy_exports
 
-__all__ = [
-    "log_uniform_period",
-    "network_with_ttr_headroom",
-    "random_network",
-    "random_stream",
-    "random_taskset",
-    "scale_to_utilization",
-    "uunifast",
-    "uunifast_discard",
-]
+_EXPORTS = {
+    "network_with_ttr_headroom": "network_gen",
+    "random_network": "network_gen",
+    "random_stream": "network_gen",
+    "log_uniform_period": "taskset",
+    "random_taskset": "taskset",
+    "scale_to_utilization": "taskset",
+    "uunifast": "uunifast",
+    "uunifast_discard": "uunifast",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

@@ -57,35 +57,33 @@ proven the same way the corpus proves mutant strength:
 asserted in tier-1.
 """
 
-from .engine import FileContext, Finding, LintEngine, ProjectContext, Rule
-from .flow import FLOW_RULES, make_flow_rules, run_flow
-from .graph import CallGraph, build_graph, graph_doc, render_graph
-from .report import render_json, render_text, report_doc
-from .rules import ALL_RULES, make_rules
-from .runner import LintResult, LintUsageError, collect_files, run_lint
-from .symbols import ModuleSymbols, build_module_symbols
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_RULES",
-    "CallGraph",
-    "FLOW_RULES",
-    "FileContext",
-    "Finding",
-    "LintEngine",
-    "LintResult",
-    "LintUsageError",
-    "ModuleSymbols",
-    "ProjectContext",
-    "Rule",
-    "build_graph",
-    "build_module_symbols",
-    "collect_files",
-    "graph_doc",
-    "make_flow_rules",
-    "make_rules",
-    "render_graph",
-    "render_json",
-    "render_text",
-    "report_doc",
-    "run_lint",
-]
+_EXPORTS = {
+    "FileContext": "engine",
+    "Finding": "engine",
+    "LintEngine": "engine",
+    "ProjectContext": "engine",
+    "Rule": "engine",
+    "FLOW_RULES": "flow",
+    "make_flow_rules": "flow",
+    "CallGraph": "graph",
+    "build_graph": "graph",
+    "graph_doc": "graph",
+    "render_graph": "graph",
+    "render_json": "report",
+    "render_text": "report",
+    "report_doc": "report",
+    "ALL_RULES": "rules",
+    "make_rules": "rules",
+    "LintResult": "runner",
+    "LintUsageError": "runner",
+    "collect_files": "runner",
+    "run_lint": "runner",
+    "ModuleSymbols": "symbols",
+    "build_module_symbols": "symbols",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

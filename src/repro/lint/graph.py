@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .symbols import (FunctionInfo, ModuleSymbols, build_module_symbols,
-                      local_bindings)
+                      local_bindings, local_imports)
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
@@ -128,18 +128,26 @@ class _Resolver:
         # Local scope chain: enclosing functions outermost-first, then
         # the function itself.  A name bound in any frame shadows the
         # module scope.
+        # Each frame pairs its bindings with its imports' targets.
         self._frames = []
-        for local in fn.enclosing:
-            outer = mod.functions.get(local)
-            if outer is not None:
-                self._frames.append(local_bindings(outer.node))
-        self._frames.append(local_bindings(fn.node))
+        for node in [mod.functions[local].node for local in fn.enclosing
+                     if local in mod.functions] + [fn.node]:
+            self._frames.append((local_bindings(node),
+                                 local_imports(node, mod.name)))
 
     def _local_kind(self, name: str) -> Optional[str]:
-        for frame in reversed(self._frames):
-            kind = frame.get(name)
+        for bindings, _imports in reversed(self._frames):
+            kind = bindings.get(name)
             if kind is not None:
                 return kind
+        return None
+
+    def _local_import(self, name: str) -> Optional[str]:
+        """The dotted target of ``name`` when the innermost frame that
+        binds it imports it."""
+        for bindings, imports in reversed(self._frames):
+            if name in bindings:
+                return imports.get(name)
         return None
 
     def _resolve_in_module(self, mod: ModuleSymbols,
@@ -218,6 +226,9 @@ class _Resolver:
                     candidate = f"{prefix}.{name}"
                     if candidate in self.mod.functions:
                         return self.mod.functions[candidate].qualname
+            target = self._local_import(name)
+            if target is not None:
+                return self._resolve_dotted(target.split("."))
             raise _Unresolved("local")
         try:
             return self._resolve_in_module(self.mod, (name,))
@@ -240,7 +251,10 @@ class _Resolver:
                 return f"{self.mod.name}.{local}"
             raise _Unresolved("method")
         if self._local_kind(head) is not None:
-            raise _Unresolved("method")
+            target = self._local_import(head)
+            if target is None:
+                raise _Unresolved("method")
+            return self._resolve_dotted(target.split(".") + chain[1:])
         target = self.mod.imports.get(head)
         if target is not None:
             return self._resolve_dotted(target.split(".") + chain[1:])

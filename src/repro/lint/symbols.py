@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .engine import _relmod, collect_suppressions
 
@@ -116,10 +116,44 @@ def _bind_names(target: ast.AST, out: List[str]) -> None:
         _bind_names(target.value, out)
 
 
+def import_targets(st, package: Tuple[str, ...]) -> Iterator[Tuple[str, str]]:
+    """``(bound name, dotted target)`` for each name an ``import`` or
+    ``from ... import`` statement binds (module or module.symbol); none
+    for a star import, or a relative import outside a package."""
+    if isinstance(st, ast.Import):
+        for alias in st.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            yield bound, alias.name if alias.asname else bound
+        return
+    if st.level:
+        if not package:
+            return
+        base = package[:len(package) - (st.level - 1)]
+    else:
+        base = ()
+    base = tuple(p for p in base + tuple((st.module or "").split(".")) if p)
+    for alias in st.names:
+        if alias.name != "*":
+            yield alias.asname or alias.name, ".".join(base + (alias.name,))
+
+
+def local_imports(fn: ast.AST, module: str) -> Dict[str, str]:
+    """Import alias -> dotted target for the imports in a function body
+    (not in nested function bodies) of the module named ``module``: a
+    subcommand or a lazily loaded path imports where it runs."""
+    body = getattr(fn, "body", None)
+    targets: Dict[str, str] = {}
+    for st in _iter_block_stmts(body if isinstance(body, list) else []):
+        if isinstance(st, (ast.Import, ast.ImportFrom)):
+            for bound, target in import_targets(st, _module_package(module)):
+                targets.setdefault(bound, target)
+    return targets
+
+
 def local_bindings(fn: ast.AST) -> Dict[str, str]:
     """Names bound inside a function body (without descending into
     nested function/class bodies), mapped to their binding kind
-    (``def`` | ``lambda`` | ``other``)."""
+    (``def`` | ``lambda`` | ``import`` | ``other``)."""
     bindings: Dict[str, str] = {}
 
     def bind(target: ast.AST, kind: str) -> None:
@@ -171,7 +205,7 @@ def local_bindings(fn: ast.AST) -> Dict[str, str]:
             elif isinstance(st, (ast.Import, ast.ImportFrom)):
                 for alias in st.names:
                     name = alias.asname or alias.name.split(".")[0]
-                    bindings.setdefault(name, "other")
+                    bindings.setdefault(name, "import")
 
     body = getattr(fn, "body", None)
     if isinstance(body, list):
@@ -213,28 +247,9 @@ class _Collector:
                     kind = ("lambda" if isinstance(st.value, ast.Lambda)
                             else "assign")
                     mod.bindings.setdefault(st.target.id, kind)
-            elif isinstance(st, ast.Import):
-                for alias in st.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname \
-                        else alias.name.split(".")[0]
+            elif isinstance(st, (ast.Import, ast.ImportFrom)):
+                for bound, target in import_targets(st, package):
                     mod.imports.setdefault(bound, target)
-                    mod.bindings.setdefault(bound, "import")
-            elif isinstance(st, ast.ImportFrom):
-                if st.level:
-                    if not package:
-                        continue
-                    base = package[:len(package) - (st.level - 1)]
-                else:
-                    base = ()
-                base = base + tuple((st.module or "").split("."))
-                base = tuple(p for p in base if p)
-                for alias in st.names:
-                    if alias.name == "*":
-                        continue
-                    bound = alias.asname or alias.name
-                    mod.imports.setdefault(
-                        bound, ".".join(base + (alias.name,)))
                     mod.bindings.setdefault(bound, "import")
 
     # -- callable definitions -----------------------------------------

@@ -30,38 +30,26 @@ Front ends: ``repro-cli monitor`` (file and stdin-follow modes), the
 the differential oracles.
 """
 
-from .engine import (
-    TraceMonitor,
-    monitor_events,
-    monitor_trace,
-    observed_worst_responses,
-)
-from .report import MonitorReport, master_verdict, validation_row_doc
-from .trace_io import (
-    IngestedTrace,
-    TraceFormatError,
-    event_from_doc,
-    event_to_doc,
-    read_trace,
-    trace_doc,
-    trace_from_doc,
-    write_trace_jsonl,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "IngestedTrace",
-    "MonitorReport",
-    "TraceFormatError",
-    "TraceMonitor",
-    "event_from_doc",
-    "event_to_doc",
-    "master_verdict",
-    "monitor_events",
-    "monitor_trace",
-    "observed_worst_responses",
-    "read_trace",
-    "trace_doc",
-    "trace_from_doc",
-    "validation_row_doc",
-    "write_trace_jsonl",
-]
+_EXPORTS = {
+    "TraceMonitor": "engine",
+    "monitor_events": "engine",
+    "monitor_trace": "engine",
+    "observed_worst_responses": "engine",
+    "MonitorReport": "report",
+    "master_verdict": "report",
+    "validation_row_doc": "report",
+    "IngestedTrace": "trace_io",
+    "TraceFormatError": "trace_io",
+    "event_from_doc": "trace_io",
+    "event_to_doc": "trace_io",
+    "read_trace": "trace_io",
+    "trace_doc": "trace_io",
+    "trace_from_doc": "trace_io",
+    "write_trace_jsonl": "trace_io",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

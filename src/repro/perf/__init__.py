@@ -26,16 +26,9 @@ Submodules are imported lazily: ``repro.core`` imports
 imports the analyses — eager re-exports here would make that a cycle.
 """
 
-__all__ = [
-    "BatchResult",
-    "acceptance_curve",
-    "analyse_many",
-    "generate_networks",
-    "pooled_imap",
-    "pooled_map",
-]
+from .._lazy import lazy_exports
 
-_LAZY = {
+_EXPORTS = {
     "BatchResult": "batch",
     "acceptance_curve": "batch",
     "analyse_many": "batch",
@@ -44,12 +37,6 @@ _LAZY = {
     "pooled_map": "batch",
 }
 
+__all__ = list(_EXPORTS)
 
-def __getattr__(name):
-    try:
-        modname = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f".{modname}", __name__), name)
+__getattr__ = lazy_exports(globals(), _EXPORTS)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import repeat
 from random import Random
@@ -351,6 +350,8 @@ def pooled_imap(
         (fn, items[i:i + chunksize], analysis_mode())
         for i in range(0, len(items), chunksize)
     ]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for results, fast_iters, generic_iters, vector_iters in pool.map(
             _pooled_chunk, chunks

@@ -160,10 +160,16 @@ def stack_depth_analysis(
             def step(w):
                 total = B
                 for j in hp:
+                    # lint: disable=REP010 — int-domain call: floor_div's
+                    # float branch is its generic-Number API; int args
+                    # stay exact
                     total = total + (floor_div(w + j.J, j.T) + 1) * tc
                 return total
 
             limit = 64 * (task.D + task.J) + (depth + 1) * tc
+            # lint: disable=REP010 — int-domain call: fixed_point's
+            # almost_equal is its generic-Number convergence test; int
+            # iterates compare exactly
             value, _its, converged = fixed_point(step, step(0), limit=limit)
             r = value + tc + task.J if converged else None
             per_stream.append(

@@ -12,18 +12,19 @@ from any client hit instead of recompute.  :mod:`.client` is the
 blocking client used by the CLI, scripts and tests.
 """
 
-from .client import ServiceClient, ServiceError, ServiceReply
-from .protocol import SERVICE_SCHEMA, ProtocolError
-from .server import AnalysisServer
-from .sessions import SessionRegistry, SessionStats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AnalysisServer",
-    "ProtocolError",
-    "SERVICE_SCHEMA",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceReply",
-    "SessionRegistry",
-    "SessionStats",
-]
+_EXPORTS = {
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "ServiceReply": "client",
+    "SERVICE_SCHEMA": "protocol",
+    "ProtocolError": "protocol",
+    "AnalysisServer": "server",
+    "SessionRegistry": "sessions",
+    "SessionStats": "sessions",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

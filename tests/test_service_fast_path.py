@@ -153,6 +153,49 @@ class TestWireFormat:
         assert digest(doc, None, has_id=False) != digest(doc, None)
         assert digest(doc, None, has_id=False) != digest(doc, 1)
 
+    def test_split_id_reads_the_prefix_as_decode_line_does(self):
+        doc = _base_doc()
+        for name, value in IDS.items():
+            line = _raw_line(doc, value)
+            id_json = protocol.encode_json(protocol.decode_line(line)["id"])
+            # the object id is written with its keys unsorted
+            expected = None if name == "object" else (
+                id_json, protocol.spelling_digest(line, id_json))
+            assert protocol.split_id(line) == expected, name
+        body = _raw_line(doc, has_id=False)
+        for line in (body,                              # no prefix
+                     b'{"id": 1,' + body[1:],           # not canonical
+                     b'{"id":1e0,' + body[1:],
+                     b'{"id":NaN,' + body[1:],          # not finite
+                     b'{"id":1e400,' + body[1:],
+                     b'{"id":[1,' + body[1:],           # unparseable id
+                     b'{"id":1}\n',
+                     b'{"id":1,"id":2,' + body[1:],     # the last id wins
+                     b'{"id":1,"\\u0069d":2,' + body[1:]):
+            assert protocol.split_id(line) is None, line
+
+    def test_a_second_id_member_is_answered_with_the_decoded_id(self):
+        """``{"id":1,"id":2,…}`` decodes to id 2; after the same rest
+        was seen under a prefix id of 2, the reply still carries 2."""
+        doc = _base_doc()
+        offline = api.execute_request_doc(doc)
+        rest = b'"id":2,' + _raw_line(doc, has_id=False)[1:]
+        with ServerThread() as srv:
+            conn = RawConnection(srv)
+            try:
+                replies = [conn.send(b'{"id":' + prefix + b"," + rest)
+                           for prefix in (b"2", b"1", b"1")]
+            finally:
+                conn.close()
+        for reply in replies:
+            parsed = _strict_json(reply)
+            assert parsed["id"] == 2
+            assert reply == protocol.encode(protocol.result_response(
+                2, "analyse", offline, parsed["cached"],
+                parsed["elapsed_ms"]))
+        assert [_strict_json(r)["cached"] for r in replies] == [
+            False, True, True]
+
 
 # ---------------------------------------------------------------------------
 # the iteration bound and the routing
