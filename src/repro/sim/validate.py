@@ -27,7 +27,6 @@ from ..profibus.network import Network
 from ..profibus.ttr import analyse
 from .token import TokenBusConfig, TokenBusResult, simulate_token_bus, stream_key
 from .traffic import TrafficConfig, synchronous_offsets
-from .uniproc import simulate_uniproc
 
 
 #: Row verdicts: ``VERDICT_SOUND`` — every observation respects the
@@ -203,6 +202,8 @@ def validate_uniproc(
     release_jitter_once: bool = False,
 ) -> ValidationReport:
     """Analytic per-task bounds vs the uniprocessor simulator."""
+    from .uniproc import simulate_uniproc
+
     stats = simulate_uniproc(
         taskset,
         horizon,

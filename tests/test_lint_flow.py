@@ -54,6 +54,29 @@ def test_cross_module_call_resolves_to_qualname(tmp_path):
             "repro.profibus.helper.scale") in edges
 
 
+def test_function_local_imports_resolve_to_qualnames(tmp_path):
+    # a subcommand imports what it runs inside its body
+    _write(tmp_path, "repro/profibus/helper.py",
+           "def scale(x):\n    return x + 1\n")
+    _write(tmp_path, "repro/cli.py",
+           "def by_name(x):\n"
+           "    from .profibus.helper import scale\n"
+           "    return scale(x)\n"
+           "def by_module(x):\n"
+           "    if x:\n"
+           "        from .profibus import helper\n"
+           "        return helper.scale(x)\n"
+           "def shadowed(scale):\n"
+           "    return scale(1)\n")
+    graph = build_graph([(p, str(p)) for p in
+                         sorted(tmp_path.rglob("*.py"))])
+    edges = {(s.caller, s.callee)
+             for sites in graph.calls.values() for s in sites}
+    assert {("repro.cli.by_name", "repro.profibus.helper.scale"),
+            ("repro.cli.by_module", "repro.profibus.helper.scale")} <= edges
+    assert not any(caller == "repro.cli.shadowed" for caller, _ in edges)
+
+
 def test_unresolved_calls_are_recorded_with_categories(tmp_path):
     _write(tmp_path, "repro/profibus/probe.py",
            "import math\n"
