@@ -527,7 +527,8 @@ class PickleReachabilityRule(FlowRule):
     def _local_kind(mod: ModuleSymbols, fn: Optional[FunctionInfo],
                     name: str) -> Optional[str]:
         """How the innermost enclosing function frame binds ``name``
-        (``def`` | ``lambda`` | ``other``), or ``None`` if no frame does."""
+        (``def`` | ``lambda`` | ``import`` | ``other``), or ``None`` if no
+        frame does."""
         if fn is None:
             return None
         for local in (fn.local, *reversed(fn.enclosing)):

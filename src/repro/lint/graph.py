@@ -126,9 +126,9 @@ class _Resolver:
         self.mod = mod
         self.fn = fn
         # Local scope chain: enclosing functions outermost-first, then
-        # the function itself.  A name bound in any frame shadows the
-        # module scope.
-        # Each frame pairs its bindings with its imports' targets.
+        # the function itself, each frame its bindings and the targets
+        # of its imports.  A name bound in any frame shadows the module
+        # scope.
         self._frames = []
         for node in [mod.functions[local].node for local in fn.enclosing
                      if local in mod.functions] + [fn.node]:
