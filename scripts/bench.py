@@ -12,9 +12,10 @@ perfbench's env block (plus the commit), the seed and the seconds::
 
     python scripts/bench.py record --workload api-request --seed 1
 
-``ab`` builds the base and the head commit with ``git archive`` into two
-sibling directories made the same way (perfbench's batch numbers depend
-on the checkout directory, so a working tree is never one side), then
+``ab`` builds the base commit and ``HEAD`` with ``git archive`` into
+two sibling directories of a new temporary directory, made the same way
+(perfbench's batch numbers depend on the checkout directory, so a
+working tree is never one side), then
 runs ``--pairs`` pairs, alternating which side runs first (``setup_s``
 depends on the run order).  It prints each metric's medians and
 quartiles, the head/base ratio of the medians, the pairs the head won
@@ -153,8 +154,8 @@ def summary(pairs, metric: str) -> dict:
 
 
 def cmd_ab(args) -> int:
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="bench-ab-"))
-    head_rev = args.base if args.control else args.head
+    workdir = Path(tempfile.mkdtemp(prefix="bench-ab-"))
+    head_rev = args.base if args.control else "HEAD"
     commits = {"base": build_tree(args.base, workdir / "base"),
                "head": build_tree(head_rev, workdir / "head")}
     print(f"ab: {args.workload} seed={args.seed} seconds={args.seconds:g} "
@@ -182,12 +183,6 @@ def cmd_ab(args) -> int:
                          for side in ("base", "head"))
               + f" {row['ratio']:>9.3f} {row['won']:>4}/{row['pairs']:<4}"
               f"  {'yes' if row['beyond_base_iqr'] else 'no'}")
-    if args.json:
-        Path(args.json).write_text(json.dumps(
-            {"workload": args.workload, "seed": args.seed,
-             "seconds": args.seconds, "control": args.control,
-             "commits": commits, "summary": table, "pairs": pairs},
-            indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -207,15 +202,9 @@ def parse_args(argv):
     p = sub.add_parser("ab", help="alternating pairs of two commits")
     common(p, seed=7)
     p.add_argument("--base", required=True, help="base commit")
-    p.add_argument("--head", default="HEAD", help="head commit")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--control", action="store_true",
                    help="run the base against a second copy of itself")
-    p.add_argument("--workdir", default=None,
-                   help="empty directory for the two trees "
-                        "(default: a new temporary directory)")
-    p.add_argument("--json", default=None, metavar="OUT.json",
-                   help="also write every run and the summary here")
     p.set_defaults(func=cmd_ab)
     return parser.parse_args(argv)
 

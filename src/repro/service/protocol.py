@@ -48,9 +48,7 @@ The daemon answers analysis requests in pre-encoded form:
 :func:`result_line` splices them into the response envelope byte for
 byte as :func:`encode` of :func:`result_response` would write it.
 :func:`spelling_digest` names a request line by its bytes as received,
-leaving out the envelope ``id``; :func:`split_id` reads that ``id`` and
-the digest from the bytes of a line with the usual ``{"id":<id>,``
-prefix, so the daemon answers a known spelling without decoding it.
+leaving out the envelope ``id``.
 """
 
 from __future__ import annotations
@@ -127,34 +125,6 @@ def spelling_digest(line: bytes, id_json: bytes) -> bytes:
     if line.startswith(head):
         return hashlib.sha256(memoryview(line)[len(head):]).digest()
     return hashlib.sha256(line).digest()
-
-
-_ID_DECODER = json.JSONDecoder()
-
-
-def split_id(line: bytes) -> Optional[Tuple[bytes, bytes]]:
-    """``(id_json, spelling_digest(line, id_json))`` read from the line
-    bytes alone, for a line that starts ``{"id":<id>,`` with a finite
-    ``id`` written as :func:`encode_json` writes it; ``None`` for any
-    other line, which :func:`decode_line` then reads.  The rest of the
-    line is digested, not decoded.  A rest that could spell another
-    ``"id"`` member (``"id"`` or a ``\\u006`` escape anywhere in it)
-    also gives ``None``: JSON keeps the last of two equal keys, so the
-    envelope's ``id`` would not be the one in the prefix."""
-    if not line.startswith(b'{"id":'):
-        return None
-    try:
-        request_id, end = _ID_DECODER.raw_decode(line.decode("latin-1"), 6)
-    except ValueError:
-        return None
-    if not _finite(request_id):
-        return None
-    id_json = encode_json(request_id)
-    if (line[6:end] != id_json or line[end:end + 1] != b","
-            or line.find(b'"id"', end) != -1
-            or line.find(b"\\u006", end) != -1):
-        return None
-    return id_json, hashlib.sha256(memoryview(line)[end + 1:]).digest()
 
 
 def request_envelope(

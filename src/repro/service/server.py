@@ -17,17 +17,14 @@ stored bytes spliced into the envelope
 the whole response, and no result is encoded twice.  A request is
 served in up to four steps:
 
-1. the sha256 of the request line as received, less a leading
-   ``{"id":<id>,`` that every sorted-key client writes
-   (:func:`repro.service.protocol.spelling_digest`), is looked up in a
-   small LRU that maps each spelling already seen to its op and
-   **value key**.  For a line with that prefix the ``id`` is read alone
-   and the rest only digested (:func:`repro.service.protocol.split_id`);
-   any other line is decoded first.  If the spelling is known and its
-   value key is still cached, the stored bytes are the answer: the line
-   is not decoded, no request object and no network is built, and
-   nothing is re-serialised.  This is what makes exact repeats cheap,
-   whatever their ``id``;
+1. the envelope is decoded, and the sha256 of the request line as
+   received, less a leading ``{"id":<id>,`` that every sorted-key client
+   writes (:func:`repro.service.protocol.spelling_digest`), is looked up
+   in a small LRU that maps each spelling already seen to its **value
+   key**.  If the spelling is known and its value key is still cached,
+   the stored bytes are the answer: no request object and no network is
+   built, and nothing is re-serialised.  This is what makes exact
+   repeats cheap, whatever their ``id``;
 2. otherwise the request is parsed and keyed through
    :func:`repro.api.keyed_network`: one validating pass over the
    network document
@@ -105,14 +102,6 @@ def _key_request(
     return request, scan, fingerprint, key
 
 
-def _reply(id_json: bytes, op: str, result_json: bytes, cached: bool,
-           start: float) -> bytes:
-    """An analysis reply line, timed from ``start``."""
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return protocol.result_line(id_json, op, result_json, cached,
-                                round(elapsed_ms, 3))
-
-
 class AnalysisServer:
     """The resident multi-client analysis service."""
 
@@ -125,9 +114,8 @@ class AnalysisServer:
         self.host = host
         self.port = port
         self.cache = ResultCache(cache_capacity)
-        #: spelled-request digest → ``(op, value key)``, bounded like
-        #: the cache (an LRU of keys, not results; its own counters go
-        #: unreported)
+        #: spelled-request digest → value key, bounded like the cache
+        #: (an LRU of keys, not results; its own counters go unreported)
         self._spellings = ResultCache(cache_capacity)
         self.sessions = SessionRegistry()
         #: how many misses computed on the loop and on the executor
@@ -228,17 +216,6 @@ class AnalysisServer:
 
     # -- dispatch --------------------------------------------------------
     async def _dispatch(self, session: SessionStats, line: bytes) -> bytes:
-        start = time.perf_counter()
-        looked_up: Optional[Tuple[bytes, Optional[str]]] = None
-        prefixed = protocol.split_id(line)
-        if prefixed is not None:
-            id_json, spelling = prefixed
-            op, key, result_json = self._look_up(spelling)
-            if result_json is not None:
-                session.note_request(op)
-                session.note_ok(cached=True, counts_cache=True)
-                return _reply(id_json, op, result_json, True, start)
-            looked_up = (spelling, key)
         request_id: Any = None
         op: Optional[str] = None
         try:
@@ -266,8 +243,7 @@ class AnalysisServer:
                 return protocol.encode(protocol.result_response(
                     request_id, op, {"stopping": True}, False, 0.0))
             return await self._serve_analysis(session, op, request_id,
-                                              request_doc, line, start,
-                                              looked_up)
+                                              request_doc, line)
         except api.ApiError as exc:
             session.note_error()
             return protocol.encode(protocol.error_response(
@@ -277,19 +253,6 @@ class AnalysisServer:
             return protocol.encode(protocol.error_response(
                 request_id, op, "internal", f"{type(exc).__name__}: {exc}"))
 
-    def _look_up(self, spelling: bytes) -> Tuple[Optional[str],
-                                                 Optional[str],
-                                                 Optional[bytes]]:
-        """Step 1: ``(op, value key, stored bytes)`` of a known
-        spelling, the bytes ``None`` when its value key was evicted (a
-        counted miss); all three ``None`` for an unknown spelling."""
-        known, entry = self._spellings.get(spelling)
-        if not known:
-            return None, None, None
-        op, key = entry
-        hit, result_json = self.cache.get(key)
-        return op, key, result_json if hit else None
-
     async def _serve_analysis(
         self,
         session: SessionStats,
@@ -297,40 +260,32 @@ class AnalysisServer:
         request_id: Any,
         request_doc: Dict[str, Any],
         line: bytes,
-        start: float,
-        looked_up: Optional[Tuple[bytes, Optional[str]]],
     ) -> bytes:
-        """Steps 2-4 of a request (and step 1 for a line
-        :func:`protocol.split_id` could not read).  ``looked_up`` is
-        ``(spelling, value key)`` when step 1 already ran on the line
-        bytes: the key of a known spelling whose result was evicted
-        (its miss counted), ``None`` for an unknown spelling."""
+        start = time.perf_counter()
         id_json = protocol.encode_json(request_id)
-        if looked_up is None:
-            spelling = protocol.spelling_digest(line, id_json)
-            _op, known_key, result_json = self._look_up(spelling)
-            if result_json is not None:
-                session.note_ok(cached=True, counts_cache=True)
-                return _reply(id_json, op, result_json, True, start)
-        else:
-            spelling, known_key = looked_up
-        if op == "monitor":
-            request, scan, fingerprint, key = await (
-                asyncio.get_running_loop().run_in_executor(
-                    None, _key_request, request_doc, known_key))
-        else:
-            request, scan, fingerprint, key = _key_request(
-                request_doc, known_key)
-        hit = False
-        if known_key is None:
-            self._spellings.put(spelling, (op, key))
-            hit, result_json = self.cache.get(key)
+        spelling = protocol.spelling_digest(line, id_json)
+        known, key = self._spellings.get(spelling)
+        hit, result_json = self.cache.get(key) if known else (False, None)
         if not hit:
-            result = await self._compute(request, scan, fingerprint)
-            result_json = protocol.encode_json(result.to_dict())
-            self.cache.put(key, result_json)
+            known_key = key if known else None
+            if op == "monitor":
+                request, scan, fingerprint, key = await (
+                    asyncio.get_running_loop().run_in_executor(
+                        None, _key_request, request_doc, known_key))
+            else:
+                request, scan, fingerprint, key = _key_request(
+                    request_doc, known_key)
+            if not known:
+                self._spellings.put(spelling, key)
+                hit, result_json = self.cache.get(key)
+            if not hit:
+                result = await self._compute(request, scan, fingerprint)
+                result_json = protocol.encode_json(result.to_dict())
+                self.cache.put(key, result_json)
         session.note_ok(cached=hit, counts_cache=True)
-        return _reply(id_json, op, result_json, hit, start)
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        return protocol.result_line(id_json, op, result_json, hit,
+                                    round(elapsed_ms, 3))
 
     async def _compute(self, request: api.AnalysisRequest,
                        scan: NetworkScan,

@@ -153,30 +153,9 @@ class TestWireFormat:
         assert digest(doc, None, has_id=False) != digest(doc, None)
         assert digest(doc, None, has_id=False) != digest(doc, 1)
 
-    def test_split_id_reads_the_prefix_as_decode_line_does(self):
-        doc = _base_doc()
-        for name, value in IDS.items():
-            line = _raw_line(doc, value)
-            id_json = protocol.encode_json(protocol.decode_line(line)["id"])
-            # the object id is written with its keys unsorted
-            expected = None if name == "object" else (
-                id_json, protocol.spelling_digest(line, id_json))
-            assert protocol.split_id(line) == expected, name
-        body = _raw_line(doc, has_id=False)
-        for line in (body,                              # no prefix
-                     b'{"id": 1,' + body[1:],           # not canonical
-                     b'{"id":1e0,' + body[1:],
-                     b'{"id":NaN,' + body[1:],          # not finite
-                     b'{"id":1e400,' + body[1:],
-                     b'{"id":[1,' + body[1:],           # unparseable id
-                     b'{"id":1}\n',
-                     b'{"id":1,"id":2,' + body[1:],     # the last id wins
-                     b'{"id":1,"\\u0069d":2,' + body[1:]):
-            assert protocol.split_id(line) is None, line
-
     def test_a_second_id_member_is_answered_with_the_decoded_id(self):
         """``{"id":1,"id":2,…}`` decodes to id 2; after the same rest
-        was seen under a prefix id of 2, the reply still carries 2."""
+        was seen under a leading id of 2, the reply still carries 2."""
         doc = _base_doc()
         offline = api.execute_request_doc(doc)
         rest = b'"id":2,' + _raw_line(doc, has_id=False)[1:]
@@ -463,6 +442,24 @@ class TestNonFinite:
         assert (reply["ok"], reply["id"]) == (False, None)
         assert reply["error"]["type"] == "protocol"
         assert (after["ok"], after["id"]) == (True, 2)
+
+    def test_an_id_prefix_before_a_whole_object_is_a_protocol_error(self):
+        """A line without an ``id`` is remembered by the digest of all
+        its bytes; ``{"id":1,`` followed by that line is not JSON and
+        must not be answered from it."""
+        body = _raw_line(_base_doc(), has_id=False)
+        with ServerThread() as srv:
+            conn = RawConnection(srv)
+            try:
+                first = _strict_json(conn.send(body))
+                reply = _strict_json(conn.send(b'{"id":1,' + body))
+                again = _strict_json(conn.send(body))
+            finally:
+                conn.close()
+        assert first["ok"] is True
+        assert (reply["ok"], reply["id"]) == (False, None)
+        assert reply["error"]["type"] == "protocol"
+        assert (again["ok"], again["cached"]) == (True, True)
 
     def test_model_refuses_non_finite_values(self):
         with pytest.raises(ValueError, match="D must be finite"):
